@@ -31,7 +31,6 @@ from .graph_store import (
 from .path_matcher import (
     PathBinding,
     check_intersection,
-    enumerate_trails_oracle,
     eval_filter,
     match_plan,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "compile_request_path",
     "compile_rule_pattern",
     "emit_cypher",
-    "enumerate_trails_oracle",
     "eval_filter",
     "evaluate_request",
     "evaluate_rule",

@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .errors import EngineError, PolicySchemaError, RequestParseError
 from .graph_store import PropertyGraph, build_source_subset, load_graph_path, serialize_graph
-from .pattern_compiler import compile_request_path, compile_rule_pattern, emit_cypher
-from .pdp import DecisionEngine, render_response_xml
-from .policy_model import Policy, parse_policy, policy_files
+from .pattern_compiler import compile_request_path, emit_cypher
+from .pdp import DecisionEngine, compile_rule, render_response_xml
+from .policy_model import Policy, load_policy_dir, parse_policy, policy_files
 from .request_model import parse_request
 
 log = logging.getLogger("graphpdp")
@@ -55,17 +55,6 @@ class EngineConfig:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _load_policies(policy_dir: Path) -> list[tuple[str, Policy]]:
-    """(file name, policy) pairs in load order; raises on the first bad file."""
-    loaded = []
-    for file in policy_files(policy_dir):
-        try:
-            loaded.append((file.name, parse_policy(file.read_text(encoding="utf-8"))))
-        except PolicySchemaError as exc:
-            raise EngineError(f"{file.name}: {exc}") from exc
-    return loaded
 
 
 def _load_graph(config: EngineConfig, policies: list[Policy]) -> PropertyGraph | None:
@@ -111,10 +100,8 @@ def cmd_validate(args) -> int:
 
 def cmd_build_graph(args) -> int:
     try:
-        loaded = _load_policies(Path(args.policies))
-        meta = next(
-            (policy.meta for _, policy in loaded if policy.meta is not None), None
-        )
+        policies = load_policy_dir(args.policies)
+        meta = next((p.meta for p in policies if p.meta is not None), None)
         if meta is None:
             print("error: no loaded policy carries a Meta element", file=sys.stderr)
             return 1
@@ -139,8 +126,7 @@ def _build_engine(args, need_graph: bool = True) -> DecisionEngine:
         format=args.format,
     )
     config.check(need_graph=need_graph)
-    loaded = _load_policies(config.policy_dir)
-    policies = [policy for _, policy in loaded]
+    policies = load_policy_dir(config.policy_dir)
     graph = _load_graph(config, policies)
     return DecisionEngine(policies, graph, varlen_cap=config.varlen_cap)
 
@@ -158,25 +144,18 @@ def cmd_eval(args) -> int:
 
 def cmd_emit_cypher(args) -> int:
     try:
-        loaded = _load_policies(Path(args.policies))
+        policies = load_policy_dir(args.policies)
         request = parse_request(Path(args.request).read_text(encoding="utf-8"))
     except (EngineError, OSError) as exc:
         return _fail(str(exc))
-    rule = None
-    for _, policy in loaded:
-        for candidate in policy.rules:
-            if candidate.rule_id == args.rule:
-                rule = candidate
-                break
-        if rule is not None:
-            break
-    if rule is None:
+    found = DecisionEngine(policies, None).find_rule(args.rule)
+    if found is None:
         print(f"error: no rule with id {args.rule!r}", file=sys.stderr)
         return 1
-    if rule.pattern is None:
+    rule_plan = compile_rule(found[1])
+    if rule_plan is None:
         print(f"error: rule {args.rule!r} has no pattern", file=sys.stderr)
         return 1
-    rule_plan = compile_rule_pattern(rule.pattern, rule.pattern_condition)
     request_plan = compile_request_path(request.path_groups)
     print(emit_cypher(rule_plan, request_plan), end="")
     return 0
@@ -206,8 +185,11 @@ class DecisionHandler(BaseHTTPRequestHandler):
         if self.path != "/decision":
             self._send(404, "not found", "text/plain")
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length)
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            self._send(400, f"bad request: Content-Length {length!r}", "text/plain")
+            return
+        body = self.rfile.read(int(length))
         try:
             request = parse_request(body.decode("utf-8"))
         except (RequestParseError, UnicodeDecodeError) as exc:

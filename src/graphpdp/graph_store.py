@@ -15,13 +15,13 @@ value semantics the engine relies on:
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
 import re
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     DuplicateIdError,
@@ -30,9 +30,7 @@ from .errors import (
     MissingEndpointError,
     ReferentialError,
 )
-
-if TYPE_CHECKING:
-    from .policy_model import Meta
+from .policy_model import DIRECTION_ANY, DIRECTION_FROM, DIRECTION_TO, Meta
 
 PropertyValue = str | int | float | bool
 
@@ -110,6 +108,10 @@ class VertexRecord:
     label: str
     properties: dict[str, PropertyValue] = field(default_factory=dict)
 
+    def copy(self) -> "VertexRecord":
+        """Same record with its own property dict."""
+        return VertexRecord(self.id, self.label, dict(self.properties))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexRecord):
             return NotImplemented
@@ -128,6 +130,12 @@ class EdgeRecord:
     to_id: str
     properties: dict[str, PropertyValue] = field(default_factory=dict)
 
+    def copy(self) -> "EdgeRecord":
+        """Same record with its own property dict."""
+        return EdgeRecord(
+            self.id, self.type, self.from_id, self.to_id, dict(self.properties)
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeRecord):
             return NotImplemented
@@ -140,22 +148,25 @@ class EdgeRecord:
         )
 
 
-class PropertyGraph:
-    """Mutable property graph with adjacency lists and exact-match indexes.
+_HOP_SLOT = {DIRECTION_FROM: 0, DIRECTION_TO: 1, DIRECTION_ANY: 2}
 
-    ``snapshot()`` returns a frozen deep copy that later mutations of the
-    live graph cannot affect; evaluations run against snapshots.
+
+class PropertyGraph:
+    """Mutable property graph with sorted hop lists and vertex indexes.
+
+    ``snapshot()`` returns a frozen copy with fresh records that later
+    mutations of the live graph cannot affect; evaluations run against
+    snapshots.
     """
 
     def __init__(self) -> None:
         self._vertices: dict[str, VertexRecord] = {}
         self._edges: dict[str, EdgeRecord] = {}
-        self._out: dict[str, list[str]] = {}
-        self._in: dict[str, list[str]] = {}
+        # vertex id -> sorted (edge id, neighbour id) pairs, one list per
+        # direction in _HOP_SLOT order
+        self._hops: dict[str, tuple[list[tuple[str, str]], ...]] = {}
         self._label_index: dict[str, set[str]] = {}
         self._vertex_prop_index: dict[tuple[str, tuple], set[str]] = {}
-        self._edge_type_index: dict[str, set[str]] = {}
-        self._edge_prop_index: dict[tuple[str, tuple], set[str]] = {}
         self._frozen = False
 
     # -- mutation ----------------------------------------------------------
@@ -167,8 +178,7 @@ class PropertyGraph:
         if vertex.id in self._vertices:
             raise DuplicateIdError(f"duplicate vertex id {vertex.id!r}")
         self._vertices[vertex.id] = vertex
-        self._out[vertex.id] = []
-        self._in[vertex.id] = []
+        self._hops[vertex.id] = ([], [], [])
         self._label_index.setdefault(vertex.label, set()).add(vertex.id)
         for name, value in vertex.properties.items():
             key = (name, canonical_key(value))
@@ -186,12 +196,15 @@ class PropertyGraph:
                     f"edge {edge.id!r} references missing vertex {endpoint!r}"
                 )
         self._edges[edge.id] = edge
-        self._out[edge.from_id].append(edge.id)
-        self._in[edge.to_id].append(edge.id)
-        self._edge_type_index.setdefault(edge.type, set()).add(edge.id)
-        for name, value in edge.properties.items():
-            key = (name, canonical_key(value))
-            self._edge_prop_index.setdefault(key, set()).add(edge.id)
+        out_hop = (edge.id, edge.to_id)
+        in_hop = (edge.id, edge.from_id)
+        out_hops, _, from_any = self._hops[edge.from_id]
+        _, in_hops, to_any = self._hops[edge.to_id]
+        insort(out_hops, out_hop)
+        insort(in_hops, in_hop)
+        insort(from_any, out_hop)
+        if edge.from_id != edge.to_id:  # a self-loop is one hop either way
+            insort(to_any, in_hop)
 
     def _check_mutable(self) -> None:
         if self._frozen:
@@ -228,11 +241,20 @@ class PropertyGraph:
     def edge_ids(self) -> list[str]:
         return sorted(self._edges)
 
+    def hops(self, vertex_id: str, direction: str) -> list[tuple[str, str]]:
+        """(edge id, neighbour id) pairs leaving ``vertex_id`` in sorted order.
+
+        ``direction`` is ``from`` (out-edges), ``to`` (in-edges) or ``any``
+        (both; a self-loop appears once).  The list is the graph's own:
+        read it, never mutate it.
+        """
+        return self._hops[vertex_id][_HOP_SLOT[direction]]
+
     def out_edge_ids(self, vertex_id: str) -> list[str]:
-        return list(self._out[vertex_id])
+        return [eid for eid, _ in self.hops(vertex_id, DIRECTION_FROM)]
 
     def in_edge_ids(self, vertex_id: str) -> list[str]:
-        return list(self._in[vertex_id])
+        return [eid for eid, _ in self.hops(vertex_id, DIRECTION_TO)]
 
     def vertices_with_label(self, label: str) -> set[str]:
         return set(self._label_index.get(label, ()))
@@ -240,17 +262,16 @@ class PropertyGraph:
     def vertices_with_property(self, name: str, value: PropertyValue) -> set[str]:
         return set(self._vertex_prop_index.get((name, canonical_key(value)), ()))
 
-    def edges_with_type(self, type_name: str) -> set[str]:
-        return set(self._edge_type_index.get(type_name, ()))
-
-    def edges_with_property(self, name: str, value: PropertyValue) -> set[str]:
-        return set(self._edge_prop_index.get((name, canonical_key(value)), ()))
-
     # -- snapshots & equality ---------------------------------------------
 
     def snapshot(self) -> "PropertyGraph":
-        """Frozen deep copy; unaffected by later mutation of this graph."""
-        clone = copy.deepcopy(self)
+        """Frozen copy built from fresh records through the insert path;
+        unaffected by later mutation of this graph."""
+        clone = PropertyGraph()
+        for vertex in self._vertices.values():
+            clone.add_vertex(vertex.copy())
+        for edge in self._edges.values():
+            clone.add_edge(edge.copy())
         clone._frozen = True
         return clone
 
@@ -269,7 +290,7 @@ class PropertyGraph:
         return f"PropertyGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-def build_source_subset(meta: "Meta", source: PropertyGraph) -> PropertyGraph:
+def build_source_subset(meta: Meta, source: PropertyGraph) -> PropertyGraph:
     """Filter ``source`` down to the entities a policy declares relevant.
 
     Keeps the vertices whose label is listed in ``meta`` and the edges whose
@@ -280,20 +301,14 @@ def build_source_subset(meta: "Meta", source: PropertyGraph) -> PropertyGraph:
     subset = PropertyGraph()
     for vertex in source.vertices():
         if vertex.label in wanted_labels:
-            subset.add_vertex(
-                VertexRecord(vertex.id, vertex.label, dict(vertex.properties))
-            )
+            subset.add_vertex(vertex.copy())
     for edge in source.edges():
         if (
             edge.type in wanted_types
             and subset.has_vertex(edge.from_id)
             and subset.has_vertex(edge.to_id)
         ):
-            subset.add_edge(
-                EdgeRecord(
-                    edge.id, edge.type, edge.from_id, edge.to_id, dict(edge.properties)
-                )
-            )
+            subset.add_edge(edge.copy())
     return subset
 
 
@@ -471,16 +486,6 @@ def _csv_props(names: list[str], cells: list[str]) -> dict[str, PropertyValue]:
     return {
         name: parse_csv_value(cell) for name, cell in zip(names, cells) if cell != ""
     }
-
-
-def load_graph_file(text: str, format: str = "json") -> PropertyGraph:
-    """Load a single graph file; only the JSON format is single-file."""
-    if format == "json":
-        return load_graph_json(text)
-    raise GraphFormatError(
-        f"format {format!r} is not a single-file format; "
-        "use load_graph_csv for the two-file CSV layout"
-    )
 
 
 def load_graph_path(path, format: str = "json") -> PropertyGraph:

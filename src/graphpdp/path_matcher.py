@@ -24,9 +24,6 @@ from .policy_model import (
     ConditionExpr,
     ConstraintSet,
     Designator,
-    DIRECTION_ANY,
-    DIRECTION_FROM,
-    DIRECTION_TO,
     Literal,
 )
 from .pattern_compiler import EdgeStep, QueryPlan, VertexStep, translate_function
@@ -132,19 +129,6 @@ def _vertex_candidates(graph: PropertyGraph, step: VertexStep) -> list[str]:
     return sorted(v for v in candidates if _vertex_ok(graph, v, step))
 
 
-def _hops(graph: PropertyGraph, vid: str, direction: str) -> list[tuple[str, str]]:
-    """(edge id, neighbor id) pairs leaving ``vid`` under the direction
-    rule, in deterministic order; a self-loop appears once."""
-    pairs: set[tuple[str, str]] = set()
-    if direction in (DIRECTION_FROM, DIRECTION_ANY):
-        for eid in graph.out_edge_ids(vid):
-            pairs.add((eid, graph.edge(eid).to_id))
-    if direction in (DIRECTION_TO, DIRECTION_ANY):
-        for eid in graph.in_edge_ids(vid):
-            pairs.add((eid, graph.edge(eid).from_id))
-    return sorted(pairs)
-
-
 def match_plan(
     graph: PropertyGraph, plan: QueryPlan, varlen_cap: int = DEFAULT_VARLEN_CAP
 ) -> Iterator[PathBinding]:
@@ -174,7 +158,7 @@ def _extend(graph, steps, index, vseq, eseq, bindings, varlen_cap):
 
     if edge_step.is_single_hop:
         used = set(eseq)
-        for eid, nvid in _hops(graph, vseq[-1], edge_step.direction):
+        for eid, nvid in graph.hops(vseq[-1], edge_step.direction):
             if eid in used or not _edge_ok(graph, eid, edge_step):
                 continue
             if not _vertex_ok(graph, nvid, vertex_step):
@@ -201,7 +185,7 @@ def _extend(graph, steps, index, vseq, eseq, bindings, varlen_cap):
             )
         if depth < max_len:
             used = set(weseq)
-            for eid, nvid in _hops(graph, current, edge_step.direction):
+            for eid, nvid in graph.hops(current, edge_step.direction):
                 if eid in used or not _edge_ok(graph, eid, edge_step):
                     continue
                 yield from walk(wvseq + (nvid,), weseq + (eid,), depth + 1)
@@ -298,33 +282,3 @@ def check_intersection(
             if v2 <= v1 and e2 <= e1:
                 return True
     return False
-
-
-# -- test oracle -----------------------------------------------------------
-
-
-def enumerate_trails_oracle(graph: PropertyGraph, max_edges: int) -> list[PathBinding]:
-    """Every trail of 0..max_edges edges, both orientations, in a fixed
-    order.  Exists only so tests can cross-check match_plan; deliberately
-    shares no traversal code with it."""
-    if max_edges > 8:
-        raise ValueError("oracle is exhaustive; refusing max_edges > 8")
-    trails: list[PathBinding] = []
-
-    def step(vseq: tuple[str, ...], eseq: tuple[str, ...]) -> None:
-        trails.append(PathBinding(vseq, eseq))
-        if len(eseq) >= max_edges:
-            return
-        here = vseq[-1]
-        options: set[tuple[str, str]] = set()
-        for eid in graph.out_edge_ids(here):
-            options.add((eid, graph.edge(eid).to_id))
-        for eid in graph.in_edge_ids(here):
-            options.add((eid, graph.edge(eid).from_id))
-        for eid, nvid in sorted(options):
-            if eid not in eseq:
-                step(vseq + (nvid,), eseq + (eid,))
-
-    for start in graph.vertex_ids():
-        step((start,), ())
-    return trails

@@ -33,7 +33,6 @@ from .policy_model import (
     EMPTY_CONSTRAINTS,
     Literal,
     Pattern,
-    PathEdgeSpec,
     PathVertexSpec,
 )
 from .request_model import AttributeGroup, KIND_EDGE, split_attribute_value
@@ -72,14 +71,6 @@ PlanStep = Union[VertexStep, EdgeStep]
 class QueryPlan:
     steps: tuple[PlanStep, ...]
     filter: ConditionExpr | None = None
-    subject_index: int = 0
-    resource_index: int = 0
-
-    def vertex_steps(self) -> list[VertexStep]:
-        return [s for s in self.steps if isinstance(s, VertexStep)]
-
-    def edge_steps(self) -> list[EdgeStep]:
-        return [s for s in self.steps if isinstance(s, EdgeStep)]
 
 
 # -- function registry -----------------------------------------------------
@@ -192,14 +183,8 @@ def compile_rule_pattern(
     """One plan step per pattern step; the condition becomes the filter."""
     taken = set(pattern.binding_names())
     steps: list[PlanStep] = []
-    subject_index = 0
-    resource_index = len(pattern.steps) - 1
     for i, spec in enumerate(pattern.steps):
         if isinstance(spec, PathVertexSpec):
-            if spec.category == uris.CAT_SUBJECT:
-                subject_index = i
-            elif spec.category == uris.CAT_RESOURCE:
-                resource_index = i
             if spec.vertex_id is not None:
                 steps.append(
                     VertexStep(
@@ -218,8 +203,6 @@ def compile_rule_pattern(
                     )
                 )
         else:
-            if spec.category == uris.CAT_RESOURCE:
-                resource_index = i
             steps.append(
                 EdgeStep(
                     binding=spec.edge_id,
@@ -230,12 +213,7 @@ def compile_rule_pattern(
                     constraints=spec.constraints,
                 )
             )
-    return QueryPlan(
-        steps=tuple(steps),
-        filter=condition,
-        subject_index=subject_index,
-        resource_index=resource_index,
-    )
+    return QueryPlan(steps=tuple(steps), filter=condition)
 
 
 def _pinned_props(group: AttributeGroup) -> PinnedProps:
@@ -267,16 +245,8 @@ def compile_request_path(path_groups) -> QueryPlan:
         )
     if trailing_edge is not None:
         steps.append(EdgeStep(pinned=_pinned_props(trailing_edge)))
-        resource_index = len(steps) - 1
         steps.append(VertexStep(binding=_auto_binding(len(steps), taken), auto=True))
-    else:
-        resource_index = len(steps) - 1
-    return QueryPlan(
-        steps=tuple(steps),
-        filter=None,
-        subject_index=0,
-        resource_index=resource_index,
-    )
+    return QueryPlan(steps=tuple(steps))
 
 
 # -- Cypher emission -------------------------------------------------------

@@ -187,9 +187,11 @@ def evaluate_policy(
     request: Request,
     graph: PropertyGraph | None,
     request_plan: QueryPlan | None = None,
-    rule_plans: dict[str, QueryPlan | None] | None = None,
+    rule_plans: dict[tuple[str, str], QueryPlan | None] | None = None,
     varlen_cap: int = DEFAULT_VARLEN_CAP,
 ) -> Decision:
+    """``rule_plans`` optionally maps (policy id, rule id) to precompiled
+    plans (the engine's load-time cache)."""
     matched = match_target(policy.target, request)
     if matched == NO_MATCH:
         return NOT_APPLICABLE
@@ -199,7 +201,7 @@ def evaluate_policy(
         )
     decisions = []
     for rule in policy.rules:
-        plan = rule_plans.get(rule.rule_id) if rule_plans else None
+        plan = rule_plans.get((policy.policy_id, rule.rule_id)) if rule_plans else None
         decisions.append(
             evaluate_rule(
                 rule,
@@ -225,8 +227,7 @@ def evaluate_request(
 ) -> Response:
     """Walk policies in load order, first applicable policy decides.
 
-    ``rule_plans`` optionally maps (policy id, rule id) to precompiled
-    plans (the engine's load-time cache).
+    ``rule_plans`` is passed to :func:`evaluate_policy`.
     """
     try:
         request_plan = compile_request_path(request.path_groups)
@@ -235,18 +236,12 @@ def evaluate_request(
         return Response(decision, _status_for(decision), ())
 
     for policy in policies:
-        per_policy = None
-        if rule_plans is not None:
-            per_policy = {
-                rule.rule_id: rule_plans.get((policy.policy_id, rule.rule_id))
-                for rule in policy.rules
-            }
         decision = evaluate_policy(
             policy,
             request,
             graph,
             request_plan=request_plan,
-            rule_plans=per_policy,
+            rule_plans=rule_plans,
             varlen_cap=varlen_cap,
         )
         if decision.value != NOT_APPLICABLE_VALUE:

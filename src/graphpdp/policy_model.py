@@ -26,7 +26,6 @@ from .xmlutil import (
     is_ext,
     local_name,
     parse_xml,
-    split_tag,
     text_of,
     xml_attr,
     xml_escape,
@@ -131,12 +130,6 @@ def flatten_pattern(path: RecursivePath) -> tuple[PathStep, ...]:
 class Pattern:
     pattern_id: str
     steps: tuple[PathStep, ...]
-
-    def vertex_steps(self) -> list[PathVertexSpec]:
-        return [s for s in self.steps if isinstance(s, PathVertexSpec)]
-
-    def edge_steps(self) -> list[PathEdgeSpec]:
-        return [s for s in self.steps if isinstance(s, PathEdgeSpec)]
 
     def binding_names(self) -> list[str]:
         names = []
@@ -889,6 +882,6 @@ def load_policy_dir(directory) -> list[Policy]:
             policies.append(parse_policy(file.read_text(encoding="utf-8")))
         except PolicySchemaError as exc:
             raise PolicySchemaError(
-                [Violation(f"{file.name}/{v.path}", v.reason) for v in exc.violations]
+                [Violation(f"{file.name}: {v.path}", v.reason) for v in exc.violations]
             ) from exc
     return policies

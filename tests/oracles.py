@@ -15,7 +15,7 @@ import re
 
 from graphpdp import uris
 from graphpdp.graph_store import PropertyGraph, as_number, as_text, loose_equal
-from graphpdp.path_matcher import PathBinding, enumerate_trails_oracle
+from graphpdp.path_matcher import PathBinding
 from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep
 
 # -- constraint predicates (rewritten, not imported) ------------------------
@@ -82,6 +82,32 @@ def _segmentations(total: int, bounds: list[tuple[int, int]]):
     for lengths in itertools.product(*ranges):
         if sum(lengths) == total:
             yield lengths
+
+
+def enumerate_trails_oracle(graph: PropertyGraph, max_edges: int) -> list[PathBinding]:
+    """Every trail of 0..max_edges edges, both orientations, in a fixed
+    order.  Shares no traversal code with match_plan, which it checks."""
+    if max_edges > 8:
+        raise ValueError("oracle is exhaustive; refusing max_edges > 8")
+    trails: list[PathBinding] = []
+
+    def step(vseq: tuple[str, ...], eseq: tuple[str, ...]) -> None:
+        trails.append(PathBinding(vseq, eseq))
+        if len(eseq) >= max_edges:
+            return
+        here = vseq[-1]
+        options: set[tuple[str, str]] = set()
+        for eid in graph.out_edge_ids(here):
+            options.add((eid, graph.edge(eid).to_id))
+        for eid in graph.in_edge_ids(here):
+            options.add((eid, graph.edge(eid).from_id))
+        for eid, nvid in sorted(options):
+            if eid not in eseq:
+                step(vseq + (nvid,), eseq + (eid,))
+
+    for start in graph.vertex_ids():
+        step((start,), ())
+    return trails
 
 
 def plan_match_oracle(

@@ -206,4 +206,4 @@ def request_plans(draw, graph: PropertyGraph) -> QueryPlan:
         if i:
             steps.append(EdgeStep())
         steps.append(VertexStep(f"r{i}", pinned=(("_key", key),)))
-    return QueryPlan(tuple(steps), resource_index=len(steps) - 1)
+    return QueryPlan(tuple(steps))

@@ -1,6 +1,7 @@
 import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -12,7 +13,6 @@ from graphpdp.cli import DECISION_EXIT_CODES, EXIT_USAGE, build_server, run
 from graphpdp.graph_store import load_graph_path
 from graphpdp.pdp import DecisionEngine
 from graphpdp.policy_model import load_policy_dir
-from graphpdp.request_model import parse_request
 
 PERMIT_XML = """\
 <Response xmlns="urn:oasis:names:tc:xacml:3.0:core:schema:wd-17">
@@ -384,6 +384,20 @@ def test_serve_rejects_bad_request_body(running_server):
     status, payload = http_call(running_server, "POST", "/decision", "<nope>")
     assert status == 400
     assert payload.startswith("bad request: ")
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_serve_rejects_bad_content_length(running_server, length):
+    # http.client sets Content-Length itself, so speak HTTP over a raw socket
+    head = f"POST /decision HTTP/1.1\r\nHost: localhost\r\nContent-Length: {length}\r\n\r\n"
+    reply = b""
+    with socket.create_connection(running_server, timeout=5) as sock:
+        sock.sendall(head.encode("ascii"))
+        while chunk := sock.recv(4096):
+            reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    assert status_line.split()[1] == b"400", reply
+    assert rest.partition(b"\r\n\r\n")[2].startswith(b"bad request: "), reply
 
 
 def test_serve_unknown_paths(running_server):

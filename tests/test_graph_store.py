@@ -115,11 +115,34 @@ def test_indexes():
     g = small_graph()
     assert g.vertices_with_label("dataObjects") == {"A", "C"}
     assert g.vertices_with_label("audit") == set()
-    assert g.edges_with_type("accessRelations") == {"e1"}
-    assert g.edges_with_property("typeKind", "worksOn") == {"e1"}
     # the property index buckets by loose equality, so "7" finds int 7
     assert g.vertices_with_property("_key", "7") == {"B"}
     assert g.vertices_with_property("_key", 7) == {"B"}
+
+
+def test_hops_sorted_per_direction():
+    g = PropertyGraph()
+    for v in "ABC":
+        g.add_vertex(VertexRecord(v, "n", {}))
+    # inserted out of id order: two parallel A->B edges, one B->A, a
+    # self-loop on A and one C->A
+    g.add_edge(EdgeRecord("e3", "t", "A", "B", {}))
+    g.add_edge(EdgeRecord("e1", "t", "A", "B", {}))
+    g.add_edge(EdgeRecord("e4", "t", "C", "A", {}))
+    g.add_edge(EdgeRecord("e0", "t", "A", "A", {}))
+    g.add_edge(EdgeRecord("e2", "t", "B", "A", {}))
+    assert g.hops("A", "from") == [("e0", "A"), ("e1", "B"), ("e3", "B")]
+    assert g.hops("A", "to") == [("e0", "A"), ("e2", "B"), ("e4", "C")]
+    # the self-loop appears once
+    assert g.hops("A", "any") == [
+        ("e0", "A"), ("e1", "B"), ("e2", "B"), ("e3", "B"), ("e4", "C")
+    ]
+    assert g.hops("B", "from") == [("e2", "A")]
+    assert g.hops("B", "to") == [("e1", "A"), ("e3", "A")]
+    assert g.hops("B", "any") == [("e1", "A"), ("e2", "A"), ("e3", "A")]
+    assert g.hops("C", "to") == []
+    assert g.out_edge_ids("A") == ["e0", "e1", "e3"]
+    assert g.in_edge_ids("A") == ["e0", "e2", "e4"]
 
 
 def test_snapshot_is_isolated_and_frozen():
@@ -129,6 +152,12 @@ def test_snapshot_is_isolated_and_frozen():
     g.vertex("A").properties["typeCode"] = "changed"
     assert snap.vertex_count == 3
     assert snap.vertex("A").properties["typeCode"] == "pmUser"
+    g.add_edge(EdgeRecord("e3", "taskDataRelations", "C", "A", {}))
+    g.edge("e1").properties["typeKind"] = "changed"
+    assert snap.edge_count == 2
+    assert snap.hops("A", "any") == [("e1", "B")]
+    assert snap.hops("C", "from") == []
+    assert snap.edge("e1").properties["typeKind"] == "worksOn"
     with pytest.raises(FrozenGraphError):
         snap.add_vertex(VertexRecord("E", "tasks", {}))
 

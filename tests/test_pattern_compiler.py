@@ -86,7 +86,6 @@ def test_compile_demo_pattern(demo_policy):
     assert v1.auto and v1.label == "tasks"
     assert (e1.min_len, e1.max_len, e1.binding) == (1, 2, None)
     assert v2.auto
-    assert plan.subject_index == 0 and plan.resource_index == 4
     assert plan.filter is rule.pattern_condition
     # generated names never collide with declared ones
     names = [v0.binding, e0.binding, v1.binding, v2.binding]
@@ -114,7 +113,6 @@ def test_compile_demo_request(demo_request):
     for step in plan.steps:
         if isinstance(step, EdgeStep):
             assert step.is_single_hop and step.direction == "any"
-    assert plan.subject_index == 0 and plan.resource_index == 4
 
 
 def test_compile_request_with_trailing_edge():
@@ -129,7 +127,6 @@ def test_compile_request_with_trailing_edge():
     assert len(plan.steps) == 3
     assert plan.steps[1].pinned == (("typeKind", "owns"),)
     assert isinstance(plan.steps[2], VertexStep) and plan.steps[2].pinned == ()
-    assert plan.resource_index == 1
 
 
 # -- text emission ----------------------------------------------------------
