@@ -31,6 +31,12 @@ DECISION_EXIT_CODES = {
 }
 EXIT_USAGE = 2
 
+# A decision request is a few kilobytes of XML; refuse longer bodies
+# before reading them.
+MAX_BODY_BYTES = 1 << 20
+# Seconds a connection may stall on a read or write before it is dropped.
+SOCKET_TIMEOUT_S = 10
+
 
 @dataclass
 class EngineConfig:
@@ -166,6 +172,7 @@ def cmd_emit_cypher(args) -> int:
 
 class DecisionHandler(BaseHTTPRequestHandler):
     engine: DecisionEngine  # injected by build_server
+    timeout = SOCKET_TIMEOUT_S
 
     def _send(self, status: int, body: str, content_type: str) -> None:
         payload = body.encode("utf-8")
@@ -189,7 +196,19 @@ class DecisionHandler(BaseHTTPRequestHandler):
         if not length.isdecimal():
             self._send(400, f"bad request: Content-Length {length!r}", "text/plain")
             return
-        body = self.rfile.read(int(length))
+        if int(length) > MAX_BODY_BYTES:
+            self._send(
+                413,
+                f"request body too large: Content-Length {length} exceeds "
+                f"{MAX_BODY_BYTES} bytes",
+                "text/plain",
+            )
+            return
+        try:
+            body = self.rfile.read(int(length))
+        except TimeoutError:
+            self._send(408, "request timeout: body not received", "text/plain")
+            return
         try:
             request = parse_request(body.decode("utf-8"))
         except (RequestParseError, UnicodeDecodeError) as exc:

@@ -8,97 +8,72 @@ that passes the filter.
 
 Enumeration is depth-first and deterministic: candidates are considered
 in element-id order at every branch, so two runs over the same snapshot
-yield the same stream.
+yield the same stream.  The per-trail work is kept small by what the
+plan carries, built once with it (see
+:class:`~graphpdp.pattern_compiler.QueryPlan`): one element check per
+step, absent for steps that constrain nothing, and the rule filter
+compiled into closures.  The compiled filter still raises evaluation
+errors eagerly, exactly where a full depth-first evaluation would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import uris
-from .errors import FilterEvalError
-from .graph_store import PropertyGraph, PropertyValue, as_text, loose_equal
-from .policy_model import (
-    Apply,
-    ConditionExpr,
-    ConstraintSet,
-    Designator,
-    Literal,
+from .graph_store import PropertyGraph
+from .pattern_compiler import (
+    CompiledFilter,
+    EdgeStep,
+    ElementCheck,
+    QueryPlan,
+    VertexStep,
+    compile_filter,
 )
-from .pattern_compiler import EdgeStep, QueryPlan, VertexStep, translate_function
+from .policy_model import ConditionExpr, ConstraintSet
 
 DEFAULT_VARLEN_CAP = 8
 
 
-@dataclass(frozen=True)
 class PathBinding:
     """One concrete match: walked elements plus name -> element id."""
 
-    vertex_seq: tuple[str, ...]
-    edge_seq: tuple[str, ...] = ()
-    var_bindings: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("vertex_seq", "edge_seq", "names")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "var_bindings", tuple(sorted(self.var_bindings))
-        )
+    def __init__(
+        self,
+        vertex_seq: tuple[str, ...],
+        edge_seq: tuple[str, ...] = (),
+        var_bindings: tuple[tuple[str, str], ...] = (),
+    ):
+        self.vertex_seq = vertex_seq
+        self.edge_seq = edge_seq
+        self.names: dict[str, str] = dict(var_bindings)
 
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertex_seq)
-
-    def edge_set(self) -> frozenset[str]:
-        return frozenset(self.edge_seq)
+    @property
+    def var_bindings(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(self.names.items()))
 
     def bound(self, name: str) -> str | None:
-        for key, element_id in self.var_bindings:
-            if key == name:
-                return element_id
-        return None
+        return self.names.get(name)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PathBinding):
+            return NotImplemented
+        return (
+            self.vertex_seq == other.vertex_seq
+            and self.edge_seq == other.edge_seq
+            and self.names == other.names
+        )
 
-def _constraints_hold(props: dict[str, PropertyValue], constraints: ConstraintSet) -> bool:
-    if constraints.is_empty:
-        return True
-    for all_of in constraints.any_of:
-        for match in all_of:
-            value = props.get(match.attribute_id)
-            if value is None:
-                break
-            if match.match_function == uris.MATCH_STRING_EQUAL_IGNORE_CASE:
-                if as_text(value).casefold() != match.literal.casefold():
-                    break
-            else:  # string-equal; validation admits nothing else
-                if as_text(value) != match.literal:
-                    break
-        else:
-            return True
-    return False
+    def __hash__(self) -> int:
+        return hash((self.vertex_seq, self.edge_seq, self.var_bindings))
 
-
-def _pinned_hold(props: dict[str, PropertyValue], pinned) -> bool:
-    for name, wanted in pinned:
-        if name not in props or not loose_equal(props[name], wanted):
-            return False
-    return True
-
-
-def _vertex_ok(graph: PropertyGraph, vid: str, step: VertexStep) -> bool:
-    record = graph.vertex(vid)
-    if step.label is not None and record.label != step.label:
-        return False
-    if not _pinned_hold(record.properties, step.pinned):
-        return False
-    return _constraints_hold(record.properties, step.constraints)
-
-
-def _edge_ok(graph: PropertyGraph, eid: str, step: EdgeStep) -> bool:
-    record = graph.edge(eid)
-    if step.type is not None and record.type != step.type:
-        return False
-    if not _pinned_hold(record.properties, step.pinned):
-        return False
-    return _constraints_hold(record.properties, step.constraints)
+    def __repr__(self) -> str:
+        return (
+            f"PathBinding(vertex_seq={self.vertex_seq!r}, "
+            f"edge_seq={self.edge_seq!r}, var_bindings={self.var_bindings!r})"
+        )
 
 
 def _map_entries(constraints: ConstraintSet) -> list[tuple[str, str]]:
@@ -112,7 +87,9 @@ def _map_entries(constraints: ConstraintSet) -> list[tuple[str, str]]:
     ]
 
 
-def _vertex_candidates(graph: PropertyGraph, step: VertexStep) -> list[str]:
+def _vertex_candidates(
+    graph: PropertyGraph, step: VertexStep, check: ElementCheck | None
+) -> list[str]:
     """Narrow by index before the full per-vertex check."""
     if step.pinned:
         name, value = step.pinned[0]
@@ -126,7 +103,10 @@ def _vertex_candidates(graph: PropertyGraph, step: VertexStep) -> list[str]:
             candidates = graph.vertices_with_property(name, value)
         else:
             candidates = graph.vertex_ids()
-    return sorted(v for v in candidates if _vertex_ok(graph, v, step))
+    if check is None:
+        return sorted(candidates)
+    vertex = graph.vertex
+    return sorted(v for v in candidates if check(vertex(v)))
 
 
 def match_plan(
@@ -143,115 +123,90 @@ def match_plan(
         return
     first = steps[0]
     assert isinstance(first, VertexStep)
-    for vid in _vertex_candidates(graph, first):
-        yield from _extend(
-            graph, steps, 1, (vid,), (), ((first.binding, vid),), varlen_cap
-        )
+    for vid in _vertex_candidates(graph, first, plan.checks[0]):
+        bindings = ((first.binding, vid),)
+        if len(steps) == 1:
+            yield PathBinding((vid,), (), bindings)
+        else:
+            yield from _extend(
+                graph, steps, plan.checks, 1, (vid,), (), bindings, varlen_cap
+            )
 
 
-def _extend(graph, steps, index, vseq, eseq, bindings, varlen_cap):
-    if index >= len(steps):
-        yield PathBinding(vseq, eseq, bindings)
-        return
+def _extend(graph, steps, checks, index, vseq, eseq, bindings, varlen_cap):
+    """Bindings that extend the trail (vseq, eseq) by the edge step at
+    ``index`` and the vertex step after it, then by the steps beyond."""
     edge_step: EdgeStep = steps[index]
     vertex_step: VertexStep = steps[index + 1]
+    edge_ok, vertex_ok = checks[index], checks[index + 1]
+    last = index + 2 == len(steps)
+    edge, vertex = graph.edge, graph.vertex
 
     if edge_step.is_single_hop:
-        used = set(eseq)
         for eid, nvid in graph.hops(vseq[-1], edge_step.direction):
-            if eid in used or not _edge_ok(graph, eid, edge_step):
+            if eid in eseq or (edge_ok is not None and not edge_ok(edge(eid))):
                 continue
-            if not _vertex_ok(graph, nvid, vertex_step):
+            if vertex_ok is not None and not vertex_ok(vertex(nvid)):
                 continue
             new_bindings = bindings + ((vertex_step.binding, nvid),)
             if edge_step.binding is not None:
                 new_bindings += ((edge_step.binding, eid),)
-            yield from _extend(
-                graph, steps, index + 2,
-                vseq + (nvid,), eseq + (eid,), new_bindings, varlen_cap,
-            )
+            if last:
+                yield PathBinding(vseq + (nvid,), eseq + (eid,), new_bindings)
+            else:
+                yield from _extend(
+                    graph, steps, checks, index + 2,
+                    vseq + (nvid,), eseq + (eid,), new_bindings, varlen_cap,
+                )
         return
 
     min_len = edge_step.min_len
     max_len = edge_step.max_len if edge_step.max_len is not None else varlen_cap
+    direction = edge_step.direction
+    hops = graph.hops
 
-    def walk(wvseq, weseq, depth):
+    # depth-first over the segment's trails, each one before its
+    # extensions, which are pushed in reverse so they pop in hop order
+    stack = [(vseq, eseq, 0)]
+    while stack:
+        wvseq, weseq, depth = stack.pop()
         current = wvseq[-1]
-        if depth >= min_len and _vertex_ok(graph, current, vertex_step):
-            yield from _extend(
-                graph, steps, index + 2,
-                wvseq, weseq, bindings + ((vertex_step.binding, current),),
-                varlen_cap,
-            )
+        if depth >= min_len and (vertex_ok is None or vertex_ok(vertex(current))):
+            new_bindings = bindings + ((vertex_step.binding, current),)
+            if last:
+                yield PathBinding(wvseq, weseq, new_bindings)
+            else:
+                yield from _extend(
+                    graph, steps, checks, index + 2,
+                    wvseq, weseq, new_bindings, varlen_cap,
+                )
         if depth < max_len:
-            used = set(weseq)
-            for eid, nvid in graph.hops(current, edge_step.direction):
-                if eid in used or not _edge_ok(graph, eid, edge_step):
-                    continue
-                yield from walk(wvseq + (nvid,), weseq + (eid,), depth + 1)
-
-    yield from walk(vseq, eseq, 0)
+            stack.extend(reversed([
+                (wvseq + (nvid,), weseq + (eid,), depth + 1)
+                for eid, nvid in hops(current, direction)
+                if eid not in weseq and (edge_ok is None or edge_ok(edge(eid)))
+            ]))
 
 
 # -- filter evaluation -----------------------------------------------------
 
 
 def eval_filter(
-    binding: PathBinding, expr: ConditionExpr, graph: PropertyGraph
+    binding: PathBinding,
+    expr: ConditionExpr | CompiledFilter,
+    graph: PropertyGraph,
 ) -> bool:
     """Evaluate the rule filter on one binding.
 
-    Raises :class:`FilterEvalError` for unresolved references and lets
-    :class:`UnknownFunctionError` escape; both become Indeterminate in the
-    decision pipeline.  An absent property is not an error — comparisons
-    over it are simply false.
+    ``expr`` is a condition tree or, as the matcher passes it, the plan's
+    compiled filter.  Raises :class:`FilterEvalError` for unresolved
+    references and lets :class:`UnknownFunctionError` escape; both become
+    Indeterminate in the decision pipeline.  An absent property is not an
+    error — comparisons over it are simply false.
     """
-    return _truthy(_eval_expr(binding, expr, graph))
-
-
-def _truthy(value: PropertyValue | None) -> bool:
-    if isinstance(value, bool):
-        return value
-    if value is None:
-        return False
-    return as_text(value) == "true"
-
-
-def _eval_expr(binding, expr, graph):
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Designator):
-        return _resolve(binding, expr, graph)
-    if not isinstance(expr, Apply):
-        raise FilterEvalError(f"unsupported expression node {expr!r}")
-    op = translate_function(expr.function)
-    if op.logical:
-        results = [_truthy(_eval_expr(binding, a, graph)) for a in expr.args]
-        if not results:
-            raise FilterEvalError(f"{expr.function} applied to zero arguments")
-        return all(results) if expr.function == uris.FN_AND else any(results)
-    if len(expr.args) != 2:
-        raise FilterEvalError(
-            f"{expr.function} needs two arguments, got {len(expr.args)}"
-        )
-    left = _eval_expr(binding, expr.args[0], graph)
-    right = _eval_expr(binding, expr.args[1], graph)
-    if left is None or right is None:
-        return False
-    return op.compare(left, right)
-
-
-def _resolve(binding: PathBinding, designator: Designator, graph: PropertyGraph):
-    element_id = binding.bound(designator.binding_ref)
-    if element_id is None:
-        raise FilterEvalError(
-            f"condition references unbound name {designator.binding_ref!r}"
-        )
-    if designator.category == uris.CAT_PATH_EDGE:
-        record = graph.edge(element_id)
-    else:
-        record = graph.vertex(element_id)
-    return record.properties.get(designator.attribute_id)
+    if not isinstance(expr, CompiledFilter):
+        expr = compile_filter(expr)
+    return expr(binding.names, graph)
 
 
 # -- intersection ----------------------------------------------------------
@@ -265,20 +220,20 @@ def check_intersection(
 ) -> bool:
     """True iff some request match is contained in some filter-passing
     rule match (vertex and edge sets, by element id)."""
-    request_sets = [
-        (b.vertex_set(), b.edge_set())
-        for b in match_plan(graph, request_plan, varlen_cap)
+    requests = [
+        (b.vertex_seq, b.edge_seq) for b in match_plan(graph, request_plan, varlen_cap)
     ]
-    if not request_sets:
+    if not requests:
         return False
+    rule_filter = rule_plan.compiled_filter
     for rule_binding in match_plan(graph, rule_plan, varlen_cap):
-        if rule_plan.filter is not None and not eval_filter(
-            rule_binding, rule_plan.filter, graph
+        if rule_filter is not None and not eval_filter(
+            rule_binding, rule_filter, graph
         ):
             continue
-        v1 = rule_binding.vertex_set()
-        e1 = rule_binding.edge_set()
-        for v2, e2 in request_sets:
-            if v2 <= v1 and e2 <= e1:
+        in_vertices = rule_binding.vertex_seq.__contains__
+        in_edges = rule_binding.edge_seq.__contains__
+        for vertices, edges in requests:
+            if all(map(in_vertices, vertices)) and all(map(in_edges, edges)):
                 return True
     return False

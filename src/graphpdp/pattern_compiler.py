@@ -16,12 +16,21 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, Union
 
 from . import uris
-from .errors import UnknownFunctionError
-from .graph_store import PropertyValue, as_number, as_text
+from .errors import FilterEvalError, UnknownFunctionError
+from .graph_store import (
+    EdgeRecord,
+    PropertyGraph,
+    PropertyValue,
+    VertexRecord,
+    as_text,
+    canonical_key,
+    loose_equal,
+)
 from .policy_model import (
     Apply,
     ConditionExpr,
@@ -32,12 +41,14 @@ from .policy_model import (
     DIRECTION_TO,
     EMPTY_CONSTRAINTS,
     Literal,
+    MatchConstraint,
     Pattern,
     PathVertexSpec,
 )
 from .request_model import AttributeGroup, KIND_EDGE, split_attribute_value
 
 PinnedProps = tuple[tuple[str, str], ...]
+ElementCheck = Callable[[Union[VertexRecord, EdgeRecord]], bool]
 
 
 @dataclass(frozen=True)
@@ -69,33 +80,61 @@ PlanStep = Union[VertexStep, EdgeStep]
 
 @dataclass(frozen=True)
 class QueryPlan:
+    """Plan steps and filter, plus the forms the native matcher runs.
+
+    ``checks`` holds one element check per step, ``None`` where the step
+    constrains nothing; ``compiled_filter`` is ``filter`` compiled by
+    :func:`compile_filter`.  Both are built once, when the plan is.
+    """
+
     steps: tuple[PlanStep, ...]
     filter: ConditionExpr | None = None
+    checks: tuple[ElementCheck | None, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    compiled_filter: CompiledFilter | None = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(map(element_check, self.steps)))
+        object.__setattr__(
+            self,
+            "compiled_filter",
+            None if self.filter is None else compile_filter(self.filter),
+        )
 
 
 # -- function registry -----------------------------------------------------
 
 
-def _coercing_compare(num_op, text_op) -> Callable[[PropertyValue, PropertyValue], bool]:
-    def compare(a: PropertyValue, b: PropertyValue) -> bool:
-        an, bn = as_number(a), as_number(b)
-        if an is not None and bn is not None:
-            return num_op(an, bn)
-        if an is None and bn is None:
-            return text_op(as_text(a), as_text(b))
-        return False  # numeric vs non-numeric never matches
+def _coercing(op) -> dict:
+    """Numeric-looking operands compare as floats, two non-numeric ones
+    as text; a numeric/non-numeric pair never matches."""
+    return dict(key=canonical_key, test=lambda a, b: a[0] == b[0] and op(a[1], b[1]))
 
-    return compare
+
+def _folded(value: PropertyValue) -> str:
+    return as_text(value).casefold()
 
 
 @dataclass(frozen=True)
 class Operator:
-    """One registry entry: native evaluation plus its Cypher spelling."""
+    """One registry entry: native evaluation plus its Cypher spelling.
+
+    A comparison maps each operand to its comparison form with ``key``
+    and decides on the two forms with ``test``, so a constant operand is
+    mapped once, when the filter is compiled.
+    """
 
     uri: str
     logical: bool = False
-    compare: Callable[[PropertyValue, PropertyValue], bool] | None = None
+    key: Callable[[PropertyValue], Any] | None = None
+    test: Callable[[Any, Any], bool] | None = None
     render: Callable[[str, str], str] | None = None
+
+    def compare(self, a: PropertyValue, b: PropertyValue) -> bool:
+        return self.test(self.key(a), self.key(b))
 
 
 def _infix(symbol: str) -> Callable[[str, str], str]:
@@ -105,50 +144,39 @@ def _infix(symbol: str) -> Callable[[str, str], str]:
 _REGISTRY: dict[str, Operator] = {
     uris.FN_AND: Operator(uris.FN_AND, logical=True),
     uris.FN_OR: Operator(uris.FN_OR, logical=True),
-    uris.FN_EQUAL: Operator(
-        uris.FN_EQUAL,
-        compare=_coercing_compare(operator.eq, operator.eq),
-        render=_infix("="),
-    ),
+    uris.FN_EQUAL: Operator(uris.FN_EQUAL, **_coercing(operator.eq), render=_infix("=")),
     uris.FN_NOT_EQUAL: Operator(
-        uris.FN_NOT_EQUAL,
-        compare=_coercing_compare(operator.ne, operator.ne),
-        render=_infix("<>"),
+        uris.FN_NOT_EQUAL, **_coercing(operator.ne), render=_infix("<>")
     ),
     uris.FN_GREATER_THAN: Operator(
-        uris.FN_GREATER_THAN,
-        compare=_coercing_compare(operator.gt, operator.gt),
-        render=_infix(">"),
+        uris.FN_GREATER_THAN, **_coercing(operator.gt), render=_infix(">")
     ),
     uris.FN_GREATER_THAN_OR_EQUAL: Operator(
-        uris.FN_GREATER_THAN_OR_EQUAL,
-        compare=_coercing_compare(operator.ge, operator.ge),
-        render=_infix(">="),
+        uris.FN_GREATER_THAN_OR_EQUAL, **_coercing(operator.ge), render=_infix(">=")
     ),
     uris.FN_LESS_THAN: Operator(
-        uris.FN_LESS_THAN,
-        compare=_coercing_compare(operator.lt, operator.lt),
-        render=_infix("<"),
+        uris.FN_LESS_THAN, **_coercing(operator.lt), render=_infix("<")
     ),
     uris.FN_LESS_THAN_OR_EQUAL: Operator(
-        uris.FN_LESS_THAN_OR_EQUAL,
-        compare=_coercing_compare(operator.le, operator.le),
-        render=_infix("<="),
+        uris.FN_LESS_THAN_OR_EQUAL, **_coercing(operator.le), render=_infix("<=")
     ),
     # Case-insensitive, going by the URI (the label says otherwise).
     uris.FN_STRING_EQUAL_IGNORE_CASE: Operator(
         uris.FN_STRING_EQUAL_IGNORE_CASE,
-        compare=lambda a, b: as_text(a).casefold() == as_text(b).casefold(),
+        key=_folded,
+        test=operator.eq,
         render=lambda a, b: f"toLower({a}) = toLower({b})",
     ),
     uris.FN_STRING_CONTAINS: Operator(
         uris.FN_STRING_CONTAINS,
-        compare=lambda a, b: as_text(b) in as_text(a),
+        key=as_text,
+        test=lambda a, b: b in a,
         render=_infix("CONTAINS"),
     ),
     uris.FN_STRING_STARTS_WITH: Operator(
         uris.FN_STRING_STARTS_WITH,
-        compare=lambda a, b: as_text(a).startswith(as_text(b)),
+        key=as_text,
+        test=str.startswith,
         render=_infix("STARTS WITH"),
     ),
 }
@@ -164,6 +192,230 @@ def translate_function(uri: str) -> Operator:
 
 def known_functions() -> tuple[str, ...]:
     return tuple(_REGISTRY)
+
+
+# -- element checks --------------------------------------------------------
+
+
+_LABEL_OF = operator.attrgetter("label")
+_TYPE_OF = operator.attrgetter("type")
+
+
+def _match_form(match: MatchConstraint) -> tuple[str, bool, str]:
+    """(attribute, ignore case, literal case-folded when case is ignored);
+    validation admits no match function but the two string equalities."""
+    fold = match.match_function == uris.MATCH_STRING_EQUAL_IGNORE_CASE
+    return match.attribute_id, fold, match.literal.casefold() if fold else match.literal
+
+
+def element_check(step: PlanStep) -> ElementCheck | None:
+    """Predicate on the records a step may bind: label or type, pinned
+    properties (loose equality), then the constraint set.
+
+    ``None`` when the step has no label or type, no pins and no
+    constraints, so the matcher skips free steps without a call.
+    """
+    if isinstance(step, VertexStep):
+        kind, kind_of = step.label, _LABEL_OF
+    else:
+        kind, kind_of = step.type, _TYPE_OF
+    if kind is None and not step.pinned and step.constraints.is_empty:
+        return None
+    pins = step.pinned
+    alternatives = [tuple(map(_match_form, all_of)) for all_of in step.constraints.any_of]
+
+    def check(record) -> bool:
+        if kind is not None and kind_of(record) != kind:
+            return False
+        props = record.properties
+        for name, wanted in pins:
+            if name not in props or not loose_equal(props[name], wanted):
+                return False
+        if not alternatives:
+            return True
+        for all_of in alternatives:
+            for name, fold, literal in all_of:
+                value = props.get(name)
+                if value is None:
+                    break
+                text = as_text(value)
+                if (text.casefold() if fold else text) != literal:
+                    break
+            else:
+                return True
+        return False
+
+    return check
+
+
+# -- filter compilation ----------------------------------------------------
+
+Names = dict[str, str]  # binding name -> element id
+Evaluator = Callable[[Names, PropertyGraph], Any]
+
+
+class CompiledFilter:
+    """A rule filter compiled once into closures.
+
+    It raises the error that eager, depth-first evaluation would raise
+    first: ``refs`` are the binding names the filter reads before its
+    first structural error, in that order, and ``fault`` raises that
+    error.  Both are checked before ``evaluate`` runs, so ``and``/``or``
+    stop at their first deciding argument without hiding an error.
+    """
+
+    __slots__ = ("refs", "fault", "evaluate")
+
+    def __init__(
+        self,
+        refs: tuple[str, ...],
+        fault: Callable[[], Any] | None,
+        evaluate: Evaluator | None,
+    ):
+        self.refs = refs
+        self.fault = fault
+        self.evaluate = evaluate
+
+    def __call__(self, names: Names, graph: PropertyGraph) -> bool:
+        for ref in self.refs:
+            if ref not in names:
+                raise FilterEvalError(f"condition references unbound name {ref!r}")
+        if self.fault is not None:
+            self.fault()
+        return self.evaluate(names, graph)
+
+
+class _Fault(Exception):
+    """Stops compilation at a structural error; ``raise_error`` raises it."""
+
+    def __init__(self, raise_error: Callable[[], Any]):
+        super().__init__()
+        self.raise_error = raise_error
+
+
+def _fail(message: str):
+    raise FilterEvalError(message)
+
+
+def compile_filter(expr: ConditionExpr) -> CompiledFilter:
+    """Compile a condition tree; structural errors are deferred to the
+    first evaluation, which is when eager evaluation raised them."""
+    refs: list[str] = []
+    try:
+        evaluate, fault = _predicate(expr, refs), None
+    except _Fault as stop:
+        evaluate, fault = None, stop.raise_error
+    return CompiledFilter(tuple(dict.fromkeys(refs)), fault, evaluate)
+
+
+def _truthy(value: PropertyValue | None) -> bool:
+    if isinstance(value, bool):
+        return value
+    if value is None:
+        return False
+    return as_text(value) == "true"
+
+
+def _designator(expr: Designator, refs: list[str]) -> Evaluator:
+    ref, attribute = expr.binding_ref, expr.attribute_id
+    refs.append(ref)
+    if expr.category == uris.CAT_PATH_EDGE:
+        def get(names, graph):
+            return graph.edge(names[ref]).properties.get(attribute)
+    else:
+        def get(names, graph):
+            return graph.vertex(names[ref]).properties.get(attribute)
+    return get
+
+
+def _operator(expr: Apply) -> Operator:
+    try:
+        return translate_function(expr.function)
+    except UnknownFunctionError:
+        raise _Fault(partial(translate_function, expr.function)) from None
+
+
+def _predicate(expr: ConditionExpr, refs: list[str]) -> Evaluator:
+    """Evaluator giving the truth value of ``expr``."""
+    if isinstance(expr, Literal):
+        truth = _truthy(expr.value)
+        return lambda names, graph: truth
+    if isinstance(expr, Designator):
+        get = _designator(expr, refs)
+        return lambda names, graph: _truthy(get(names, graph))
+    if not isinstance(expr, Apply):
+        raise _Fault(partial(_fail, f"unsupported expression node {expr!r}"))
+    op = _operator(expr)
+    if op.logical:
+        parts = tuple(_predicate(arg, refs) for arg in expr.args)
+        if not parts:
+            raise _Fault(partial(_fail, f"{expr.function} applied to zero arguments"))
+        return _all(parts) if expr.function == uris.FN_AND else _any(parts)
+    if len(expr.args) != 2:
+        raise _Fault(partial(
+            _fail, f"{expr.function} needs two arguments, got {len(expr.args)}"
+        ))
+    return _comparison(op, _operand(expr.args[0], refs), _operand(expr.args[1], refs))
+
+
+def _all(parts: tuple[Evaluator, ...]) -> Evaluator:
+    def evaluate(names, graph):
+        for part in parts:
+            if not part(names, graph):
+                return False
+        return True
+
+    return evaluate
+
+
+def _any(parts: tuple[Evaluator, ...]) -> Evaluator:
+    def evaluate(names, graph):
+        for part in parts:
+            if part(names, graph):
+                return True
+        return False
+
+    return evaluate
+
+
+def _operand(expr: ConditionExpr, refs: list[str]) -> tuple[str | None, Evaluator | None]:
+    """(literal value, None) for a literal, else (None, value evaluator);
+    an ``Apply`` operand's value is its truth value."""
+    if isinstance(expr, Literal):
+        return expr.value, None
+    if isinstance(expr, Designator):
+        return None, _designator(expr, refs)
+    return None, _predicate(expr, refs)
+
+
+def _comparison(op: Operator, left, right) -> Evaluator:
+    """An absent operand makes the comparison false; a literal operand's
+    comparison form is computed here, once."""
+    key, test = op.key, op.test
+    (left_value, get_left), (right_value, get_right) = left, right
+    if get_left is None and get_right is None:
+        result = test(key(left_value), key(right_value))
+        return lambda names, graph: result
+    if get_right is None:
+        right_key = key(right_value)
+
+        def evaluate(names, graph):
+            a = get_left(names, graph)
+            return a is not None and test(key(a), right_key)
+    elif get_left is None:
+        left_key = key(left_value)
+
+        def evaluate(names, graph):
+            b = get_right(names, graph)
+            return b is not None and test(left_key, key(b))
+    else:
+        def evaluate(names, graph):
+            a = get_left(names, graph)
+            if a is None:
+                return False
+            b = get_right(names, graph)
+            return b is not None and test(key(a), key(b))
+    return evaluate
 
 
 # -- compilation -----------------------------------------------------------

@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -389,15 +390,49 @@ def test_serve_rejects_bad_request_body(running_server):
 @pytest.mark.parametrize("length", ["abc", "-5"])
 def test_serve_rejects_bad_content_length(running_server, length):
     # http.client sets Content-Length itself, so speak HTTP over a raw socket
-    head = f"POST /decision HTTP/1.1\r\nHost: localhost\r\nContent-Length: {length}\r\n\r\n"
+    status, body = raw_post(running_server, f"Content-Length: {length}\r\n")
+    assert status == b"400", body
+    assert body.startswith(b"bad request: "), body
+
+
+def raw_post(address, head_fields: str, body: bytes = b"") -> tuple[bytes, bytes]:
+    """Status code and body of the reply to a hand-written POST /decision."""
+    head = f"POST /decision HTTP/1.1\r\nHost: localhost\r\n{head_fields}\r\n"
     reply = b""
-    with socket.create_connection(running_server, timeout=5) as sock:
-        sock.sendall(head.encode("ascii"))
-        while chunk := sock.recv(4096):
-            reply += chunk
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        try:
+            while chunk := sock.recv(4096):
+                reply += chunk
+        except ConnectionResetError:
+            pass  # the server closes with the unread body still queued
     status_line, _, rest = reply.partition(b"\r\n")
-    assert status_line.split()[1] == b"400", reply
-    assert rest.partition(b"\r\n\r\n")[2].startswith(b"bad request: "), reply
+    return status_line.split()[1], rest.partition(b"\r\n\r\n")[2]
+
+
+def test_serve_refuses_an_oversized_body_unread(running_server):
+    started = time.perf_counter()
+    status, body = raw_post(running_server, "Content-Length: 1000000000\r\n", b"<Req")
+    assert status == b"413", body
+    assert body.startswith(b"request body too large: "), body
+    assert time.perf_counter() - started < 4
+
+
+def test_serve_times_out_a_stalled_body(demo_policy_dir, demo_graph_file):
+    engine = DecisionEngine(load_policy_dir(demo_policy_dir), load_graph_path(demo_graph_file))
+    server = build_server(engine, 0)
+    server.RequestHandlerClass.timeout = 0.5
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        # promises 100 bytes, sends 4, then waits
+        status, body = raw_post(server.server_address, "Content-Length: 100\r\n", b"<Req")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert status == b"408", body
+    assert body.startswith(b"request timeout: "), body
 
 
 def test_serve_unknown_paths(running_server):

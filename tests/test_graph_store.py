@@ -1,3 +1,6 @@
+import gc
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -207,6 +210,39 @@ def test_subset_with_full_meta_is_identity():
         ("accessRelations", "taskDataRelations", "auditTrail"),
     )
     assert build_source_subset(everything, source) == source
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bulk_inserts_pause_the_collector_and_restore_it(enabled, monkeypatch):
+    seen = []
+    add_vertex = PropertyGraph.add_vertex
+
+    def spy(graph, vertex):
+        seen.append(gc.isenabled())
+        add_vertex(graph, vertex)
+
+    monkeypatch.setattr(PropertyGraph, "add_vertex", spy)
+    duplicate = json.dumps(
+        {"vertices": [{"id": "A", "label": "n"}, {"id": "A", "label": "n"}], "edges": []}
+    )
+    loads = [
+        lambda: load_graph_json(serialize_graph(small_graph())),
+        lambda: build_source_subset(DEMO_META, audit_heavy_source()),
+        lambda: audit_heavy_source().snapshot(),
+    ]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for load in loads:
+            load()
+            assert gc.isenabled() is enabled
+        with pytest.raises(DuplicateIdError):
+            load_graph_json(duplicate)
+        after_failure = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert after_failure is enabled
+    assert seen and not any(seen[-2:])  # the failing load ran paused too
 
 
 # -- JSON format ------------------------------------------------------------

@@ -13,7 +13,7 @@ from graphpdp.path_matcher import (
     eval_filter,
     match_plan,
 )
-from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep
+from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep, compile_filter
 from graphpdp.policy_model import Apply, Designator, Literal
 
 
@@ -280,6 +280,34 @@ def test_filter_error_paths():
         eval_filter(b, Apply(uris.FN_EQUAL, (Literal("1"),)), g)
     with pytest.raises(UnknownFunctionError):
         eval_filter(b, Apply("xacml4g:1.0:function:xor", (Literal("1"), Literal("2"))), g)
+
+
+XOR = "xacml4g:1.0:function:xor"
+
+
+@pytest.mark.parametrize("form", ["tree", "compiled"])
+def test_short_circuit_never_hides_an_error(form):
+    g, b = filter_graph()
+    yes = Apply(uris.FN_EQUAL, (des("typeKind", uris.CAT_PATH_EDGE, "e"), Literal("worksOn")))
+    ghost = Apply(uris.FN_EQUAL, (des("x", uris.CAT_PATH_VERTEX, "ghost"), Literal("1")))
+    expr = Apply(uris.FN_OR, (yes, ghost))
+    with pytest.raises(FilterEvalError, match="unbound name 'ghost'"):
+        eval_filter(b, expr if form == "tree" else compile_filter(expr), g)
+
+
+@pytest.mark.parametrize("form", ["tree", "compiled"])
+def test_filter_errors_follow_depth_first_order(form):
+    g, b = filter_graph()
+    ghost = Apply(uris.FN_EQUAL, (des("x", uris.CAT_PATH_VERTEX, "ghost"), Literal("1")))
+    xor = Apply(XOR, (Literal("1"), Literal("2")))
+
+    def run(expr):
+        return eval_filter(b, expr if form == "tree" else compile_filter(expr), g)
+
+    with pytest.raises(FilterEvalError, match="unbound name 'ghost'"):
+        run(Apply(uris.FN_AND, (ghost, xor)))
+    with pytest.raises(UnknownFunctionError):
+        run(Apply(uris.FN_AND, (xor, ghost)))
 
 
 # -- intersection -----------------------------------------------------------

@@ -150,6 +150,27 @@ def test_runtime_filter_error_surfaces_as_indeterminate(
     assert "xor" in decision.reason
 
 
+def test_filter_error_is_indeterminate_even_when_no_match_contains_the_path(
+    demo_policy, demo_request_file, demo_graph
+):
+    # extUser -> code review -> review notes is a real path that no rule
+    # match contains; the filter is still evaluated on each rule match
+    # and its error decides
+    text = demo_request_file.read_text(encoding="utf-8")
+    for old, new in (("1196741133", "1196741400"), ("1196741778", "1196741800"),
+                     ("1196742142", "1196742600")):
+        text = text.replace(f"_key:{old}", f"_key:{new}")
+    broken = Apply(
+        "xacml4g:1.0:function:xor",
+        (Designator("typeKind", uris.CAT_PATH_EDGE, "e"), Literal("worksOn")),
+    )
+    rule = demo_policy.rules[0]
+    hacked = Rule(rule.rule_id, rule.effect, rule.target, rule.pattern, broken)
+    decision = evaluate_rule(hacked, parse_request(text), demo_graph)
+    assert decision.value == "Indeterminate"
+    assert "xor" in decision.reason
+
+
 # -- combining --------------------------------------------------------------
 
 
