@@ -214,11 +214,18 @@ class DecisionHandler(BaseHTTPRequestHandler):
         except (RequestParseError, UnicodeDecodeError) as exc:
             self._send(400, f"bad request: {exc}", "text/plain")
             return
-        response = self.engine.decide(request)
-        self._send(200, render_response_xml(response), "application/xml")
+        try:
+            response_xml = render_response_xml(self.engine.decide(request))
+        except Exception:
+            # the service keeps running: answer this request, log the cause
+            log.exception("decision failed")
+            self._send(500, "internal error: the decision failed", "text/plain")
+            return
+        self._send(200, response_xml, "application/xml")
 
     def log_message(self, format, *args):  # noqa: A002 - base class signature
-        log.debug("%s - %s", self.address_string(), format % args)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s - %s", self.address_string(), format % args)
 
 
 def build_server(engine: DecisionEngine, port: int) -> ThreadingHTTPServer:

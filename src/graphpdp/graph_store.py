@@ -23,7 +23,7 @@ import re
 from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .errors import (
     DuplicateIdError,
@@ -151,6 +151,7 @@ class EdgeRecord:
 
 
 _HOP_SLOT = {DIRECTION_FROM: 0, DIRECTION_TO: 1, DIRECTION_ANY: 2}
+_NO_IDS: frozenset[str] = frozenset()
 
 
 @contextmanager
@@ -276,11 +277,17 @@ class PropertyGraph:
     def in_edge_ids(self, vertex_id: str) -> list[str]:
         return [eid for eid, _ in self.hops(vertex_id, DIRECTION_TO)]
 
-    def vertices_with_label(self, label: str) -> set[str]:
-        return set(self._label_index.get(label, ()))
+    def vertices_with_label(self, label: str) -> AbstractSet[str]:
+        """Ids of the vertices labelled ``label``.  The set is the index's
+        own: read it, never mutate it."""
+        return self._label_index.get(label, _NO_IDS)
 
-    def vertices_with_property(self, name: str, value: PropertyValue) -> set[str]:
-        return set(self._vertex_prop_index.get((name, canonical_key(value)), ()))
+    def vertices_with_property(
+        self, name: str, value: PropertyValue
+    ) -> AbstractSet[str]:
+        """Ids of the vertices whose ``name`` property loosely equals
+        ``value``.  The set is the index's own: read it, never mutate it."""
+        return self._vertex_prop_index.get((name, canonical_key(value)), _NO_IDS)
 
     # -- snapshots & equality ---------------------------------------------
 
@@ -340,11 +347,36 @@ _VERTEX_KEYS = {"id", "label", "properties"}
 _EDGE_KEYS = {"id", "type", "from", "to", "properties"}
 
 
+class _TooLarge:
+    """Parsed form of an integer literal that no float can hold."""
+
+    __slots__ = ()
+
+
+_TOO_LARGE = _TooLarge()
+
+
+def _integer(text: str) -> int | _TooLarge:
+    """The integer ``text`` spells, or ``_TOO_LARGE``: comparisons coerce
+    numbers to float, and ``int`` refuses more than 4300 digits."""
+    try:
+        value = int(text)
+        float(value)
+    except (ValueError, OverflowError):
+        return _TOO_LARGE
+    return value
+
+
 def _check_properties(raw: object, where: str) -> dict[str, PropertyValue]:
     if not isinstance(raw, dict):
         raise GraphFormatError(f"{where}: properties must be an object")
     for name, value in raw.items():
         if not isinstance(value, (str, int, float, bool)):
+            if value is _TOO_LARGE:
+                raise GraphFormatError(
+                    f"{where}: property {name!r} is an integer too large "
+                    "to compare as a number"
+                )
             raise GraphFormatError(
                 f"{where}: property {name!r} has unsupported value {value!r}"
             )
@@ -361,7 +393,7 @@ def _record_str(raw: dict, key: str, where: str) -> str:
 def load_graph_json(text: str) -> PropertyGraph:
     """Load the JSON graph format; edges may precede their endpoints."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_integer)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
@@ -446,9 +478,17 @@ def serialize_graph(graph: PropertyGraph) -> str:
 
 
 def parse_csv_value(cell: str) -> PropertyValue:
-    """CSV cells are text unless they are exact int/float/bool literals."""
+    """CSV cells are text unless they are exact int/float/bool literals.
+
+    Raises :class:`GraphFormatError` for an integer no float can hold.
+    """
     if _INT_RE.match(cell):
-        return int(cell)
+        value = _integer(cell)
+        if value is _TOO_LARGE:
+            raise GraphFormatError(
+                f"integer of {len(cell)} characters is too large to compare as a number"
+            )
+        return value
     if _FLOAT_RE.match(cell):
         return float(cell)
     if cell in ("true", "false"):
@@ -495,20 +535,32 @@ def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
         edges_text, ("_id", "_type", "_from", "_to"), "edge"
     )
     vertices = [
-        VertexRecord(row[0], row[1], _csv_props(v_props, row[2:]))
-        for _, row in v_rows
+        VertexRecord(row[0], row[1], _csv_props(v_props, row[2:], "vertex", row[0], line))
+        for line, row in v_rows
     ]
     edges = [
-        EdgeRecord(row[0], row[1], row[2], row[3], _csv_props(e_props, row[4:]))
-        for _, row in e_rows
+        EdgeRecord(
+            row[0], row[1], row[2], row[3],
+            _csv_props(e_props, row[4:], "edge", row[0], line),
+        )
+        for line, row in e_rows
     ]
     return _link(vertices, edges)
 
 
-def _csv_props(names: list[str], cells: list[str]) -> dict[str, PropertyValue]:
-    return {
-        name: parse_csv_value(cell) for name, cell in zip(names, cells) if cell != ""
-    }
+def _csv_props(
+    names: list[str], cells: list[str], what: str, record_id: str, line: int
+) -> dict[str, PropertyValue]:
+    props = {}
+    for name, cell in zip(names, cells):
+        if cell != "":
+            try:
+                props[name] = parse_csv_value(cell)
+            except GraphFormatError as exc:
+                raise GraphFormatError(
+                    f"{what} {record_id!r}: property {name!r}: {exc}", line=line
+                ) from None
+    return props
 
 
 def load_graph_path(path, format: str = "json") -> PropertyGraph:

@@ -8,12 +8,17 @@ that passes the filter.
 
 Enumeration is depth-first and deterministic: candidates are considered
 in element-id order at every branch, so two runs over the same snapshot
-yield the same stream.  The per-trail work is kept small by what the
-plan carries, built once with it (see
+yield the same stream.  One explicit-stack loop walks all steps of a
+plan; a single-hop edge step is the exactly-one-hop case of a
+variable-length walk.  The per-trail work is kept small by what the plan
+carries, built once with it (see
 :class:`~graphpdp.pattern_compiler.QueryPlan`): one element check per
-step, absent for steps that constrain nothing, and the rule filter
-compiled into closures.  The compiled filter still raises evaluation
-errors eagerly, exactly where a full depth-first evaluation would.
+step, absent for steps that constrain nothing, the constants of each
+segment (an edge step and the vertex step after it), and the rule filter
+compiled into closures, with each comparison against a literal
+specialised on that literal.  The compiled filter still raises
+evaluation errors eagerly, exactly where a full depth-first evaluation
+would.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from . import uris
 from .graph_store import PropertyGraph
 from .pattern_compiler import (
     CompiledFilter,
-    EdgeStep,
     ElementCheck,
     QueryPlan,
     VertexStep,
@@ -76,6 +80,18 @@ class PathBinding:
         )
 
 
+def _binding(
+    vertex_seq: tuple[str, ...], edge_seq: tuple[str, ...], names: dict[str, str]
+) -> PathBinding:
+    """A :class:`PathBinding` that takes ``names`` as it is, for the matcher's
+    inner loop."""
+    binding = object.__new__(PathBinding)
+    binding.vertex_seq = vertex_seq
+    binding.edge_seq = edge_seq
+    binding.names = names
+    return binding
+
+
 def _map_entries(constraints: ConstraintSet) -> list[tuple[str, str]]:
     """Equality pins usable for index lookup (single conjunctive all-of)."""
     if len(constraints.any_of) != 1:
@@ -123,69 +139,62 @@ def match_plan(
         return
     first = steps[0]
     assert isinstance(first, VertexStep)
-    for vid in _vertex_candidates(graph, first, plan.checks[0]):
-        bindings = ((first.binding, vid),)
-        if len(steps) == 1:
-            yield PathBinding((vid,), (), bindings)
-        else:
-            yield from _extend(
-                graph, steps, plan.checks, 1, (vid,), (), bindings, varlen_cap
-            )
-
-
-def _extend(graph, steps, checks, index, vseq, eseq, bindings, varlen_cap):
-    """Bindings that extend the trail (vseq, eseq) by the edge step at
-    ``index`` and the vertex step after it, then by the steps beyond."""
-    edge_step: EdgeStep = steps[index]
-    vertex_step: VertexStep = steps[index + 1]
-    edge_ok, vertex_ok = checks[index], checks[index + 1]
-    last = index + 2 == len(steps)
-    edge, vertex = graph.edge, graph.vertex
-
-    if edge_step.is_single_hop:
-        for eid, nvid in graph.hops(vseq[-1], edge_step.direction):
-            if eid in eseq or (edge_ok is not None and not edge_ok(edge(eid))):
-                continue
-            if vertex_ok is not None and not vertex_ok(vertex(nvid)):
-                continue
-            new_bindings = bindings + ((vertex_step.binding, nvid),)
-            if edge_step.binding is not None:
-                new_bindings += ((edge_step.binding, eid),)
-            if last:
-                yield PathBinding(vseq + (nvid,), eseq + (eid,), new_bindings)
-            else:
-                yield from _extend(
-                    graph, steps, checks, index + 2,
-                    vseq + (nvid,), eseq + (eid,), new_bindings, varlen_cap,
-                )
+    starts = _vertex_candidates(graph, first, plan.checks[0])
+    segments = plan.segments
+    if not segments:
+        for vid in starts:
+            yield _binding((vid,), (), {first.binding: vid})
         return
+    edge, vertex, hops = graph.edge, graph.vertex, graph.hops
 
-    min_len = edge_step.min_len
-    max_len = edge_step.max_len if edge_step.max_len is not None else varlen_cap
-    direction = edge_step.direction
-    hops = graph.hops
-
-    # depth-first over the segment's trails, each one before its
-    # extensions, which are pushed in reverse so they pop in hop order
-    stack = [(vseq, eseq, 0)]
+    # Depth-first over (segment, trail, hops into the segment, names).  A
+    # popped trail yields or continues itself before any of its
+    # extensions: its extensions are pushed in reverse, so they pop in hop
+    # order, and its continuation into the next segment goes on top.
+    # Extensions that end the segment are completed where they are made,
+    # in hop order.
+    stack = [(0, (vid,), (), 0, {first.binding: vid}) for vid in reversed(starts)]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        wvseq, weseq, depth = stack.pop()
-        current = wvseq[-1]
+        k, vseq, eseq, depth, names = pop()
+        (min_len, max_len, direction, edge_ok, vertex_ok,
+         vertex_binding, edge_binding, last) = segments[k]
+        if max_len is None:
+            max_len = varlen_cap
+        current = vseq[-1]
+        # only extensions bind the edge: a single-hop segment ends at its
+        # extensions, never at a popped trail
+        completed = None
         if depth >= min_len and (vertex_ok is None or vertex_ok(vertex(current))):
-            new_bindings = bindings + ((vertex_step.binding, current),)
+            completed = {**names, vertex_binding: current}
             if last:
-                yield PathBinding(wvseq, weseq, new_bindings)
-            else:
-                yield from _extend(
-                    graph, steps, checks, index + 2,
-                    wvseq, weseq, new_bindings, varlen_cap,
-                )
+                yield _binding(vseq, eseq, completed)
         if depth < max_len:
-            stack.extend(reversed([
-                (wvseq + (nvid,), weseq + (eid,), depth + 1)
-                for eid, nvid in hops(current, direction)
-                if eid not in weseq and (edge_ok is None or edge_ok(edge(eid)))
-            ]))
+            depth += 1
+            if depth < max_len:
+                extend(reversed([
+                    (k, vseq + (nvid,), eseq + (eid,), depth, names)
+                    for eid, nvid in hops(current, direction)
+                    if eid not in eseq and (edge_ok is None or edge_ok(edge(eid)))
+                ]))
+            elif depth >= min_len:
+                # the extensions end the segment: complete them now
+                ends = [
+                    (k + 1, vseq + (nvid,), eseq + (eid,), 0,
+                     {**names, vertex_binding: nvid} if edge_binding is None
+                     else {**names, vertex_binding: nvid, edge_binding: eid})
+                    for eid, nvid in hops(current, direction)
+                    if eid not in eseq
+                    and (edge_ok is None or edge_ok(edge(eid)))
+                    and (vertex_ok is None or vertex_ok(vertex(nvid)))
+                ]
+                if last:
+                    for _, end_vseq, end_eseq, _, end_names in ends:
+                        yield _binding(end_vseq, end_eseq, end_names)
+                else:
+                    extend(reversed(ends))
+        if completed is not None and not last:
+            push((k + 1, vseq, eseq, 0, completed))
 
 
 # -- filter evaluation -----------------------------------------------------

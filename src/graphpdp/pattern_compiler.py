@@ -27,6 +27,7 @@ from .graph_store import (
     PropertyGraph,
     PropertyValue,
     VertexRecord,
+    as_number,
     as_text,
     canonical_key,
     loose_equal,
@@ -83,8 +84,13 @@ class QueryPlan:
     """Plan steps and filter, plus the forms the native matcher runs.
 
     ``checks`` holds one element check per step, ``None`` where the step
-    constrains nothing; ``compiled_filter`` is ``filter`` compiled by
-    :func:`compile_filter`.  Both are built once, when the plan is.
+    constrains nothing.  ``segments`` holds, for each edge step and the
+    vertex step after it, what the matcher reads to walk them: ``(min_len,
+    max_len, direction, edge check, vertex check, vertex binding, edge
+    binding, last)``, where ``max_len`` is ``None`` when unbounded, the
+    edge binding is ``None`` unless the step is a single hop, and ``last``
+    marks the final segment.  ``compiled_filter`` is ``filter`` compiled
+    by :func:`compile_filter`.  All are built once, when the plan is.
     """
 
     steps: tuple[PlanStep, ...]
@@ -92,12 +98,31 @@ class QueryPlan:
     checks: tuple[ElementCheck | None, ...] = field(
         init=False, repr=False, compare=False
     )
+    segments: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     compiled_filter: CompiledFilter | None = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(map(element_check, self.steps)))
+        steps = self.steps
+        checks = tuple(map(element_check, steps))
+        segments = []
+        # steps alternate vertex, edge, vertex, ...: edge steps sit at odd
+        # positions
+        for i in range(1, len(steps), 2):
+            edge = steps[i]
+            segments.append((
+                edge.min_len,
+                edge.max_len,
+                edge.direction,
+                checks[i],
+                checks[i + 1],
+                steps[i + 1].binding,
+                edge.binding if edge.is_single_hop else None,
+                i + 2 == len(steps),
+            ))
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "segments", tuple(segments))
         object.__setattr__(
             self,
             "compiled_filter",
@@ -112,6 +137,27 @@ def _coercing(op) -> dict:
     """Numeric-looking operands compare as floats, two non-numeric ones
     as text; a numeric/non-numeric pair never matches."""
     return dict(key=canonical_key, test=lambda a, b: a[0] == b[0] and op(a[1], b[1]))
+
+
+# The Python comparison behind each coercing function, and its Cypher
+# symbol.
+_COERCING = {
+    uris.FN_EQUAL: (operator.eq, "="),
+    uris.FN_NOT_EQUAL: (operator.ne, "<>"),
+    uris.FN_GREATER_THAN: (operator.gt, ">"),
+    uris.FN_GREATER_THAN_OR_EQUAL: (operator.ge, ">="),
+    uris.FN_LESS_THAN: (operator.lt, "<"),
+    uris.FN_LESS_THAN_OR_EQUAL: (operator.le, "<="),
+}
+# The comparison that gives the same result with the operands swapped.
+_SWAPPED = {
+    operator.eq: operator.eq,
+    operator.ne: operator.ne,
+    operator.gt: operator.lt,
+    operator.ge: operator.le,
+    operator.lt: operator.gt,
+    operator.le: operator.ge,
+}
 
 
 def _folded(value: PropertyValue) -> str:
@@ -144,22 +190,10 @@ def _infix(symbol: str) -> Callable[[str, str], str]:
 _REGISTRY: dict[str, Operator] = {
     uris.FN_AND: Operator(uris.FN_AND, logical=True),
     uris.FN_OR: Operator(uris.FN_OR, logical=True),
-    uris.FN_EQUAL: Operator(uris.FN_EQUAL, **_coercing(operator.eq), render=_infix("=")),
-    uris.FN_NOT_EQUAL: Operator(
-        uris.FN_NOT_EQUAL, **_coercing(operator.ne), render=_infix("<>")
-    ),
-    uris.FN_GREATER_THAN: Operator(
-        uris.FN_GREATER_THAN, **_coercing(operator.gt), render=_infix(">")
-    ),
-    uris.FN_GREATER_THAN_OR_EQUAL: Operator(
-        uris.FN_GREATER_THAN_OR_EQUAL, **_coercing(operator.ge), render=_infix(">=")
-    ),
-    uris.FN_LESS_THAN: Operator(
-        uris.FN_LESS_THAN, **_coercing(operator.lt), render=_infix("<")
-    ),
-    uris.FN_LESS_THAN_OR_EQUAL: Operator(
-        uris.FN_LESS_THAN_OR_EQUAL, **_coercing(operator.le), render=_infix("<=")
-    ),
+    **{
+        uri: Operator(uri, **_coercing(compare), render=_infix(symbol))
+        for uri, (compare, symbol) in _COERCING.items()
+    },
     # Case-insensitive, going by the URI (the label says otherwise).
     uris.FN_STRING_EQUAL_IGNORE_CASE: Operator(
         uris.FN_STRING_EQUAL_IGNORE_CASE,
@@ -328,6 +362,24 @@ def _designator(expr: Designator, refs: list[str]) -> Evaluator:
     return get
 
 
+def _property_test(
+    expr: Designator, holds: Callable[[PropertyValue], bool], refs: list[str]
+) -> Evaluator:
+    """Evaluator applying ``holds`` to the designated property, read in
+    the same closure; an absent property gives false."""
+    ref, attribute = expr.binding_ref, expr.attribute_id
+    refs.append(ref)
+    if expr.category == uris.CAT_PATH_EDGE:
+        def evaluate(names, graph):
+            value = graph.edge(names[ref]).properties.get(attribute)
+            return value is not None and holds(value)
+    else:
+        def evaluate(names, graph):
+            value = graph.vertex(names[ref]).properties.get(attribute)
+            return value is not None and holds(value)
+    return evaluate
+
+
 def _operator(expr: Apply) -> Operator:
     try:
         return translate_function(expr.function)
@@ -341,8 +393,7 @@ def _predicate(expr: ConditionExpr, refs: list[str]) -> Evaluator:
         truth = _truthy(expr.value)
         return lambda names, graph: truth
     if isinstance(expr, Designator):
-        get = _designator(expr, refs)
-        return lambda names, graph: _truthy(get(names, graph))
+        return _property_test(expr, _truthy, refs)
     if not isinstance(expr, Apply):
         raise _Fault(partial(_fail, f"unsupported expression node {expr!r}"))
     op = _operator(expr)
@@ -355,7 +406,7 @@ def _predicate(expr: ConditionExpr, refs: list[str]) -> Evaluator:
         raise _Fault(partial(
             _fail, f"{expr.function} needs two arguments, got {len(expr.args)}"
         ))
-    return _comparison(op, _operand(expr.args[0], refs), _operand(expr.args[1], refs))
+    return _comparison(op, expr.args, refs)
 
 
 def _all(parts: tuple[Evaluator, ...]) -> Evaluator:
@@ -378,44 +429,89 @@ def _any(parts: tuple[Evaluator, ...]) -> Evaluator:
     return evaluate
 
 
-def _operand(expr: ConditionExpr, refs: list[str]) -> tuple[str | None, Evaluator | None]:
-    """(literal value, None) for a literal, else (None, value evaluator);
-    an ``Apply`` operand's value is its truth value."""
-    if isinstance(expr, Literal):
-        return expr.value, None
+def _operand(expr: ConditionExpr, refs: list[str]) -> Evaluator:
+    """Evaluator of a non-literal operand's value; an ``Apply`` operand's
+    value is its truth value."""
     if isinstance(expr, Designator):
-        return None, _designator(expr, refs)
-    return None, _predicate(expr, refs)
+        return _designator(expr, refs)
+    return _predicate(expr, refs)
 
 
-def _comparison(op: Operator, left, right) -> Evaluator:
-    """An absent operand makes the comparison false; a literal operand's
-    comparison form is computed here, once."""
-    key, test = op.key, op.test
-    (left_value, get_left), (right_value, get_right) = left, right
-    if get_left is None and get_right is None:
-        result = test(key(left_value), key(right_value))
+def _comparison(
+    op: Operator, args: tuple[ConditionExpr, ...], refs: list[str]
+) -> Evaluator:
+    """An absent operand makes the comparison false; a literal operand is
+    compiled, once, into a test on the other operand's value."""
+    left, right = args
+    literal_left = isinstance(left, Literal)
+    if literal_left and isinstance(right, Literal):
+        result = op.compare(left.value, right.value)
         return lambda names, graph: result
-    if get_right is None:
-        right_key = key(right_value)
+    if literal_left or isinstance(right, Literal):
+        literal, other = (left, right) if literal_left else (right, left)
+        holds = _against_literal(op, literal.value, literal_left)
+        if isinstance(other, Designator):
+            return _property_test(other, holds, refs)
+        truth = _predicate(other, refs)
+        return lambda names, graph: holds(truth(names, graph))
+    get_left, get_right = _operand(left, refs), _operand(right, refs)
+    key, test = op.key, op.test
 
-        def evaluate(names, graph):
-            a = get_left(names, graph)
-            return a is not None and test(key(a), right_key)
-    elif get_left is None:
-        left_key = key(left_value)
+    def evaluate(names, graph):
+        a = get_left(names, graph)
+        if a is None:
+            return False
+        b = get_right(names, graph)
+        return b is not None and test(key(a), key(b))
 
-        def evaluate(names, graph):
-            b = get_right(names, graph)
-            return b is not None and test(left_key, key(b))
-    else:
-        def evaluate(names, graph):
-            a = get_left(names, graph)
-            if a is None:
-                return False
-            b = get_right(names, graph)
-            return b is not None and test(key(a), key(b))
     return evaluate
+
+
+def _against_literal(
+    op: Operator, literal: str, literal_left: bool
+) -> Callable[[PropertyValue], bool]:
+    """Test on the other operand's value, equal to ``op.compare`` with
+    ``literal`` on the left or on the right.
+
+    A coercing comparison classifies the value only where the result
+    depends on it: text against a non-numeric literal compares as text
+    first, and is checked to be non-numeric only when that holds under an
+    operator other than equality; an int or float against a numeric
+    literal compares as a float.  Any other value takes the general key
+    and test.
+    """
+    key, test = op.key, op.test
+    literal_key = key(literal)
+    if literal_left:
+        def general(value):
+            return test(literal_key, key(value))
+    else:
+        def general(value):
+            return test(key(value), literal_key)
+    if op.uri not in _COERCING:
+        return general
+    compare = _COERCING[op.uri][0]
+    if literal_left:
+        compare = _SWAPPED[compare]
+    kind, form = literal_key
+    if kind == "num":
+        def holds(value):
+            value_type = type(value)  # bool is neither int nor float here
+            if value_type is int or value_type is float:
+                return compare(float(value), form)
+            return general(value)
+    elif compare is operator.eq:
+        # text equal to a non-numeric literal is itself non-numeric
+        def holds(value):
+            if type(value) is str:
+                return value == form
+            return general(value)
+    else:
+        def holds(value):
+            if type(value) is str:
+                return compare(value, form) and as_number(value) is None
+            return general(value)
+    return holds
 
 
 # -- compilation -----------------------------------------------------------

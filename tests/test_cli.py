@@ -1,6 +1,8 @@
 import http.client
 import json
+import logging
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -10,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from graphpdp.cli import DECISION_EXIT_CODES, EXIT_USAGE, build_server, run
+from graphpdp.cli import (
+    DECISION_EXIT_CODES,
+    EXIT_USAGE,
+    DecisionHandler,
+    build_server,
+    run,
+)
 from graphpdp.graph_store import load_graph_path
 from graphpdp.pdp import DecisionEngine
 from graphpdp.policy_model import load_policy_dir
@@ -201,6 +209,31 @@ def test_eval_csv_graph(capsys, fixtures_dir, demo_policy_dir, demo_request_file
     )
     assert code == 0
     assert capsys.readouterr().out == PERMIT_XML
+
+
+@pytest.mark.parametrize("graph_format", ["json", "csv"])
+def test_eval_rejects_a_graph_with_a_huge_integer(
+    capsys, tmp_path, fixtures_dir, demo_policy_dir, demo_request_file, graph_format
+):
+    # the demo graph, with the edge property the demo rule's filter compares
+    # set far past any float
+    huge = str(10**400)
+    if graph_format == "json":
+        graph = tmp_path / "graph.json"
+        text = (fixtures_dir / "graphs" / "demo_graph.json").read_text(encoding="utf-8")
+        graph.write_text(text.replace('"worksOn"', huge, 1), encoding="utf-8")
+    else:
+        graph = tmp_path / "csv"
+        shutil.copytree(fixtures_dir / "graphs" / "demo_csv", graph)
+        edges = graph / "edges.csv"
+        text = edges.read_text(encoding="utf-8")
+        edges.write_text(text.replace("worksOn", huge, 1), encoding="utf-8")
+    code = run(eval_args(demo_policy_dir, demo_request_file, graph) + ["--format", graph_format])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE, captured
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "property 'typeKind'" in captured.err
+    assert "too large to compare as a number" in captured.err
 
 
 def test_eval_deny_rule_first(capsys, fixtures_dir, demo_request_file, demo_graph_file):
@@ -433,6 +466,42 @@ def test_serve_times_out_a_stalled_body(demo_policy_dir, demo_graph_file):
         thread.join(timeout=5)
     assert status == b"408", body
     assert body.startswith(b"request timeout: "), body
+
+
+class FailingEngine:
+    def decide(self, request):
+        raise RuntimeError("engine fault")
+
+
+def test_serve_answers_500_on_an_engine_fault_and_keeps_serving(caplog, demo_request_file):
+    server = build_server(FailingEngine(), 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        body = demo_request_file.read_text(encoding="utf-8")
+        status, payload = http_call(server.server_address, "POST", "/decision", body)
+        assert status == 500
+        assert payload.startswith("internal error: ")
+        assert http_call(server.server_address, "GET", "/health") == (200, "ok")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    faults = [r for r in caplog.records if r.name == "graphpdp" and r.exc_info]
+    assert [r.exc_info[0] for r in faults] == [RuntimeError]
+
+
+def test_request_log_lines_are_formatted_only_for_debug(caplog):
+    handler = object.__new__(DecisionHandler)  # no connection needed
+    handler.client_address = ("127.0.0.1", 1)
+    caplog.set_level(logging.INFO, logger="graphpdp")
+    handler.log_message("%d", "not a number")  # would raise if formatted
+    caplog.set_level(logging.DEBUG, logger="graphpdp")
+    handler.log_message('"%s" %s', "GET /health HTTP/1.1", "200")
+    assert [r.getMessage() for r in caplog.records] == [
+        '127.0.0.1 - "GET /health HTTP/1.1" 200'
+    ]
 
 
 def test_serve_unknown_paths(running_server):

@@ -285,6 +285,37 @@ def test_json_dangling_edge_reference():
     assert err.value.endpoint_id == "ghost"
 
 
+# the smallest integer that float() refuses, and two literals past it:
+# one that int() still parses, and one longer than int() accepts
+FLOAT_INT_LIMIT = 2**1024 - 2**970
+HUGE_INTEGERS = {"past-float": str(FLOAT_INT_LIMIT), "5000-digit": "-" + "9" * 5000}
+
+
+def two_vertex_json(vertex_props: str = "{}", edge_props: str = "{}") -> str:
+    return (
+        '{"vertices": [{"id": "a", "label": "l", "properties": %s},'
+        ' {"id": "b", "label": "l"}],'
+        ' "edges": [{"id": "e", "type": "t", "from": "a", "to": "b", "properties": %s}]}'
+        % (vertex_props, edge_props)
+    )
+
+
+@pytest.mark.parametrize("literal", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS.keys())
+def test_json_rejects_integers_no_float_can_hold(literal):
+    too_large = "is an integer too large to compare as a number"
+    with pytest.raises(GraphFormatError, match=rf"vertices\[0\]: property 'n' {too_large}"):
+        load_graph_json(two_vertex_json(vertex_props=f'{{"n": {literal}}}'))
+    with pytest.raises(GraphFormatError, match=rf"edges\[0\]: property 'w' {too_large}"):
+        load_graph_json(two_vertex_json(edge_props=f'{{"w": {literal}}}'))
+
+
+def test_json_keeps_the_largest_integer_a_float_holds():
+    largest = FLOAT_INT_LIMIT - 1
+    g = load_graph_json(two_vertex_json(f'{{"n": {largest}}}', f'{{"w": {-largest}}}'))
+    assert g.vertex("a").properties["n"] == largest
+    assert g.edge("e").properties["w"] == -largest
+
+
 @settings(max_examples=60, deadline=None)
 @given(strategies.graphs())
 def test_serialize_parse_roundtrip(g):
@@ -310,6 +341,16 @@ def test_csv_roundtrip_semantics():
     # empty cell -> property absent, not empty text
     assert g.vertex("B").properties == {"_key": 2}
     assert g.edge("e1").properties == {"typeKind": "worksOn"}
+
+
+@pytest.mark.parametrize("literal", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS.keys())
+def test_csv_rejects_integers_no_float_can_hold(literal):
+    with pytest.raises(GraphFormatError, match="vertex 'B': property 'n': integer") as err:
+        load_graph_csv(f"_id,_label,n\nA,l,1\nB,l,{literal}\n", "_id,_type,_from,_to\n")
+    assert err.value.line == 3
+    with pytest.raises(GraphFormatError, match="edge 'e1': property 'w': integer") as err:
+        load_graph_csv("_id,_label\nA,l\n", f"_id,_type,_from,_to,w\ne1,t,A,A,{literal}\n")
+    assert err.value.line == 2
 
 
 def test_csv_header_and_row_errors():

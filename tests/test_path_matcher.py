@@ -310,6 +310,32 @@ def test_filter_errors_follow_depth_first_order(form):
         run(Apply(uris.FN_AND, (xor, ghost)))
 
 
+COMPARISONS = [f for f in uris.CONDITION_FUNCTIONS if f not in (uris.FN_AND, uris.FN_OR)]
+COMPARED_LITERALS = ["red", "true", "", "7", "07", "+1", ".5", "1e3", "2.0", "١٢", "nan"]
+COMPARED_VALUES = [
+    True, False, 0, 7, -2, 2.0, 1e300, float("inf"),
+    "7", "07", " 7", "v7", "red", "true", "", "١٢",
+]
+
+
+@pytest.mark.parametrize("value", COMPARED_VALUES, ids=repr)
+def test_comparisons_against_a_literal_equal_the_oracle(value):
+    # every comparison function, with the literal on either side, against
+    # one graph value: numeric and non-numeric text, int, float, boolean
+    g = PropertyGraph()
+    g.add_vertex(VertexRecord("v", "node", {"p": value}))
+    b = PathBinding(("v",), (), (("s", "v"),))
+    prop = des("p", uris.CAT_PATH_VERTEX, "s")
+    assert len(COMPARISONS) == 9
+    for function in COMPARISONS:
+        for literal in map(Literal, COMPARED_LITERALS):
+            for args in ((prop, literal), (literal, prop)):
+                expr = Apply(function, args)
+                assert eval_filter(b, compile_filter(expr), g) == oracles.filter_oracle(
+                    g, b, expr
+                ), (function, args)
+
+
 # -- intersection -----------------------------------------------------------
 
 
