@@ -173,6 +173,10 @@ def cmd_emit_cypher(args) -> int:
 class DecisionHandler(BaseHTTPRequestHandler):
     engine: DecisionEngine  # injected by build_server
     timeout = SOCKET_TIMEOUT_S
+    # A buffered wfile, flushed once per request by handle_one_request (or
+    # finish), sends headers and body in one write; larger replies still
+    # go out whole, in more writes.
+    wbufsize = -1
 
     def _send(self, status: int, body: str, content_type: str) -> None:
         payload = body.encode("utf-8")

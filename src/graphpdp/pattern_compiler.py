@@ -30,7 +30,6 @@ from .graph_store import (
     as_number,
     as_text,
     canonical_key,
-    loose_equal,
 )
 from .policy_model import (
     Apply,
@@ -255,15 +254,20 @@ def element_check(step: PlanStep) -> ElementCheck | None:
         kind, kind_of = step.type, _TYPE_OF
     if kind is None and not step.pinned and step.constraints.is_empty:
         return None
-    pins = step.pinned
+    # each pinned literal is classified once, here; a value equal to its
+    # literal text needs no classification at all
+    pins = [(name, wanted, canonical_key(wanted)) for name, wanted in step.pinned]
     alternatives = [tuple(map(_match_form, all_of)) for all_of in step.constraints.any_of]
 
     def check(record) -> bool:
         if kind is not None and kind_of(record) != kind:
             return False
         props = record.properties
-        for name, wanted in pins:
-            if name not in props or not loose_equal(props[name], wanted):
+        for name, wanted, wanted_key in pins:
+            if name not in props:
+                return False
+            value = props[name]
+            if value != wanted and canonical_key(value) != wanted_key:
                 return False
         if not alternatives:
             return True
@@ -296,9 +300,14 @@ class CompiledFilter:
     first structural error, in that order, and ``fault`` raises that
     error.  Both are checked before ``evaluate`` runs, so ``and``/``or``
     stop at their first deciding argument without hiding an error.
+
+    ``unchecked`` evaluates the later matches of a plan once one match has
+    passed the pre-check, since every match of a plan binds the same
+    names: it is ``evaluate`` itself, or the filter when its fault fails
+    every call anyway.
     """
 
-    __slots__ = ("refs", "fault", "evaluate")
+    __slots__ = ("refs", "fault", "evaluate", "unchecked")
 
     def __init__(
         self,
@@ -309,6 +318,7 @@ class CompiledFilter:
         self.refs = refs
         self.fault = fault
         self.evaluate = evaluate
+        self.unchecked: Evaluator = self if fault is not None else evaluate
 
     def __call__(self, names: Names, graph: PropertyGraph) -> bool:
         for ref in self.refs:

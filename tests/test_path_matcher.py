@@ -1,20 +1,35 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 import strategies
-from graphpdp import uris
+from graphpdp import path_matcher, uris
 from graphpdp.errors import FilterEvalError, UnknownFunctionError
-from graphpdp.graph_store import EdgeRecord, PropertyGraph, VertexRecord
+from graphpdp.graph_store import (
+    EdgeRecord,
+    PropertyGraph,
+    VertexRecord,
+    load_graph_path,
+    loose_equal,
+)
 from graphpdp.path_matcher import (
     PathBinding,
     check_intersection,
     eval_filter,
     match_plan,
 )
-from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep, compile_filter
-from graphpdp.policy_model import Apply, Designator, Literal
+from graphpdp.pattern_compiler import (
+    EdgeStep,
+    QueryPlan,
+    VertexStep,
+    compile_filter,
+    element_check,
+)
+from graphpdp.pdp import DecisionEngine, compile_rule
+from graphpdp.policy_model import Apply, Designator, Literal, Rule
 
 
 def chain(n: int, type_name: str = "link", label: str = "node") -> PropertyGraph:
@@ -336,6 +351,16 @@ def test_comparisons_against_a_literal_equal_the_oracle(value):
                 ), (function, args)
 
 
+@pytest.mark.parametrize("value", COMPARED_VALUES, ids=repr)
+def test_pinned_literals_match_loosely(value):
+    # a pin holds exactly where loose equality does, also when the value's
+    # text differs from the literal ("07" and 7, "2.0" and 2.0)
+    record = VertexRecord("v", "node", {"p": value})
+    for literal in COMPARED_LITERALS:
+        check = element_check(VertexStep("s", pinned=(("p", literal),)))
+        assert check(record) == loose_equal(value, literal), literal
+
+
 # -- intersection -----------------------------------------------------------
 
 
@@ -388,6 +413,101 @@ def test_empty_request_side_short_circuits():
     )
     request_plan = plan(pin("x", "does-not-exist"))
     assert not check_intersection(g, rule_plan, request_plan)
+
+
+# -- request-directed search order ------------------------------------------
+
+
+def with_rival_managers(graph: PropertyGraph, count: int = 30) -> PropertyGraph:
+    """The demo graph plus ``count`` pmUsers whose ids sort before the
+    demo subject's, each with its own task and design document."""
+    for i in range(count):
+        user, task, doc = f"10{i:08d}", f"11{i:08d}", f"0{i:09d}"
+        graph.add_vertex(VertexRecord(user, "dataObjects", {"_key": user, "typeCode": "pmUser"}))
+        graph.add_vertex(VertexRecord(task, "tasks", {"_key": task}))
+        graph.add_vertex(VertexRecord(doc, "dataObjects", {"_key": doc, "typeCode": "designDoc"}))
+        graph.add_edge(EdgeRecord(f"ar-x{i}", "accessRelations", user, task, {"typeKind": "worksOn"}))
+        graph.add_edge(EdgeRecord(f"td-x{i}", "taskDataRelations", task, doc, {"typeKind": "produces"}))
+    return graph
+
+
+def count_matches(monkeypatch) -> list[list[int]]:
+    """Wrap ``match_plan`` as ``check_intersection`` looks it up; one
+    [bindings yielded] entry per call, in call order."""
+    counts: list[list[int]] = []
+    original = path_matcher.match_plan
+
+    def counting(*args, **kwargs):
+        count = [0]
+        counts.append(count)
+        for binding in original(*args, **kwargs):
+            count[0] += 1
+            yield binding
+
+    monkeypatch.setattr(path_matcher, "match_plan", counting)
+    return counts
+
+
+def test_permit_walks_from_the_request_subject_first(
+    monkeypatch, demo_policy, demo_request, demo_graph
+):
+    engine = DecisionEngine([demo_policy], with_rival_managers(demo_graph))
+    rule_plan = compile_rule(demo_policy.rules[0])
+    # every rival pmUser starts rule matches that sort before the subject's
+    assert len(list(match_plan(engine.graph, rule_plan))) > 30
+    counts = count_matches(monkeypatch)
+    assert engine.decide(demo_request).decision.value == "Permit"
+    (request_matches,), (rule_matches,) = counts
+    assert request_matches == 1
+    assert rule_matches <= 3
+
+
+def test_filter_error_is_the_same_from_a_preferred_start(
+    monkeypatch, demo_policy, demo_request, demo_graph_file
+):
+    ghost = Apply(uris.FN_EQUAL, (des("typeKind", uris.CAT_PATH_EDGE, "ghost"), Literal("1")))
+    (rule,) = demo_policy.rules
+    broken = replace(demo_policy, rules=(
+        Rule(rule.rule_id, rule.effect, rule.target, rule.pattern, ghost),
+    ))
+    reasons = []
+    for graph in (load_graph_path(demo_graph_file),
+                  with_rival_managers(load_graph_path(demo_graph_file))):
+        starts = []
+        original = path_matcher.eval_filter
+
+        def recording(binding, expr, graph):
+            starts.append(binding.vertex_seq[0])
+            return original(binding, expr, graph)
+
+        monkeypatch.setattr(path_matcher, "eval_filter", recording)
+        decision = DecisionEngine([broken], graph).decide(demo_request).decision
+        monkeypatch.undo()
+        assert decision.value == "Indeterminate"
+        # the first evaluated match starts at the request's subject, which
+        # sorts after every rival pmUser
+        assert starts == ["1196741133"]
+        reasons.append(decision.reason)
+    assert reasons[0] == reasons[1] == (
+        "rule 'user_access_dataObj': condition references unbound name 'ghost'"
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_preferred_starts_come_first_and_keep_their_order(data):
+    g = data.draw(strategies.graphs())
+    p = data.draw(strategies.plans(g))
+    prefer = data.draw(st.frozensets(st.sampled_from(g.vertex_ids() + ["not-a-vertex"])))
+    plain = list(match_plan(g, p, varlen_cap=3))
+    preferred = list(match_plan(g, p, varlen_cap=3, prefer=prefer))
+    assert list(match_plan(g, p, varlen_cap=3, prefer=frozenset())) == plain
+    # the same bindings: those from preferred starts first, each group in
+    # the order of the plain stream, which is depth-first and id-ordered
+    assert preferred == (
+        [b for b in plain if b.vertex_seq[0] in prefer]
+        + [b for b in plain if b.vertex_seq[0] not in prefer]
+    )
 
 
 # -- the exhaustive trail enumerator ---------------------------------------
