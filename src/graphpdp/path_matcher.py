@@ -19,9 +19,18 @@ once with it (see :class:`~graphpdp.pattern_compiler.QueryPlan`): one
 element check per step, absent for steps that constrain nothing, the
 constants of each segment (an edge step and the vertex step after it),
 and the rule filter compiled into closures, with each comparison against
-a literal specialised on that literal.  The compiled filter still raises
-evaluation errors eagerly, exactly where a full depth-first evaluation
-would; its pre-check runs once per intersection test.
+a literal specialised on that literal.  The last segment yields each
+binding where it builds it.  The compiled filter still raises evaluation
+errors eagerly, exactly where a full depth-first evaluation would; its
+pre-check runs once per intersection test.
+
+Each rule match costs the intersection test one filter call and a
+containment test, and both are kept cheap.  A filter that reads one name
+keeps its result per element for the test, so a repeated element costs a
+lookup; every rule match is still filtered, once, before its containment
+test.  That test first looks in the rule match for a pivot, an element
+every request match contains, and compares element by element only when
+it is there.
 """
 
 from __future__ import annotations
@@ -82,18 +91,6 @@ class PathBinding:
             f"PathBinding(vertex_seq={self.vertex_seq!r}, "
             f"edge_seq={self.edge_seq!r}, var_bindings={self.var_bindings!r})"
         )
-
-
-def _binding(
-    vertex_seq: tuple[str, ...], edge_seq: tuple[str, ...], names: dict[str, str]
-) -> PathBinding:
-    """A :class:`PathBinding` that takes ``names`` as it is, for the matcher's
-    inner loop."""
-    binding = object.__new__(PathBinding)
-    binding.vertex_seq = vertex_seq
-    binding.edge_seq = edge_seq
-    binding.names = names
-    return binding
 
 
 def _map_entries(constraints: ConstraintSet) -> list[tuple[str, str]]:
@@ -166,10 +163,16 @@ def match_plan(
     groups = _start_groups(graph, first, plan.checks[0], prefer)
     first_binding = first.binding
     segments = plan.segments
+    # bindings are built in place, without ``__init__``, which would copy
+    # the names
+    new = object.__new__
     if not segments:
         for starts in groups:
             for vid in starts:
-                yield _binding((vid,), (), {first_binding: vid})
+                binding = new(PathBinding)
+                binding.vertex_seq, binding.edge_seq = (vid,), ()
+                binding.names = {first_binding: vid}
+                yield binding
         return
     edge, vertex, hops = graph.edge, graph.vertex, graph.hops
 
@@ -178,7 +181,8 @@ def match_plan(
     # continues itself before any of its extensions: its extensions are
     # pushed in reverse, so they pop in hop order, and its continuation
     # into the next segment goes on top.  Extensions that end the segment
-    # are completed where they are made, in hop order.
+    # are completed where they are made, in hop order; in the last segment
+    # each is yielded as it is built.
     stack: list[tuple] = []
     pop, push, extend = stack.pop, stack.append, stack.extend
     for starts in groups:
@@ -196,7 +200,10 @@ def match_plan(
             if depth >= min_len and (vertex_ok is None or vertex_ok(vertex(current))):
                 completed = {**names, vertex_binding: current}
                 if last:
-                    yield _binding(vseq, eseq, completed)
+                    binding = new(PathBinding)
+                    binding.vertex_seq, binding.edge_seq = vseq, eseq
+                    binding.names = completed
+                    yield binding
             if depth < max_len:
                 depth += 1
                 if depth < max_len:
@@ -207,20 +214,28 @@ def match_plan(
                     ]))
                 elif depth >= min_len:
                     # the extensions end the segment: complete them now
-                    ends = [
-                        (k + 1, vseq + (nvid,), eseq + (eid,), 0,
-                         {**names, vertex_binding: nvid} if edge_binding is None
-                         else {**names, vertex_binding: nvid, edge_binding: eid})
-                        for eid, nvid in hops(current, direction)
-                        if eid not in eseq
-                        and (edge_ok is None or edge_ok(edge(eid)))
-                        and (vertex_ok is None or vertex_ok(vertex(nvid)))
-                    ]
                     if last:
-                        for _, end_vseq, end_eseq, _, end_names in ends:
-                            yield _binding(end_vseq, end_eseq, end_names)
+                        for eid, nvid in hops(current, direction):
+                            if (eid not in eseq
+                                    and (edge_ok is None or edge_ok(edge(eid)))
+                                    and (vertex_ok is None or vertex_ok(vertex(nvid)))):
+                                binding = new(PathBinding)
+                                binding.vertex_seq = vseq + (nvid,)
+                                binding.edge_seq = eseq + (eid,)
+                                binding.names = (
+                                    {**names, vertex_binding: nvid} if edge_binding is None
+                                    else {**names, vertex_binding: nvid, edge_binding: eid})
+                                yield binding
                     else:
-                        extend(reversed(ends))
+                        extend(reversed([
+                            (k + 1, vseq + (nvid,), eseq + (eid,), 0,
+                             {**names, vertex_binding: nvid} if edge_binding is None
+                             else {**names, vertex_binding: nvid, edge_binding: eid})
+                            for eid, nvid in hops(current, direction)
+                            if eid not in eseq
+                            and (edge_ok is None or edge_ok(edge(eid)))
+                            and (vertex_ok is None or vertex_ok(vertex(nvid)))
+                        ]))
             if completed is not None and not last:
                 push((k + 1, vseq, eseq, 0, completed))
 
@@ -235,12 +250,13 @@ def eval_filter(
 ) -> bool:
     """Evaluate the rule filter on one binding.
 
-    ``expr`` is a condition tree or, as the matcher passes it, the plan's
-    compiled filter, or its ``unchecked`` form once one match of the plan
-    has passed the filter's pre-check.  Raises :class:`FilterEvalError`
-    for unresolved references and lets :class:`UnknownFunctionError`
-    escape; both become Indeterminate in the decision pipeline.  An absent
-    property is not an error — comparisons over it are simply false.
+    ``expr`` is a condition tree, the plan's compiled filter, or, as the
+    matcher passes it, one of the evaluators the compiled filter gives for
+    a search (:meth:`CompiledFilter.for_search`).  Raises
+    :class:`FilterEvalError` for unresolved references and lets
+    :class:`UnknownFunctionError` escape; both become Indeterminate in the
+    decision pipeline.  An absent property is not an error — comparisons
+    over it are simply false.
     """
     if not callable(expr):
         expr = compile_filter(expr)
@@ -261,27 +277,55 @@ def check_intersection(
 
     Rule trails from the request's own vertices are walked first: the
     answer is an existence test, so the order changes only how soon it is
-    found.  Every match of a plan binds the same names, so the filter's
-    pre-check runs on the first rule match only; it raises the same error
-    whichever match comes first.
+    found.  Every rule match is filtered, then tested for containment.
+    The filter's pre-check runs on the first rule match only, and a
+    filter that reads one name keeps its result per element for the
+    search (:meth:`CompiledFilter.for_search`); it raises the same error
+    whichever match comes first.  The containment test first looks for a
+    pivot, an element every request match contains, in the rule match.
     """
     requests = [
         (b.vertex_seq, b.edge_seq) for b in match_plan(graph, request_plan, varlen_cap)
     ]
     if not requests:
         return False
-    prefer = {vid for vertices, _ in requests for vid in vertices}
+    # the pivot is an element that every request match contains
+    if len(requests) == 1:
+        ((vertices, edges),) = requests
+        prefer = set(vertices)
+        on_edge, pivot = (True, edges[0]) if edges else (False, vertices[0])
+    else:
+        prefer = {vid for vertices, _ in requests for vid in vertices}
+        on_edge, pivot = _shared_element(requests)
     rule_filter = rule_plan.compiled_filter
-    unchecked = None if rule_filter is None else rule_filter.unchecked
+    if rule_filter is not None:
+        evaluate, later = rule_filter.for_search()
     for rule_binding in match_plan(graph, rule_plan, varlen_cap, prefer=prefer):
         if rule_filter is not None:
-            passed = eval_filter(rule_binding, rule_filter, graph)
-            rule_filter = unchecked
+            passed = eval_filter(rule_binding, evaluate, graph)
+            evaluate = later
             if not passed:
                 continue
-        in_vertices = rule_binding.vertex_seq.__contains__
-        in_edges = rule_binding.edge_seq.__contains__
+        vertex_seq, edge_seq = rule_binding.vertex_seq, rule_binding.edge_seq
+        if pivot is not None and pivot not in (edge_seq if on_edge else vertex_seq):
+            continue
+        in_vertices, in_edges = vertex_seq.__contains__, edge_seq.__contains__
         for vertices, edges in requests:
             if all(map(in_vertices, vertices)) and all(map(in_edges, edges)):
                 return True
     return False
+
+
+def _shared_element(
+    requests: list[tuple[tuple[str, ...], tuple[str, ...]]]
+) -> tuple[bool, str | None]:
+    """(whether it is an edge, element) for the first edge, else the first
+    vertex, of the first request match that every other match contains
+    too; the element is ``None`` when they share none."""
+    first, rest = requests[0], requests[1:]
+    for on_edge, kind in ((True, 1), (False, 0)):
+        shared = set(first[kind]).intersection(*(match[kind] for match in rest))
+        for element in first[kind]:
+            if element in shared:
+                return on_edge, element
+    return False, None

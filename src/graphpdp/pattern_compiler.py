@@ -301,13 +301,10 @@ class CompiledFilter:
     error.  Both are checked before ``evaluate`` runs, so ``and``/``or``
     stop at their first deciding argument without hiding an error.
 
-    ``unchecked`` evaluates the later matches of a plan once one match has
-    passed the pre-check, since every match of a plan binds the same
-    names: it is ``evaluate`` itself, or the filter when its fault fails
-    every call anyway.
+    :meth:`for_search` gives the evaluators for the matches of one search.
     """
 
-    __slots__ = ("refs", "fault", "evaluate", "unchecked")
+    __slots__ = ("refs", "fault", "evaluate")
 
     def __init__(
         self,
@@ -318,7 +315,6 @@ class CompiledFilter:
         self.refs = refs
         self.fault = fault
         self.evaluate = evaluate
-        self.unchecked: Evaluator = self if fault is not None else evaluate
 
     def __call__(self, names: Names, graph: PropertyGraph) -> bool:
         for ref in self.refs:
@@ -327,6 +323,40 @@ class CompiledFilter:
         if self.fault is not None:
             self.fault()
         return self.evaluate(names, graph)
+
+    def for_search(self) -> tuple[Evaluator, Evaluator]:
+        """Evaluators for one search over a graph that does not change:
+        the first for its first match, the second for the later ones.
+
+        Every match of a plan binds the same names, so only the first
+        match runs the pre-check; a filter with a fault fails every call
+        anyway.  A filter with no fault that reads exactly one name is a
+        function of the element bound to that name, so its results are
+        kept per element id, one entry per element at most; an error is
+        raised, never kept.
+        """
+        if self.fault is not None:
+            return self, self
+        if len(self.refs) != 1:
+            return self, self.evaluate
+        (ref,) = self.refs
+        evaluate = self.evaluate
+        memo: dict[str, bool] = {}
+        get = memo.get
+
+        def first(names, graph):
+            # the pre-check runs before the name is read
+            result = memo[names[ref]] = self(names, graph)
+            return result
+
+        def later(names, graph):
+            element = names[ref]
+            result = get(element)
+            if result is None:
+                result = memo[element] = evaluate(names, graph)
+            return result
+
+        return first, later
 
 
 class _Fault(Exception):

@@ -690,10 +690,11 @@ def _validate_condition(
                 Violation(path, f"designator references undeclared binding {expr.binding_ref!r}")
             )
         elif declared[expr.binding_ref] != kind:
+            declared_as = "an edge" if declared[expr.binding_ref] == "edge" else "a vertex"
             violations.append(
                 Violation(
                     path,
-                    f"binding {expr.binding_ref!r} is a {declared[expr.binding_ref]}, "
+                    f"binding {expr.binding_ref!r} is {declared_as}, "
                     f"but the designator category says {kind}",
                 )
             )

@@ -179,7 +179,9 @@ def _comparison(ref, fn, literal, literal_first, prop_index):
 
 @st.composite
 def request_plans(draw, graph: PropertyGraph) -> QueryPlan:
-    """Pinned-vertex chains like compile_request_path produces.
+    """Pinned-vertex chains like compile_request_path produces, a third of
+    them ending in a pinned edge group: an edge pinned on ``kind``, then a
+    free vertex.
 
     Half the time the pinned keys trace an actual trail in the graph so
     the intersection check gets a fighting chance of being true.
@@ -206,4 +208,13 @@ def request_plans(draw, graph: PropertyGraph) -> QueryPlan:
         if i:
             steps.append(EdgeStep())
         steps.append(VertexStep(f"r{i}", pinned=(("_key", key),)))
+    if draw(st.integers(0, 2)) == 0:
+        # usually the kind of an edge at the last pinned vertex
+        last = keys[-1]
+        edges = (graph.out_edge_ids(last) + graph.in_edge_ids(last)
+                 if graph.has_vertex(last) else [])
+        kinds = sorted({graph.edge(e).properties.get("kind") for e in edges} - {None})
+        kind = draw(st.sampled_from(kinds or WORDS))
+        steps.append(EdgeStep(pinned=(("kind", kind),)))
+        steps.append(VertexStep(f"r{len(keys)}"))
     return QueryPlan(tuple(steps))

@@ -415,6 +415,44 @@ def test_empty_request_side_short_circuits():
     assert not check_intersection(g, rule_plan, request_plan)
 
 
+def parallel_pair() -> PropertyGraph:
+    """a -> b twice (p1, then p2, kind "keep"), and b -> c."""
+    g = PropertyGraph()
+    for v in "abc":
+        g.add_vertex(VertexRecord(v, "n", {"_key": v}))
+    g.add_edge(EdgeRecord("p1", "t", "a", "b", {"kind": "drop"}))
+    g.add_edge(EdgeRecord("p2", "t", "a", "b", {"kind": "keep"}))
+    g.add_edge(EdgeRecord("bc", "t", "b", "c", {"kind": "drop"}))
+    return g
+
+
+def test_the_pivot_keeps_containment_exact():
+    g = parallel_pair()
+    keep = Apply(uris.FN_EQUAL, (des("kind", uris.CAT_PATH_EDGE, "e"), Literal("keep")))
+    # the only filter-passing rule match is a -p2-> b
+    rule_plan = QueryPlan(
+        (VertexStep("s"), EdgeStep(binding="e", direction="from"), VertexStep("r")),
+        filter=keep,
+    )
+    requests = {
+        # two request matches, over p1 and then p2; the rule match holds
+        # the second only, so no pivot can come from the first alone
+        "parallel": plan(pin("x", "a"), EdgeStep(), pin("y", "b")),
+        "one vertex": plan(pin("x", "b")),
+        "one vertex outside": plan(pin("x", "c")),
+        # a trailing edge group, as compile_request_path builds it
+        "edge ended": plan(pin("x", "a"), EdgeStep(pinned=(("kind", "keep"),)), VertexStep("y")),
+        "edge ended outside": plan(pin("x", "b"), EdgeStep(pinned=(("kind", "drop"),)),
+                                   VertexStep("y")),
+    }
+    assert len(list(match_plan(g, requests["parallel"]))) == 2
+    for name, request_plan in requests.items():
+        got = check_intersection(g, rule_plan, request_plan)
+        assert got == oracles.intersection_oracle(g, rule_plan, request_plan), name
+    assert check_intersection(g, rule_plan, requests["parallel"])
+    assert check_intersection(g, rule_plan, requests["edge ended"])
+
+
 # -- request-directed search order ------------------------------------------
 
 
@@ -491,6 +529,92 @@ def test_filter_error_is_the_same_from_a_preferred_start(
     assert reasons[0] == reasons[1] == (
         "rule 'user_access_dataObj': condition references unbound name 'ghost'"
     )
+
+
+# the external reviewer's path, which no rule match of the demo rule holds,
+# so a search for it filters every rule match
+REVIEWER_PATH = plan(
+    pin("x", "1196741400"), EdgeStep(), pin("y", "1196741800"), EdgeStep(), pin("z", "1196742600")
+)
+DEMO_PATH = plan(
+    pin("x", "1196741133"), EdgeStep(), pin("y", "1196741778"), EdgeStep(), pin("z", "1196742142")
+)
+
+
+def test_a_one_name_filter_runs_once_per_element(monkeypatch, demo_policy, demo_graph):
+    graph = with_rival_managers(demo_graph)
+    rule_plan = compile_rule(demo_policy.rules[0])
+    compiled = rule_plan.compiled_filter
+    assert compiled.refs == ("e",)
+    matches = list(match_plan(graph, rule_plan))
+    elements = {b.names["e"] for b in matches}
+    assert len(elements) < len(matches)
+    runs, calls = [], []
+    evaluate, original = compiled.evaluate, path_matcher.eval_filter
+
+    def counting(names, graph):
+        runs.append(names["e"])
+        return evaluate(names, graph)
+
+    def recording(binding, expr, graph):
+        calls.append(binding)
+        return original(binding, expr, graph)
+
+    monkeypatch.setattr(compiled, "evaluate", counting)
+    monkeypatch.setattr(path_matcher, "eval_filter", recording)
+    assert not check_intersection(graph, rule_plan, REVIEWER_PATH)
+    # one eval_filter call per rule match, one evaluation per element
+    assert len(calls) == len(matches)
+    assert sorted(runs) == sorted(elements)
+
+
+def equal(ref, category, attribute, literal):
+    return Apply(uris.FN_EQUAL, (des(attribute, category, ref), Literal(literal)))
+
+
+WORKS_ON = equal("e", uris.CAT_PATH_EDGE, "typeKind", "worksOn")
+DESIGN_DOC = equal("_v4", uris.CAT_PATH_VERTEX, "typeCode", "designDoc")
+
+
+@pytest.mark.parametrize("condition", [
+    Apply(uris.FN_STRING_CONTAINS, (des("name", uris.CAT_PATH_VERTEX, "_v2"), Literal("design"))),
+    Apply(uris.FN_AND, (DESIGN_DOC, Apply(uris.FN_STRING_STARTS_WITH, (
+        des("_key", uris.CAT_PATH_VERTEX, "s"), Literal("11"))))),
+], ids=["one name", "two names"])
+def test_search_evaluators_equal_the_oracle(condition, demo_policy, demo_graph):
+    graph = with_rival_managers(demo_graph)
+    rule_plan = QueryPlan(compile_rule(demo_policy.rules[0]).steps, filter=condition)
+    matches = list(match_plan(graph, rule_plan))
+    first, later = rule_plan.compiled_filter.for_search()
+    got = [first(matches[0].names, graph)] + [later(b.names, graph) for b in matches[1:]]
+    want = [oracles.filter_oracle(graph, b, condition) for b in matches]
+    assert got == want
+    assert 0 < sum(want) < len(want)
+    for request_plan in (REVIEWER_PATH, DEMO_PATH):
+        assert check_intersection(graph, rule_plan, request_plan) == (
+            oracles.intersection_oracle(graph, rule_plan, request_plan))
+
+
+@pytest.mark.parametrize("condition", [
+    equal("ghost", uris.CAT_PATH_EDGE, "typeKind", "1"),
+    Apply(uris.FN_AND, (WORKS_ON, equal("ghost", uris.CAT_PATH_VERTEX, "typeCode", "1"))),
+    Apply("urn:example:no-such-function", (WORKS_ON, Literal("1"))),
+], ids=["unbound, one name", "unbound, two names", "unknown function"])
+def test_filter_errors_survive_the_memo(condition, demo_policy, demo_graph_file):
+    for rivals in (0, 30):
+        graph = with_rival_managers(load_graph_path(demo_graph_file), rivals)
+        rule_plan = QueryPlan(compile_rule(demo_policy.rules[0]).steps, filter=condition)
+        matches = list(match_plan(graph, rule_plan))
+        errors = set()
+        for binding in matches:
+            with pytest.raises((FilterEvalError, UnknownFunctionError)) as raised:
+                eval_filter(binding, condition, graph)
+            errors.add((raised.type, str(raised.value)))
+        (error,) = errors  # every match raises the same error
+        for request_plan in (REVIEWER_PATH, DEMO_PATH):
+            with pytest.raises((FilterEvalError, UnknownFunctionError)) as raised:
+                check_intersection(graph, rule_plan, request_plan)
+            assert (raised.type, str(raised.value)) == error
 
 
 @settings(max_examples=120, deadline=None)

@@ -321,18 +321,22 @@ def test_condition_designator_must_resolve():
 
 
 def test_condition_designator_kind_must_match():
-    cond = (
-        "<xacml4g:PatternCondition>"
-        '<xacml:Apply FunctionId="xacml4g:1.0:function:equal">'
-        '<xacml:AttributeDesignator AttributeId="k" '
-        'Category="xacml4g:1.0:path-category:edge" EdgeId="s"/>'
-        "<xacml:AttributeValue>v</xacml:AttributeValue>"
-        "</xacml:Apply></xacml4g:PatternCondition>"
-    )
-    xml = policy_xml(
-        META + rule_xml(SUBJECT_V + "<xacml4g:Edge/>" + RESOURCE_V, condition=cond)
-    )
-    assert any("is a vertex" in m for m in violations_of(xml))
+    for designator, declared_as in (
+        ('Category="xacml4g:1.0:path-category:edge" EdgeId="s"', "is a vertex,"),
+        ('Category="xacml4g:1.0:path-category:vertex" VertexId="e"', "is an edge,"),
+    ):
+        cond = (
+            "<xacml4g:PatternCondition>"
+            '<xacml:Apply FunctionId="xacml4g:1.0:function:equal">'
+            f'<xacml:AttributeDesignator AttributeId="k" {designator}/>'
+            "<xacml:AttributeValue>v</xacml:AttributeValue>"
+            "</xacml:Apply></xacml4g:PatternCondition>"
+        )
+        xml = policy_xml(
+            META + rule_xml(SUBJECT_V + '<xacml4g:Edge EdgeId="e"/>' + RESOURCE_V,
+                            condition=cond)
+        )
+        assert any(declared_as in m for m in violations_of(xml)), designator
 
 
 def test_unknown_condition_function():
