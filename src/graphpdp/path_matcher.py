@@ -28,9 +28,9 @@ Each rule match costs the intersection test one filter call and a
 containment test, and both are kept cheap.  A filter that reads one name
 keeps its result per element for the test, so a repeated element costs a
 lookup; every rule match is still filtered, once, before its containment
-test.  That test first looks in the rule match for a pivot, an element
-every request match contains, and compares element by element only when
-it is there.
+test.  When the request has one match, that test first looks in the rule
+match for a pivot, the request match's first edge, or its only vertex,
+and compares element by element only when it is there.
 """
 
 from __future__ import annotations
@@ -163,18 +163,15 @@ def match_plan(
     groups = _start_groups(graph, first, plan.checks[0], prefer)
     first_binding = first.binding
     segments = plan.segments
-    # bindings are built in place, without ``__init__``, which would copy
-    # the names
-    new = object.__new__
     if not segments:
         for starts in groups:
             for vid in starts:
-                binding = new(PathBinding)
-                binding.vertex_seq, binding.edge_seq = (vid,), ()
-                binding.names = {first_binding: vid}
-                yield binding
+                yield PathBinding((vid,), (), ((first_binding, vid),))
         return
     edge, vertex, hops = graph.edge, graph.vertex, graph.hops
+    # bindings are built in place, without ``__init__``, which would copy
+    # the names
+    new = object.__new__
 
     # Depth-first over (segment, trail, hops into the segment, names),
     # seeded with one group of starts at a time.  A popped trail yields or
@@ -251,8 +248,8 @@ def eval_filter(
     """Evaluate the rule filter on one binding.
 
     ``expr`` is a condition tree, the plan's compiled filter, or, as the
-    matcher passes it, one of the evaluators the compiled filter gives for
-    a search (:meth:`CompiledFilter.for_search`).  Raises
+    matcher passes it for the later matches of a search, the evaluator
+    the compiled filter gives for them (:meth:`CompiledFilter.later`).  Raises
     :class:`FilterEvalError` for unresolved references and lets
     :class:`UnknownFunctionError` escape; both become Indeterminate in the
     decision pipeline.  An absent property is not an error — comparisons
@@ -279,31 +276,37 @@ def check_intersection(
     answer is an existence test, so the order changes only how soon it is
     found.  Every rule match is filtered, then tested for containment.
     The filter's pre-check runs on the first rule match only, and a
-    filter that reads one name keeps its result per element for the
-    search (:meth:`CompiledFilter.for_search`); it raises the same error
-    whichever match comes first.  The containment test first looks for a
-    pivot, an element every request match contains, in the rule match.
+    filter that reads one name keeps its result per element for the later
+    ones (:meth:`CompiledFilter.later`); it raises the same error
+    whichever match comes first.  When there is one request match, the
+    containment test first looks in the rule match for a pivot, that
+    match's first edge, or its only vertex.
     """
     requests = [
         (b.vertex_seq, b.edge_seq) for b in match_plan(graph, request_plan, varlen_cap)
     ]
     if not requests:
         return False
-    # the pivot is an element that every request match contains
     if len(requests) == 1:
+        # the pivot, an element the request match contains: its first
+        # edge, else its only vertex
         ((vertices, edges),) = requests
         prefer = set(vertices)
         on_edge, pivot = (True, edges[0]) if edges else (False, vertices[0])
     else:
         prefer = {vid for vertices, _ in requests for vid in vertices}
-        on_edge, pivot = _shared_element(requests)
+        pivot = None
     rule_filter = rule_plan.compiled_filter
-    if rule_filter is not None:
-        evaluate, later = rule_filter.for_search()
+    # the first rule match runs the pre-check; the evaluator for the later
+    # ones is made when a second match comes, from the first's result
+    evaluate, first = rule_filter, None
     for rule_binding in match_plan(graph, rule_plan, varlen_cap, prefer=prefer):
-        if rule_filter is not None:
+        if evaluate is not None:
+            if first is not None:
+                evaluate, first = rule_filter.later(*first), None
             passed = eval_filter(rule_binding, evaluate, graph)
-            evaluate = later
+            if evaluate is rule_filter:
+                first = (rule_binding.names, passed)
             if not passed:
                 continue
         vertex_seq, edge_seq = rule_binding.vertex_seq, rule_binding.edge_seq
@@ -314,18 +317,3 @@ def check_intersection(
             if all(map(in_vertices, vertices)) and all(map(in_edges, edges)):
                 return True
     return False
-
-
-def _shared_element(
-    requests: list[tuple[tuple[str, ...], tuple[str, ...]]]
-) -> tuple[bool, str | None]:
-    """(whether it is an edge, element) for the first edge, else the first
-    vertex, of the first request match that every other match contains
-    too; the element is ``None`` when they share none."""
-    first, rest = requests[0], requests[1:]
-    for on_edge, kind in ((True, 1), (False, 0)):
-        shared = set(first[kind]).intersection(*(match[kind] for match in rest))
-        for element in first[kind]:
-            if element in shared:
-                return on_edge, element
-    return False, None

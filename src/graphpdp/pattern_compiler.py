@@ -301,7 +301,7 @@ class CompiledFilter:
     error.  Both are checked before ``evaluate`` runs, so ``and``/``or``
     stop at their first deciding argument without hiding an error.
 
-    :meth:`for_search` gives the evaluators for the matches of one search.
+    :meth:`later` gives the evaluator for the later matches of a search.
     """
 
     __slots__ = ("refs", "fault", "evaluate")
@@ -324,9 +324,10 @@ class CompiledFilter:
             self.fault()
         return self.evaluate(names, graph)
 
-    def for_search(self) -> tuple[Evaluator, Evaluator]:
-        """Evaluators for one search over a graph that does not change:
-        the first for its first match, the second for the later ones.
+    def later(self, names: Names, result: bool) -> Evaluator:
+        """The evaluator for the later matches of a search over a graph
+        that does not change, whose first match bound ``names`` and gave
+        ``result``.
 
         Every match of a plan binds the same names, so only the first
         match runs the pre-check; a filter with a fault fails every call
@@ -336,27 +337,22 @@ class CompiledFilter:
         raised, never kept.
         """
         if self.fault is not None:
-            return self, self
+            return self
         if len(self.refs) != 1:
-            return self, self.evaluate
+            return self.evaluate
         (ref,) = self.refs
         evaluate = self.evaluate
-        memo: dict[str, bool] = {}
+        memo = {names[ref]: result}
         get = memo.get
 
-        def first(names, graph):
-            # the pre-check runs before the name is read
-            result = memo[names[ref]] = self(names, graph)
-            return result
-
-        def later(names, graph):
+        def memoised(names, graph):
             element = names[ref]
             result = get(element)
             if result is None:
                 result = memo[element] = evaluate(names, graph)
             return result
 
-        return first, later
+        return memoised
 
 
 class _Fault(Exception):

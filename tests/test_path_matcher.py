@@ -585,8 +585,10 @@ def test_search_evaluators_equal_the_oracle(condition, demo_policy, demo_graph):
     graph = with_rival_managers(demo_graph)
     rule_plan = QueryPlan(compile_rule(demo_policy.rules[0]).steps, filter=condition)
     matches = list(match_plan(graph, rule_plan))
-    first, later = rule_plan.compiled_filter.for_search()
-    got = [first(matches[0].names, graph)] + [later(b.names, graph) for b in matches[1:]]
+    compiled = rule_plan.compiled_filter
+    first = compiled(matches[0].names, graph)
+    later = compiled.later(matches[0].names, first)
+    got = [first] + [later(b.names, graph) for b in matches[1:]]
     want = [oracles.filter_oracle(graph, b, condition) for b in matches]
     assert got == want
     assert 0 < sum(want) < len(want)
