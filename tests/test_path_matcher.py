@@ -566,6 +566,12 @@ def test_a_one_name_filter_runs_once_per_element(monkeypatch, demo_policy, demo_
     # one eval_filter call per rule match, one evaluation per element
     assert len(calls) == len(matches)
     assert sorted(runs) == sorted(elements)
+    # the later matches' evaluator starts from the first match's result
+    runs.clear()
+    later = compiled.later(matches[0].names, compiled(matches[0].names, graph))
+    for binding in matches:
+        later(binding.names, graph)
+    assert sorted(runs) == sorted(elements)
 
 
 def equal(ref, category, attribute, literal):
