@@ -11,6 +11,16 @@ value semantics the engine relies on:
   numeric (see :func:`loose_equal`),
 * :func:`as_text` is the canonical textual rendering used for
   lexicographic comparison and for string match functions.
+
+A graph is built in one of three ways, each keeping every vertex's hop
+lists sorted and its label and property indexes current:
+
+* ``add_vertex``/``add_edge`` insert one element at a time;
+* the file importers check every record, add the vertices, then link the
+  edges in bulk, sorting each hop list once at the end;
+* :meth:`PropertyGraph.snapshot` and :func:`build_source_subset` derive a
+  copy from a built graph's own hop lists and index sets, dropping what
+  they do not keep, so nothing is sorted or keyed again.
 """
 
 from __future__ import annotations
@@ -175,9 +185,13 @@ def _collector_paused():
 class PropertyGraph:
     """Mutable property graph with sorted hop lists and vertex indexes.
 
-    ``snapshot()`` returns a frozen copy with fresh records that later
-    mutations of the live graph cannot affect; evaluations run against
-    snapshots.
+    ``snapshot()`` returns a frozen copy with fresh records, hop lists and
+    index sets, derived from this graph's own rather than re-inserted, that
+    later mutations of the live graph cannot affect; evaluations run
+    against snapshots.  The indexes hold each record's label and property
+    values as they were when it was added, and snapshots and subsets copy
+    them as they are: a record changed in place afterwards no longer
+    agrees with them.
     """
 
     def __init__(self) -> None:
@@ -207,25 +221,34 @@ class PropertyGraph:
 
     def add_edge(self, edge: EdgeRecord) -> None:
         self._check_mutable()
-        if not edge.id:
-            raise GraphFormatError("edge id must be non-empty")
-        if edge.id in self._edges:
-            raise DuplicateIdError(f"duplicate edge id {edge.id!r}")
+        self._check_edge_id(edge)
         for endpoint in (edge.from_id, edge.to_id):
             if endpoint not in self._vertices:
                 raise MissingEndpointError(
                     f"edge {edge.id!r} references missing vertex {endpoint!r}"
                 )
+        self._put_edge(edge, insort)
+
+    def _check_edge_id(self, edge: EdgeRecord) -> None:
+        if not edge.id:
+            raise GraphFormatError("edge id must be non-empty")
+        if edge.id in self._edges:
+            raise DuplicateIdError(f"duplicate edge id {edge.id!r}")
+
+    def _put_edge(self, edge: EdgeRecord, put) -> None:
+        """Store ``edge`` and give both endpoints its hops through ``put``:
+        ``insort`` keeps each hop list sorted, ``list.append`` leaves the
+        sort to the caller."""
         self._edges[edge.id] = edge
         out_hop = (edge.id, edge.to_id)
         in_hop = (edge.id, edge.from_id)
         out_hops, _, from_any = self._hops[edge.from_id]
         _, in_hops, to_any = self._hops[edge.to_id]
-        insort(out_hops, out_hop)
-        insort(in_hops, in_hop)
-        insort(from_any, out_hop)
+        put(out_hops, out_hop)
+        put(in_hops, in_hop)
+        put(from_any, out_hop)
         if edge.from_id != edge.to_id:  # a self-loop is one hop either way
-            insort(to_any, in_hop)
+            put(to_any, in_hop)
 
     def _check_mutable(self) -> None:
         if self._frozen:
@@ -292,16 +315,57 @@ class PropertyGraph:
     # -- snapshots & equality ---------------------------------------------
 
     def snapshot(self) -> "PropertyGraph":
-        """Frozen copy built from fresh records through the insert path;
-        unaffected by later mutation of this graph."""
-        clone = PropertyGraph()
-        with _collector_paused():
-            for vertex in self._vertices.values():
-                clone.add_vertex(vertex.copy())
-            for edge in self._edges.values():
-                clone.add_edge(edge.copy())
+        """Frozen copy of this graph, derived from its own structures (see
+        :meth:`_derived`); later mutation of this graph cannot reach it."""
+        clone = self._derived()
         clone._frozen = True
         return clone
+
+    def _derived(
+        self,
+        labels: AbstractSet[str] | None = None,
+        types: AbstractSet[str] | None = None,
+    ) -> "PropertyGraph":
+        """Copy of the vertices labelled in ``labels`` and of the edges
+        typed in ``types`` whose endpoints are both kept (``None`` keeps
+        every label or type).
+
+        Nothing is re-inserted: the copy has fresh records, each kept
+        vertex's sorted hop lists filtered to the kept edges (so still
+        sorted), and the index sets filtered to the kept vertices (so no
+        value is keyed again).  No record, list or set is shared with this
+        graph.
+        """
+        graph = PropertyGraph()
+        with _collector_paused():
+            vertices = graph._vertices
+            for vid, vertex in self._vertices.items():
+                if labels is None or vertex.label in labels:
+                    vertices[vid] = vertex.copy()
+            edges = graph._edges
+            for eid, edge in self._edges.items():
+                if (
+                    (types is None or edge.type in types)
+                    and edge.from_id in vertices
+                    and edge.to_id in vertices
+                ):
+                    edges[eid] = edge.copy()
+            hops, kept_hops = self._hops, graph._hops
+            every_edge = len(edges) == len(self._edges)
+            for vid in vertices:
+                out_hops, in_hops, any_hops = hops[vid]
+                if every_edge:
+                    kept_hops[vid] = (out_hops[:], in_hops[:], any_hops[:])
+                else:
+                    kept_hops[vid] = (
+                        [hop for hop in out_hops if hop[0] in edges],
+                        [hop for hop in in_hops if hop[0] in edges],
+                        [hop for hop in any_hops if hop[0] in edges],
+                    )
+            kept = None if len(vertices) == len(self._vertices) else vertices
+            graph._label_index = _kept_index(self._label_index, kept)
+            graph._vertex_prop_index = _kept_index(self._vertex_prop_index, kept)
+        return graph
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PropertyGraph):
@@ -318,33 +382,33 @@ class PropertyGraph:
         return f"PropertyGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
+def _kept_index(
+    index: dict[object, set[str]], kept: AbstractSet[str] | None
+) -> dict[object, set[str]]:
+    """Copy of a vertex index holding only the ``kept`` ids (every id when
+    ``None``), without the keys left empty."""
+    if kept is None:
+        return {key: set(ids) for key, ids in index.items()}
+    narrowed = {}
+    for key, ids in index.items():
+        ids = {vid for vid in ids if vid in kept}
+        if ids:
+            narrowed[key] = ids
+    return narrowed
+
+
 def build_source_subset(meta: Meta, source: PropertyGraph) -> PropertyGraph:
     """Filter ``source`` down to the entities a policy declares relevant.
 
     Keeps the vertices whose label is listed in ``meta`` and the edges whose
     type is listed and whose endpoints both survived the vertex filter.
+    The subset is derived from ``source``'s own hop lists and indexes, as
+    a snapshot is, and shares nothing with it.
     """
-    wanted_labels = set(meta.vertex_entities)
-    wanted_types = set(meta.edge_entities)
-    subset = PropertyGraph()
-    with _collector_paused():
-        for vertex in source.vertices():
-            if vertex.label in wanted_labels:
-                subset.add_vertex(vertex.copy())
-        for edge in source.edges():
-            if (
-                edge.type in wanted_types
-                and subset.has_vertex(edge.from_id)
-                and subset.has_vertex(edge.to_id)
-            ):
-                subset.add_edge(edge.copy())
-    return subset
+    return source._derived(set(meta.vertex_entities), set(meta.edge_entities))
 
 
 # -- JSON import/export ----------------------------------------------------
-
-_VERTEX_KEYS = {"id", "label", "properties"}
-_EDGE_KEYS = {"id", "type", "from", "to", "properties"}
 
 
 class _TooLarge:
@@ -367,31 +431,53 @@ def _integer(text: str) -> int | _TooLarge:
     return value
 
 
-def _check_properties(raw: object, where: str) -> dict[str, PropertyValue]:
+class _BadRecord(Exception):
+    """A record fails a check; the message lacks the record's place."""
+
+
+def _check_properties(raw: object) -> dict[str, PropertyValue]:
     if not isinstance(raw, dict):
-        raise GraphFormatError(f"{where}: properties must be an object")
+        raise _BadRecord("properties must be an object")
     for name, value in raw.items():
         if not isinstance(value, (str, int, float, bool)):
             if value is _TOO_LARGE:
-                raise GraphFormatError(
-                    f"{where}: property {name!r} is an integer too large "
-                    "to compare as a number"
+                raise _BadRecord(
+                    f"property {name!r} is an integer too large to compare as a number"
                 )
-            raise GraphFormatError(
-                f"{where}: property {name!r} has unsupported value {value!r}"
-            )
-    return dict(raw)
+            raise _BadRecord(f"property {name!r} has unsupported value {value!r}")
+    return raw
 
 
-def _record_str(raw: dict, key: str, where: str) -> str:
-    value = raw.get(key)
-    if not isinstance(value, str) or not value:
-        raise GraphFormatError(f"{where}: {key!r} must be a non-empty string")
-    return value
+def _json_records(raws: list, record: type, fields: tuple[str, ...], what: str) -> list:
+    """``record(*fields, properties)`` for each raw object of the array
+    ``what``, checked; an error names the object as ``what[i]``.  The
+    decoded property objects are fresh, so the records keep them."""
+    allowed = {*fields, "properties"}
+    records = []
+    for i, raw in enumerate(raws):
+        try:
+            if not isinstance(raw, dict) or not raw.keys() <= allowed:
+                raise _BadRecord(f"expected keys {sorted(allowed)}")
+            values = []
+            for key in fields:
+                value = raw.get(key)
+                if not isinstance(value, str) or not value:
+                    raise _BadRecord(f"{key!r} must be a non-empty string")
+                values.append(value)
+            values.append(_check_properties(raw.get("properties", {})))
+        except _BadRecord as exc:
+            raise GraphFormatError(f"{what}[{i}]: {exc}") from None
+        records.append(record(*values))
+    return records
 
 
+@_collector_paused()
 def load_graph_json(text: str) -> PropertyGraph:
-    """Load the JSON graph format; edges may precede their endpoints."""
+    """Load the JSON graph format; edges may precede their endpoints.
+
+    The collector stays paused through the decode and the record checks
+    as well as the link.
+    """
     try:
         doc = json.loads(text, parse_int=_integer)
     except json.JSONDecodeError as exc:
@@ -404,48 +490,33 @@ def load_graph_json(text: str) -> PropertyGraph:
         )
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise GraphFormatError("'vertices' and 'edges' must be arrays")
-
-    vertices: list[VertexRecord] = []
-    for i, raw in enumerate(doc["vertices"]):
-        where = f"vertices[{i}]"
-        if not isinstance(raw, dict) or not set(raw) <= _VERTEX_KEYS:
-            raise GraphFormatError(f"{where}: expected keys {sorted(_VERTEX_KEYS)}")
-        vertices.append(
-            VertexRecord(
-                _record_str(raw, "id", where),
-                _record_str(raw, "label", where),
-                _check_properties(raw.get("properties", {}), where),
-            )
-        )
-    edges: list[EdgeRecord] = []
-    for i, raw in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(raw, dict) or not set(raw) <= _EDGE_KEYS:
-            raise GraphFormatError(f"{where}: expected keys {sorted(_EDGE_KEYS)}")
-        edges.append(
-            EdgeRecord(
-                _record_str(raw, "id", where),
-                _record_str(raw, "type", where),
-                _record_str(raw, "from", where),
-                _record_str(raw, "to", where),
-                _check_properties(raw.get("properties", {}), where),
-            )
-        )
+    vertices = _json_records(doc["vertices"], VertexRecord, ("id", "label"), "vertices")
+    edges = _json_records(
+        doc["edges"], EdgeRecord, ("id", "type", "from", "to"), "edges"
+    )
     return _link(vertices, edges)
 
 
 def _link(vertices: list[VertexRecord], edges: list[EdgeRecord]) -> PropertyGraph:
     # Second phase of the two-phase import: vertices first, then edges, so
-    # file order never matters.
+    # file order never matters.  Each edge is checked as add_edge would
+    # (a missing endpoint first, then its id) and appends its hops; each
+    # hop list is sorted once at the end, and as hops are unique that is
+    # the order insort gives.
     graph = PropertyGraph()
     with _collector_paused():
         for vertex in vertices:
             graph.add_vertex(vertex)
+        has_vertex, append = graph.has_vertex, list.append
         for edge in edges:
             for endpoint in (edge.from_id, edge.to_id):
-                if not graph.has_vertex(endpoint):
+                if not has_vertex(endpoint):
                     raise ReferentialError(edge.id, endpoint)
-            graph.add_edge(edge)
+            graph._check_edge_id(edge)
+            graph._put_edge(edge, append)
+        for hop_lists in graph._hops.values():
+            for hop_list in hop_lists:
+                hop_list.sort()
     return graph
 
 
@@ -524,8 +595,10 @@ def _read_csv_rows(
     return prop_names, rows
 
 
+@_collector_paused()
 def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
-    """Load the two-file CSV format (vertex file + edge file).
+    """Load the two-file CSV format (vertex file + edge file), with the
+    collector paused throughout.
 
     An empty cell means the property is absent on that record, so rows
     with differing property schemas can share one header.

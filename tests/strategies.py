@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+import oracles
 from graphpdp import uris
 from graphpdp.graph_store import EdgeRecord, PropertyGraph, VertexRecord
 from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep
@@ -118,7 +119,12 @@ def _edge_step(draw, binding: str | None, eff_max: int, cap: int) -> EdgeStep:
 @st.composite
 def plans(draw, graph: PropertyGraph, budget: int = 4, cap: int = 3) -> QueryPlan:
     """Alternating vertex/edge steps whose summed effective lengths stay
-    within ``budget`` so the oracle's enumeration bound is small."""
+    within ``budget`` so the oracle's enumeration bound is small.
+
+    Three times in four, when the request drawn on this graph (see
+    :func:`request_plans`) has matches, a last draw replaces the steps with
+    ones along one of those matches, so the intersection is true unless
+    the filter says no."""
     n_vertices = draw(st.integers(1, 4))
     n_edges = n_vertices - 1
     spare = budget - n_edges
@@ -130,7 +136,37 @@ def plans(draw, graph: PropertyGraph, budget: int = 4, cap: int = 3) -> QueryPla
             spare -= extra
             steps.append(_edge_step(draw, f"y{i}", 1 + extra, cap))
     filt = _filter(draw, steps)
+    if draw(st.integers(0, 3)):
+        # of several matches the first by element ids, the one match_plan
+        # yields first, is never followed: a containment test that looks
+        # only at the first request match would miss the others
+        matches = sorted(
+            oracles.plan_match_oracle(graph, draw(request_plans(graph))),
+            key=lambda b: (b.edge_seq, b.vertex_seq),
+        )
+        if matches:
+            match = draw(st.sampled_from(matches[1:] or matches))
+            steps = _trail_steps(draw, graph, match)
+            filt = _filter(draw, steps)
     return QueryPlan(tuple(steps), filter=filt)
+
+
+def _trail_steps(draw, graph: PropertyGraph, match) -> list:
+    """Single-hop steps that ``match``'s trail satisfies: each edge keeps
+    its type and direction, each vertex its label unless a draw drops it."""
+    vertices = match.vertex_seq
+    steps: list = [_trail_vertex(draw, graph, vertices[0], 0)]
+    for i, edge_id in enumerate(match.edge_seq):
+        edge = graph.edge(edge_id)
+        direction = "from" if edge.from_id == vertices[i] else "to"
+        steps.append(EdgeStep(binding=f"y{i}", type=edge.type, direction=direction))
+        steps.append(_trail_vertex(draw, graph, vertices[i + 1], i + 1))
+    return steps
+
+
+def _trail_vertex(draw, graph: PropertyGraph, vertex_id: str, i: int) -> VertexStep:
+    label = graph.vertex(vertex_id).label if draw(st.booleans()) else None
+    return VertexStep(f"x{i}", label=label)
 
 
 def _filter(draw, steps):
@@ -177,8 +213,15 @@ def _comparison(ref, fn, literal, literal_first, prop_index):
     return Apply(fn, args)
 
 
+def request_plans(graph: PropertyGraph):
+    """:func:`_request_plans`, shared within one example for each graph: a
+    :func:`plans` draw that follows a request match draws this same
+    request, so an example draws at most one request per graph."""
+    return st.shared(_request_plans(graph), key=("request plan", id(graph)))
+
+
 @st.composite
-def request_plans(draw, graph: PropertyGraph) -> QueryPlan:
+def _request_plans(draw, graph: PropertyGraph) -> QueryPlan:
     """Pinned-vertex chains like compile_request_path produces, a third of
     them ending in a pinned edge group: an edge pinned on ``kind``, then a
     free vertex.

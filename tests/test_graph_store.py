@@ -3,8 +3,10 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
+from graphpdp import graph_store
 from graphpdp.errors import (
     DuplicateIdError,
     FrozenGraphError,
@@ -40,6 +42,11 @@ def small_graph() -> PropertyGraph:
     g.add_edge(EdgeRecord("e1", "accessRelations", "A", "B", {"typeKind": "worksOn"}))
     g.add_edge(EdgeRecord("e2", "taskDataRelations", "B", "C", {}))
     return g
+
+
+# headers of the two CSV files, with no property columns
+V_HEADER = "_id,_label\n"
+E_HEADER = "_id,_type,_from,_to\n"
 
 
 # -- value semantics --------------------------------------------------------
@@ -163,6 +170,98 @@ def test_snapshot_is_isolated_and_frozen():
     assert snap.edge("e1").properties["typeKind"] == "worksOn"
     with pytest.raises(FrozenGraphError):
         snap.add_vertex(VertexRecord("E", "tasks", {}))
+    # no hop list or index set is shared with the live graph
+    before = structure(snap)
+    g.add_vertex(VertexRecord("F", "dataObjects", {"typeCode": "pmUser", "_key": 7}))
+    g.add_edge(EdgeRecord("e4", "accessRelations", "A", "C", {}))
+    assert structure(snap) == before
+    assert snap.vertices_with_label("dataObjects") == {"A", "C"}
+    assert snap.vertices_with_property("_key", 7) == {"B"}
+    assert snap.hops("A", "from") == [("e1", "B")]
+
+
+def structure(g: PropertyGraph, probes=()) -> dict:
+    """Everything a reader sees of ``g``: its records in order, every hop
+    list, and the index sets for its labels and property values plus
+    ``probes``, copied."""
+    labels = {v.label for v in g.vertices()} | {label for label, _ in probes}
+    values = {(n, x) for v in g.vertices() for n, x in v.properties.items()}
+    values |= {value for _, value in probes}
+    return {
+        "vertices": [(v.id, v.label, dict(v.properties)) for v in g.vertices()],
+        "edges": [
+            (e.id, e.type, e.from_id, e.to_id, dict(e.properties)) for e in g.edges()
+        ],
+        "hops": {
+            (vid, d): list(g.hops(vid, d))
+            for vid in g.vertex_ids()
+            for d in ("from", "to", "any")
+        },
+        "labels": {label: set(g.vertices_with_label(label)) for label in labels},
+        "values": {
+            (n, x, type(x)): set(g.vertices_with_property(n, x)) for n, x in values
+        },
+    }
+
+
+def inserted(vertices, edges) -> PropertyGraph:
+    """Copies of the records put through add_vertex/add_edge."""
+    g = PropertyGraph()
+    for vertex in vertices:
+        g.add_vertex(vertex.copy())
+    for edge in edges:
+        g.add_edge(edge.copy())
+    return g
+
+
+@st.composite
+def graphs_and_metas(draw):
+    g = draw(strategies.graphs())
+    meta = Meta(
+        tuple(draw(st.lists(st.sampled_from(strategies.LABELS), unique=True))),
+        tuple(draw(st.lists(st.sampled_from(strategies.TYPES), unique=True))),
+    )
+    return g, meta
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_and_metas())
+def test_loaded_and_derived_graphs_equal_the_insert_path(drawn):
+    g, meta = drawn
+    # every label, type and property value the source holds, so that what
+    # the subset drops is looked up too
+    probes = [(v.label, (n, x)) for v in g.vertices() for n, x in v.properties.items()]
+    by_id = lambda record: record.id  # noqa: E731
+    vertices, edges = sorted(g.vertices(), key=by_id), sorted(g.edges(), key=by_id)
+    text = serialize_graph(g)
+    assert structure(load_graph_json(text), probes) == structure(
+        inserted(vertices, edges), probes
+    )
+    # the same file with every array reversed, so hops come out of id order
+    doc = json.loads(text)
+    reversed_text = json.dumps({name: doc[name][::-1] for name in doc})
+    assert structure(load_graph_json(reversed_text), probes) == structure(
+        inserted(vertices[::-1], edges[::-1]), probes
+    )
+    snap = g.snapshot()
+    assert snap == g
+    assert structure(snap, probes) == structure(inserted(g.vertices(), g.edges()), probes)
+    kept = [v for v in g.vertices() if v.label in meta.vertex_entities]
+    kept_ids = {v.id for v in kept}
+    subset = build_source_subset(meta, g)
+    assert structure(subset, probes) == structure(
+        inserted(
+            kept,
+            [
+                e
+                for e in g.edges()
+                if e.type in meta.edge_entities
+                and e.from_id in kept_ids
+                and e.to_id in kept_ids
+            ],
+        ),
+        probes,
+    )
 
 
 # -- subset filtering -------------------------------------------------------
@@ -203,6 +302,24 @@ def test_subset_matches_independent_filter():
     assert set(subset.edge_ids()) == wanted_e
 
 
+def test_subset_shares_nothing_with_its_source():
+    source = audit_heavy_source()
+    subset = build_source_subset(DEMO_META, source)
+    before = structure(subset)
+    source.add_vertex(VertexRecord("D", "dataObjects", {"typeCode": "pmUser"}))
+    source.add_vertex(VertexRecord("E", "tasks", {"_key": 7}))
+    source.add_edge(EdgeRecord("e3", "taskDataRelations", "C", "A", {}))
+    source.vertex("A").properties["typeCode"] = "changed"
+    assert structure(subset) == before
+    assert subset.vertices_with_label("tasks") == {"B"}
+    assert subset.vertices_with_property("typeCode", "pmUser") == {"A"}
+    assert subset.hops("A", "any") == [("e1", "B")]
+    assert subset.hops("C", "from") == []
+    # a subset stays mutable, and its own inserts leave the source alone
+    subset.add_edge(EdgeRecord("e4", "accessRelations", "B", "C", {}))
+    assert source.hops("B", "from") == [("e2", "C")]
+
+
 def test_subset_with_full_meta_is_identity():
     source = audit_heavy_source()
     everything = Meta(
@@ -214,35 +331,57 @@ def test_subset_with_full_meta_is_identity():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_bulk_inserts_pause_the_collector_and_restore_it(enabled, monkeypatch):
-    seen = []
-    add_vertex = PropertyGraph.add_vertex
+    seen: list[bool] = []
 
-    def spy(graph, vertex):
-        seen.append(gc.isenabled())
-        add_vertex(graph, vertex)
+    def spying(original):
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return original(*args)
 
-    monkeypatch.setattr(PropertyGraph, "add_vertex", spy)
-    duplicate = json.dumps(
-        {"vertices": [{"id": "A", "label": "n"}, {"id": "A", "label": "n"}], "edges": []}
+        return spy
+
+    # the JSON decode (integer literals), the CSV cells, the link and the
+    # record copies of a subset or snapshot each report the collector state
+    monkeypatch.setattr(graph_store, "_integer", spying(graph_store._integer))
+    monkeypatch.setattr(
+        graph_store, "parse_csv_value", spying(graph_store.parse_csv_value)
     )
-    loads = [
-        lambda: load_graph_json(serialize_graph(small_graph())),
-        lambda: build_source_subset(DEMO_META, audit_heavy_source()),
-        lambda: audit_heavy_source().snapshot(),
-    ]
+    monkeypatch.setattr(PropertyGraph, "add_vertex", spying(PropertyGraph.add_vertex))
+    monkeypatch.setattr(VertexRecord, "copy", spying(VertexRecord.copy))
+    source = audit_heavy_source()
+    text = serialize_graph(small_graph())
+    assert '"_key": 7' in text  # the decode calls _integer
+    builds = {
+        "json": lambda: load_graph_json(text),
+        "csv": lambda: load_graph_csv("_id,_label,n\nA,l,1\n", E_HEADER + "e,t,A,A\n"),
+        "subset": lambda: build_source_subset(DEMO_META, source),
+        "snapshot": lambda: source.snapshot(),
+    }
+    duplicate = json.dumps(
+        {
+            "vertices": [
+                {"id": "A", "label": "n", "properties": {"k": 1}},
+                {"id": "A", "label": "n"},
+            ],
+            "edges": [],
+        }
+    )
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        for load in loads:
-            load()
-            assert gc.isenabled() is enabled
+        for name, build in builds.items():
+            seen.clear()
+            build()
+            assert seen and not any(seen), name
+            assert gc.isenabled() is enabled, name
+        seen.clear()
         with pytest.raises(DuplicateIdError):
             load_graph_json(duplicate)
         after_failure = gc.isenabled()
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert after_failure is enabled
-    assert seen and not any(seen[-2:])  # the failing load ran paused too
+    assert len(seen) >= 3 and not any(seen)  # the failing load ran paused too
 
 
 # -- JSON format ------------------------------------------------------------
@@ -320,6 +459,54 @@ def test_json_keeps_the_largest_integer_a_float_holds():
 @given(strategies.graphs())
 def test_serialize_parse_roundtrip(g):
     assert load_graph_json(serialize_graph(g)) == g
+
+
+# -- link errors ------------------------------------------------------------
+
+
+def link_error(vertices_csv: str, edges_csv: str) -> tuple[type, str]:
+    """Type and message of the error a CSV load raises."""
+    with pytest.raises(Exception) as err:
+        load_graph_csv(vertices_csv, edges_csv)
+    return type(err.value), str(err.value)
+
+
+def test_an_edge_checks_its_endpoints_before_its_id():
+    # a missing endpoint and a duplicate id on one edge
+    assert link_error(V_HEADER + "a,l\n", E_HEADER + "e,t,a,a\ne,t,a,ghost\n") == (
+        ReferentialError, "edge 'e' references unknown vertex 'ghost'"
+    )
+    # a missing endpoint and an empty id
+    assert link_error(V_HEADER + "a,l\n", E_HEADER + ",t,ghost,a\n") == (
+        ReferentialError, "edge '' references unknown vertex 'ghost'"
+    )
+    assert link_error(V_HEADER + "a,l\n", E_HEADER + ",t,a,a\n") == (
+        GraphFormatError, "edge id must be non-empty"
+    )
+    # the first bad edge in file order wins
+    assert link_error(V_HEADER + "a,l\n", E_HEADER + "e,t,a,a\ne,t,a,a\nf,t,a,ghost\n") == (
+        DuplicateIdError, "duplicate edge id 'e'"
+    )
+    with pytest.raises(ReferentialError, match="edge 'e' references unknown vertex 'ghost'"):
+        load_graph_json(
+            '{"vertices": [{"id": "a", "label": "l"}], "edges": ['
+            '{"id": "e", "type": "t", "from": "a", "to": "a"},'
+            ' {"id": "e", "type": "t", "from": "ghost", "to": "a"}]}'
+        )
+
+
+def test_vertex_errors_come_before_any_edge_error():
+    assert link_error(V_HEADER + "a,l\na,l\n", E_HEADER + "e,t,a,ghost\ne,t,a,a\n") == (
+        DuplicateIdError, "duplicate vertex id 'a'"
+    )
+    assert link_error(V_HEADER + ",l\na,l\na,l\n", E_HEADER + "e,t,a,ghost\n") == (
+        GraphFormatError, "vertex id must be non-empty"
+    )
+    with pytest.raises(DuplicateIdError, match="duplicate vertex id 'b'"):
+        load_graph_json(
+            '{"edges": [{"id": "e", "type": "t", "from": "a", "to": "ghost"}],'
+            ' "vertices": [{"id": "b", "label": "l"}, {"id": "b", "label": "l"}]}'
+        )
 
 
 # -- CSV format -------------------------------------------------------------
