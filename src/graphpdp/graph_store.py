@@ -19,8 +19,9 @@ lists sorted and its label and property indexes current:
 * the file importers check every record, add the vertices, then link the
   edges in bulk, sorting each hop list once at the end;
 * :meth:`PropertyGraph.snapshot` and :func:`build_source_subset` derive a
-  copy from a built graph's own hop lists and index sets, dropping what
-  they do not keep, so nothing is sorted or keyed again.
+  copy from a built graph's own sorted hop lists, dropping the edges they
+  do not keep, so nothing is sorted again; the copy's indexes are built
+  from its records.
 """
 
 from __future__ import annotations
@@ -186,12 +187,12 @@ class PropertyGraph:
     """Mutable property graph with sorted hop lists and vertex indexes.
 
     ``snapshot()`` returns a frozen copy with fresh records, hop lists and
-    index sets, derived from this graph's own rather than re-inserted, that
-    later mutations of the live graph cannot affect; evaluations run
-    against snapshots.  The indexes hold each record's label and property
-    values as they were when it was added, and snapshots and subsets copy
-    them as they are: a record changed in place afterwards no longer
-    agrees with them.
+    index sets, its hop lists derived from this graph's own rather than
+    re-inserted, that later mutations of the live graph cannot affect;
+    evaluations run against snapshots.  A graph's indexes hold each
+    record's label and property values as they were when it was added;
+    a snapshot or subset indexes the values its records hold when it is
+    taken.
     """
 
     def __init__(self) -> None:
@@ -214,6 +215,10 @@ class PropertyGraph:
             raise DuplicateIdError(f"duplicate vertex id {vertex.id!r}")
         self._vertices[vertex.id] = vertex
         self._hops[vertex.id] = ([], [], [])
+        self._index_vertex(vertex)
+
+    def _index_vertex(self, vertex: VertexRecord) -> None:
+        """Enter ``vertex`` under its label and each property value."""
         self._label_index.setdefault(vertex.label, set()).add(vertex.id)
         for name, value in vertex.properties.items():
             key = (name, canonical_key(value))
@@ -330,18 +335,19 @@ class PropertyGraph:
         typed in ``types`` whose endpoints are both kept (``None`` keeps
         every label or type).
 
-        Nothing is re-inserted: the copy has fresh records, each kept
-        vertex's sorted hop lists filtered to the kept edges (so still
-        sorted), and the index sets filtered to the kept vertices (so no
-        value is keyed again).  No record, list or set is shared with this
-        graph.
+        The copy has fresh records and each kept vertex's sorted hop lists
+        filtered to the kept edges, so still sorted and never sorted again.
+        Its label and property indexes are built from the copied records,
+        so a record changed in place since it was added is indexed by its
+        current values.  No record, list or set is shared with this graph.
         """
         graph = PropertyGraph()
         with _collector_paused():
             vertices = graph._vertices
             for vid, vertex in self._vertices.items():
                 if labels is None or vertex.label in labels:
-                    vertices[vid] = vertex.copy()
+                    vertices[vid] = copy = vertex.copy()
+                    graph._index_vertex(copy)
             edges = graph._edges
             for eid, edge in self._edges.items():
                 if (
@@ -362,9 +368,6 @@ class PropertyGraph:
                         [hop for hop in in_hops if hop[0] in edges],
                         [hop for hop in any_hops if hop[0] in edges],
                     )
-            kept = None if len(vertices) == len(self._vertices) else vertices
-            graph._label_index = _kept_index(self._label_index, kept)
-            graph._vertex_prop_index = _kept_index(self._vertex_prop_index, kept)
         return graph
 
     def __eq__(self, other: object) -> bool:
@@ -380,21 +383,6 @@ class PropertyGraph:
 
     def __repr__(self) -> str:
         return f"PropertyGraph(vertices={self.vertex_count}, edges={self.edge_count})"
-
-
-def _kept_index(
-    index: dict[object, set[str]], kept: AbstractSet[str] | None
-) -> dict[object, set[str]]:
-    """Copy of a vertex index holding only the ``kept`` ids (every id when
-    ``None``), without the keys left empty."""
-    if kept is None:
-        return {key: set(ids) for key, ids in index.items()}
-    narrowed = {}
-    for key, ids in index.items():
-        ids = {vid for vid in ids if vid in kept}
-        if ids:
-            narrowed[key] = ids
-    return narrowed
 
 
 def build_source_subset(meta: Meta, source: PropertyGraph) -> PropertyGraph:
@@ -499,24 +487,24 @@ def load_graph_json(text: str) -> PropertyGraph:
 
 def _link(vertices: list[VertexRecord], edges: list[EdgeRecord]) -> PropertyGraph:
     # Second phase of the two-phase import: vertices first, then edges, so
-    # file order never matters.  Each edge is checked as add_edge would
-    # (a missing endpoint first, then its id) and appends its hops; each
-    # hop list is sorted once at the end, and as hops are unique that is
-    # the order insort gives.
+    # file order never matters.  Both loaders run it with the collector
+    # paused.  Each edge is checked as add_edge would (a missing endpoint
+    # first, then its id) and appends its hops; each hop list is sorted
+    # once at the end, and as hops are unique that is the order insort
+    # gives.
     graph = PropertyGraph()
-    with _collector_paused():
-        for vertex in vertices:
-            graph.add_vertex(vertex)
-        has_vertex, append = graph.has_vertex, list.append
-        for edge in edges:
-            for endpoint in (edge.from_id, edge.to_id):
-                if not has_vertex(endpoint):
-                    raise ReferentialError(edge.id, endpoint)
-            graph._check_edge_id(edge)
-            graph._put_edge(edge, append)
-        for hop_lists in graph._hops.values():
-            for hop_list in hop_lists:
-                hop_list.sort()
+    for vertex in vertices:
+        graph.add_vertex(vertex)
+    has_vertex, append = graph.has_vertex, list.append
+    for edge in edges:
+        for endpoint in (edge.from_id, edge.to_id):
+            if not has_vertex(endpoint):
+                raise ReferentialError(edge.id, endpoint)
+        graph._check_edge_id(edge)
+        graph._put_edge(edge, append)
+    for hop_lists in graph._hops.values():
+        for hop_list in hop_lists:
+            hop_list.sort()
     return graph
 
 

@@ -320,6 +320,34 @@ def test_subset_shares_nothing_with_its_source():
     assert source.hops("B", "from") == [("e2", "C")]
 
 
+def test_copies_index_records_by_their_values_when_taken():
+    source = audit_heavy_source()
+    # edited in place after insertion: a snapshot or subset taken now
+    # indexes the new values, as one re-inserting the records would
+    source.vertex("A").properties["typeCode"] = "extUser"
+    source.vertex("X").label = "tasks"
+    probes = [("audit", ("typeCode", "pmUser")), ("tasks", ("typeCode", "extUser"))]
+    snap = source.snapshot()
+    assert snap.vertices_with_property("typeCode", "extUser") == {"A"}
+    assert snap.vertices_with_property("typeCode", "pmUser") == set()
+    assert snap.vertices_with_label("tasks") == {"B", "X"}
+    assert snap.vertices_with_label("audit") == set()
+    assert structure(snap, probes) == structure(
+        inserted(source.vertices(), source.edges()), probes
+    )
+    subset = build_source_subset(DEMO_META, source)
+    assert set(subset.vertex_ids()) == {"A", "B", "C", "X"}
+    assert subset.vertices_with_label("tasks") == {"B", "X"}
+    assert subset.vertices_with_property("typeCode", "extUser") == {"A"}
+    assert structure(subset, probes) == structure(
+        inserted(
+            [source.vertex(v) for v in ("A", "B", "C", "X")],
+            [source.edge(e) for e in ("e1", "e2", "a2")],
+        ),
+        probes,
+    )
+
+
 def test_subset_with_full_meta_is_identity():
     source = audit_heavy_source()
     everything = Meta(

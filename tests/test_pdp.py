@@ -342,6 +342,26 @@ def test_engine_with_source_subset(demo_policy, demo_request, demo_source_file):
     assert engine.decide(demo_request).decision is PERMIT
 
 
+def test_an_edited_record_decides_by_its_new_value(
+    demo_policy, demo_request, demo_source_file
+):
+    from graphpdp.graph_store import load_graph_json
+
+    text = demo_source_file.read_text(encoding="utf-8")
+    assert text.count('"pmUser"') == 1
+    source = load_graph_json(text.replace('"pmUser"', '"extUser"'))
+
+    def decide(graph):
+        return DecisionEngine([demo_policy], graph).decide(demo_request).decision
+
+    assert decide(build_source_subset(demo_policy.meta, source)) is NOT_APPLICABLE
+    # the rule's first step is pinned on typeCode, so its candidates come
+    # from the property index of the subset and of the engine's snapshot
+    source.vertex("1196741133").properties["typeCode"] = "pmUser"
+    assert decide(build_source_subset(demo_policy.meta, source)) is PERMIT
+    assert decide(source) is PERMIT
+
+
 def test_find_rule(demo_policy):
     found = demo_policy, demo_policy.rules[0]
     engine = DecisionEngine([demo_policy], None)
