@@ -48,8 +48,6 @@ from .pdp import (
     DecisionEngine,
     Response,
     combine,
-    evaluate_request,
-    evaluate_rule,
     match_target,
     render_response_xml,
 )
@@ -59,10 +57,8 @@ from .policy_model import (
     Policy,
     Rule,
     Violation,
-    flatten_pattern,
     load_policy_dir,
     parse_policy,
-    serialize_policy,
     validate_policy,
 )
 from .request_model import Request, parse_request, split_attribute_value
@@ -102,9 +98,6 @@ __all__ = [
     "compile_rule_pattern",
     "emit_cypher",
     "eval_filter",
-    "evaluate_request",
-    "evaluate_rule",
-    "flatten_pattern",
     "load_graph_csv",
     "load_graph_json",
     "load_graph_path",
@@ -115,7 +108,6 @@ __all__ = [
     "parse_request",
     "render_response_xml",
     "serialize_graph",
-    "serialize_policy",
     "split_attribute_value",
     "translate_function",
     "validate_policy",

@@ -299,12 +299,6 @@ class PropertyGraph:
         """
         return self._hops[vertex_id][_HOP_SLOT[direction]]
 
-    def out_edge_ids(self, vertex_id: str) -> list[str]:
-        return [eid for eid, _ in self.hops(vertex_id, DIRECTION_FROM)]
-
-    def in_edge_ids(self, vertex_id: str) -> list[str]:
-        return [eid for eid, _ in self.hops(vertex_id, DIRECTION_TO)]
-
     def vertices_with_label(self, label: str) -> AbstractSet[str]:
         """Ids of the vertices labelled ``label``.  The set is the index's
         own: read it, never mutate it."""

@@ -126,16 +126,15 @@ def compile_rule(rule: Rule) -> QueryPlan | None:
 
 def evaluate_rule(
     rule: Rule,
+    rule_plan: QueryPlan | None,
     request: Request,
+    request_plan: QueryPlan,
     graph: PropertyGraph | None,
-    request_plan: QueryPlan | None = None,
-    rule_plan: QueryPlan | None = None,
-    varlen_cap: int = DEFAULT_VARLEN_CAP,
+    varlen_cap: int,
 ) -> Decision:
     """Target gate, then the pattern intersection when the rule has one.
 
-    ``rule_plan``/``request_plan`` accept precompiled plans; they are
-    compiled here when absent.
+    ``rule_plan`` is :func:`compile_rule` of ``rule``.
     """
     matched = match_target(rule.target, request)
     if matched == NO_MATCH:
@@ -143,17 +142,13 @@ def evaluate_rule(
     if matched == INDETERMINATE_MATCH:
         return indeterminate(f"rule {rule.rule_id!r}: target evaluation failed")
 
-    if rule.pattern is None:
+    if rule_plan is None:
         return effect_decision(rule.effect)
     if graph is None:
         return indeterminate(
             f"rule {rule.rule_id!r} has a pattern but no graph snapshot is loaded"
         )
     try:
-        if rule_plan is None:
-            rule_plan = compile_rule(rule)
-        if request_plan is None:
-            request_plan = compile_request_path(request.path_groups)
         if check_intersection(graph, rule_plan, request_plan, varlen_cap):
             return effect_decision(rule.effect)
         return NOT_APPLICABLE
@@ -184,14 +179,13 @@ def combine(decisions, alg: str) -> Decision:
 
 def evaluate_policy(
     policy: Policy,
+    rule_plans: tuple[QueryPlan | None, ...],
     request: Request,
+    request_plan: QueryPlan,
     graph: PropertyGraph | None,
-    request_plan: QueryPlan | None = None,
-    rule_plans: dict[tuple[str, str], QueryPlan | None] | None = None,
-    varlen_cap: int = DEFAULT_VARLEN_CAP,
+    varlen_cap: int,
 ) -> Decision:
-    """``rule_plans`` optionally maps (policy id, rule id) to precompiled
-    plans (the engine's load-time cache)."""
+    """``rule_plans`` holds the plan of each of ``policy.rules``, in order."""
     matched = match_target(policy.target, request)
     if matched == NO_MATCH:
         return NOT_APPLICABLE
@@ -199,19 +193,10 @@ def evaluate_policy(
         return indeterminate(
             f"policy {policy.policy_id!r}: target evaluation failed"
         )
-    decisions = []
-    for rule in policy.rules:
-        plan = rule_plans.get((policy.policy_id, rule.rule_id)) if rule_plans else None
-        decisions.append(
-            evaluate_rule(
-                rule,
-                request,
-                graph,
-                request_plan=request_plan,
-                rule_plan=plan,
-                varlen_cap=varlen_cap,
-            )
-        )
+    decisions = [
+        evaluate_rule(rule, plan, request, request_plan, graph, varlen_cap)
+        for rule, plan in zip(policy.rules, rule_plans)
+    ]
     try:
         return combine(decisions, policy.rule_combining_alg)
     except PolicyError as exc:
@@ -219,30 +204,22 @@ def evaluate_policy(
 
 
 def evaluate_request(
-    policies,
+    compiled,
     request: Request,
     graph: PropertyGraph | None,
-    varlen_cap: int = DEFAULT_VARLEN_CAP,
-    rule_plans: dict[tuple[str, str], QueryPlan | None] | None = None,
+    varlen_cap: int,
 ) -> Response:
-    """Walk policies in load order, first applicable policy decides.
-
-    ``rule_plans`` is passed to :func:`evaluate_policy`.
-    """
+    """Walk ``(policy, rule plans)`` pairs in load order; the first
+    applicable policy decides."""
     try:
         request_plan = compile_request_path(request.path_groups)
     except EngineError as exc:
         decision = indeterminate(f"request path compilation failed: {exc}")
         return Response(decision, _status_for(decision), ())
 
-    for policy in policies:
+    for policy, rule_plans in compiled:
         decision = evaluate_policy(
-            policy,
-            request,
-            graph,
-            request_plan=request_plan,
-            rule_plans=rule_plans,
-            varlen_cap=varlen_cap,
+            policy, rule_plans, request, request_plan, graph, varlen_cap
         )
         if decision.value != NOT_APPLICABLE_VALUE:
             return Response(decision, _status_for(decision), (policy.policy_id,))
@@ -284,7 +261,8 @@ def render_response_xml(response: Response) -> str:
 
 
 class DecisionEngine:
-    """Policies + graph snapshot with rule plans compiled once at load."""
+    """Policies + graph snapshot; each policy is paired with its own rules'
+    plans, compiled once at load, so policies that share ids stay apart."""
 
     def __init__(
         self,
@@ -292,22 +270,16 @@ class DecisionEngine:
         graph: PropertyGraph | None,
         varlen_cap: int = DEFAULT_VARLEN_CAP,
     ):
-        self.policies = list(policies)
+        self.policies = tuple(policies)
         self.graph = graph.snapshot() if graph is not None else None
         self.varlen_cap = varlen_cap
-        self._plans: dict[tuple[str, str], QueryPlan | None] = {}
-        for policy in self.policies:
-            for rule in policy.rules:
-                self._plans[(policy.policy_id, rule.rule_id)] = compile_rule(rule)
+        self._compiled = tuple(
+            (policy, tuple(map(compile_rule, policy.rules)))
+            for policy in self.policies
+        )
 
     def decide(self, request: Request) -> Response:
-        return evaluate_request(
-            self.policies,
-            request,
-            self.graph,
-            varlen_cap=self.varlen_cap,
-            rule_plans=self._plans,
-        )
+        return evaluate_request(self._compiled, request, self.graph, self.varlen_cap)
 
     def find_rule(self, rule_id: str) -> tuple[Policy, Rule] | None:
         for policy in self.policies:

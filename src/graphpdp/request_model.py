@@ -49,17 +49,6 @@ class AttributeGroup:
 
 
 @dataclass(frozen=True)
-class PathElementBinding:
-    """One pinned property on one element of the request path."""
-
-    position: int
-    kind: str
-    category: str
-    property_name: str
-    property_value: str
-
-
-@dataclass(frozen=True)
 class Request:
     action_groups: tuple[AttributeGroup, ...]
     path_groups: tuple[AttributeGroup, ...]
@@ -72,22 +61,6 @@ class Request:
                 if attr_id == attribute_id:
                     values.append(raw)
         return values
-
-    def path_bindings(self) -> list[PathElementBinding]:
-        bindings = []
-        for position, group in enumerate(self.path_groups):
-            for attr_id, raw in group.attributes:
-                name, value = split_attribute_value(raw)
-                bindings.append(
-                    PathElementBinding(
-                        position=position,
-                        kind=group.element_type or KIND_VERTEX,
-                        category=group.category,
-                        property_name=name,
-                        property_value=value,
-                    )
-                )
-        return bindings
 
 
 def parse_request(xml_text: str) -> Request:
@@ -118,9 +91,11 @@ def parse_request(xml_text: str) -> Request:
             )
 
     _check_path_order(path_groups)
-    request = Request(tuple(action_groups), tuple(path_groups))
-    request.path_bindings()  # force colon-format errors at parse time
-    return request
+    # colon-format errors surface at parse time, the first in path order
+    for group in path_groups:
+        for _, raw in group.attributes:
+            split_attribute_value(raw)
+    return Request(tuple(action_groups), tuple(path_groups))
 
 
 def _parse_group(elem, container: str) -> AttributeGroup:

@@ -84,24 +84,31 @@ def _segmentations(total: int, bounds: list[tuple[int, int]]):
             yield lengths
 
 
+def adjacency(graph: PropertyGraph) -> dict[str, list[tuple[str, str]]]:
+    """(edge id, neighbour id) moves from each vertex in either direction,
+    in edge-id order; a self-loop is one move.  Built from the edge records
+    alone, so it stays independent of the hop lists the engine walks."""
+    moves: dict[str, list[tuple[str, str]]] = {vid: [] for vid in graph.vertex_ids()}
+    for edge in sorted(graph.edges(), key=lambda e: e.id):
+        moves[edge.from_id].append((edge.id, edge.to_id))
+        if edge.to_id != edge.from_id:
+            moves[edge.to_id].append((edge.id, edge.from_id))
+    return moves
+
+
 def enumerate_trails_oracle(graph: PropertyGraph, max_edges: int) -> list[PathBinding]:
     """Every trail of 0..max_edges edges, both orientations, in a fixed
     order.  Shares no traversal code with match_plan, which it checks."""
     if max_edges > 8:
         raise ValueError("oracle is exhaustive; refusing max_edges > 8")
     trails: list[PathBinding] = []
+    moves = adjacency(graph)
 
     def step(vseq: tuple[str, ...], eseq: tuple[str, ...]) -> None:
         trails.append(PathBinding(vseq, eseq))
         if len(eseq) >= max_edges:
             return
-        here = vseq[-1]
-        options: set[tuple[str, str]] = set()
-        for eid in graph.out_edge_ids(here):
-            options.add((eid, graph.edge(eid).to_id))
-        for eid in graph.in_edge_ids(here):
-            options.add((eid, graph.edge(eid).from_id))
-        for eid, nvid in sorted(options):
+        for eid, nvid in moves[vseq[-1]]:
             if eid not in eseq:
                 step(vseq + (nvid,), eseq + (eid,))
 
@@ -244,20 +251,13 @@ def filter_oracle(graph, binding, expr) -> bool:
 
 def count_trails_frontier(graph: PropertyGraph, max_edges: int) -> int:
     """Count trails of 0..max_edges edges by frontier expansion."""
-    def moves(vid):
-        out = set()
-        for eid in graph.out_edge_ids(vid):
-            out.add((eid, graph.edge(eid).to_id))
-        for eid in graph.in_edge_ids(vid):
-            out.add((eid, graph.edge(eid).from_id))
-        return out
-
+    moves = adjacency(graph)
     frontier = [(vid, frozenset()) for vid in graph.vertex_ids()]
     total = len(frontier)
     for _ in range(max_edges):
         grown = []
         for vid, used in frontier:
-            for eid, nxt in moves(vid):
+            for eid, nxt in moves[vid]:
                 if eid not in used:
                     grown.append((nxt, used | {eid}))
         total += len(grown)

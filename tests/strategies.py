@@ -234,13 +234,9 @@ def _request_plans(draw, graph: PropertyGraph) -> QueryPlan:
     if draw(st.booleans()) and graph.edge_count > 0:
         vid = draw(st.sampled_from(graph.vertex_ids()))
         keys = [vid]
+        moves = oracles.adjacency(graph)
         for _ in range(length):
-            hops = sorted(
-                set(
-                    [(e, graph.edge(e).to_id) for e in graph.out_edge_ids(keys[-1])]
-                    + [(e, graph.edge(e).from_id) for e in graph.in_edge_ids(keys[-1])]
-                )
-            )
+            hops = moves[keys[-1]]
             if not hops:
                 break
             keys.append(draw(st.sampled_from(hops))[1])
@@ -253,10 +249,8 @@ def _request_plans(draw, graph: PropertyGraph) -> QueryPlan:
         steps.append(VertexStep(f"r{i}", pinned=(("_key", key),)))
     if draw(st.integers(0, 2)) == 0:
         # usually the kind of an edge at the last pinned vertex
-        last = keys[-1]
-        edges = (graph.out_edge_ids(last) + graph.in_edge_ids(last)
-                 if graph.has_vertex(last) else [])
-        kinds = sorted({graph.edge(e).properties.get("kind") for e in edges} - {None})
+        edges = oracles.adjacency(graph).get(keys[-1], [])
+        kinds = sorted({graph.edge(e).properties.get("kind") for e, _ in edges} - {None})
         kind = draw(st.sampled_from(kinds or WORDS))
         steps.append(EdgeStep(pinned=(("kind", kind),)))
         steps.append(VertexStep(f"r{len(keys)}"))

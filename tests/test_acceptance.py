@@ -24,8 +24,8 @@ from graphpdp.errors import PolicySchemaError, UnknownFunctionError
 from graphpdp.graph_store import EdgeRecord, PropertyGraph, VertexRecord
 from graphpdp.path_matcher import PathBinding, check_intersection, eval_filter, match_plan
 from graphpdp.pattern_compiler import known_functions, translate_function
-from graphpdp.pdp import DecisionEngine, evaluate_rule
-from graphpdp.policy_model import Apply, Designator, Literal, Rule, parse_policy
+from graphpdp.pdp import DecisionEngine
+from graphpdp.policy_model import Apply, Designator, Literal, Policy, Rule, parse_policy
 from graphpdp.request_model import parse_request
 
 PERMIT_XML = """\
@@ -226,7 +226,9 @@ def test_condition_function_set_is_complete_and_closed():
     rule = policy.rules[0]
     hacked = Rule(rule.rule_id, rule.effect, rule.target, rule.pattern, forced)
     chain_graph, _ = chain_setup(2)
-    decision = evaluate_rule(hacked, parse_request(chain_request(1)), chain_graph)
+    one_rule = Policy(policy.policy_id, uris.ALG_FIRST_APPLICABLE, rules=(hacked,))
+    engine = DecisionEngine([one_rule], chain_graph)
+    decision = engine.decide(parse_request(chain_request(1))).decision
     assert decision.value == "Indeterminate"
 
 

@@ -270,6 +270,34 @@ def test_eval_not_applicable_path(capsys, tmp_path, demo_policy_dir, demo_graph_
     assert "<Decision>NotApplicable</Decision>" in capsys.readouterr().out
 
 
+def test_policies_sharing_ids_each_keep_their_own_rules(
+    capsys, tmp_path, demo_policy_dir, demo_request, demo_request_file, demo_graph_file
+):
+    # two policies with the same PolicyId and RuleId: a.xml denies the demo
+    # request, b.xml's pattern needs a label no vertex carries; a.xml is
+    # loaded first, so its Deny decides
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    assert text.count('Effect="Permit"') == text.count('Label="tasks"') == 1
+    (tmp_path / "a.xml").write_text(
+        text.replace('Effect="Permit"', 'Effect="Deny"'), encoding="utf-8"
+    )
+    (tmp_path / "b.xml").write_text(
+        text.replace('Label="tasks"', 'Label="nosuchlabel"'), encoding="utf-8"
+    )
+    policies = load_policy_dir(tmp_path)
+    assert [p.policy_id for p in policies] == ["pmUserToDataObject"] * 2
+    engine = DecisionEngine(policies, load_graph_path(demo_graph_file))
+    response = engine.decide(demo_request)
+    assert response.decision.value == "Deny"
+    assert response.policy_ids == ("pmUserToDataObject",)
+
+    code = run(eval_args(tmp_path, demo_request_file, demo_graph_file))
+    assert code == DECISION_EXIT_CODES["Deny"] == 1
+    out = capsys.readouterr().out
+    assert "<Decision>Deny</Decision>" in out
+    assert "<PolicyIdReference>pmUserToDataObject</PolicyIdReference>" in out
+
+
 def test_eval_requires_exactly_one_graph_flag(
     capsys, demo_policy_dir, demo_request_file, demo_graph_file, demo_source_file
 ):

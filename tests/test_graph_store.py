@@ -103,8 +103,8 @@ def test_add_and_lookup():
     assert g.vertex("A").label == "dataObjects"
     assert g.edge("e1").to_id == "B"
     assert g.vertex_ids() == ["A", "B", "C"]
-    assert g.out_edge_ids("A") == ["e1"]
-    assert g.in_edge_ids("C") == ["e2"]
+    assert g.hops("A", "from") == [("e1", "B")]
+    assert g.hops("C", "to") == [("e2", "B")]
 
 
 def test_duplicate_ids_rejected():
@@ -151,8 +151,8 @@ def test_hops_sorted_per_direction():
     assert g.hops("B", "to") == [("e1", "A"), ("e3", "A")]
     assert g.hops("B", "any") == [("e1", "A"), ("e2", "A"), ("e3", "A")]
     assert g.hops("C", "to") == []
-    assert g.out_edge_ids("A") == ["e0", "e1", "e3"]
-    assert g.in_edge_ids("A") == ["e0", "e2", "e4"]
+    assert [eid for eid, _ in g.hops("A", "from")] == ["e0", "e1", "e3"]
+    assert [eid for eid, _ in g.hops("A", "to")] == ["e0", "e2", "e4"]
 
 
 def test_snapshot_is_isolated_and_frozen():

@@ -12,9 +12,6 @@ from graphpdp.pdp import (
     Response,
     combine,
     effect_decision,
-    evaluate_policy,
-    evaluate_request,
-    evaluate_rule,
     indeterminate,
     match_target,
     render_response_xml,
@@ -37,6 +34,16 @@ def target(*all_ofs) -> ConstraintSet:
 
 def action_match(value: str, fn: str = uris.MATCH_STRING_EQUAL) -> MatchConstraint:
     return MatchConstraint(fn, value, uris.ATTR_ACTION_ID, uris.CAT_ACTION)
+
+
+def decide(policies, request, graph) -> Response:
+    return DecisionEngine(policies, graph).decide(request)
+
+
+def decide_rule(rule, request, graph) -> Decision:
+    """The decision of ``rule`` alone, in a one-rule first-applicable policy."""
+    policy = Policy("p", uris.ALG_FIRST_APPLICABLE, rules=(rule,))
+    return decide([policy], request, graph).decision
 
 
 # -- decisions --------------------------------------------------------------
@@ -110,25 +117,25 @@ def test_unknown_match_function_is_indeterminate(demo_request):
 
 def test_patternless_rule_returns_its_effect(demo_request):
     rule = Rule("r", "Permit")
-    assert evaluate_rule(rule, demo_request, None) is PERMIT
-    assert evaluate_rule(Rule("r", "Deny"), demo_request, None) is DENY
+    assert decide_rule(rule, demo_request, None) is PERMIT
+    assert decide_rule(Rule("r", "Deny"), demo_request, None) is DENY
 
 
 def test_rule_target_gates_the_pattern(demo_request, demo_graph):
     rule = Rule("r", "Permit", target=target([action_match("delete-do")]))
-    assert evaluate_rule(rule, demo_request, demo_graph) is NOT_APPLICABLE
+    assert decide_rule(rule, demo_request, demo_graph) is NOT_APPLICABLE
 
 
 def test_pattern_without_graph_is_indeterminate(demo_policy, demo_request):
     rule = demo_policy.rules[0]
-    decision = evaluate_rule(rule, demo_request, None)
+    decision = decide_rule(rule, demo_request, None)
     assert decision.value == "Indeterminate"
     assert "no graph snapshot" in decision.reason
 
 
 def test_demo_rule_permits(demo_policy, demo_request, demo_graph):
     rule = demo_policy.rules[0]
-    assert evaluate_rule(rule, demo_request, demo_graph) is PERMIT
+    assert decide_rule(rule, demo_request, demo_graph) is PERMIT
 
 
 def test_runtime_filter_error_surfaces_as_indeterminate(
@@ -144,7 +151,7 @@ def test_runtime_filter_error_surfaces_as_indeterminate(
     )
     rule = demo_policy.rules[0]
     hacked = Rule(rule.rule_id, rule.effect, rule.target, rule.pattern, broken)
-    decision = evaluate_rule(hacked, demo_request, demo_graph)
+    decision = decide_rule(hacked, demo_request, demo_graph)
     assert decision.value == "Indeterminate"
     assert "user_access_dataObj" in decision.reason
     assert "xor" in decision.reason
@@ -166,7 +173,7 @@ def test_filter_error_is_indeterminate_even_when_no_match_contains_the_path(
     )
     rule = demo_policy.rules[0]
     hacked = Rule(rule.rule_id, rule.effect, rule.target, rule.pattern, broken)
-    decision = evaluate_rule(hacked, parse_request(text), demo_graph)
+    decision = decide_rule(hacked, parse_request(text), demo_graph)
     assert decision.value == "Indeterminate"
     assert "xor" in decision.reason
 
@@ -217,12 +224,12 @@ def test_policy_target_no_match_is_not_applicable(demo_policy, demo_request, dem
         meta=demo_policy.meta,
         rules=demo_policy.rules,
     )
-    assert evaluate_policy(gated, demo_request, demo_graph) is NOT_APPLICABLE
+    assert decide([gated], demo_request, demo_graph).decision is NOT_APPLICABLE
 
 
 def test_unsupported_algorithm_becomes_indeterminate(demo_request):
     policy = Policy("p", "urn:example:nope", rules=(Rule("r", "Permit"),))
-    decision = evaluate_policy(policy, demo_request, None)
+    decision = decide([policy], demo_request, None).decision
     assert decision.value == "Indeterminate"
     assert "unsupported combining algorithm" in decision.reason
 
@@ -230,7 +237,7 @@ def test_unsupported_algorithm_becomes_indeterminate(demo_request):
 def test_evaluate_request_reports_the_deciding_policy(
     demo_policy, demo_request, demo_graph
 ):
-    response = evaluate_request([demo_policy], demo_request, demo_graph)
+    response = decide([demo_policy], demo_request, demo_graph)
     assert response.decision is PERMIT
     assert response.status_code == uris.STATUS_OK
     assert response.policy_ids == ("pmUserToDataObject",)
@@ -245,7 +252,7 @@ def test_evaluate_request_skips_inapplicable_policies(
         target=target([action_match("delete-do")]),
         rules=(Rule("nope", "Deny"),),
     )
-    response = evaluate_request([bystander, demo_policy], demo_request, demo_graph)
+    response = decide([bystander, demo_policy], demo_request, demo_graph)
     assert response.decision is PERMIT
     assert response.policy_ids == ("pmUserToDataObject",)
 
@@ -254,7 +261,7 @@ def test_evaluate_request_not_applicable(demo_policy, demo_graph, demo_request_f
     # same shape as the demo request, but the subject is the extUser decoy
     text = demo_request_file.read_text(encoding="utf-8")
     other = parse_request(text.replace("_key:1196741133", "_key:1196741400"))
-    response = evaluate_request([demo_policy], other, demo_graph)
+    response = decide([demo_policy], other, demo_graph)
     assert response.decision is NOT_APPLICABLE
     assert response.status_code == uris.STATUS_OK
     assert response.policy_ids == ()
@@ -269,7 +276,7 @@ def test_unsplittable_path_value_fails_request_compilation(demo_policy, demo_gra
             ),
         ),
     )
-    response = evaluate_request([demo_policy], mangled, demo_graph)
+    response = decide([demo_policy], mangled, demo_graph)
     assert response.decision.value == "Indeterminate"
     assert "request path compilation failed" in response.decision.reason
     assert response.status_code == uris.STATUS_PROCESSING_ERROR

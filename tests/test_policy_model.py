@@ -18,9 +18,10 @@ from graphpdp.policy_model import (
     load_policy_dir,
     parse_policy,
     policy_files,
-    serialize_policy,
     validate_policy,
 )
+
+from policy_writer import serialize_policy
 
 XMLNS = (
     'xmlns:xacml="urn:oasis:names:tc:xacml:3.0:core:schema:wd-17" '

@@ -67,14 +67,18 @@ def test_split_rejects_empty_name():
 def test_parse_demo_request(demo_request):
     r = demo_request
     assert r.action_values(uris.ATTR_ACTION_ID) == ["access-do"]
-    bindings = r.path_bindings()
-    assert [(b.position, b.kind, b.property_name, b.property_value) for b in bindings] == [
+    bindings = [
+        (position, group.element_type, *split_attribute_value(raw))
+        for position, group in enumerate(r.path_groups)
+        for _, raw in group.attributes
+    ]
+    assert bindings == [
         (0, "vertex", "_key", "1196741133"),
         (1, "vertex", "_key", "1196741778"),
         (2, "vertex", "_key", "1196742142"),
     ]
-    assert bindings[0].category == uris.CAT_SUBJECT
-    assert bindings[-1].category == uris.CAT_RESOURCE
+    assert r.path_groups[0].category == uris.CAT_SUBJECT
+    assert r.path_groups[-1].category == uris.CAT_RESOURCE
 
 
 def test_return_policy_id_list_attribute_is_tolerated():
@@ -99,7 +103,9 @@ def test_trailing_edge_group_via_type():
     )
     r = parse_request(xml)
     assert r.path_groups[-1].element_type == "edge"
-    assert r.path_bindings()[-1].kind == "edge"
+    assert [split_attribute_value(raw) for _, raw in r.path_groups[-1].attributes] == [
+        ("name", "link")
+    ]
 
 
 def test_edge_category_implies_edge_kind():
