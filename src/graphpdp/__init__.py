@@ -28,12 +28,7 @@ from .graph_store import (
     load_graph_path,
     serialize_graph,
 )
-from .path_matcher import (
-    PathBinding,
-    check_intersection,
-    eval_filter,
-    match_plan,
-)
+from .path_matcher import PathBinding, check_intersection, match_plan
 from .pattern_compiler import (
     EdgeStep,
     QueryPlan,
@@ -97,7 +92,6 @@ __all__ = [
     "compile_request_path",
     "compile_rule_pattern",
     "emit_cypher",
-    "eval_filter",
     "load_graph_csv",
     "load_graph_json",
     "load_graph_path",

@@ -87,19 +87,31 @@ def cmd_validate(args) -> int:
     except OSError as exc:
         return _fail(str(exc))
     problems = 0
+    # the first file to use each PolicyId and (PolicyId, RuleId) pair: the
+    # engine decides duplicates as separate policies, legal but seldom meant
+    first_use: dict[str, str] = {}
     for file in files:
         try:
             text = file.read_text(encoding="utf-8")
         except OSError as exc:
             return _fail(str(exc))
         try:
-            parse_policy(text)
+            policy = parse_policy(text)
         except PolicySchemaError as exc:
             problems += len(exc.violations)
             for violation in exc.violations:
                 print(f"{file.name}: {violation}")
-        else:
-            print(f"{file.name}: OK")
+            continue
+        print(f"{file.name}: OK")
+        for warning in policy.warnings:
+            print(f"{file.name}: warning: {warning}")
+        ids = [f"PolicyId {policy.policy_id!r}"] + [
+            f"RuleId {rule.rule_id!r} of PolicyId {policy.policy_id!r}" for rule in policy.rules
+        ]
+        for name in ids:
+            earlier = first_use.setdefault(name, file.name)
+            if earlier != file.name:
+                print(f"{file.name}: warning: {name} is already used in {earlier}")
     print(f"{len(files)} policies checked, {problems} violations")
     return 0 if problems == 0 else 1
 

@@ -30,6 +30,7 @@ import csv
 import gc
 import io
 import json
+import math
 import re
 from bisect import insort
 from contextlib import contextmanager
@@ -427,6 +428,8 @@ def _check_properties(raw: object) -> dict[str, PropertyValue]:
                     f"property {name!r} is an integer too large to compare as a number"
                 )
             raise _BadRecord(f"property {name!r} has unsupported value {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _BadRecord(f"property {name!r} is {value!r}, not a finite number")
     return raw
 
 
@@ -533,7 +536,8 @@ def serialize_graph(graph: PropertyGraph) -> str:
 def parse_csv_value(cell: str) -> PropertyValue:
     """CSV cells are text unless they are exact int/float/bool literals.
 
-    Raises :class:`GraphFormatError` for an integer no float can hold.
+    Raises :class:`GraphFormatError` for an integer no float can hold, and
+    for a float literal too large for one.
     """
     if _INT_RE.match(cell):
         value = _integer(cell)
@@ -543,7 +547,10 @@ def parse_csv_value(cell: str) -> PropertyValue:
             )
         return value
     if _FLOAT_RE.match(cell):
-        return float(cell)
+        value = float(cell)
+        if not math.isfinite(value):
+            raise GraphFormatError(f"{cell!r} is not a finite number")
+        return value
     if cell in ("true", "false"):
         return cell == "true"
     return cell

@@ -20,17 +20,19 @@ element check per step, absent for steps that constrain nothing, the
 constants of each segment (an edge step and the vertex step after it),
 and the rule filter compiled into closures, with each comparison against
 a literal specialised on that literal.  The last segment yields each
-binding where it builds it.  The compiled filter still raises evaluation
-errors eagerly, exactly where a full depth-first evaluation would; its
-pre-check runs once per intersection test.
+binding where it builds it.  Every match of a plan binds the same names,
+so the filter's errors are settled when the plan is built: a filter
+that eager, depth-first evaluation would fail raises that error on every
+call, and any other filter cannot raise.
 
 Each rule match costs the intersection test one filter call and a
 containment test, and both are kept cheap.  A filter that reads one name
-keeps its result per element for the test, so a repeated element costs a
-lookup; every rule match is still filtered, once, before its containment
-test.  When the request has one match, that test first looks in the rule
-match for a pivot, the request match's first edge, or its only vertex,
-and compares element by element only when it is there.
+and cannot fail keeps its result per element for the test, so a
+repeated element costs a lookup; every rule match is still filtered,
+once, before its containment test.  When the request has one match,
+that test first looks in the rule match for a pivot, the request
+match's first edge, or its only vertex, and compares element by element
+only when it is there.
 """
 
 from __future__ import annotations
@@ -39,15 +41,8 @@ from typing import AbstractSet, Iterable, Iterator
 
 from . import uris
 from .graph_store import PropertyGraph
-from .pattern_compiler import (
-    CompiledFilter,
-    ElementCheck,
-    Evaluator,
-    QueryPlan,
-    VertexStep,
-    compile_filter,
-)
-from .policy_model import ConditionExpr, ConstraintSet
+from .pattern_compiler import ElementCheck, Evaluator, QueryPlan, VertexStep
+from .policy_model import ConstraintSet
 
 DEFAULT_VARLEN_CAP = 8
 
@@ -240,24 +235,34 @@ def match_plan(
 # -- filter evaluation -----------------------------------------------------
 
 
-def eval_filter(
-    binding: PathBinding,
-    expr: ConditionExpr | CompiledFilter | Evaluator,
-    graph: PropertyGraph,
-) -> bool:
-    """Evaluate the rule filter on one binding.
+def eval_filter(binding: PathBinding, evaluate: Evaluator, graph: PropertyGraph) -> bool:
+    """Evaluate a plan's compiled rule filter on one of its matches.
 
-    ``expr`` is a condition tree, the plan's compiled filter, or, as the
-    matcher passes it for the later matches of a search, the evaluator
-    the compiled filter gives for them (:meth:`CompiledFilter.later`).  Raises
-    :class:`FilterEvalError` for unresolved references and lets
-    :class:`UnknownFunctionError` escape; both become Indeterminate in the
-    decision pipeline.  An absent property is not an error — comparisons
-    over it are simply false.
+    A filter the plan could not compile raises its error on every call:
+    :class:`FilterEvalError` for an unbound name, a wrong argument count
+    or a zero-argument logical, and :class:`UnknownFunctionError` for an
+    unknown function; both become Indeterminate in the decision pipeline.
+    An absent property is not an error — comparisons over it are simply
+    false.
     """
-    if not callable(expr):
-        expr = compile_filter(expr)
-    return expr(binding.names, graph)
+    return evaluate(binding.names, graph)
+
+
+def _per_element(evaluate: Evaluator, name: str) -> Evaluator:
+    """``evaluate``, a filter that reads only ``name`` and cannot fail,
+    keeping its result per element bound to ``name``: over a graph that
+    does not change, it is a function of that element."""
+    memo: dict[str, bool] = {}
+    get = memo.get
+
+    def memoised(names, graph):
+        element = names[name]
+        result = get(element)
+        if result is None:
+            result = memo[element] = evaluate(names, graph)
+        return result
+
+    return memoised
 
 
 # -- intersection ----------------------------------------------------------
@@ -274,11 +279,9 @@ def check_intersection(
 
     Rule trails from the request's own vertices are walked first: the
     answer is an existence test, so the order changes only how soon it is
-    found.  Every rule match is filtered, then tested for containment.
-    The filter's pre-check runs on the first rule match only, and a
-    filter that reads one name keeps its result per element for the later
-    ones (:meth:`CompiledFilter.later`); it raises the same error
-    whichever match comes first.  When there is one request match, the
+    found.  Every rule match is filtered, then tested for containment.  A
+    filter that reads one name and cannot fail keeps its result per
+    element for the search.  When there is one request match, the
     containment test first looks in the rule match for a pivot, that
     match's first edge, or its only vertex.
     """
@@ -296,19 +299,14 @@ def check_intersection(
     else:
         prefer = {vid for vertices, _ in requests for vid in vertices}
         pivot = None
-    rule_filter = rule_plan.compiled_filter
-    # the first rule match runs the pre-check; the evaluator for the later
-    # ones is made when a second match comes, from the first's result
-    evaluate, first = rule_filter, None
+    evaluate = None
+    if rule_plan.compiled_filter is not None:
+        evaluate, name = rule_plan.compiled_filter
+        if name is not None:
+            evaluate = _per_element(evaluate, name)
     for rule_binding in match_plan(graph, rule_plan, varlen_cap, prefer=prefer):
-        if evaluate is not None:
-            if first is not None:
-                evaluate, first = rule_filter.later(*first), None
-            passed = eval_filter(rule_binding, evaluate, graph)
-            if evaluate is rule_filter:
-                first = (rule_binding.names, passed)
-            if not passed:
-                continue
+        if evaluate is not None and not eval_filter(rule_binding, evaluate, graph):
+            continue
         vertex_seq, edge_seq = rule_binding.vertex_seq, rule_binding.edge_seq
         if pivot is not None and pivot not in (edge_seq if on_edge else vertex_seq):
             continue

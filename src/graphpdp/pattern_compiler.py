@@ -18,7 +18,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Union
+from typing import AbstractSet, Any, Callable, Union
 
 from . import uris
 from .errors import FilterEvalError, UnknownFunctionError
@@ -88,8 +88,10 @@ class QueryPlan:
     max_len, direction, edge check, vertex check, vertex binding, edge
     binding, last)``, where ``max_len`` is ``None`` when unbounded, the
     edge binding is ``None`` unless the step is a single hop, and ``last``
-    marks the final segment.  ``compiled_filter`` is ``filter`` compiled
-    by :func:`compile_filter`.  All are built once, when the plan is.
+    marks the final segment.  ``compiled_filter`` is what
+    :func:`compile_filter` gives for ``filter`` and the names every match
+    binds: each vertex step's, and that of each single-hop edge step that
+    has one.  All are built once, when the plan is.
     """
 
     steps: tuple[PlanStep, ...]
@@ -98,7 +100,7 @@ class QueryPlan:
         init=False, repr=False, compare=False
     )
     segments: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    compiled_filter: CompiledFilter | None = field(
+    compiled_filter: tuple[Evaluator, str | None] | None = field(
         init=False, repr=False, compare=False
     )
 
@@ -122,11 +124,11 @@ class QueryPlan:
             ))
         object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "segments", tuple(segments))
-        object.__setattr__(
-            self,
-            "compiled_filter",
-            None if self.filter is None else compile_filter(self.filter),
-        )
+        compiled = None
+        if self.filter is not None:
+            bound = {s.binding for s in steps if isinstance(s, VertexStep) or s.is_single_hop}
+            compiled = compile_filter(self.filter, bound - {None})
+        object.__setattr__(self, "compiled_filter", compiled)
 
 
 # -- function registry -----------------------------------------------------
@@ -292,69 +294,6 @@ Names = dict[str, str]  # binding name -> element id
 Evaluator = Callable[[Names, PropertyGraph], Any]
 
 
-class CompiledFilter:
-    """A rule filter compiled once into closures.
-
-    It raises the error that eager, depth-first evaluation would raise
-    first: ``refs`` are the binding names the filter reads before its
-    first structural error, in that order, and ``fault`` raises that
-    error.  Both are checked before ``evaluate`` runs, so ``and``/``or``
-    stop at their first deciding argument without hiding an error.
-
-    :meth:`later` gives the evaluator for the later matches of a search.
-    """
-
-    __slots__ = ("refs", "fault", "evaluate")
-
-    def __init__(
-        self,
-        refs: tuple[str, ...],
-        fault: Callable[[], Any] | None,
-        evaluate: Evaluator | None,
-    ):
-        self.refs = refs
-        self.fault = fault
-        self.evaluate = evaluate
-
-    def __call__(self, names: Names, graph: PropertyGraph) -> bool:
-        for ref in self.refs:
-            if ref not in names:
-                raise FilterEvalError(f"condition references unbound name {ref!r}")
-        if self.fault is not None:
-            self.fault()
-        return self.evaluate(names, graph)
-
-    def later(self, names: Names, result: bool) -> Evaluator:
-        """The evaluator for the later matches of a search over a graph
-        that does not change, whose first match bound ``names`` and gave
-        ``result``.
-
-        Every match of a plan binds the same names, so only the first
-        match runs the pre-check; a filter with a fault fails every call
-        anyway.  A filter with no fault that reads exactly one name is a
-        function of the element bound to that name, so its results are
-        kept per element id, one entry per element at most; an error is
-        raised, never kept.
-        """
-        if self.fault is not None:
-            return self
-        if len(self.refs) != 1:
-            return self.evaluate
-        (ref,) = self.refs
-        evaluate = self.evaluate
-        memo = {names[ref]: result}
-        get = memo.get
-
-        def memoised(names, graph):
-            element = names[ref]
-            result = get(element)
-            if result is None:
-                result = memo[element] = evaluate(names, graph)
-            return result
-
-        return memoised
-
-
 class _Fault(Exception):
     """Stops compilation at a structural error; ``raise_error`` raises it."""
 
@@ -367,15 +306,31 @@ def _fail(message: str):
     raise FilterEvalError(message)
 
 
-def compile_filter(expr: ConditionExpr) -> CompiledFilter:
-    """Compile a condition tree; structural errors are deferred to the
-    first evaluation, which is when eager evaluation raised them."""
+def compile_filter(
+    expr: ConditionExpr, bound: AbstractSet[str]
+) -> tuple[Evaluator, str | None]:
+    """Compile a condition tree for matches that bind the names ``bound``.
+
+    Gives the evaluator and, when the filter reads exactly one name and
+    cannot fail, that name.  A filter that fails under eager, depth-first
+    evaluation, by reading a name outside ``bound`` or at a structural
+    error (unknown function, wrong argument count), compiles to an
+    evaluator that raises that first error on every call.  Any other
+    filter cannot raise, so ``and``/``or`` stop at their first deciding
+    argument.
+    """
     refs: list[str] = []
     try:
         evaluate, fault = _predicate(expr, refs), None
     except _Fault as stop:
         evaluate, fault = None, stop.raise_error
-    return CompiledFilter(tuple(dict.fromkeys(refs)), fault, evaluate)
+    unbound = [ref for ref in refs if ref not in bound]
+    if unbound:
+        fault = partial(_fail, f"condition references unbound name {unbound[0]!r}")
+    if fault is not None:
+        return (lambda names, graph: fault()), None
+    reads = set(refs)
+    return evaluate, (reads.pop() if len(reads) == 1 else None)
 
 
 def _truthy(value: PropertyValue | None) -> bool:

@@ -5,7 +5,8 @@ AnyOf/AllOf/Match) plus the xacml4g extension elements: Meta at policy
 level, Pattern/Path/Vertex/Edge and PatternCondition at rule level.
 Elements are recognized by namespace URI and local name; unknown elements
 in the xacml4g namespace are rejected, unknown attributes are ignored but
-recorded as warnings on the parsed policy.
+recorded as warnings on the parsed policy, and so is a pattern Label or
+Type that the policy's Meta does not declare.
 
 Standard rule ``Condition`` elements are outside the subset and rejected
 rather than silently ignored: dropping a condition would loosen the policy.
@@ -232,6 +233,19 @@ def parse_policy(xml_text: str) -> Policy:
             _fail(path, f"unexpected xacml4g element {local_name(child)!r}")
         else:
             warnings.append(f"{path}: ignored unknown element {local_name(child)!r}")
+    if meta is not None:
+        # a Meta subset keeps only the declared entities
+        for rule in rules:
+            for i, step in enumerate(rule.pattern.steps if rule.pattern else ()):
+                if isinstance(step, PathVertexSpec):
+                    what, kind, declared = "Label", step.label, meta.vertex_entities
+                else:
+                    what, kind, declared = "Type", step.type, meta.edge_entities
+                if kind is not None and kind not in declared:
+                    warnings.append(
+                        f"{path}/Rule[{rule.rule_id}]/Pattern/step[{i}]: {what} {kind!r}"
+                        " is not declared in Meta, so the rule never matches on a Meta subset"
+                    )
 
     policy = Policy(
         policy_id=policy_id,

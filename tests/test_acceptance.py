@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from filters import eval_tree
 from graphpdp import uris
 from graphpdp.cli import run
 from graphpdp.errors import PolicySchemaError, UnknownFunctionError
 from graphpdp.graph_store import EdgeRecord, PropertyGraph, VertexRecord
-from graphpdp.path_matcher import PathBinding, check_intersection, eval_filter, match_plan
+from graphpdp.path_matcher import PathBinding, check_intersection, match_plan
 from graphpdp.pattern_compiler import known_functions, translate_function
 from graphpdp.pdp import DecisionEngine
 from graphpdp.policy_model import Apply, Designator, Literal, Policy, Rule, parse_policy
@@ -200,11 +201,11 @@ def test_condition_function_set_is_complete_and_closed():
     for fn, (left, right, expected_result) in probes.items():
         translate_function(fn)
         comparison = Apply(fn, (left, right))
-        assert eval_filter(binding, comparison, graph) is expected_result, fn
+        assert eval_tree(binding, comparison, graph) is expected_result, fn
     yes = Apply(uris.FN_EQUAL, (ref, Literal("7")))
     no = Apply(uris.FN_EQUAL, (ref, Literal("0")))
-    assert eval_filter(binding, Apply(uris.FN_OR, (no, yes)), graph)
-    assert not eval_filter(binding, Apply(uris.FN_AND, (no, yes)), graph)
+    assert eval_tree(binding, Apply(uris.FN_OR, (no, yes)), graph)
+    assert not eval_tree(binding, Apply(uris.FN_AND, (no, yes)), graph)
 
     # anything outside the set: rejected up front, Indeterminate if forced
     with pytest.raises(UnknownFunctionError):

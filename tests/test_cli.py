@@ -88,6 +88,31 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert "2 policies checked, 1 violations" in out
 
 
+def test_validate_warns_without_failing(capsys, tmp_path, demo_policy_dir):
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    (tmp_path / "a.xml").write_text(text.replace('Effect="Permit"', 'Effect="Deny"'), "utf-8")
+    # the same ids again, an ignored attribute, and a label and a type
+    # that the Meta does not declare
+    b = text.replace('Label="tasks"', 'Label="nosuchlabel" Foo="1"')
+    (tmp_path / "b.xml").write_text(b.replace('Type="accessRelations"', 'Type="t"'), "utf-8")
+    assert run(["validate", "--policies", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rule = "Policy/Rule[user_access_dataObj]"
+    assert lines == [
+        "a.xml: OK",
+        "b.xml: OK",
+        f"b.xml: warning: {rule}/Pattern/Path/Path[2]/Vertex[0]: ignored unknown attribute 'Foo'",
+        f"b.xml: warning: {rule}/Pattern/step[1]: Type 't' is not declared in Meta,"
+        " so the rule never matches on a Meta subset",
+        f"b.xml: warning: {rule}/Pattern/step[2]: Label 'nosuchlabel' is not declared in Meta,"
+        " so the rule never matches on a Meta subset",
+        "b.xml: warning: PolicyId 'pmUserToDataObject' is already used in a.xml",
+        "b.xml: warning: RuleId 'user_access_dataObj' of PolicyId 'pmUserToDataObject'"
+        " is already used in a.xml",
+        "2 policies checked, 0 violations",
+    ]
+
+
 def test_validate_missing_directory(capsys, tmp_path):
     assert run(["validate", "--policies", str(tmp_path / "ghost")]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")

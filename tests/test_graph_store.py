@@ -476,6 +476,21 @@ def test_json_rejects_integers_no_float_can_hold(literal):
         load_graph_json(two_vertex_json(edge_props=f'{{"w": {literal}}}'))
 
 
+# JSON spellings of non-finite numbers, and a literal that overflows a float
+NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf", "1e400": "inf", "-1e400": "-inf"}
+
+
+@pytest.mark.parametrize("literal", NON_FINITE, ids=NON_FINITE)
+def test_json_rejects_non_finite_numbers(literal):
+    # loaded, such a value is indexed as a number but checked as its text
+    # ("inf"), so a rule constrained to that text would miss it
+    shown = NON_FINITE[literal]
+    with pytest.raises(GraphFormatError, match=rf"vertices\[0\]: property 'n' is {shown}, not"):
+        load_graph_json(two_vertex_json(vertex_props=f'{{"n": {literal}}}'))
+    with pytest.raises(GraphFormatError, match=rf"edges\[0\]: property 'w' is {shown}, not"):
+        load_graph_json(two_vertex_json(edge_props=f'{{"w": {literal}}}'))
+
+
 def test_json_keeps_the_largest_integer_a_float_holds():
     largest = FLOAT_INT_LIMIT - 1
     g = load_graph_json(two_vertex_json(f'{{"n": {largest}}}', f'{{"w": {-largest}}}'))
@@ -566,6 +581,14 @@ def test_csv_rejects_integers_no_float_can_hold(literal):
     with pytest.raises(GraphFormatError, match="edge 'e1': property 'w': integer") as err:
         load_graph_csv("_id,_label\nA,l\n", f"_id,_type,_from,_to,w\ne1,t,A,A,{literal}\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1.5e999"])
+def test_csv_rejects_floats_no_float_can_hold(literal):
+    with pytest.raises(GraphFormatError, match=f"vertex 'B': property 'n': '{literal}' is not a"):
+        load_graph_csv(f"_id,_label,n\nA,l,1\nB,l,{literal}\n", "_id,_type,_from,_to\n")
+    with pytest.raises(GraphFormatError, match=f"edge 'e1': property 'w': '{literal}' is not a"):
+        load_graph_csv("_id,_label\nA,l\n", f"_id,_type,_from,_to,w\ne1,t,A,A,{literal}\n")
 
 
 def test_csv_header_and_row_errors():

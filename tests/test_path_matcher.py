@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from filters import eval_tree
 from graphpdp import path_matcher, uris
 from graphpdp.errors import FilterEvalError, UnknownFunctionError
 from graphpdp.graph_store import (
@@ -25,7 +26,6 @@ from graphpdp.pattern_compiler import (
     EdgeStep,
     QueryPlan,
     VertexStep,
-    compile_filter,
     element_check,
 )
 from graphpdp.pdp import DecisionEngine, compile_rule
@@ -240,29 +240,29 @@ def test_filter_comparisons():
     g, b = filter_graph()
     e_kind = des("typeKind", uris.CAT_PATH_EDGE, "e")
     age = des("age", uris.CAT_PATH_VERTEX, "s")
-    assert eval_filter(b, Apply(uris.FN_EQUAL, (e_kind, Literal("worksOn"))), g)
-    assert not eval_filter(b, Apply(uris.FN_EQUAL, (e_kind, Literal("allocates"))), g)
-    assert eval_filter(b, Apply(uris.FN_GREATER_THAN, (age, Literal("40"))), g)
-    assert eval_filter(b, Apply(uris.FN_LESS_THAN_OR_EQUAL, (age, Literal("41"))), g)
-    assert eval_filter(
+    assert eval_tree(b, Apply(uris.FN_EQUAL, (e_kind, Literal("worksOn"))), g)
+    assert not eval_tree(b, Apply(uris.FN_EQUAL, (e_kind, Literal("allocates"))), g)
+    assert eval_tree(b, Apply(uris.FN_GREATER_THAN, (age, Literal("40"))), g)
+    assert eval_tree(b, Apply(uris.FN_LESS_THAN_OR_EQUAL, (age, Literal("41"))), g)
+    assert eval_tree(
         b, Apply(uris.FN_STRING_EQUAL_IGNORE_CASE, (e_kind, Literal("WORKSON"))), g
     )
-    assert eval_filter(b, Apply(uris.FN_STRING_STARTS_WITH, (e_kind, Literal("works"))), g)
+    assert eval_tree(b, Apply(uris.FN_STRING_STARTS_WITH, (e_kind, Literal("works"))), g)
 
 
 def test_filter_absent_property_is_false():
     g, b = filter_graph()
     ghost = des("salary", uris.CAT_PATH_VERTEX, "s")
-    assert not eval_filter(b, Apply(uris.FN_EQUAL, (ghost, Literal("x"))), g)
+    assert not eval_tree(b, Apply(uris.FN_EQUAL, (ghost, Literal("x"))), g)
     # and not-equal does not sneak through either
-    assert not eval_filter(b, Apply(uris.FN_NOT_EQUAL, (ghost, Literal("x"))), g)
+    assert not eval_tree(b, Apply(uris.FN_NOT_EQUAL, (ghost, Literal("x"))), g)
 
 
 def test_filter_mixed_types_are_false():
     g, b = filter_graph()
     age = des("age", uris.CAT_PATH_VERTEX, "s")
-    assert not eval_filter(b, Apply(uris.FN_EQUAL, (age, Literal("young"))), g)
-    assert not eval_filter(b, Apply(uris.FN_NOT_EQUAL, (age, Literal("young"))), g)
+    assert not eval_tree(b, Apply(uris.FN_EQUAL, (age, Literal("young"))), g)
+    assert not eval_tree(b, Apply(uris.FN_NOT_EQUAL, (age, Literal("young"))), g)
 
 
 def test_filter_logicals():
@@ -270,16 +270,16 @@ def test_filter_logicals():
     e_kind = des("typeKind", uris.CAT_PATH_EDGE, "e")
     yes = Apply(uris.FN_EQUAL, (e_kind, Literal("worksOn")))
     no = Apply(uris.FN_EQUAL, (e_kind, Literal("allocates")))
-    assert eval_filter(b, Apply(uris.FN_OR, (no, yes)), g)
-    assert not eval_filter(b, Apply(uris.FN_AND, (no, yes)), g)
-    assert eval_filter(b, Apply(uris.FN_AND, (yes, yes, yes)), g)
+    assert eval_tree(b, Apply(uris.FN_OR, (no, yes)), g)
+    assert not eval_tree(b, Apply(uris.FN_AND, (no, yes)), g)
+    assert eval_tree(b, Apply(uris.FN_AND, (yes, yes, yes)), g)
 
 
 def test_filter_literal_truthiness():
     g, b = filter_graph()
-    assert eval_filter(b, Literal("true"), g)
-    assert not eval_filter(b, Literal("false"), g)
-    assert not eval_filter(b, Literal("yes"), g)
+    assert eval_tree(b, Literal("true"), g)
+    assert not eval_tree(b, Literal("false"), g)
+    assert not eval_tree(b, Literal("yes"), g)
 
 
 def test_filter_error_paths():
@@ -288,16 +288,25 @@ def test_filter_error_paths():
         uris.FN_EQUAL, (des("x", uris.CAT_PATH_EDGE, "ghost"), Literal("1"))
     )
     with pytest.raises(FilterEvalError, match="unbound name 'ghost'"):
-        eval_filter(b, unbound, g)
+        eval_tree(b, unbound, g)
     with pytest.raises(FilterEvalError, match="zero arguments"):
-        eval_filter(b, Apply(uris.FN_AND, ()), g)
+        eval_tree(b, Apply(uris.FN_AND, ()), g)
     with pytest.raises(FilterEvalError, match="two arguments"):
-        eval_filter(b, Apply(uris.FN_EQUAL, (Literal("1"),)), g)
+        eval_tree(b, Apply(uris.FN_EQUAL, (Literal("1"),)), g)
     with pytest.raises(UnknownFunctionError):
-        eval_filter(b, Apply("xacml4g:1.0:function:xor", (Literal("1"), Literal("2"))), g)
+        eval_tree(b, Apply("xacml4g:1.0:function:xor", (Literal("1"), Literal("2"))), g)
 
 
 XOR = "xacml4g:1.0:function:xor"
+
+
+def filter_run(form: str, b: PathBinding, g: PropertyGraph):
+    """Evaluate a tree on ``b``: compiled for ``b``'s names ("tree"), or
+    as the filter of a plan whose matches bind ``s``, ``e`` and ``r``."""
+    if form == "tree":
+        return lambda expr: eval_tree(b, expr, g)
+    steps = (VertexStep("s"), EdgeStep(binding="e"), VertexStep("r"))
+    return lambda expr: eval_filter(b, QueryPlan(steps, filter=expr).compiled_filter[0], g)
 
 
 @pytest.mark.parametrize("form", ["tree", "compiled"])
@@ -307,7 +316,7 @@ def test_short_circuit_never_hides_an_error(form):
     ghost = Apply(uris.FN_EQUAL, (des("x", uris.CAT_PATH_VERTEX, "ghost"), Literal("1")))
     expr = Apply(uris.FN_OR, (yes, ghost))
     with pytest.raises(FilterEvalError, match="unbound name 'ghost'"):
-        eval_filter(b, expr if form == "tree" else compile_filter(expr), g)
+        filter_run(form, b, g)(expr)
 
 
 @pytest.mark.parametrize("form", ["tree", "compiled"])
@@ -315,9 +324,7 @@ def test_filter_errors_follow_depth_first_order(form):
     g, b = filter_graph()
     ghost = Apply(uris.FN_EQUAL, (des("x", uris.CAT_PATH_VERTEX, "ghost"), Literal("1")))
     xor = Apply(XOR, (Literal("1"), Literal("2")))
-
-    def run(expr):
-        return eval_filter(b, expr if form == "tree" else compile_filter(expr), g)
+    run = filter_run(form, b, g)
 
     with pytest.raises(FilterEvalError, match="unbound name 'ghost'"):
         run(Apply(uris.FN_AND, (ghost, xor)))
@@ -346,7 +353,7 @@ def test_comparisons_against_a_literal_equal_the_oracle(value):
         for literal in map(Literal, COMPARED_LITERALS):
             for args in ((prop, literal), (literal, prop)):
                 expr = Apply(function, args)
-                assert eval_filter(b, compile_filter(expr), g) == oracles.filter_oracle(
+                assert eval_tree(b, expr, g) == oracles.filter_oracle(
                     g, b, expr
                 ), (function, args)
 
@@ -413,6 +420,19 @@ def test_empty_request_side_short_circuits():
     )
     request_plan = plan(pin("x", "does-not-exist"))
     assert not check_intersection(g, rule_plan, request_plan)
+
+
+def test_a_variable_length_edge_name_is_unbound():
+    # a walk of several hops binds no one edge, so a filter that reads the
+    # step's name fails like any other unbound name
+    g = chain(3)
+    reads_p = Apply(uris.FN_EQUAL, (des("kind", uris.CAT_PATH_EDGE, "p"), Literal("x")))
+    rule_plan = QueryPlan(
+        (pin("a", "c0"), EdgeStep(binding="p", max_len=2), VertexStep("z")), filter=reads_p
+    )
+    assert list(match_plan(g, rule_plan))
+    with pytest.raises(FilterEvalError, match="^condition references unbound name 'p'$"):
+        check_intersection(g, rule_plan, plan(pin("x", "c0")))
 
 
 def parallel_pair() -> PropertyGraph:
@@ -544,13 +564,13 @@ DEMO_PATH = plan(
 def test_a_one_name_filter_runs_once_per_element(monkeypatch, demo_policy, demo_graph):
     graph = with_rival_managers(demo_graph)
     rule_plan = compile_rule(demo_policy.rules[0])
-    compiled = rule_plan.compiled_filter
-    assert compiled.refs == ("e",)
+    evaluate, name = rule_plan.compiled_filter
+    assert name == "e"
     matches = list(match_plan(graph, rule_plan))
     elements = {b.names["e"] for b in matches}
     assert len(elements) < len(matches)
     runs, calls = [], []
-    evaluate, original = compiled.evaluate, path_matcher.eval_filter
+    original = path_matcher.eval_filter
 
     def counting(names, graph):
         runs.append(names["e"])
@@ -560,17 +580,12 @@ def test_a_one_name_filter_runs_once_per_element(monkeypatch, demo_policy, demo_
         calls.append(binding)
         return original(binding, expr, graph)
 
-    monkeypatch.setattr(compiled, "evaluate", counting)
+    # the plan is this test's own, so its filter may count evaluations
+    object.__setattr__(rule_plan, "compiled_filter", (counting, name))
     monkeypatch.setattr(path_matcher, "eval_filter", recording)
     assert not check_intersection(graph, rule_plan, REVIEWER_PATH)
     # one eval_filter call per rule match, one evaluation per element
     assert len(calls) == len(matches)
-    assert sorted(runs) == sorted(elements)
-    # the later matches' evaluator starts from the first match's result
-    runs.clear()
-    later = compiled.later(matches[0].names, compiled(matches[0].names, graph))
-    for binding in matches:
-        later(binding.names, graph)
     assert sorted(runs) == sorted(elements)
 
 
@@ -587,17 +602,23 @@ DESIGN_DOC = equal("_v4", uris.CAT_PATH_VERTEX, "typeCode", "designDoc")
     Apply(uris.FN_AND, (DESIGN_DOC, Apply(uris.FN_STRING_STARTS_WITH, (
         des("_key", uris.CAT_PATH_VERTEX, "s"), Literal("11"))))),
 ], ids=["one name", "two names"])
-def test_search_evaluators_equal_the_oracle(condition, demo_policy, demo_graph):
+def test_search_evaluators_equal_the_oracle(condition, monkeypatch, demo_policy, demo_graph):
     graph = with_rival_managers(demo_graph)
     rule_plan = QueryPlan(compile_rule(demo_policy.rules[0]).steps, filter=condition)
     matches = list(match_plan(graph, rule_plan))
-    compiled = rule_plan.compiled_filter
-    first = compiled(matches[0].names, graph)
-    later = compiled.later(matches[0].names, first)
-    got = [first] + [later(b.names, graph) for b in matches[1:]]
-    want = [oracles.filter_oracle(graph, b, condition) for b in matches]
-    assert got == want
-    assert 0 < sum(want) < len(want)
+    results, original = {}, path_matcher.eval_filter
+
+    def recording(binding, expr, graph):
+        results[binding] = original(binding, expr, graph)
+        return results[binding]
+
+    monkeypatch.setattr(path_matcher, "eval_filter", recording)
+    # no rule match holds the reviewer's path, so the search filters them all
+    assert not check_intersection(graph, rule_plan, REVIEWER_PATH)
+    monkeypatch.undo()
+    want = {b: oracles.filter_oracle(graph, b, condition) for b in matches}
+    assert results == want
+    assert 0 < sum(want.values()) < len(want)
     for request_plan in (REVIEWER_PATH, DEMO_PATH):
         assert check_intersection(graph, rule_plan, request_plan) == (
             oracles.intersection_oracle(graph, rule_plan, request_plan))
@@ -616,7 +637,7 @@ def test_filter_errors_survive_the_memo(condition, demo_policy, demo_graph_file)
         errors = set()
         for binding in matches:
             with pytest.raises((FilterEvalError, UnknownFunctionError)) as raised:
-                eval_filter(binding, condition, graph)
+                eval_tree(binding, condition, graph)
             errors.add((raised.type, str(raised.value)))
         (error,) = errors  # every match raises the same error
         for request_plan in (REVIEWER_PATH, DEMO_PATH):
@@ -705,6 +726,21 @@ def test_check_intersection_equals_oracle(data):
     got = check_intersection(g, rule_plan, request_plan, varlen_cap=3)
     want = oracles.intersection_oracle(g, rule_plan, request_plan, varlen_cap=3)
     assert got == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_every_binding_binds_the_names_of_its_plan(data):
+    # each vertex step's name, and that of each named single-hop edge step
+    g = data.draw(strategies.graphs())
+    p = data.draw(strategies.plans(g))
+    want = {step.binding for step in p.steps if isinstance(step, VertexStep)} | {
+        step.binding
+        for step in p.steps
+        if isinstance(step, EdgeStep) and step.min_len == step.max_len == 1 and step.binding
+    }
+    for binding in match_plan(g, p, varlen_cap=3):
+        assert set(binding.names) == want
 
 
 @settings(max_examples=60, deadline=None)
