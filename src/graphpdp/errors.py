@@ -18,7 +18,8 @@ class MissingEndpointError(GraphError):
 
 
 class FrozenGraphError(GraphError):
-    """Mutation attempted on a snapshot."""
+    """Mutation attempted on a frozen graph: a loaded graph, a subset or a
+    snapshot."""
 
 
 class GraphFormatError(GraphError):

@@ -1,4 +1,4 @@
-"""In-memory property graph with file importers and snapshot support.
+"""In-memory property graph with file importers and frozen, shared views.
 
 The graph holds vertices with exactly one label and edges with exactly one
 type, each carrying a scalar property map.  Property values are plain
@@ -12,16 +12,17 @@ value semantics the engine relies on:
 * :func:`as_text` is the canonical textual rendering used for
   lexicographic comparison and for string match functions.
 
-A graph is built in one of three ways, each keeping every vertex's hop
-lists sorted and its label and property indexes current:
+Records are immutable, so graphs share them.  A graph is built in one of
+three ways, each keeping every vertex's hop lists sorted and its label
+and property indexes current:
 
 * ``add_vertex``/``add_edge`` insert one element at a time;
 * the file importers check every record, add the vertices, then link the
-  edges in bulk, sorting each hop list once at the end;
-* :meth:`PropertyGraph.snapshot` and :func:`build_source_subset` derive a
-  copy from a built graph's own sorted hop lists, dropping the edges they
-  do not keep, so nothing is sorted again; the copy's indexes are built
-  from its records.
+  edges in bulk, sorting each hop list once at the end, and freeze it;
+* :func:`build_source_subset` and :meth:`PropertyGraph.snapshot` derive a
+  frozen graph holding a built graph's own records, its sorted hop lists
+  and index sets filtered to what it keeps, so nothing is sorted or
+  indexed again; a frozen graph is its own snapshot.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import re
 from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator
+from types import MappingProxyType
+from typing import AbstractSet, Iterator, Mapping
 
 from .errors import (
     DuplicateIdError,
@@ -69,7 +71,7 @@ def strict_equal(a: PropertyValue, b: PropertyValue) -> bool:
     return value_kind(a) == value_kind(b) and a == b
 
 
-def props_equal(a: dict[str, PropertyValue], b: dict[str, PropertyValue]) -> bool:
+def props_equal(a: Mapping[str, PropertyValue], b: Mapping[str, PropertyValue]) -> bool:
     if a.keys() != b.keys():
         return False
     return all(strict_equal(a[k], b[k]) for k in a)
@@ -116,15 +118,14 @@ def loose_equal(a: PropertyValue, b: PropertyValue) -> bool:
     return canonical_key(a) == canonical_key(b)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class VertexRecord:
     id: str
     label: str
-    properties: dict[str, PropertyValue] = field(default_factory=dict)
+    properties: Mapping[str, PropertyValue] = field(default_factory=dict)
 
-    def copy(self) -> "VertexRecord":
-        """Same record with its own property dict."""
-        return VertexRecord(self.id, self.label, dict(self.properties))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "properties", MappingProxyType(dict(self.properties)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexRecord):
@@ -136,19 +137,16 @@ class VertexRecord:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class EdgeRecord:
     id: str
     type: str
     from_id: str
     to_id: str
-    properties: dict[str, PropertyValue] = field(default_factory=dict)
+    properties: Mapping[str, PropertyValue] = field(default_factory=dict)
 
-    def copy(self) -> "EdgeRecord":
-        """Same record with its own property dict."""
-        return EdgeRecord(
-            self.id, self.type, self.from_id, self.to_id, dict(self.properties)
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "properties", MappingProxyType(dict(self.properties)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeRecord):
@@ -185,15 +183,12 @@ def _collector_paused():
 
 
 class PropertyGraph:
-    """Mutable property graph with sorted hop lists and vertex indexes.
+    """Property graph with sorted hop lists and vertex indexes.
 
-    ``snapshot()`` returns a frozen copy with fresh records, hop lists and
-    index sets, its hop lists derived from this graph's own rather than
-    re-inserted, that later mutations of the live graph cannot affect;
-    evaluations run against snapshots.  A graph's indexes hold each
-    record's label and property values as they were when it was added;
-    a snapshot or subset indexes the values its records hold when it is
-    taken.
+    A graph built with ``add_vertex``/``add_edge`` is mutable; loaded
+    graphs and subsets are frozen, and evaluations run against frozen
+    graphs.  ``snapshot()`` returns a frozen graph itself, and derives one
+    from a mutable graph that later inserts into it cannot reach.
     """
 
     def __init__(self) -> None:
@@ -216,10 +211,6 @@ class PropertyGraph:
             raise DuplicateIdError(f"duplicate vertex id {vertex.id!r}")
         self._vertices[vertex.id] = vertex
         self._hops[vertex.id] = ([], [], [])
-        self._index_vertex(vertex)
-
-    def _index_vertex(self, vertex: VertexRecord) -> None:
-        """Enter ``vertex`` under its label and each property value."""
         self._label_index.setdefault(vertex.label, set()).add(vertex.id)
         for name, value in vertex.properties.items():
             key = (name, canonical_key(value))
@@ -258,7 +249,7 @@ class PropertyGraph:
 
     def _check_mutable(self) -> None:
         if self._frozen:
-            raise FrozenGraphError("graph snapshot is immutable")
+            raise FrozenGraphError("graph is frozen")
 
     # -- access ------------------------------------------------------------
 
@@ -315,34 +306,29 @@ class PropertyGraph:
     # -- snapshots & equality ---------------------------------------------
 
     def snapshot(self) -> "PropertyGraph":
-        """Frozen copy of this graph, derived from its own structures (see
-        :meth:`_derived`); later mutation of this graph cannot reach it."""
-        clone = self._derived()
-        clone._frozen = True
-        return clone
+        """This graph when it is frozen, else a frozen graph derived from
+        it (see :meth:`_derived`) that later inserts cannot reach."""
+        return self if self._frozen else self._derived()
 
     def _derived(
         self,
         labels: AbstractSet[str] | None = None,
         types: AbstractSet[str] | None = None,
     ) -> "PropertyGraph":
-        """Copy of the vertices labelled in ``labels`` and of the edges
-        typed in ``types`` whose endpoints are both kept (``None`` keeps
-        every label or type).
+        """Frozen graph of the vertices labelled in ``labels`` and of the
+        edges typed in ``types`` whose endpoints are both kept (``None``
+        keeps every label or type).
 
-        The copy has fresh records and each kept vertex's sorted hop lists
-        filtered to the kept edges, so still sorted and never sorted again.
-        Its label and property indexes are built from the copied records,
-        so a record changed in place since it was added is indexed by its
-        current values.  No record, list or set is shared with this graph.
+        It holds this graph's own records, each kept vertex's sorted hop
+        lists filtered to the kept edges and each index set cut down to the
+        kept vertices.  No list or set is shared with this graph.
         """
         graph = PropertyGraph()
         with _collector_paused():
             vertices = graph._vertices
             for vid, vertex in self._vertices.items():
                 if labels is None or vertex.label in labels:
-                    vertices[vid] = copy = vertex.copy()
-                    graph._index_vertex(copy)
+                    vertices[vid] = vertex
             edges = graph._edges
             for eid, edge in self._edges.items():
                 if (
@@ -350,19 +336,17 @@ class PropertyGraph:
                     and edge.from_id in vertices
                     and edge.to_id in vertices
                 ):
-                    edges[eid] = edge.copy()
+                    edges[eid] = edge
             hops, kept_hops = self._hops, graph._hops
-            every_edge = len(edges) == len(self._edges)
             for vid in vertices:
-                out_hops, in_hops, any_hops = hops[vid]
-                if every_edge:
-                    kept_hops[vid] = (out_hops[:], in_hops[:], any_hops[:])
-                else:
-                    kept_hops[vid] = (
-                        [hop for hop in out_hops if hop[0] in edges],
-                        [hop for hop in in_hops if hop[0] in edges],
-                        [hop for hop in any_hops if hop[0] in edges],
-                    )
+                kept_hops[vid] = tuple(
+                    [hop for hop in hop_list if hop[0] in edges]
+                    for hop_list in hops[vid]
+                )
+            kept = vertices.keys()
+            graph._label_index = _cut(self._label_index, kept)
+            graph._vertex_prop_index = _cut(self._vertex_prop_index, kept)
+        graph._frozen = True
         return graph
 
     def __eq__(self, other: object) -> bool:
@@ -380,13 +364,18 @@ class PropertyGraph:
         return f"PropertyGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
+def _cut(index: dict, kept: AbstractSet[str]) -> dict:
+    """``index`` with each id set cut down to ``kept``, empty sets dropped."""
+    return {key: ids for key, found in index.items() if (ids := found & kept)}
+
+
 def build_source_subset(meta: Meta, source: PropertyGraph) -> PropertyGraph:
     """Filter ``source`` down to the entities a policy declares relevant.
 
     Keeps the vertices whose label is listed in ``meta`` and the edges whose
     type is listed and whose endpoints both survived the vertex filter.
-    The subset is derived from ``source``'s own hop lists and indexes, as
-    a snapshot is, and shares nothing with it.
+    The subset is frozen and holds ``source``'s own records; its hop lists
+    and index sets are derived from ``source``'s, as a snapshot's are.
     """
     return source._derived(set(meta.vertex_entities), set(meta.edge_entities))
 
@@ -435,8 +424,7 @@ def _check_properties(raw: object) -> dict[str, PropertyValue]:
 
 def _json_records(raws: list, record: type, fields: tuple[str, ...], what: str) -> list:
     """``record(*fields, properties)`` for each raw object of the array
-    ``what``, checked; an error names the object as ``what[i]``.  The
-    decoded property objects are fresh, so the records keep them."""
+    ``what``, checked; an error names the object as ``what[i]``."""
     allowed = {*fields, "properties"}
     records = []
     for i, raw in enumerate(raws):
@@ -469,6 +457,8 @@ def load_graph_json(text: str) -> PropertyGraph:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:
         raise GraphFormatError(
             "top level must be an object with exactly 'vertices' and 'edges'"
@@ -488,7 +478,7 @@ def _link(vertices: list[VertexRecord], edges: list[EdgeRecord]) -> PropertyGrap
     # paused.  Each edge is checked as add_edge would (a missing endpoint
     # first, then its id) and appends its hops; each hop list is sorted
     # once at the end, and as hops are unique that is the order insort
-    # gives.
+    # gives.  The graph comes back frozen.
     graph = PropertyGraph()
     for vertex in vertices:
         graph.add_vertex(vertex)
@@ -502,6 +492,7 @@ def _link(vertices: list[VertexRecord], edges: list[EdgeRecord]) -> PropertyGrap
     for hop_lists in graph._hops.values():
         for hop_list in hop_lists:
             hop_list.sort()
+    graph._frozen = True
     return graph
 
 

@@ -37,6 +37,10 @@ DIRECTION_FROM = "from"
 DIRECTION_TO = "to"
 DIRECTION_ANY = "any"
 
+# deepest Apply nesting a condition may have: parsing, compiling and
+# evaluating a condition each recurse once per level
+MAX_APPLY_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -478,14 +482,16 @@ def _parse_pattern_condition(
     return _parse_apply(children[0], f"{path}/Apply", warnings)
 
 
-def _parse_apply(elem: ET.Element, path: str, warnings: list[str]) -> Apply:
+def _parse_apply(elem: ET.Element, path: str, warnings: list[str], depth: int = 1) -> Apply:
+    if depth > MAX_APPLY_DEPTH:
+        _fail(path, f"Apply nested more than {MAX_APPLY_DEPTH} levels deep")
     _check_attrs(elem, {"FunctionId"}, path, warnings)
     function = _require_attr(elem, "FunctionId", path)
     args: list[ConditionExpr] = []
     for i, child in enumerate(elem):
         child_path = f"{path}/{local_name(child)}[{i}]"
         if is_core(child, "Apply"):
-            args.append(_parse_apply(child, child_path, warnings))
+            args.append(_parse_apply(child, child_path, warnings, depth + 1))
         elif is_core(child, "AttributeValue"):
             args.append(Literal(text_of(child)))
         elif is_core(child, "AttributeDesignator"):

@@ -374,6 +374,66 @@ def test_eval_rejects_broken_policy_directory(capsys, tmp_path, demo_request_fil
     assert "Effect must be Permit or Deny" in err
 
 
+def test_eval_rejects_a_graph_nested_too_deeply(capsys, tmp_path, demo_policy_dir, demo_request_file):
+    graph = tmp_path / "graph.json"
+    graph.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run(eval_args(demo_policy_dir, demo_request_file, graph)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON: nested too deeply\n"
+
+
+def nested_condition_policy_dir(tmp_path, demo_policy_dir, depth: int) -> Path:
+    """The demo policy with its condition wrapped in ``depth`` one-argument
+    ``and`` Applies."""
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    start = text.index("<xacml:Apply")
+    end = text.rindex("</xacml:Apply>") + len("</xacml:Apply>")
+    opening = '<xacml:Apply FunctionId="xacml4g:1.0:function:and">' * depth
+    policy_dir = tmp_path / f"deep{depth}"
+    policy_dir.mkdir()
+    (policy_dir / "deep.xml").write_text(
+        text[:start] + opening + text[start:end] + "</xacml:Apply>" * depth + text[end:],
+        encoding="utf-8",
+    )
+    return policy_dir
+
+
+@pytest.mark.parametrize("depth", [600, 100_000])
+def test_a_condition_nested_too_deeply_is_a_violation(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, depth
+):
+    policy_dir = nested_condition_policy_dir(tmp_path, demo_policy_dir, depth)
+    request = ["--request", str(demo_request_file)]
+    commands = {
+        "eval": eval_args(policy_dir, demo_request_file, demo_graph_file),
+        "serve": ["serve", "--policies", str(policy_dir), "--graph", str(demo_graph_file)],
+        "emit-cypher": ["emit-cypher", "--policies", str(policy_dir), *request,
+                        "--rule", "user_access_dataObj"],
+    }
+    too_deep = "Apply nested more than 100 levels deep"
+    for name, args in commands.items():
+        assert run(args) == EXIT_USAGE, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err.startswith("error: deep.xml: Policy/Rule[user_access_dataObj]/")
+        assert captured.err.endswith(f": {too_deep}\n"), name
+    assert run(["validate", "--policies", str(policy_dir)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("deep.xml: Policy/Rule[user_access_dataObj]/PatternCondition/")
+    assert lines[0].endswith(f": {too_deep}")
+    assert lines[1:] == ["1 policies checked, 1 violations"]
+
+
+def test_a_condition_at_the_depth_limit_decides(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file
+):
+    # the demo condition is two Applies deep, so 98 wrappers reach the limit
+    policy_dir = nested_condition_policy_dir(tmp_path, demo_policy_dir, 98)
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 0
+    assert capsys.readouterr().out == PERMIT_XML
+
+
 # -- emit-cypher ------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -155,21 +156,58 @@ def test_hops_sorted_per_direction():
     assert [eid for eid, _ in g.hops("A", "to")] == ["e0", "e2", "e4"]
 
 
+def assert_unchangeable(record, field_name: str) -> None:
+    """Neither a property nor the field ``field_name`` of ``record`` can
+    be set in place."""
+    with pytest.raises(TypeError):
+        record.properties["typeCode"] = "changed"
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, field_name, "changed")
+
+
+def test_records_are_immutable_copies_of_what_they_were_built_with():
+    properties = {"typeCode": "pmUser"}
+    vertex = VertexRecord("A", "dataObjects", properties)
+    edge = EdgeRecord("e1", "accessRelations", "A", "A", properties)
+    properties["typeCode"] = "changed"
+    assert vertex.properties == edge.properties == {"typeCode": "pmUser"}
+    assert_unchangeable(vertex, "label")
+    assert_unchangeable(edge, "type")
+    assert vertex.properties == {"typeCode": "pmUser"}
+    edited = replace(vertex, properties={"typeCode": "changed"})
+    assert edited.properties == {"typeCode": "changed"}
+    assert_unchangeable(edited, "id")
+
+
 def test_snapshot_is_isolated_and_frozen():
     g = small_graph()
     snap = g.snapshot()
+    assert snap is not g and snap.snapshot() is snap
+    # the records are shared, and cannot change in place
+    assert all(snap.vertex(v) is g.vertex(v) for v in g.vertex_ids())
+    assert all(snap.edge(e) is g.edge(e) for e in g.edge_ids())
+    assert_unchangeable(g.vertex("A"), "label")
+    assert_unchangeable(g.edge("e1"), "to_id")
     g.add_vertex(VertexRecord("D", "tasks", {}))
-    g.vertex("A").properties["typeCode"] = "changed"
     assert snap.vertex_count == 3
     assert snap.vertex("A").properties["typeCode"] == "pmUser"
     g.add_edge(EdgeRecord("e3", "taskDataRelations", "C", "A", {}))
-    g.edge("e1").properties["typeKind"] = "changed"
     assert snap.edge_count == 2
     assert snap.hops("A", "any") == [("e1", "B")]
     assert snap.hops("C", "from") == []
     assert snap.edge("e1").properties["typeKind"] == "worksOn"
     with pytest.raises(FrozenGraphError):
         snap.add_vertex(VertexRecord("E", "tasks", {}))
+    # a snapshot of a graph built from edited records holds and indexes them
+    edited = inserted(
+        [replace(v, properties={"typeCode": "changed"}) if v.id == "A" else v for v in g.vertices()],
+        [replace(e, properties={"typeKind": "changed"}) if e.id == "e1" else e for e in g.edges()],
+    ).snapshot()
+    assert edited.vertex("A").properties["typeCode"] == "changed"
+    assert edited.edge("e1").properties["typeKind"] == "changed"
+    assert edited.vertices_with_property("typeCode", "changed") == {"A"}
+    assert edited.vertices_with_property("typeCode", "pmUser") == set()
+    assert snap.vertices_with_property("typeCode", "pmUser") == {"A"}
     # no hop list or index set is shared with the live graph
     before = structure(snap)
     g.add_vertex(VertexRecord("F", "dataObjects", {"typeCode": "pmUser", "_key": 7}))
@@ -205,12 +243,12 @@ def structure(g: PropertyGraph, probes=()) -> dict:
 
 
 def inserted(vertices, edges) -> PropertyGraph:
-    """Copies of the records put through add_vertex/add_edge."""
+    """A mutable graph of the records, put through add_vertex/add_edge."""
     g = PropertyGraph()
     for vertex in vertices:
-        g.add_vertex(vertex.copy())
+        g.add_vertex(vertex)
     for edge in edges:
-        g.add_edge(edge.copy())
+        g.add_edge(edge)
     return g
 
 
@@ -246,22 +284,24 @@ def test_loaded_and_derived_graphs_equal_the_insert_path(drawn):
     snap = g.snapshot()
     assert snap == g
     assert structure(snap, probes) == structure(inserted(g.vertices(), g.edges()), probes)
-    kept = [v for v in g.vertices() if v.label in meta.vertex_entities]
-    kept_ids = {v.id for v in kept}
-    subset = build_source_subset(meta, g)
-    assert structure(subset, probes) == structure(
-        inserted(
-            kept,
-            [
-                e
-                for e in g.edges()
-                if e.type in meta.edge_entities
-                and e.from_id in kept_ids
-                and e.to_id in kept_ids
-            ],
-        ),
-        probes,
-    )
+    # a subset of the mutable source, and one of the frozen loaded source,
+    # whose records come in id order
+    for source in (g, load_graph_json(text)):
+        kept = [v for v in source.vertices() if v.label in meta.vertex_entities]
+        kept_ids = {v.id for v in kept}
+        assert structure(build_source_subset(meta, source), probes) == structure(
+            inserted(
+                kept,
+                [
+                    e
+                    for e in source.edges()
+                    if e.type in meta.edge_entities
+                    and e.from_id in kept_ids
+                    and e.to_id in kept_ids
+                ],
+            ),
+            probes,
+        )
 
 
 # -- subset filtering -------------------------------------------------------
@@ -302,50 +342,65 @@ def test_subset_matches_independent_filter():
     assert set(subset.edge_ids()) == wanted_e
 
 
-def test_subset_shares_nothing_with_its_source():
+def test_subset_shares_only_its_records_with_its_source():
     source = audit_heavy_source()
     subset = build_source_subset(DEMO_META, source)
+    assert all(subset.vertex(v) is source.vertex(v) for v in subset.vertex_ids())
+    assert all(subset.edge(e) is source.edge(e) for e in subset.edge_ids())
+    assert_unchangeable(source.vertex("A"), "label")
     before = structure(subset)
     source.add_vertex(VertexRecord("D", "dataObjects", {"typeCode": "pmUser"}))
     source.add_vertex(VertexRecord("E", "tasks", {"_key": 7}))
     source.add_edge(EdgeRecord("e3", "taskDataRelations", "C", "A", {}))
-    source.vertex("A").properties["typeCode"] = "changed"
     assert structure(subset) == before
     assert subset.vertices_with_label("tasks") == {"B"}
     assert subset.vertices_with_property("typeCode", "pmUser") == {"A"}
     assert subset.hops("A", "any") == [("e1", "B")]
     assert subset.hops("C", "from") == []
-    # a subset stays mutable, and its own inserts leave the source alone
-    subset.add_edge(EdgeRecord("e4", "accessRelations", "B", "C", {}))
+    # a subset is frozen: it is its own snapshot and refuses inserts
+    assert subset.snapshot() is subset
+    with pytest.raises(FrozenGraphError):
+        subset.add_edge(EdgeRecord("e4", "accessRelations", "B", "C", {}))
     assert source.hops("B", "from") == [("e2", "C")]
+    # a subset of a loaded, frozen source holds the source's records too
+    loaded = load_graph_json(serialize_graph(source))
+    loaded_subset = build_source_subset(DEMO_META, loaded)
+    assert loaded_subset.snapshot() is loaded_subset
+    assert all(loaded_subset.vertex(v) is loaded.vertex(v) for v in loaded_subset.vertex_ids())
+    assert all(loaded_subset.edge(e) is loaded.edge(e) for e in loaded_subset.edge_ids())
 
 
-def test_copies_index_records_by_their_values_when_taken():
+def test_graphs_of_edited_records_index_the_new_values():
     source = audit_heavy_source()
-    # edited in place after insertion: a snapshot or subset taken now
-    # indexes the new values, as one re-inserting the records would
-    source.vertex("A").properties["typeCode"] = "extUser"
-    source.vertex("X").label = "tasks"
+    assert_unchangeable(source.vertex("X"), "label")
+    # records edited with replace(): a graph built from them, and every
+    # snapshot and subset derived from it, index the new values
+    changes = {"A": {"properties": {"typeCode": "extUser"}}, "X": {"label": "tasks"}}
+    edited = inserted(
+        [replace(v, **changes.get(v.id, {})) for v in source.vertices()], source.edges()
+    )
     probes = [("audit", ("typeCode", "pmUser")), ("tasks", ("typeCode", "extUser"))]
-    snap = source.snapshot()
+    snap = edited.snapshot()
     assert snap.vertices_with_property("typeCode", "extUser") == {"A"}
     assert snap.vertices_with_property("typeCode", "pmUser") == set()
     assert snap.vertices_with_label("tasks") == {"B", "X"}
     assert snap.vertices_with_label("audit") == set()
     assert structure(snap, probes) == structure(
-        inserted(source.vertices(), source.edges()), probes
+        inserted(edited.vertices(), edited.edges()), probes
     )
-    subset = build_source_subset(DEMO_META, source)
-    assert set(subset.vertex_ids()) == {"A", "B", "C", "X"}
-    assert subset.vertices_with_label("tasks") == {"B", "X"}
-    assert subset.vertices_with_property("typeCode", "extUser") == {"A"}
-    assert structure(subset, probes) == structure(
-        inserted(
-            [source.vertex(v) for v in ("A", "B", "C", "X")],
-            [source.edge(e) for e in ("e1", "e2", "a2")],
-        ),
-        probes,
-    )
+    # a subset of the mutable graph, and one of the same graph loaded
+    for graph in (edited, load_graph_json(serialize_graph(edited))):
+        subset = build_source_subset(DEMO_META, graph)
+        assert set(subset.vertex_ids()) == {"A", "B", "C", "X"}
+        assert subset.vertices_with_label("tasks") == {"B", "X"}
+        assert subset.vertices_with_property("typeCode", "extUser") == {"A"}
+        assert structure(subset, probes) == structure(
+            inserted(graph.vertices(), [e for e in graph.edges() if e.id != "a1"]),
+            probes,
+        )
+    # the source's own records and indexes are unchanged
+    assert source.vertices_with_property("typeCode", "pmUser") == {"A"}
+    assert source.vertices_with_label("audit") == {"X"}
 
 
 def test_subset_with_full_meta_is_identity():
@@ -369,13 +424,13 @@ def test_bulk_inserts_pause_the_collector_and_restore_it(enabled, monkeypatch):
         return spy
 
     # the JSON decode (integer literals), the CSV cells, the link and the
-    # record copies of a subset or snapshot each report the collector state
+    # index filtering of a subset or snapshot each report the collector state
     monkeypatch.setattr(graph_store, "_integer", spying(graph_store._integer))
     monkeypatch.setattr(
         graph_store, "parse_csv_value", spying(graph_store.parse_csv_value)
     )
     monkeypatch.setattr(PropertyGraph, "add_vertex", spying(PropertyGraph.add_vertex))
-    monkeypatch.setattr(VertexRecord, "copy", spying(VertexRecord.copy))
+    monkeypatch.setattr(graph_store, "_cut", spying(graph_store._cut))
     source = audit_heavy_source()
     text = serialize_graph(small_graph())
     assert '"_key": 7' in text  # the decode calls _integer

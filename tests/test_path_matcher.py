@@ -476,9 +476,15 @@ def test_the_pivot_keeps_containment_exact():
 # -- request-directed search order ------------------------------------------
 
 
-def with_rival_managers(graph: PropertyGraph, count: int = 30) -> PropertyGraph:
-    """The demo graph plus ``count`` pmUsers whose ids sort before the
-    demo subject's, each with its own task and design document."""
+def with_rival_managers(demo: PropertyGraph, count: int = 30) -> PropertyGraph:
+    """A mutable graph of the demo graph's records plus ``count`` pmUsers
+    whose ids sort before the demo subject's, each with its own task and
+    design document."""
+    graph = PropertyGraph()
+    for vertex in demo.vertices():
+        graph.add_vertex(vertex)
+    for edge in demo.edges():
+        graph.add_edge(edge)
     for i in range(count):
         user, task, doc = f"10{i:08d}", f"11{i:08d}", f"0{i:09d}"
         graph.add_vertex(VertexRecord(user, "dataObjects", {"_key": user, "typeCode": "pmUser"}))

@@ -1,8 +1,17 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from graphpdp import pdp, uris
 from graphpdp.errors import PolicyError
-from graphpdp.graph_store import build_source_subset
+from graphpdp.graph_store import (
+    EdgeRecord,
+    PropertyGraph,
+    VertexRecord,
+    build_source_subset,
+    load_graph_json,
+    load_graph_path,
+)
 from graphpdp.pdp import (
     DENY,
     NOT_APPLICABLE,
@@ -331,18 +340,45 @@ def test_engine_end_to_end(demo_policy, demo_request, demo_graph):
     assert render_response_xml(response) == PERMIT_XML
 
 
-def test_engine_snapshots_the_graph(demo_policy, demo_request, demo_graph):
-    engine = DecisionEngine([demo_policy], demo_graph)
-    # mutating the source graph after engine construction changes nothing
-    demo_graph.vertex("1196741133").properties["typeCode"] = "extUser"
+def rebuilt(graph: PropertyGraph, *edited) -> PropertyGraph:
+    """A mutable graph of ``graph``'s records, each record of ``edited``
+    in place of the one with its id."""
+    by_id = {record.id: record for record in edited}
+    mutable = PropertyGraph()
+    for vertex in graph.vertices():
+        mutable.add_vertex(by_id.get(vertex.id, vertex))
+    for edge in graph.edges():
+        mutable.add_edge(by_id.get(edge.id, edge))
+    return mutable
+
+
+def test_engine_snapshots_the_graph(demo_policy, demo_request, demo_graph, demo_source_file):
+    # a loaded graph and a Meta subset are frozen: each is its own snapshot
+    assert DecisionEngine([demo_policy], demo_graph).graph is demo_graph
+    subset = build_source_subset(demo_policy.meta, load_graph_path(demo_source_file))
+    assert DecisionEngine([demo_policy], subset).graph is subset
+    # and none of their records can be edited in place
+    subject = demo_graph.vertex("1196741133")
+    with pytest.raises(TypeError):
+        subject.properties["typeCode"] = "extUser"
+    with pytest.raises(FrozenInstanceError):
+        subject.label = "tasks"
+    # a graph built by hand is copied, so later inserts into it change nothing
+    live = rebuilt(demo_graph)
+    engine = DecisionEngine([demo_policy], live)
+    assert engine.graph is not live
+    live.add_vertex(VertexRecord("rival", "dataObjects", {"typeCode": "pmUser"}))
+    live.add_edge(EdgeRecord("rival-e", "accessRelations", "rival", "1196741778", {}))
+    assert not engine.graph.has_vertex("rival")
+    assert engine.graph.hops("1196741778", "to") == demo_graph.hops("1196741778", "to")
     assert engine.decide(demo_request).decision is PERMIT
-    fresh = DecisionEngine([demo_policy], demo_graph)
+    # a graph built from an edited record decides by its new value
+    edited = replace(subject, properties={**subject.properties, "typeCode": "extUser"})
+    fresh = DecisionEngine([demo_policy], rebuilt(demo_graph, edited))
     assert fresh.decide(demo_request).decision is NOT_APPLICABLE
 
 
 def test_engine_with_source_subset(demo_policy, demo_request, demo_source_file):
-    from graphpdp.graph_store import load_graph_path
-
     source = load_graph_path(demo_source_file)
     subset = build_source_subset(demo_policy.meta, source)
     engine = DecisionEngine([demo_policy], subset)
@@ -352,8 +388,6 @@ def test_engine_with_source_subset(demo_policy, demo_request, demo_source_file):
 def test_an_edited_record_decides_by_its_new_value(
     demo_policy, demo_request, demo_source_file
 ):
-    from graphpdp.graph_store import load_graph_json
-
     text = demo_source_file.read_text(encoding="utf-8")
     assert text.count('"pmUser"') == 1
     source = load_graph_json(text.replace('"pmUser"', '"extUser"'))
@@ -362,11 +396,17 @@ def test_an_edited_record_decides_by_its_new_value(
         return DecisionEngine([demo_policy], graph).decide(demo_request).decision
 
     assert decide(build_source_subset(demo_policy.meta, source)) is NOT_APPLICABLE
+    subject = source.vertex("1196741133")
+    with pytest.raises(TypeError):
+        subject.properties["typeCode"] = "pmUser"
     # the rule's first step is pinned on typeCode, so its candidates come
-    # from the property index of the subset and of the engine's snapshot
-    source.vertex("1196741133").properties["typeCode"] = "pmUser"
-    assert decide(build_source_subset(demo_policy.meta, source)) is PERMIT
-    assert decide(source) is PERMIT
+    # from the property index of the graph built from the edited record, of
+    # its subset and of the engine's snapshot
+    edited = rebuilt(
+        source, replace(subject, properties={**subject.properties, "typeCode": "pmUser"})
+    )
+    assert decide(build_source_subset(demo_policy.meta, edited)) is PERMIT
+    assert decide(edited) is PERMIT
 
 
 def test_find_rule(demo_policy):
