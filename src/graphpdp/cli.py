@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .errors import EngineError, PolicySchemaError, RequestParseError
+from .errors import EngineError, GraphError, PolicySchemaError, RequestParseError
 from .graph_store import PropertyGraph, build_source_subset, load_graph_path, serialize_graph
 from .pattern_compiler import compile_request_path, emit_cypher
 from .pdp import DecisionEngine, compile_rule, render_response_xml
@@ -63,12 +63,21 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _load_graph_file(path: Path, format: str) -> PropertyGraph:
+    """:func:`load_graph_path`, its errors starting with the file, as a
+    policy's start with the policy file."""
+    try:
+        return load_graph_path(path, format)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from exc
+
+
 def _load_graph(config: EngineConfig, policies: list[Policy]) -> PropertyGraph | None:
     if config.graph_file is not None:
-        return load_graph_path(config.graph_file, config.format)
+        return _load_graph_file(config.graph_file, config.format)
     if config.source_file is None:
         return None
-    source = load_graph_path(config.source_file, config.format)
+    source = _load_graph_file(config.source_file, config.format)
     meta = next((p.meta for p in policies if p.meta is not None), None)
     if meta is None:
         raise EngineError(
@@ -123,7 +132,7 @@ def cmd_build_graph(args) -> int:
         if meta is None:
             print("error: no loaded policy carries a Meta element", file=sys.stderr)
             return 1
-        source = load_graph_path(Path(args.source), args.format)
+        source = _load_graph_file(Path(args.source), args.format)
     except (EngineError, OSError) as exc:
         return _fail(str(exc))
     subset = build_source_subset(meta, source)

@@ -12,17 +12,18 @@ value semantics the engine relies on:
 * :func:`as_text` is the canonical textual rendering used for
   lexicographic comparison and for string match functions.
 
-Records are immutable, so graphs share them.  A graph is built in one of
-three ways, each keeping every vertex's hop lists sorted and its label
-and property indexes current:
+Records are immutable, so graphs share them.  A graph stores only its
+records, and is built in one of three ways:
 
-* ``add_vertex``/``add_edge`` insert one element at a time;
-* the file importers check every record, add the vertices, then link the
-  edges in bulk, sorting each hop list once at the end, and freeze it;
+* ``add_vertex``/``add_edge`` check and store one record at a time;
+* the file importers check every record, store them and freeze the graph;
 * :func:`build_source_subset` and :meth:`PropertyGraph.snapshot` derive a
-  frozen graph holding a built graph's own records, its sorted hop lists
-  and index sets filtered to what it keeps, so nothing is sorted or
-  indexed again; a frozen graph is its own snapshot.
+  frozen graph of the records a built graph keeps; a frozen graph is its
+  own snapshot.
+
+Hop lists and label and property indexes are derived from the records in
+one bulk pass when one of them is first read, and kept until an insert
+drops them: a source only cut down to a subset never derives them.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import io
 import json
 import math
 import re
-from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import MappingProxyType
 from typing import AbstractSet, Iterator, Mapping
 
@@ -166,12 +167,12 @@ _NO_IDS: frozenset[str] = frozenset()
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector for a bulk insert.
+    """Pause the cyclic garbage collector for a bulk build.
 
-    The records and hop lists an insert creates hold no reference cycles,
-    yet the collector rescans them as they pile up, which costs more time
-    than the inserts themselves.  The previous state comes back however
-    the block ends.
+    The records and hop lists a load or a structure build creates hold no
+    reference cycles, yet the collector rescans them as they pile up,
+    which costs more time than the build itself.  The previous state comes
+    back however the block ends.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -183,7 +184,7 @@ def _collector_paused():
 
 
 class PropertyGraph:
-    """Property graph with sorted hop lists and vertex indexes.
+    """Property graph of records, with hop lists and indexes derived on first read.
 
     A graph built with ``add_vertex``/``add_edge`` is mutable; loaded
     graphs and subsets are frozen, and evaluations run against frozen
@@ -194,11 +195,6 @@ class PropertyGraph:
     def __init__(self) -> None:
         self._vertices: dict[str, VertexRecord] = {}
         self._edges: dict[str, EdgeRecord] = {}
-        # vertex id -> sorted (edge id, neighbour id) pairs, one list per
-        # direction in _HOP_SLOT order
-        self._hops: dict[str, tuple[list[tuple[str, str]], ...]] = {}
-        self._label_index: dict[str, set[str]] = {}
-        self._vertex_prop_index: dict[tuple[str, tuple], set[str]] = {}
         self._frozen = False
 
     # -- mutation ----------------------------------------------------------
@@ -210,11 +206,7 @@ class PropertyGraph:
         if vertex.id in self._vertices:
             raise DuplicateIdError(f"duplicate vertex id {vertex.id!r}")
         self._vertices[vertex.id] = vertex
-        self._hops[vertex.id] = ([], [], [])
-        self._label_index.setdefault(vertex.label, set()).add(vertex.id)
-        for name, value in vertex.properties.items():
-            key = (name, canonical_key(value))
-            self._vertex_prop_index.setdefault(key, set()).add(vertex.id)
+        self._drop_structures()
 
     def add_edge(self, edge: EdgeRecord) -> None:
         self._check_mutable()
@@ -224,7 +216,8 @@ class PropertyGraph:
                 raise MissingEndpointError(
                     f"edge {edge.id!r} references missing vertex {endpoint!r}"
                 )
-        self._put_edge(edge, insort)
+        self._edges[edge.id] = edge
+        self._drop_structures()
 
     def _check_edge_id(self, edge: EdgeRecord) -> None:
         if not edge.id:
@@ -232,24 +225,48 @@ class PropertyGraph:
         if edge.id in self._edges:
             raise DuplicateIdError(f"duplicate edge id {edge.id!r}")
 
-    def _put_edge(self, edge: EdgeRecord, put) -> None:
-        """Store ``edge`` and give both endpoints its hops through ``put``:
-        ``insort`` keeps each hop list sorted, ``list.append`` leaves the
-        sort to the caller."""
-        self._edges[edge.id] = edge
-        out_hop = (edge.id, edge.to_id)
-        in_hop = (edge.id, edge.from_id)
-        out_hops, _, from_any = self._hops[edge.from_id]
-        _, in_hops, to_any = self._hops[edge.to_id]
-        put(out_hops, out_hop)
-        put(in_hops, in_hop)
-        put(from_any, out_hop)
-        if edge.from_id != edge.to_id:  # a self-loop is one hop either way
-            put(to_any, in_hop)
-
     def _check_mutable(self) -> None:
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
+
+    # -- derived structures ------------------------------------------------
+
+    def _drop_structures(self) -> None:
+        if hasattr(self, "_hops"):
+            del self._hops, self._label_index, self._vertex_prop_index
+
+    def _derive_structures(self) -> None:
+        """Set ``_hops`` (vertex id -> one sorted hop list per direction in
+        _HOP_SLOT order) and the label and property indexes, as plain
+        attributes the accessors read directly.  Edges go in id order, so
+        each hop list comes out sorted."""
+        with _collector_paused():
+            hops = {vid: ([], [], []) for vid in self._vertices}
+            labels: dict[str, set[str]] = {}
+            props: dict[tuple[str, tuple], set[str]] = {}
+            for vid, vertex in self._vertices.items():
+                labels.setdefault(vertex.label, set()).add(vid)
+                for name, value in vertex.properties.items():
+                    props.setdefault((name, canonical_key(value)), set()).add(vid)
+            edges = self._edges
+            for eid in sorted(edges):
+                edge = edges[eid]
+                out_hop, in_hop = (eid, edge.to_id), (eid, edge.from_id)
+                out_hops, _, from_any = hops[edge.from_id]
+                _, in_hops, to_any = hops[edge.to_id]
+                out_hops.append(out_hop)
+                in_hops.append(in_hop)
+                from_any.append(out_hop)
+                if edge.from_id != edge.to_id:  # a self-loop is one hop either way
+                    to_any.append(in_hop)
+        self._hops, self._label_index, self._vertex_prop_index = hops, labels, props
+
+    def with_structures(self) -> "PropertyGraph":
+        """This graph, its hop lists and indexes derived now unless it
+        holds them already, so that no later read pays for them."""
+        if not hasattr(self, "_hops"):
+            self._derive_structures()
+        return self
 
     # -- access ------------------------------------------------------------
 
@@ -287,21 +304,30 @@ class PropertyGraph:
 
         ``direction`` is ``from`` (out-edges), ``to`` (in-edges) or ``any``
         (both; a self-loop appears once).  The list is the graph's own:
-        read it, never mutate it.
+        read it, never mutate it; an insert leaves it stale.
         """
-        return self._hops[vertex_id][_HOP_SLOT[direction]]
+        try:
+            return self._hops[vertex_id][_HOP_SLOT[direction]]
+        except AttributeError:  # not derived yet, or dropped by an insert
+            return self.with_structures().hops(vertex_id, direction)
 
     def vertices_with_label(self, label: str) -> AbstractSet[str]:
         """Ids of the vertices labelled ``label``.  The set is the index's
         own: read it, never mutate it."""
-        return self._label_index.get(label, _NO_IDS)
+        try:
+            return self._label_index.get(label, _NO_IDS)
+        except AttributeError:
+            return self.with_structures().vertices_with_label(label)
 
     def vertices_with_property(
         self, name: str, value: PropertyValue
     ) -> AbstractSet[str]:
         """Ids of the vertices whose ``name`` property loosely equals
         ``value``.  The set is the index's own: read it, never mutate it."""
-        return self._vertex_prop_index.get((name, canonical_key(value)), _NO_IDS)
+        try:
+            return self._vertex_prop_index.get((name, canonical_key(value)), _NO_IDS)
+        except AttributeError:
+            return self.with_structures().vertices_with_property(name, value)
 
     # -- snapshots & equality ---------------------------------------------
 
@@ -315,37 +341,22 @@ class PropertyGraph:
         labels: AbstractSet[str] | None = None,
         types: AbstractSet[str] | None = None,
     ) -> "PropertyGraph":
-        """Frozen graph of the vertices labelled in ``labels`` and of the
-        edges typed in ``types`` whose endpoints are both kept (``None``
-        keeps every label or type).
-
-        It holds this graph's own records, each kept vertex's sorted hop
-        lists filtered to the kept edges and each index set cut down to the
-        kept vertices.  No list or set is shared with this graph.
-        """
+        """Frozen graph of this graph's own vertices labelled in ``labels``
+        and edges typed in ``types`` whose endpoints are both kept (``None``
+        keeps every label or type)."""
         graph = PropertyGraph()
-        with _collector_paused():
-            vertices = graph._vertices
-            for vid, vertex in self._vertices.items():
-                if labels is None or vertex.label in labels:
-                    vertices[vid] = vertex
-            edges = graph._edges
-            for eid, edge in self._edges.items():
-                if (
-                    (types is None or edge.type in types)
-                    and edge.from_id in vertices
-                    and edge.to_id in vertices
-                ):
-                    edges[eid] = edge
-            hops, kept_hops = self._hops, graph._hops
-            for vid in vertices:
-                kept_hops[vid] = tuple(
-                    [hop for hop in hop_list if hop[0] in edges]
-                    for hop_list in hops[vid]
-                )
-            kept = vertices.keys()
-            graph._label_index = _cut(self._label_index, kept)
-            graph._vertex_prop_index = _cut(self._vertex_prop_index, kept)
+        vertices = graph._vertices = {
+            vid: vertex
+            for vid, vertex in self._vertices.items()
+            if labels is None or vertex.label in labels
+        }
+        graph._edges = {
+            eid: edge
+            for eid, edge in self._edges.items()
+            if (types is None or edge.type in types)
+            and edge.from_id in vertices
+            and edge.to_id in vertices
+        }
         graph._frozen = True
         return graph
 
@@ -364,18 +375,13 @@ class PropertyGraph:
         return f"PropertyGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-def _cut(index: dict, kept: AbstractSet[str]) -> dict:
-    """``index`` with each id set cut down to ``kept``, empty sets dropped."""
-    return {key: ids for key, found in index.items() if (ids := found & kept)}
-
-
 def build_source_subset(meta: Meta, source: PropertyGraph) -> PropertyGraph:
     """Filter ``source`` down to the entities a policy declares relevant.
 
     Keeps the vertices whose label is listed in ``meta`` and the edges whose
     type is listed and whose endpoints both survived the vertex filter.
-    The subset is frozen and holds ``source``'s own records; its hop lists
-    and index sets are derived from ``source``'s, as a snapshot's are.
+    The subset is frozen and holds ``source``'s own records; like every
+    graph it derives its hop lists and indexes when they are first read.
     """
     return source._derived(set(meta.vertex_entities), set(meta.edge_entities))
 
@@ -476,22 +482,17 @@ def _link(vertices: list[VertexRecord], edges: list[EdgeRecord]) -> PropertyGrap
     # Second phase of the two-phase import: vertices first, then edges, so
     # file order never matters.  Both loaders run it with the collector
     # paused.  Each edge is checked as add_edge would (a missing endpoint
-    # first, then its id) and appends its hops; each hop list is sorted
-    # once at the end, and as hops are unique that is the order insort
-    # gives.  The graph comes back frozen.
+    # first, then its id) and stored.  The graph comes back frozen.
     graph = PropertyGraph()
     for vertex in vertices:
         graph.add_vertex(vertex)
-    has_vertex, append = graph.has_vertex, list.append
+    has_vertex, stored = graph.has_vertex, graph._edges
     for edge in edges:
         for endpoint in (edge.from_id, edge.to_id):
             if not has_vertex(endpoint):
                 raise ReferentialError(edge.id, endpoint)
         graph._check_edge_id(edge)
-        graph._put_edge(edge, append)
-    for hop_lists in graph._hops.values():
-        for hop_list in hop_lists:
-            hop_list.sort()
+        stored[edge.id] = edge
     graph._frozen = True
     return graph
 
@@ -622,8 +623,6 @@ def load_graph_path(path, format: str = "json") -> PropertyGraph:
     ``json``: path is the graph file.  ``csv``: path is a directory
     containing ``vertices.csv`` and ``edges.csv``.
     """
-    from pathlib import Path
-
     p = Path(path)
     if format == "json":
         return load_graph_json(p.read_text(encoding="utf-8"))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import uris
-from .errors import EngineError, PolicyError
+from .errors import EngineError, PolicyError, PolicySchemaError
 from .graph_store import PropertyGraph
 from .pattern_compiler import (
     QueryPlan,
@@ -19,7 +19,7 @@ from .pattern_compiler import (
     compile_rule_pattern,
 )
 from .path_matcher import DEFAULT_VARLEN_CAP, check_intersection
-from .policy_model import ConstraintSet, Policy, Rule
+from .policy_model import ConstraintSet, Policy, Rule, condition_depth_violations
 from .request_model import Request, split_attribute_value
 from .xmlutil import xml_attr, xml_escape
 
@@ -119,8 +119,15 @@ def match_target(target: ConstraintSet | None, request: Request) -> str:
 
 
 def compile_rule(rule: Rule) -> QueryPlan | None:
+    """The rule's plan, or None when it has no pattern.  Raises
+    :class:`PolicySchemaError` for a condition nested too deeply to compile."""
     if rule.pattern is None:
         return None
+    if rule.pattern_condition is not None:
+        path = f"Policy/Rule[{rule.rule_id}]/PatternCondition"
+        too_deep = condition_depth_violations(rule.pattern_condition, path)
+        if too_deep:
+            raise PolicySchemaError(too_deep)
     return compile_rule_pattern(rule.pattern, rule.pattern_condition)
 
 
@@ -271,7 +278,8 @@ class DecisionEngine:
         varlen_cap: int = DEFAULT_VARLEN_CAP,
     ):
         self.policies = tuple(policies)
-        self.graph = graph.snapshot() if graph is not None else None
+        # the graph's structures are derived here, so no decision pays for them
+        self.graph = graph.snapshot().with_structures() if graph is not None else None
         self.varlen_cap = varlen_cap
         self._compiled = tuple(
             (policy, tuple(map(compile_rule, policy.rules)))

@@ -595,9 +595,25 @@ def _validate_rule(rule: Rule, path: str, violations: list[Violation]) -> None:
     if rule.pattern is not None:
         declared = _validate_pattern(rule.pattern, f"{path}/Pattern", violations)
     if rule.pattern_condition is not None:
-        _validate_condition(
-            rule.pattern_condition, declared, f"{path}/PatternCondition", violations
-        )
+        condition_path = f"{path}/PatternCondition"
+        too_deep = condition_depth_violations(rule.pattern_condition, condition_path)
+        violations.extend(too_deep)
+        if not too_deep:
+            _validate_condition(rule.pattern_condition, declared, condition_path, violations)
+
+
+def condition_depth_violations(expr: ConditionExpr, path: str) -> list[Violation]:
+    """A violation when ``expr`` nests Apply more than MAX_APPLY_DEPTH
+    levels deep, as parsing reports it, else none.  The walk keeps its own
+    stack, so it measures a condition built in code at any depth."""
+    stack = [(expr, 1)]
+    while stack:
+        expr, depth = stack.pop()
+        if isinstance(expr, Apply):
+            if depth > MAX_APPLY_DEPTH:
+                return [Violation(path, f"Apply nested more than {MAX_APPLY_DEPTH} levels deep")]
+            stack.extend((arg, depth + 1) for arg in expr.args)
+    return []
 
 
 def _validate_pattern(

@@ -380,7 +380,27 @@ def test_eval_rejects_a_graph_nested_too_deeply(capsys, tmp_path, demo_policy_di
     assert run(eval_args(demo_policy_dir, demo_request_file, graph)) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: invalid JSON: nested too deeply\n"
+    assert captured.err == f"error: {graph}: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["eval --graph", "eval --source", "serve --graph",
+                                     "serve --source", "build-graph --source"])
+def test_a_graph_load_error_names_the_file(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, command
+):
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"vertices": [1], "edges": []}', encoding="utf-8")
+    name, option = command.split()
+    args = [name, "--policies", str(demo_policy_dir), option, str(graph)]
+    args += {"eval": ["--request", str(demo_request_file)],
+             "serve": ["--port", "0"],
+             "build-graph": ["--out", str(tmp_path / "out.json")]}[name]
+    assert run(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {graph}: vertices[0]: expected keys ['id', 'label', 'properties']\n"
+    )
 
 
 def nested_condition_policy_dir(tmp_path, demo_policy_dir, depth: int) -> Path:

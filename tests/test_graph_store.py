@@ -1,6 +1,7 @@
 import gc
 import json
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,9 @@ from graphpdp.graph_store import (
     strict_equal,
     value_kind,
 )
-from graphpdp.policy_model import Meta
+from graphpdp.pdp import DecisionEngine, render_response_xml
+from graphpdp.policy_model import Meta, load_policy_dir
+from graphpdp.request_model import parse_request
 
 
 def small_graph() -> PropertyGraph:
@@ -424,21 +427,23 @@ def test_bulk_inserts_pause_the_collector_and_restore_it(enabled, monkeypatch):
         return spy
 
     # the JSON decode (integer literals), the CSV cells, the link and the
-    # index filtering of a subset or snapshot each report the collector state
+    # structure build (each vertex property it indexes) report the
+    # collector state
     monkeypatch.setattr(graph_store, "_integer", spying(graph_store._integer))
     monkeypatch.setattr(
         graph_store, "parse_csv_value", spying(graph_store.parse_csv_value)
     )
     monkeypatch.setattr(PropertyGraph, "add_vertex", spying(PropertyGraph.add_vertex))
-    monkeypatch.setattr(graph_store, "_cut", spying(graph_store._cut))
+    monkeypatch.setattr(graph_store, "canonical_key", spying(graph_store.canonical_key))
     source = audit_heavy_source()
     text = serialize_graph(small_graph())
     assert '"_key": 7' in text  # the decode calls _integer
     builds = {
         "json": lambda: load_graph_json(text),
         "csv": lambda: load_graph_csv("_id,_label,n\nA,l,1\n", E_HEADER + "e,t,A,A\n"),
-        "subset": lambda: build_source_subset(DEMO_META, source),
-        "snapshot": lambda: source.snapshot(),
+        # a subset or snapshot builds its structures when first read
+        "subset": lambda: build_source_subset(DEMO_META, source).vertices_with_label("x"),
+        "snapshot": lambda: source.snapshot().vertices_with_label("x"),
     }
     duplicate = json.dumps(
         {
@@ -465,6 +470,110 @@ def test_bulk_inserts_pause_the_collector_and_restore_it(enabled, monkeypatch):
         (gc.enable if was_enabled else gc.disable)()
     assert after_failure is enabled
     assert len(seen) >= 3 and not any(seen)  # the failing load ran paused too
+
+
+# -- structure builds -------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def count_builds(monkeypatch) -> list[PropertyGraph]:
+    """Each graph whose hop lists and indexes are derived from here on,
+    once per derivation."""
+    built: list[PropertyGraph] = []
+    derive = PropertyGraph._derive_structures
+
+    def spy(graph):
+        built.append(graph)
+        derive(graph)
+
+    monkeypatch.setattr(PropertyGraph, "_derive_structures", spy)
+    return built
+
+
+def test_a_source_cut_to_a_subset_never_builds_its_structures(monkeypatch):
+    built = count_builds(monkeypatch)
+    text = serialize_graph(audit_heavy_source())
+    for source in (
+        load_graph_json(text),
+        load_graph_csv(
+            V_HEADER + "A,dataObjects\nB,tasks\nX,audit\n",
+            E_HEADER + "e1,accessRelations,A,B\na1,auditTrail,A,X\n",
+        ),
+    ):
+        built.clear()
+        subset = build_source_subset(DEMO_META, source)
+        assert built == []
+        assert subset.hops("A", "from") == [("e1", "B")]
+        assert subset.vertices_with_label("tasks") == {"B"}
+        assert subset.vertices_with_property("_key", "X") == set()
+        assert len(built) == 1 and built[0] is subset
+
+
+def test_an_engine_builds_its_graph_before_it_decides(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.project_graph(
+        tmp_path, 1, n_pm=6, n_ext=4, n_task=8, n_doc=12, per_class=2
+    )
+    built = count_builds(monkeypatch)
+    policies = load_policy_dir(workload.policy_dir)
+    (meta,) = {p.meta for p in policies}
+    subset = build_source_subset(meta, load_graph_path(workload.graph_file))
+    engine = DecisionEngine(policies, subset)
+    assert len(built) == 1 and built[0] is engine.graph is subset
+    assert {op.cls for op in workload.ops} == set(workload.shares)
+    for op in workload.ops:
+        request = parse_request(Path(op.request_file).read_text(encoding="utf-8"))
+        assert render_response_xml(engine.decide(request)) == op.expected, op.cls
+    assert len(built) == 1
+
+
+def json_of(vertices, edges) -> str:
+    """A graph file of the records, in this order."""
+    return json.dumps({
+        "vertices": [
+            {"id": v.id, "label": v.label, "properties": dict(v.properties)}
+            for v in vertices
+        ],
+        "edges": [
+            {"id": e.id, "type": e.type, "from": e.from_id, "to": e.to_id,
+             "properties": dict(e.properties)}
+            for e in edges
+        ],
+    })
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.graphs(), st.data())
+def test_reads_between_inserts_see_what_a_load_of_the_same_records_sees(source, data):
+    probes = [
+        (v.label, (n, x)) for v in source.vertices() for n, x in v.properties.items()
+    ]
+    vertices = data.draw(st.permutations(list(source.vertices())))
+    edges = data.draw(st.permutations(list(source.edges())))
+    g = PropertyGraph()
+
+    def read_as_loaded():
+        assert structure(g, probes) == structure(
+            load_graph_json(json_of(g.vertices(), g.edges())), probes
+        )
+
+    def insert(add, record):
+        add(record)
+        if data.draw(st.booleans()):  # a read may follow any insert
+            read_as_loaded()
+
+    # each edge goes in as soon as both its endpoints are in
+    for vertex in vertices:
+        insert(g.add_vertex, vertex)
+        for edge in edges:
+            ends = (edge.from_id, edge.to_id)
+            if vertex.id in ends and all(map(g.has_vertex, ends)):
+                insert(g.add_edge, edge)
+    assert g == source
+    read_as_loaded()
 
 
 # -- JSON format ------------------------------------------------------------

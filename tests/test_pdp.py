@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from graphpdp import pdp, uris
-from graphpdp.errors import PolicyError
+from graphpdp.errors import PolicyError, PolicySchemaError
 from graphpdp.graph_store import (
     EdgeRecord,
     PropertyGraph,
@@ -26,6 +26,7 @@ from graphpdp.pdp import (
     render_response_xml,
 )
 from graphpdp.policy_model import (
+    MAX_APPLY_DEPTH,
     Apply,
     ConstraintSet,
     Designator,
@@ -33,6 +34,7 @@ from graphpdp.policy_model import (
     MatchConstraint,
     Policy,
     Rule,
+    validate_policy,
 )
 from graphpdp.request_model import AttributeGroup, Request, parse_request
 
@@ -414,3 +416,35 @@ def test_find_rule(demo_policy):
     engine = DecisionEngine([demo_policy], None)
     assert engine.find_rule("user_access_dataObj") == found
     assert engine.find_rule("ghost") is None
+
+
+
+def deeper(policy: Policy, levels: int) -> Policy:
+    """``policy`` with its one rule's condition wrapped in ``levels``
+    one-argument ``and`` Applies."""
+    (rule,) = policy.rules
+    condition = rule.pattern_condition
+    for _ in range(levels):
+        condition = Apply(uris.FN_AND, (condition,))
+    return replace(policy, rules=(replace(rule, pattern_condition=condition),))
+
+
+@pytest.mark.parametrize("levels", [MAX_APPLY_DEPTH - 1, 600, 100_000])
+def test_a_condition_built_in_code_is_refused_past_the_depth_cap(
+    demo_policy, demo_graph, levels
+):
+    # the demo condition is two Applies deep, so each of these is too deep,
+    # as the parser would find it
+    policy = deeper(demo_policy, levels)
+    path = "Policy/Rule[user_access_dataObj]/PatternCondition"
+    too_deep = f"{path}: Apply nested more than {MAX_APPLY_DEPTH} levels deep"
+    assert [str(v) for v in validate_policy(policy)] == [too_deep]
+    with pytest.raises(PolicySchemaError) as raised:
+        DecisionEngine([policy], demo_graph)
+    assert str(raised.value) == too_deep
+
+
+def test_a_condition_at_the_depth_cap_is_accepted(demo_policy, demo_request, demo_graph):
+    policy = deeper(demo_policy, MAX_APPLY_DEPTH - 2)
+    assert validate_policy(policy) == []
+    assert DecisionEngine([policy], demo_graph).decide(demo_request).decision is PERMIT
