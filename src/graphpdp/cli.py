@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import logging
+import queue
 import sys
+import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 from .errors import EngineError, GraphError, PolicySchemaError, RequestParseError
@@ -63,6 +66,14 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; a file that is not UTF-8 is an error naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EngineError(f"{path}: not UTF-8: {exc}") from None
+
+
 def _load_graph_file(path: Path, format: str) -> PropertyGraph:
     """:func:`load_graph_path`, its errors starting with the file, as a
     policy's start with the policy file."""
@@ -101,8 +112,8 @@ def cmd_validate(args) -> int:
     first_use: dict[str, str] = {}
     for file in files:
         try:
-            text = file.read_text(encoding="utf-8")
-        except OSError as exc:
+            text = _read_text(file)
+        except (EngineError, OSError) as exc:
             return _fail(str(exc))
         try:
             policy = parse_policy(text)
@@ -161,7 +172,7 @@ def _build_engine(args, need_graph: bool = True) -> DecisionEngine:
 def cmd_eval(args) -> int:
     try:
         engine = _build_engine(args)
-        request = parse_request(Path(args.request).read_text(encoding="utf-8"))
+        request = parse_request(_read_text(Path(args.request)))
     except (EngineError, OSError) as exc:
         return _fail(str(exc))
     response = engine.decide(request)
@@ -172,7 +183,7 @@ def cmd_eval(args) -> int:
 def cmd_emit_cypher(args) -> int:
     try:
         policies = load_policy_dir(args.policies)
-        request = parse_request(Path(args.request).read_text(encoding="utf-8"))
+        request = parse_request(_read_text(Path(args.request)))
     except (EngineError, OSError) as exc:
         return _fail(str(exc))
     found = DecisionEngine(policies, None).find_rule(args.rule)
@@ -206,6 +217,41 @@ class DecisionHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+
+    def handle_one_request(self):
+        """Read and answer one request as the base class does, except that
+        a request line or headers that stall past ``timeout`` are answered
+        408, as a stalled body is; the base class drops the connection
+        without a reply."""
+        # what the 408 reply needs when the request line never completed;
+        # parse_request sets both once it has the line
+        self.requestline, self.request_version = "", self.protocol_version
+        try:
+            self.raw_requestline = self.rfile.readline(65537)
+            if not self.raw_requestline:
+                self.close_connection = True
+                return
+            if len(self.raw_requestline) > 65536:
+                self.request_version = self.command = ""
+                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+                return
+            if not self.parse_request():
+                return  # parse_request has sent the error reply
+        except TimeoutError:
+            self.close_connection = True
+            self._send(408, "request timeout: request line or headers not received",
+                       "text/plain")
+            return
+        method = getattr(self, "do_" + self.command, None)
+        if method is None:
+            self.send_error(HTTPStatus.NOT_IMPLEMENTED, f"Unsupported method ({self.command!r})")
+            return
+        try:
+            method()
+            self.wfile.flush()
+        except TimeoutError as exc:
+            self.log_error("reply timed out: %r", exc)
+            self.close_connection = True
 
     def do_GET(self):
         if self.path == "/health":
@@ -253,9 +299,63 @@ class DecisionHandler(BaseHTTPRequestHandler):
             log.debug("%s - %s", self.address_string(), format % args)
 
 
-def build_server(engine: DecisionEngine, port: int) -> ThreadingHTTPServer:
+class DecisionServer(HTTPServer):
+    """An :class:`HTTPServer` that answers each connection on a handler
+    thread, as a thread per connection would, without starting one each
+    time.
+
+    A thread that has answered its connection waits, idle, for another; a
+    new daemon thread starts only when no thread is idle.  So a stalled
+    connection holds one thread until the handler's socket timeout, and
+    every other connection still gets a thread.  :meth:`server_close`
+    stops the idle threads; a thread busy at that moment exits once it has
+    answered.
+    """
+
+    def __init__(self, server_address, handler_class):
+        super().__init__(server_address, handler_class)
+        self._lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []  # the inbox of each idle thread
+        self._closed = False
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(target=self._handler_thread, args=(inbox,), daemon=True).start()
+        inbox.put((request, client_address))
+
+    def _handler_thread(self, inbox: queue.SimpleQueue) -> None:
+        while (connection := inbox.get()) is not None:
+            request, client_address = connection
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # idle again before the client sees its connection close, so
+                # that client's next connection finds this thread waiting
+                with self._lock:
+                    closed = self._closed
+                    if not closed:
+                        self._idle.append(inbox)
+                self.shutdown_request(request)
+            if closed:
+                return
+
+    def server_close(self):
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
+
+
+def build_server(engine: DecisionEngine, port: int) -> DecisionServer:
     handler = type("BoundDecisionHandler", (DecisionHandler,), {"engine": engine})
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return DecisionServer(("127.0.0.1", port), handler)
 
 
 def cmd_serve(args) -> int:
@@ -266,7 +366,7 @@ def cmd_serve(args) -> int:
     server = build_server(engine, args.port)
     host, port = server.server_address
     log.info("decision service on http://%s:%s", host, port)
-    print(f"listening on http://{host}:{port}")
+    print(f"listening on http://{host}:{port}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -625,14 +625,19 @@ def load_graph_path(path, format: str = "json") -> PropertyGraph:
     """
     p = Path(path)
     if format == "json":
-        return load_graph_json(p.read_text(encoding="utf-8"))
+        return load_graph_json(_read_utf8(p, "graph JSON"))
     if format == "csv":
         vfile = p / "vertices.csv"
         efile = p / "edges.csv"
         for f in (vfile, efile):
             if not f.is_file():
                 raise GraphFormatError(f"missing CSV file {f}")
-        return load_graph_csv(
-            vfile.read_text(encoding="utf-8"), efile.read_text(encoding="utf-8")
-        )
+        return load_graph_csv(_read_utf8(vfile, "vertex CSV"), _read_utf8(efile, "edge CSV"))
     raise GraphFormatError(f"unknown graph format {format!r}")
+
+
+def _read_utf8(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{what} is not UTF-8: {exc}") from None

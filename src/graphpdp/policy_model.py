@@ -747,7 +747,11 @@ def load_policy_dir(directory) -> list[Policy]:
     policies = []
     for file in policy_files(directory):
         try:
-            policies.append(parse_policy(file.read_text(encoding="utf-8")))
+            text = file.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise PolicySchemaError([Violation(file.name, f"not UTF-8: {exc}")]) from None
+        try:
+            policies.append(parse_policy(text))
         except PolicySchemaError as exc:
             raise PolicySchemaError(
                 [Violation(f"{file.name}: {v.path}", v.reason) for v in exc.violations]

@@ -2,12 +2,15 @@ import http.client
 import json
 import logging
 import os
+import select
 import shutil
+import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -403,6 +406,55 @@ def test_a_graph_load_error_names_the_file(
     )
 
 
+NOT_UTF8 = b"\xff\xfe{}"
+DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize("case", [
+    "validate --policies", "eval --policies", "eval --request", "eval --graph",
+    "eval --graph csv", "emit-cypher --policies", "emit-cypher --request",
+    "build-graph --source", "serve --policies", "serve --graph",
+])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, case
+):
+    name, option, *csv = case.split()
+    policies, request, graph = demo_policy_dir, demo_request_file, demo_graph_file
+    if option == "--policies":
+        policies = tmp_path / "policies"
+        policies.mkdir()
+        (policies / "bad.xml").write_bytes(NOT_UTF8)
+        # validate names the file by its path, the policy loader by its name
+        expected = f"{policies / 'bad.xml'}: not UTF-8" if name == "validate" else "bad.xml: not UTF-8"
+    elif option == "--request":
+        request = tmp_path / "request.xml"
+        request.write_bytes(NOT_UTF8)
+        expected = f"{request}: not UTF-8"
+    elif csv:
+        graph = tmp_path / "graph"
+        graph.mkdir()
+        (graph / "vertices.csv").write_bytes(NOT_UTF8)
+        (graph / "edges.csv").write_text("_id,_type,_from,_to\n", encoding="utf-8")
+        expected = f"{graph}: vertex CSV is not UTF-8"
+    else:
+        graph = tmp_path / "graph.json"
+        graph.write_bytes(NOT_UTF8)
+        expected = f"{graph}: graph JSON is not UTF-8"
+    args = {
+        "validate": ["validate", "--policies", str(policies)],
+        "eval": eval_args(policies, request, graph) + ["--format", "csv" if csv else "json"],
+        "emit-cypher": ["emit-cypher", "--policies", str(policies), "--request", str(request),
+                        "--rule", "user_access_dataObj"],
+        "build-graph": ["build-graph", "--policies", str(policies), "--source", str(graph),
+                        "--out", str(tmp_path / "out.json")],
+        "serve": ["serve", "--policies", str(policies), "--graph", str(graph), "--port", "0"],
+    }[name]
+    assert run(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected}: {DECODE_ERROR}\n"
+
+
 def nested_condition_policy_dir(tmp_path, demo_policy_dir, depth: int) -> Path:
     """The demo policy with its condition wrapped in ``depth`` one-argument
     ``and`` Applies."""
@@ -511,19 +563,34 @@ def test_emit_cypher_patternless_rule(capsys, tmp_path, demo_request_file):
 # -- serve ------------------------------------------------------------------
 
 
-@pytest.fixture()
-def running_server(demo_policy_dir, demo_graph_file):
-    policies = load_policy_dir(demo_policy_dir)
-    engine = DecisionEngine(policies, load_graph_path(demo_graph_file))
+@contextmanager
+def serving(engine, timeout=None):
+    """A server for ``engine`` running on its own thread, its handlers'
+    socket timeout set to ``timeout`` when given; shut down and closed on
+    exit."""
     server = build_server(engine, 0)
+    if timeout is not None:
+        server.RequestHandlerClass.timeout = timeout
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield server.server_address
+        yield server
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture()
+def demo_engine(demo_policy_dir, demo_graph_file):
+    return DecisionEngine(load_policy_dir(demo_policy_dir), load_graph_path(demo_graph_file))
+
+
+@pytest.fixture()
+def running_server(demo_engine):
+    with serving(demo_engine) as server:
+        yield server.server_address
 
 
 def http_call(address, method, path, body=None):
@@ -563,16 +630,26 @@ def test_serve_rejects_bad_content_length(running_server, length):
 
 def raw_post(address, head_fields: str, body: bytes = b"") -> tuple[bytes, bytes]:
     """Status code and body of the reply to a hand-written POST /decision."""
-    head = f"POST /decision HTTP/1.1\r\nHost: localhost\r\n{head_fields}\r\n"
+    return raw_exchange(address, post_head(head_fields) + body)
+
+
+def post_head(head_fields: str) -> bytes:
+    return f"POST /decision HTTP/1.1\r\nHost: localhost\r\n{head_fields}\r\n".encode("ascii")
+
+
+def raw_exchange(address, sent: bytes) -> tuple[bytes, bytes]:
+    """Status code and body of the reply to ``sent``, read until the server
+    closes the connection."""
     reply = b""
     with socket.create_connection(address, timeout=5) as sock:
-        sock.sendall(head.encode("ascii") + body)
+        sock.sendall(sent)
         try:
             while chunk := sock.recv(4096):
                 reply += chunk
         except ConnectionResetError:
             pass  # the server closes with the unread body still queued
     status_line, _, rest = reply.partition(b"\r\n")
+    assert status_line, "the server closed the connection without a reply"
     return status_line.split()[1], rest.partition(b"\r\n\r\n")[2]
 
 
@@ -584,21 +661,24 @@ def test_serve_refuses_an_oversized_body_unread(running_server):
     assert time.perf_counter() - started < 4
 
 
-def test_serve_times_out_a_stalled_body(demo_policy_dir, demo_graph_file):
-    engine = DecisionEngine(load_policy_dir(demo_policy_dir), load_graph_path(demo_graph_file))
-    server = build_server(engine, 0)
-    server.RequestHandlerClass.timeout = 0.5
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+def test_serve_times_out_a_stalled_body(demo_engine):
+    with serving(demo_engine, timeout=0.5) as server:
         # promises 100 bytes, sends 4, then waits
         status, body = raw_post(server.server_address, "Content-Length: 100\r\n", b"<Req")
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
     assert status == b"408", body
     assert body.startswith(b"request timeout: "), body
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [b"POST /decision HTTP/1.1\r\nHost: localhost\r\n", b"POST /deci"],
+    ids=["headers", "request line"],
+)
+def test_serve_times_out_a_stalled_head(demo_engine, sent):
+    with serving(demo_engine, timeout=0.5) as server:
+        status, body = raw_exchange(server.server_address, sent)
+    assert status == b"408", body
+    assert body == b"request timeout: request line or headers not received"
 
 
 class FailingEngine:
@@ -607,22 +687,132 @@ class FailingEngine:
 
 
 def test_serve_answers_500_on_an_engine_fault_and_keeps_serving(caplog, demo_request_file):
-    server = build_server(FailingEngine(), 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(FailingEngine()) as server:
         body = demo_request_file.read_text(encoding="utf-8")
         status, payload = http_call(server.server_address, "POST", "/decision", body)
         assert status == 500
         assert payload.startswith("internal error: ")
         assert http_call(server.server_address, "GET", "/health") == (200, "ok")
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
     faults = [r for r in caplog.records if r.name == "graphpdp" and r.exc_info]
     assert [r.exc_info[0] for r in faults] == [RuntimeError]
+
+
+class RecordingEngine:
+    """Decides as ``engine`` does, recording the thread of each decision.
+    With ``hold_next`` set, the next decision waits for ``release``."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.threads: list[threading.Thread] = []
+        self.hold_next = False
+        self.held = threading.Event()
+        self.release = threading.Event()
+
+    def decide(self, request):
+        self.threads.append(threading.current_thread())
+        if self.hold_next:
+            self.hold_next = False
+            self.held.set()
+            self.release.wait(timeout=5)
+        return self.engine.decide(request)
+
+
+def test_serve_answers_sequential_connections_on_one_thread(demo_engine, demo_request_file):
+    engine = RecordingEngine(demo_engine)
+    body = demo_request_file.read_bytes()
+    with serving(engine) as server:
+        for _ in range(2):
+            # read until the server closes, by which time its thread is idle
+            status, reply = raw_post(server.server_address, f"Content-Length: {len(body)}\r\n", body)
+            assert (status, reply.decode("utf-8")) == (b"200", PERMIT_XML)
+    first, second = engine.threads
+    assert first is second
+
+
+def test_a_stalled_connection_does_not_delay_another_client(demo_engine, demo_request_file):
+    body = demo_request_file.read_text(encoding="utf-8")
+    with serving(demo_engine, timeout=3) as server:
+        # leaves one idle thread, which the stalled connection takes
+        assert http_call(server.server_address, "POST", "/decision", body) == (200, PERMIT_XML)
+        with socket.create_connection(server.server_address, timeout=5) as stalled:
+            stalled.sendall(post_head("Content-Length: 100\r\n") + b"<Req")
+            started = time.perf_counter()
+            assert http_call(server.server_address, "POST", "/decision", body) == (200, PERMIT_XML)
+            assert time.perf_counter() - started < 1.5
+
+
+def test_no_handler_thread_outlives_a_closed_server(demo_engine, demo_request_file):
+    engine = RecordingEngine(demo_engine)
+    body = demo_request_file.read_bytes()
+    head = f"Content-Length: {len(body)}\r\n"
+    held_replies = []
+    with serving(engine) as server:
+        engine.hold_next = True
+        client = threading.Thread(
+            target=lambda: held_replies.append(raw_post(server.server_address, head, body)),
+            daemon=True,
+        )
+        client.start()
+        assert engine.held.wait(timeout=5)
+        # the first thread is busy, so this connection starts a second one,
+        # which is idle once it has answered
+        status, reply = raw_post(server.server_address, head, body)
+        assert (status, reply.decode("utf-8")) == (b"200", PERMIT_XML)
+    engine.release.set()  # only now, after server_close, does the busy thread answer
+    busy, idle = engine.threads
+    assert busy is not idle
+    for thread in (client, busy, idle):
+        thread.join(timeout=5)
+        assert not thread.is_alive(), thread
+    assert held_replies == [(b"200", PERMIT_XML.encode("utf-8"))]
+
+
+@pytest.mark.parametrize("engine_kind", ["demo", "failing"])
+def test_serve_answers_after_a_client_leaves_before_its_reply(
+    demo_engine, demo_request_file, engine_kind
+):
+    engine, expected = {"demo": (demo_engine, b"200"), "failing": (FailingEngine(), b"500")}[
+        engine_kind
+    ]
+    body = demo_request_file.read_bytes()
+    head = f"Content-Length: {len(body)}\r\n"
+    with serving(engine) as server:
+        for _ in range(2):
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                sock.sendall(post_head(head) + body)  # and leaves without reading
+            assert raw_post(server.server_address, head, body)[0] == expected
+        assert http_call(server.server_address, "GET", "/health") == (200, "ok")
+
+
+def test_serve_process_answers_and_exits_on_sigint(
+    demo_policy_dir, demo_graph_file, demo_request_file
+):
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(repo / "src"), env.get("PYTHONPATH")])
+    )
+    env.pop("PYTHONUNBUFFERED", None)  # serve must flush its line to a pipe itself
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphpdp", "serve", "--policies", str(demo_policy_dir),
+         "--graph", str(demo_graph_file), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        assert select.select([proc.stdout], [], [], 20)[0], "serve printed no line"
+        line = proc.stdout.readline()
+        assert line.startswith("listening on http://127.0.0.1:"), line
+        address = ("127.0.0.1", int(line.rsplit(":", 1)[1]))
+        body = demo_request_file.read_text(encoding="utf-8")
+        for _ in range(2):
+            assert http_call(address, "POST", "/decision", body) == (200, PERMIT_XML)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=5)
+        assert proc.returncode == 0, err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=5)
 
 
 def test_request_log_lines_are_formatted_only_for_debug(caplog):
