@@ -3,6 +3,12 @@
 Exit codes for ``eval`` encode the decision so shell pipelines can branch
 on it: 0 Permit, 1 Deny, 3 NotApplicable, 4 Indeterminate; 2 is reserved
 for parse/configuration failures across all commands.
+
+``serve`` answers HTTP/1.0 on a loopback port, one request per
+connection: :class:`DecisionHandler` reads the request head with one
+``recv`` loop, parses it itself and sends each reply with one
+``sendall``; :class:`DecisionServer` hands each connection to an idle
+handler thread.
 """
 
 from __future__ import annotations
@@ -10,11 +16,13 @@ from __future__ import annotations
 import argparse
 import logging
 import queue
+import re
+import socketserver
 import sys
 import threading
 from dataclasses import dataclass
+from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 from .errors import EngineError, GraphError, PolicySchemaError, RequestParseError
@@ -39,6 +47,18 @@ EXIT_USAGE = 2
 MAX_BODY_BYTES = 1 << 20
 # Seconds a connection may stall on a read or write before it is dropped.
 SOCKET_TIMEOUT_S = 10
+# The longest request head (request line and header fields) read, and the
+# most header fields it may hold.
+MAX_HEAD_BYTES = 1 << 16
+MAX_HEADER_FIELDS = 100
+# The most bytes asked of one recv.
+RECV_BYTES = 1 << 16
+SERVE_HOST = "127.0.0.1"
+
+# The end of a request head's last line and the blank line after it; a
+# bare LF is taken for CRLF.
+_HEAD_END = re.compile(rb"\n\r?\n")
+_VERSION = re.compile(r"HTTP/([0-9]{1,9})\.([0-9]{1,9})")
 
 
 @dataclass
@@ -202,56 +222,133 @@ def cmd_emit_cypher(args) -> int:
 # -- decision service ------------------------------------------------------
 
 
-class DecisionHandler(BaseHTTPRequestHandler):
+class _Refused(Exception):
+    """A request that gets an error reply before any handler method runs."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _refuse_long_head(received: bytes) -> None:
+    """Refuse a head that runs past ``MAX_HEAD_BYTES``: 414 when its
+    request line does too, 431 otherwise."""
+    if received.find(b"\n", 0, MAX_HEAD_BYTES + 2) < 0:
+        raise _Refused(414, f"request line longer than {MAX_HEAD_BYTES} bytes")
+    raise _Refused(431, f"request head longer than {MAX_HEAD_BYTES} bytes")
+
+
+class DecisionHandler(socketserver.BaseRequestHandler):
+    """Answers one HTTP/1.0 request per connection.
+
+    :meth:`handle` receives the request head into one buffer, splits the
+    request line and header fields itself, and calls ``do_GET`` or
+    ``do_POST``, which stage the reply; it then sends the status line,
+    headers and body with one ``sendall``.  A request it cannot take gets
+    a plain-text error reply: 400 for a malformed head, 408 when the head
+    stalls past ``timeout``, 414 for a request line longer than
+    ``MAX_HEAD_BYTES``, 431 for a longer head or more than
+    ``MAX_HEADER_FIELDS`` fields, 501 for a method other than GET or
+    POST, 505 for HTTP/2 or later.  A client that closes the connection
+    before sending a byte gets no reply.
+    """
+
     engine: DecisionEngine  # injected by build_server
     timeout = SOCKET_TIMEOUT_S
-    # A buffered wfile, flushed once per request by handle_one_request (or
-    # finish), sends headers and body in one write; larger replies still
-    # go out whole, in more writes.
-    wbufsize = -1
+
+    def handle(self) -> None:
+        self.request.settimeout(self.timeout)
+        self.requestline = ""
+        try:
+            if not self._read_head():
+                return  # closed before sending a byte: nothing to answer
+            method = getattr(self, "do_" + self.command, None)
+            if method is None:
+                raise _Refused(501, f"not implemented: method {self.command!r}")
+            method()
+        except _Refused as exc:
+            self._send(exc.status, str(exc), "text/plain")
+        except ConnectionError as exc:
+            self.log_message("connection lost: %r", exc)
+            return
+        try:
+            self.request.sendall(self._reply)
+        except (TimeoutError, ConnectionError) as exc:
+            self.log_message("reply not sent: %r", exc)
+            return
+        self.log_message('"%s" %s %s', self.requestline, self._status, len(self._reply))
+
+    def _read_head(self) -> bool:
+        """Receive and parse the request head, keeping the bytes received
+        after it as the start of the body; False if the connection closed
+        before a byte arrived."""
+        received = bytearray()
+        searched = 0  # where the end can first be, given what was searched
+        while (end := _HEAD_END.search(received, searched)) is None:
+            if len(received) > MAX_HEAD_BYTES:
+                _refuse_long_head(received)
+            searched = max(len(received) - 2, 0)
+            try:
+                chunk = self.request.recv(RECV_BYTES)
+            except TimeoutError:
+                raise _Refused(
+                    408, "request timeout: request line or headers not received"
+                ) from None
+            if not chunk:
+                if not received:
+                    return False
+                raise _Refused(400, "bad request: connection closed inside the request head")
+            received += chunk
+        if end.start() > MAX_HEAD_BYTES:
+            _refuse_long_head(received)
+        received = bytes(received)
+        self._body_start = received[end.end():]
+        # each line may keep the CR of its CRLF: split() and strip() drop it
+        request_line, *fields = received[: end.start()].split(b"\n")
+        self.requestline = request_line.decode("latin-1")
+        words = self.requestline.split()
+        if len(words) != 3:
+            raise _Refused(400, "bad request: request line is not METHOD TARGET HTTP/x.y")
+        self.command, self.path, version = words
+        if (numbers := _VERSION.fullmatch(version)) is None:
+            raise _Refused(400, "bad request: malformed HTTP version")
+        if int(numbers[1]) >= 2:
+            raise _Refused(505, f"HTTP version not supported: {version}")
+        if len(fields) > MAX_HEADER_FIELDS:
+            raise _Refused(431, f"more than {MAX_HEADER_FIELDS} header fields")
+        lengths = set()
+        for field in fields:
+            name, colon, value = field.partition(b":")
+            if not colon:
+                raise _Refused(400, "bad request: header field without a colon")
+            if name.lower() == b"content-length":
+                lengths.add(value.strip())
+        if len(lengths) > 1:
+            raise _Refused(400, "bad request: conflicting Content-Length values")
+        self.content_length = lengths.pop().decode("latin-1") if lengths else None
+        return True
+
+    def _read_body(self, length: int) -> bytes:
+        """The first ``length`` body bytes, or fewer if the connection
+        closes first."""
+        chunks = [self._body_start[:length]]
+        missing = length - len(chunks[0])
+        while missing > 0 and (chunk := self.request.recv(min(missing, RECV_BYTES))):
+            chunks.append(chunk)
+            missing -= len(chunk)
+        return b"".join(chunks)
 
     def _send(self, status: int, body: str, content_type: str) -> None:
+        """Stage the reply that :meth:`handle` sends."""
         payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def handle_one_request(self):
-        """Read and answer one request as the base class does, except that
-        a request line or headers that stall past ``timeout`` are answered
-        408, as a stalled body is; the base class drops the connection
-        without a reply."""
-        # what the 408 reply needs when the request line never completed;
-        # parse_request sets both once it has the line
-        self.requestline, self.request_version = "", self.protocol_version
-        try:
-            self.raw_requestline = self.rfile.readline(65537)
-            if not self.raw_requestline:
-                self.close_connection = True
-                return
-            if len(self.raw_requestline) > 65536:
-                self.request_version = self.command = ""
-                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
-                return
-            if not self.parse_request():
-                return  # parse_request has sent the error reply
-        except TimeoutError:
-            self.close_connection = True
-            self._send(408, "request timeout: request line or headers not received",
-                       "text/plain")
-            return
-        method = getattr(self, "do_" + self.command, None)
-        if method is None:
-            self.send_error(HTTPStatus.NOT_IMPLEMENTED, f"Unsupported method ({self.command!r})")
-            return
-        try:
-            method()
-            self.wfile.flush()
-        except TimeoutError as exc:
-            self.log_error("reply timed out: %r", exc)
-            self.close_connection = True
+        head = (
+            f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Date: {formatdate(usegmt=True)}\r\n"
+            f"Content-Type: {content_type}; charset=utf-8\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
+        )
+        self._status = status
+        self._reply = head.encode("ascii") + payload
 
     def do_GET(self):
         if self.path == "/health":
@@ -263,11 +360,14 @@ class DecisionHandler(BaseHTTPRequestHandler):
         if self.path != "/decision":
             self._send(404, "not found", "text/plain")
             return
-        length = self.headers.get("Content-Length") or "0"
+        length = self.content_length or "0"
         if not length.isdecimal():
             self._send(400, f"bad request: Content-Length {length!r}", "text/plain")
             return
-        if int(length) > MAX_BODY_BYTES:
+        # compared by its digits first: int() refuses a string of thousands
+        digits = length.lstrip("0") or "0"
+        size = int(digits) if len(digits) <= len(str(MAX_BODY_BYTES)) else MAX_BODY_BYTES + 1
+        if size > MAX_BODY_BYTES:
             self._send(
                 413,
                 f"request body too large: Content-Length {length} exceeds "
@@ -276,9 +376,12 @@ class DecisionHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            body = self.rfile.read(int(length))
+            body = self._read_body(size)
         except TimeoutError:
             self._send(408, "request timeout: body not received", "text/plain")
+            return
+        if len(body) < size:
+            self._send(400, "bad request: body shorter than its Content-Length", "text/plain")
             return
         try:
             request = parse_request(body.decode("utf-8"))
@@ -294,15 +397,15 @@ class DecisionHandler(BaseHTTPRequestHandler):
             return
         self._send(200, response_xml, "application/xml")
 
-    def log_message(self, format, *args):  # noqa: A002 - base class signature
+    def log_message(self, format, *args):  # noqa: A002 - http.server handlers' signature
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("%s - %s", self.address_string(), format % args)
+            log.debug("%s - %s", self.client_address[0], format % args)
 
 
-class DecisionServer(HTTPServer):
-    """An :class:`HTTPServer` that answers each connection on a handler
-    thread, as a thread per connection would, without starting one each
-    time.
+class DecisionServer(socketserver.TCPServer):
+    """A :class:`socketserver.TCPServer` that answers each connection on a
+    handler thread, as a thread per connection would, without starting one
+    each time.
 
     A thread that has answered its connection waits, idle, for another; a
     new daemon thread starts only when no thread is idle.  So a stalled
@@ -312,11 +415,14 @@ class DecisionServer(HTTPServer):
     answered.
     """
 
+    allow_reuse_address = True
+
     def __init__(self, server_address, handler_class):
-        super().__init__(server_address, handler_class)
+        # set before binding, since a failed bind calls server_close
         self._lock = threading.Lock()
         self._idle: list[queue.SimpleQueue] = []  # the inbox of each idle thread
         self._closed = False
+        super().__init__(server_address, handler_class)
 
     def process_request(self, request, client_address):
         with self._lock:
@@ -355,7 +461,7 @@ class DecisionServer(HTTPServer):
 
 def build_server(engine: DecisionEngine, port: int) -> DecisionServer:
     handler = type("BoundDecisionHandler", (DecisionHandler,), {"engine": engine})
-    return DecisionServer(("127.0.0.1", port), handler)
+    return DecisionServer((SERVE_HOST, port), handler)
 
 
 def cmd_serve(args) -> int:
@@ -363,7 +469,10 @@ def cmd_serve(args) -> int:
         engine = _build_engine(args, need_graph=False)
     except (EngineError, OSError) as exc:
         return _fail(str(exc))
-    server = build_server(engine, args.port)
+    try:
+        server = build_server(engine, args.port)
+    except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0-65535
+        return _fail(f"cannot listen on {SERVE_HOST}:{args.port}: {exc}")
     host, port = server.server_address
     log.info("decision service on http://%s:%s", host, port)
     print(f"listening on http://{host}:{port}", flush=True)

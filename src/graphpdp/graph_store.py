@@ -35,7 +35,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import AbstractSet, Iterator, Mapping
@@ -119,14 +119,23 @@ def loose_equal(a: PropertyValue, b: PropertyValue) -> bool:
     return canonical_key(a) == canonical_key(b)
 
 
+def _freeze_properties(record, copy: bool) -> None:
+    """Wrap the record's properties read-only, over a copy of the given
+    mapping unless the caller handed it over."""
+    properties = dict(record.properties) if copy else record.properties
+    object.__setattr__(record, "properties", MappingProxyType(properties))
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class VertexRecord:
     id: str
     label: str
     properties: Mapping[str, PropertyValue] = field(default_factory=dict)
+    # False when the caller hands over a dict that nothing else holds
+    copy_properties: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "properties", MappingProxyType(dict(self.properties)))
+    def __post_init__(self, copy_properties: bool) -> None:
+        _freeze_properties(self, copy_properties)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexRecord):
@@ -145,9 +154,11 @@ class EdgeRecord:
     from_id: str
     to_id: str
     properties: Mapping[str, PropertyValue] = field(default_factory=dict)
+    # False when the caller hands over a dict that nothing else holds
+    copy_properties: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "properties", MappingProxyType(dict(self.properties)))
+    def __post_init__(self, copy_properties: bool) -> None:
+        _freeze_properties(self, copy_properties)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeRecord):
@@ -446,7 +457,7 @@ def _json_records(raws: list, record: type, fields: tuple[str, ...], what: str) 
             values.append(_check_properties(raw.get("properties", {})))
         except _BadRecord as exc:
             raise GraphFormatError(f"{what}[{i}]: {exc}") from None
-        records.append(record(*values))
+        records.append(record(*values, copy_properties=False))
     return records
 
 
@@ -589,13 +600,17 @@ def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
         edges_text, ("_id", "_type", "_from", "_to"), "edge"
     )
     vertices = [
-        VertexRecord(row[0], row[1], _csv_props(v_props, row[2:], "vertex", row[0], line))
+        VertexRecord(
+            row[0], row[1], _csv_props(v_props, row[2:], "vertex", row[0], line),
+            copy_properties=False,
+        )
         for line, row in v_rows
     ]
     edges = [
         EdgeRecord(
             row[0], row[1], row[2], row[3],
             _csv_props(e_props, row[4:], "edge", row[0], line),
+            copy_properties=False,
         )
         for line, row in e_rows
     ]

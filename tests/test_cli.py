@@ -14,7 +14,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from graphpdp import cli
 from graphpdp.cli import (
     DECISION_EXIT_CODES,
     EXIT_USAGE,
@@ -571,7 +574,10 @@ def serving(engine, timeout=None):
     server = build_server(engine, 0)
     if timeout is not None:
         server.RequestHandlerClass.timeout = timeout
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # polled often, so that shutdown() returns soon
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield server
@@ -640,17 +646,35 @@ def post_head(head_fields: str) -> bytes:
 def raw_exchange(address, sent: bytes) -> tuple[bytes, bytes]:
     """Status code and body of the reply to ``sent``, read until the server
     closes the connection."""
+    status, _, body = split_reply(raw_reply(address, sent))
+    return status, body
+
+
+def raw_reply(address, sent: bytes, close_write: bool = False) -> bytes:
+    """Every byte the server sends back for ``sent``, until it closes the
+    connection; with ``close_write`` the client closes its side first."""
     reply = b""
     with socket.create_connection(address, timeout=5) as sock:
-        sock.sendall(sent)
+        try:
+            sock.sendall(sent)
+            if close_write:
+                sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server has answered and closed without reading it all
         try:
             while chunk := sock.recv(4096):
                 reply += chunk
         except ConnectionResetError:
             pass  # the server closes with the unread body still queued
-    status_line, _, rest = reply.partition(b"\r\n")
+    return reply
+
+
+def split_reply(reply: bytes) -> tuple[bytes, list[bytes], bytes]:
+    """Status code, header lines and body of a reply."""
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *fields = head.split(b"\r\n")
     assert status_line, "the server closed the connection without a reply"
-    return status_line.split()[1], rest.partition(b"\r\n\r\n")[2]
+    return status_line.split()[1], fields, body
 
 
 def test_serve_refuses_an_oversized_body_unread(running_server):
@@ -830,6 +854,177 @@ def test_request_log_lines_are_formatted_only_for_debug(caplog):
 def test_serve_unknown_paths(running_server):
     assert http_call(running_server, "GET", "/nope")[0] == 404
     assert http_call(running_server, "POST", "/nope", "x")[0] == 404
+
+
+DEMO_BODY = (
+    Path(__file__).resolve().parent.parent / "fixtures" / "requests" / "access_data_object.xml"
+).read_bytes()
+DEMO_POST = post_head(f"Content-Length: {len(DEMO_BODY)}\r\n") + DEMO_BODY
+GET_HEALTH = b"GET /health HTTP/1.0\r\n\r\n"
+
+
+def header_fields(count: int, value_bytes: int) -> bytes:
+    return b"".join(b"X-Field-%d: %s\r\n" % (i, b"v" * value_bytes) for i in range(count))
+
+
+# (sent, whether the client then closes its side, status); the ids say
+# what each row sends
+STATUS_TABLE = {
+    "request line over 65536 bytes": (
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n", False, b"414"),
+    "header line over 65536 bytes": (
+        b"GET /health HTTP/1.0\r\n" + header_fields(1, 70_000) + b"\r\n", False, b"431"),
+    "head over 65536 bytes": (
+        b"GET /health HTTP/1.0\r\n" + header_fields(20, 4000) + b"\r\n", False, b"431"),
+    "101 header fields": (
+        b"GET /health HTTP/1.0\r\n" + header_fields(101, 1) + b"\r\n", False, b"431"),
+    "method PUT": (b"PUT /decision HTTP/1.0\r\nContent-Length: 0\r\n\r\n", False, b"501"),
+    "HTTP/2.0": (b"GET /health HTTP/2.0\r\n\r\n", False, b"505"),
+    "one-word request line": (b"GARBAGE\r\n\r\n", False, b"400"),
+    "request line without a version": (b"GET /health\r\n\r\n", False, b"400"),
+    "malformed version": (b"GET /health HTTP/one\r\n\r\n", False, b"400"),
+    "header line without a colon": (
+        b"GET /health HTTP/1.0\r\nNoColonHere\r\n\r\n", False, b"400"),
+    "two different Content-Lengths": (
+        post_head(f"Content-Length: {len(DEMO_BODY)}\r\nContent-Length: {len(DEMO_BODY) + 1}\r\n")
+        + DEMO_BODY, False, b"400"),
+    "EOF inside the headers": (b"GET /health HTTP/1.0\r\nHost: localhost\r\n", True, b"400"),
+    "EOF inside the request line": (b"POST /deci", True, b"400"),
+    "EOF inside the body": (post_head("Content-Length: 100\r\n") + b"<Req", True, b"400"),
+    "Content-Length of 5000 digits": (
+        post_head(f"Content-Length: {'9' * 5000}\r\n"), False, b"413"),
+    "the same Content-Length twice": (
+        post_head(f"Content-Length: {len(DEMO_BODY)}\r\nContent-Length: {len(DEMO_BODY)}\r\n")
+        + DEMO_BODY, False, b"200"),
+    "bare LF line ends": (b"GET /health HTTP/1.0\n\n", False, b"200"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(STATUS_TABLE))
+def test_serve_status_table(running_server, row):
+    sent, close_write, expected = STATUS_TABLE[row]
+    status, head_fields, body = split_reply(raw_reply(running_server, sent, close_write))
+    assert status == expected, body
+    assert b"Content-Type: text/plain; charset=utf-8" in head_fields or status == b"200"
+    assert head_fields[-1] == b"Content-Length: %d" % len(body)
+
+
+def test_a_client_that_sends_nothing_gets_no_reply_and_frees_its_thread(demo_engine):
+    engine = RecordingEngine(demo_engine)
+    with serving(engine) as server:
+        assert raw_exchange(server.server_address, DEMO_POST)[0] == b"200"
+        # the one handler thread, idle again, takes this connection
+        assert raw_reply(server.server_address, b"", close_write=True) == b""
+        assert raw_exchange(server.server_address, DEMO_POST)[0] == b"200"
+    first, second = engine.threads
+    assert first is second
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_serve_reads_a_head_whose_end_arrives_in_pieces(running_server, cut):
+    head_end = DEMO_POST.index(b"\r\n\r\n") + 4
+    pieces = [DEMO_POST[: head_end - cut - 1], DEMO_POST[head_end - cut - 1: head_end - 1],
+              DEMO_POST[head_end - 1: head_end], DEMO_POST[head_end:]]
+    reply = b""
+    with socket.create_connection(running_server, timeout=5) as sock:
+        for piece in pieces:
+            sock.sendall(piece)
+            time.sleep(0.02)  # so each piece is a recv of its own
+        while chunk := sock.recv(4096):
+            reply += chunk
+    status, _, body = split_reply(reply)
+    assert (status, body.decode("utf-8")) == (b"200", PERMIT_XML)
+
+
+def raw_requests():
+    """Byte strings a client might send in place of a request."""
+    truncated = st.sampled_from([DEMO_POST, GET_HEALTH]).flatmap(
+        lambda sent: st.integers(1, len(sent)).map(lambda n: sent[:n])
+    )
+    long_lines = st.builds(
+        lambda where, n: {
+            "target": b"GET /" + b"a" * n + b" HTTP/1.0\r\n\r\n",
+            "field": b"GET /health HTTP/1.0\r\nX: " + b"a" * n + b"\r\n\r\n",
+            "fields": b"GET /health HTTP/1.0\r\n" + header_fields(n // 600, 30) + b"\r\n",
+        }[where],
+        st.sampled_from(["target", "field", "fields"]),
+        st.integers(60_000, 70_000),
+    )
+    junk = st.binary(min_size=1, max_size=300)
+    in_head = st.builds(
+        lambda at, inserted: DEMO_POST[:at] + inserted + DEMO_POST[at:],
+        st.integers(0, DEMO_POST.index(b"\r\n\r\n")),
+        st.binary(min_size=1, max_size=20).filter(lambda b: any(c > 127 for c in b)),
+    )
+    lengths = st.one_of(
+        st.sampled_from(["", "-1", "abc", "1e3", "0x10", " 12 ", "9" * 5000, "0" * 5000 + "1"]),
+        st.integers(0, 3000).map(str),
+        st.integers(0, 10**25).map(str),
+    )
+    bad_length = st.builds(
+        lambda value, body: post_head(f"Content-Length: {value}\r\n") + body,
+        lengths,
+        st.sampled_from([b"", DEMO_BODY[:10], DEMO_BODY]),
+    )
+    not_xml = st.binary(max_size=400).map(
+        lambda body: post_head(f"Content-Length: {len(body)}\r\n") + body
+    )
+    return st.one_of(truncated, long_lines, junk, in_head, bad_length, not_xml)
+
+
+def test_serve_answers_any_bytes_with_a_defined_status(demo_engine):
+    statuses = {b"200", b"400", b"404", b"408", b"413", b"414", b"431", b"501", b"505"}
+    # a short timeout, since a truncated request left open waits for it
+    with serving(demo_engine, timeout=0.1) as server:
+        errors = []
+        server.handle_error = lambda request, client_address: errors.append(client_address)
+
+        @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(sent=raw_requests(), close_write=st.booleans())
+        def exchange(sent, close_write):
+            status, _, body = split_reply(raw_reply(server.server_address, sent, close_write))
+            assert status in statuses, body
+
+        exchange()
+        assert errors == []
+        assert http_call(server.server_address, "GET", "/health") == (200, "ok")
+
+
+def test_the_benchmark_tracer_hooks_are_looked_up_at_call_time(
+    monkeypatch, running_server
+):
+    # perfbench/tracing.py wraps these three attributes of a running service
+    assert "do_POST" in DecisionHandler.__dict__
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [(DecisionHandler, "do_POST"), (cli, "parse_request"),
+                        (cli, "render_response_xml")]:
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    body = DEMO_BODY.decode("utf-8")
+    assert http_call(running_server, "POST", "/decision", body) == (200, PERMIT_XML)
+    assert calls == ["do_POST", "parse_request", "render_response_xml"]
+
+
+@pytest.mark.parametrize("port", ["70000", "-1", "busy"])
+def test_serve_on_a_bad_or_busy_port_exits_2(capsys, demo_policy_dir, demo_graph_file, port):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        if port == "busy":
+            port = str(taken.getsockname()[1])
+        code = run(["serve", "--policies", str(demo_policy_dir), "--graph",
+                    str(demo_graph_file), "--port", port])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: "), err
+    assert err.count("\n") == 1, err
 
 
 def test_serve_flag_conflict(capsys, demo_policy_dir, demo_graph_file, demo_source_file):

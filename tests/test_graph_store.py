@@ -182,6 +182,34 @@ def test_records_are_immutable_copies_of_what_they_were_built_with():
     assert_unchangeable(edited, "id")
 
 
+def test_a_handed_over_properties_dict_is_wrapped_without_a_copy():
+    properties = {"typeCode": "pmUser"}
+    for record in (
+        VertexRecord("A", "dataObjects", properties, copy_properties=False),
+        EdgeRecord("e1", "accessRelations", "A", "A", properties, copy_properties=False),
+    ):
+        [wrapped] = gc.get_referents(record.properties)
+        assert wrapped is properties
+        assert_unchangeable(record, "id")
+    [wrapped] = gc.get_referents(VertexRecord("A", "dataObjects", properties).properties)
+    assert wrapped is not properties and wrapped == properties
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_loaded_records_are_read_only(format):
+    if format == "json":
+        g = load_graph_json(serialize_graph(small_graph()))
+    else:
+        g = load_graph_csv(
+            "_id,_label,typeCode\nA,dataObjects,pmUser\nB,tasks,\n",
+            "_id,_type,_from,_to,typeKind\ne1,accessRelations,A,B,worksOn\n",
+        )
+    assert_unchangeable(g.vertex("A"), "label")
+    assert_unchangeable(g.edge("e1"), "type")
+    assert g.vertex("A").properties == {"typeCode": "pmUser"}
+    assert g.edge("e1").properties == {"typeKind": "worksOn"}
+
+
 def test_snapshot_is_isolated_and_frozen():
     g = small_graph()
     snap = g.snapshot()
