@@ -20,6 +20,7 @@ import re
 import socketserver
 import sys
 import threading
+import time
 from dataclasses import dataclass
 from email.utils import formatdate
 from http import HTTPStatus
@@ -45,7 +46,8 @@ EXIT_USAGE = 2
 # A decision request is a few kilobytes of XML; refuse longer bodies
 # before reading them.
 MAX_BODY_BYTES = 1 << 20
-# Seconds a connection may stall on a read or write before it is dropped.
+# Seconds a connection has to send its request head and body, counted from
+# when a handler takes it, and that the reply's write may stall.
 SOCKET_TIMEOUT_S = 10
 # The longest request head (request line and header fields) read, and the
 # most header fields it may hold.
@@ -246,8 +248,9 @@ class DecisionHandler(socketserver.BaseRequestHandler):
     ``do_POST``, which stage the reply; it then sends the status line,
     headers and body with one ``sendall``.  A request it cannot take gets
     a plain-text error reply: 400 for a malformed head, 408 when the head
-    stalls past ``timeout``, 414 for a request line longer than
-    ``MAX_HEAD_BYTES``, 431 for a longer head or more than
+    or the body has not arrived ``timeout`` seconds after the connection
+    was taken, however the client spaces its bytes, 414 for a request line
+    longer than ``MAX_HEAD_BYTES``, 431 for a longer head or more than
     ``MAX_HEADER_FIELDS`` fields, 501 for a method other than GET or
     POST, 505 for HTTP/2 or later.  A client that closes the connection
     before sending a byte gets no reply.
@@ -257,7 +260,7 @@ class DecisionHandler(socketserver.BaseRequestHandler):
     timeout = SOCKET_TIMEOUT_S
 
     def handle(self) -> None:
-        self.request.settimeout(self.timeout)
+        self._deadline = time.monotonic() + self.timeout
         self.requestline = ""
         try:
             if not self._read_head():
@@ -272,6 +275,7 @@ class DecisionHandler(socketserver.BaseRequestHandler):
             self.log_message("connection lost: %r", exc)
             return
         try:
+            self.request.settimeout(self.timeout)
             self.request.sendall(self._reply)
         except (TimeoutError, ConnectionError) as exc:
             self.log_message("reply not sent: %r", exc)
@@ -289,7 +293,7 @@ class DecisionHandler(socketserver.BaseRequestHandler):
                 _refuse_long_head(received)
             searched = max(len(received) - 2, 0)
             try:
-                chunk = self.request.recv(RECV_BYTES)
+                chunk = self._recv(RECV_BYTES)
             except TimeoutError:
                 raise _Refused(
                     408, "request timeout: request line or headers not received"
@@ -328,12 +332,21 @@ class DecisionHandler(socketserver.BaseRequestHandler):
         self.content_length = lengths.pop().decode("latin-1") if lengths else None
         return True
 
+    def _recv(self, size: int) -> bytes:
+        """One ``recv`` given only the time left before the request's
+        deadline; TimeoutError once it has passed."""
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError
+        self.request.settimeout(left)
+        return self.request.recv(size)
+
     def _read_body(self, length: int) -> bytes:
         """The first ``length`` body bytes, or fewer if the connection
         closes first."""
         chunks = [self._body_start[:length]]
         missing = length - len(chunks[0])
-        while missing > 0 and (chunk := self.request.recv(min(missing, RECV_BYTES))):
+        while missing > 0 and (chunk := self._recv(min(missing, RECV_BYTES))):
             chunks.append(chunk)
             missing -= len(chunk)
         return b"".join(chunks)
@@ -409,7 +422,7 @@ class DecisionServer(socketserver.TCPServer):
 
     A thread that has answered its connection waits, idle, for another; a
     new daemon thread starts only when no thread is idle.  So a stalled
-    connection holds one thread until the handler's socket timeout, and
+    connection holds one thread until the handler's deadline, and
     every other connection still gets a thread.  :meth:`server_close`
     stops the idle threads; a thread busy at that moment exits once it has
     answered.

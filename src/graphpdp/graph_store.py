@@ -5,8 +5,8 @@ type, each carrying a scalar property map.  Property values are plain
 Python ``str``/``int``/``float``/``bool``; the helpers below implement the
 value semantics the engine relies on:
 
-* strict equality is kind-aware (integer 2, float 2.0, text "2" and
-  boolean True are four different values),
+* a value keeps its kind (integer 2, float 2.0, text "2" and boolean
+  True are four different values),
 * comparison operators coerce to float only when both operands look
   numeric (see :func:`loose_equal`),
 * :func:`as_text` is the canonical textual rendering used for
@@ -17,13 +17,18 @@ records, and is built in one of three ways:
 
 * ``add_vertex``/``add_edge`` check and store one record at a time;
 * the file importers check every record, store them and freeze the graph;
+  a loaded graph holds one ``str`` object per distinct text, so each
+  edge's endpoints are its vertices' own id objects and a repeated label,
+  type or text value is held once;
 * :func:`build_source_subset` and :meth:`PropertyGraph.snapshot` derive a
   frozen graph of the records a built graph keeps; a frozen graph is its
   own snapshot.
 
 Hop lists and label and property indexes are derived from the records in
 one bulk pass when one of them is first read, and kept until an insert
-drops them: a source only cut down to a subset never derives them.
+drops them: a source only cut down to a subset never derives them.  The
+property index keeps the bare id for a key that one vertex holds, and a
+set only for a key that several hold.
 """
 
 from __future__ import annotations
@@ -53,29 +58,6 @@ PropertyValue = str | int | float | bool
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
-
-
-def value_kind(value: PropertyValue) -> str:
-    """One of 'boolean', 'integer', 'float', 'text'."""
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "float"
-    if isinstance(value, str):
-        return "text"
-    raise TypeError(f"unsupported property value {value!r}")
-
-
-def strict_equal(a: PropertyValue, b: PropertyValue) -> bool:
-    return value_kind(a) == value_kind(b) and a == b
-
-
-def props_equal(a: Mapping[str, PropertyValue], b: Mapping[str, PropertyValue]) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(strict_equal(a[k], b[k]) for k in a)
 
 
 def as_text(value: PropertyValue) -> str:
@@ -137,15 +119,6 @@ class VertexRecord:
     def __post_init__(self, copy_properties: bool) -> None:
         _freeze_properties(self, copy_properties)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VertexRecord):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.label == other.label
-            and props_equal(self.properties, other.properties)
-        )
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class EdgeRecord:
@@ -159,17 +132,6 @@ class EdgeRecord:
 
     def __post_init__(self, copy_properties: bool) -> None:
         _freeze_properties(self, copy_properties)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeRecord):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.type == other.type
-            and self.from_id == other.from_id
-            and self.to_id == other.to_id
-            and props_equal(self.properties, other.properties)
-        )
 
 
 _HOP_SLOT = {DIRECTION_FROM: 0, DIRECTION_TO: 1, DIRECTION_ANY: 2}
@@ -250,15 +212,29 @@ class PropertyGraph:
         """Set ``_hops`` (vertex id -> one sorted hop list per direction in
         _HOP_SLOT order) and the label and property indexes, as plain
         attributes the accessors read directly.  Edges go in id order, so
-        each hop list comes out sorted."""
+        each hop list comes out sorted.  A property key that one vertex
+        holds maps to that vertex's id, one held by several to a set."""
         with _collector_paused():
             hops = {vid: ([], [], []) for vid in self._vertices}
             labels: dict[str, set[str]] = {}
-            props: dict[tuple[str, tuple], set[str]] = {}
+            props: dict[tuple[str, tuple], str | set[str]] = {}
             for vid, vertex in self._vertices.items():
-                labels.setdefault(vertex.label, set()).add(vid)
+                ids = labels.get(vertex.label)
+                if ids is None:
+                    labels[vertex.label] = {vid}
+                else:
+                    ids.add(vid)
                 for name, value in vertex.properties.items():
-                    props.setdefault((name, canonical_key(value)), set()).add(vid)
+                    key = (name, canonical_key(value))
+                    # a vertex holds each name once, so only a new key
+                    # comes back as this very id
+                    held = props.setdefault(key, vid)
+                    if held is vid:
+                        continue
+                    if type(held) is str:
+                        props[key] = {held, vid}
+                    else:
+                        held.add(vid)
             edges = self._edges
             for eid in sorted(edges):
                 edge = edges[eid]
@@ -307,9 +283,6 @@ class PropertyGraph:
     def vertex_ids(self) -> list[str]:
         return sorted(self._vertices)
 
-    def edge_ids(self) -> list[str]:
-        return sorted(self._edges)
-
     def hops(self, vertex_id: str, direction: str) -> list[tuple[str, str]]:
         """(edge id, neighbour id) pairs leaving ``vertex_id`` in sorted order.
 
@@ -334,13 +307,16 @@ class PropertyGraph:
         self, name: str, value: PropertyValue
     ) -> AbstractSet[str]:
         """Ids of the vertices whose ``name`` property loosely equals
-        ``value``.  The set is the index's own: read it, never mutate it."""
+        ``value``.  A value that several vertices hold gets the index's own
+        set: read it, never mutate it.  One that a single vertex holds gets
+        a fresh one-element set."""
         try:
-            return self._vertex_prop_index.get((name, canonical_key(value)), _NO_IDS)
+            ids = self._vertex_prop_index.get((name, canonical_key(value)), _NO_IDS)
         except AttributeError:
             return self.with_structures().vertices_with_property(name, value)
+        return frozenset((ids,)) if type(ids) is str else ids
 
-    # -- snapshots & equality ---------------------------------------------
+    # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> "PropertyGraph":
         """This graph when it is frozen, else a frozen graph derived from
@@ -370,17 +346,6 @@ class PropertyGraph:
         }
         graph._frozen = True
         return graph
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PropertyGraph):
-            return NotImplemented
-        if self._vertices.keys() != other._vertices.keys():
-            return False
-        if self._edges.keys() != other._edges.keys():
-            return False
-        return all(
-            self._vertices[v] == other._vertices[v] for v in self._vertices
-        ) and all(self._edges[e] == other._edges[e] for e in self._edges)
 
     def __repr__(self) -> str:
         return f"PropertyGraph(vertices={self.vertex_count}, edges={self.edge_count})"
@@ -424,11 +389,16 @@ class _BadRecord(Exception):
     """A record fails a check; the message lacks the record's place."""
 
 
-def _check_properties(raw: object) -> dict[str, PropertyValue]:
+def _check_properties(raw: object, strings: dict[str, str]) -> dict[str, PropertyValue]:
+    """``raw``, checked, each text value replaced by its ``strings`` entry."""
     if not isinstance(raw, dict):
         raise _BadRecord("properties must be an object")
     for name, value in raw.items():
-        if not isinstance(value, (str, int, float, bool)):
+        if type(value) is str:
+            # only exact text: 1, 1.0 and True are equal keys of one entry
+            raw[name] = strings.setdefault(value, value)
+            continue
+        if not isinstance(value, (int, float, bool)):
             if value is _TOO_LARGE:
                 raise _BadRecord(
                     f"property {name!r} is an integer too large to compare as a number"
@@ -439,9 +409,19 @@ def _check_properties(raw: object) -> dict[str, PropertyValue]:
     return raw
 
 
-def _json_records(raws: list, record: type, fields: tuple[str, ...], what: str) -> list:
+def _json_records(
+    raws: list,
+    record: type,
+    fields: tuple[str, ...],
+    shared: tuple[str, ...],
+    what: str,
+    strings: dict[str, str],
+) -> list:
     """``record(*fields, properties)`` for each raw object of the array
-    ``what``, checked; an error names the object as ``what[i]``."""
+    ``what``, checked; an error names the object as ``what[i]``.  The
+    ``shared`` fields and the text property values are replaced by their
+    ``strings`` entries, and each raw object leaves ``raws`` once its
+    record is built."""
     allowed = {*fields, "properties"}
     records = []
     for i, raw in enumerate(raws):
@@ -453,11 +433,12 @@ def _json_records(raws: list, record: type, fields: tuple[str, ...], what: str) 
                 value = raw.get(key)
                 if not isinstance(value, str) or not value:
                     raise _BadRecord(f"{key!r} must be a non-empty string")
-                values.append(value)
-            values.append(_check_properties(raw.get("properties", {})))
+                values.append(strings.setdefault(value, value) if key in shared else value)
+            values.append(_check_properties(raw.get("properties", {}), strings))
         except _BadRecord as exc:
             raise GraphFormatError(f"{what}[{i}]: {exc}") from None
         records.append(record(*values, copy_properties=False))
+        raws[i] = None
     return records
 
 
@@ -482,9 +463,15 @@ def load_graph_json(text: str) -> PropertyGraph:
         )
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise GraphFormatError("'vertices' and 'edges' must be arrays")
-    vertices = _json_records(doc["vertices"], VertexRecord, ("id", "label"), "vertices")
+    # one object per distinct text: a vertex id goes in first, so that the
+    # edges' endpoints become that id object; an edge id is unique
+    strings: dict[str, str] = {}
+    vertices = _json_records(
+        doc["vertices"], VertexRecord, ("id", "label"), ("id", "label"), "vertices", strings
+    )
     edges = _json_records(
-        doc["edges"], EdgeRecord, ("id", "type", "from", "to"), "edges"
+        doc["edges"], EdgeRecord, ("id", "type", "from", "to"), ("type", "from", "to"),
+        "edges", strings,
     )
     return _link(vertices, edges)
 
@@ -497,11 +484,12 @@ def _link(vertices: list[VertexRecord], edges: list[EdgeRecord]) -> PropertyGrap
     graph = PropertyGraph()
     for vertex in vertices:
         graph.add_vertex(vertex)
-    has_vertex, stored = graph.has_vertex, graph._edges
+    ids, stored = graph._vertices, graph._edges
     for edge in edges:
-        for endpoint in (edge.from_id, edge.to_id):
-            if not has_vertex(endpoint):
-                raise ReferentialError(edge.id, endpoint)
+        if edge.from_id not in ids:
+            raise ReferentialError(edge.id, edge.from_id)
+        if edge.to_id not in ids:
+            raise ReferentialError(edge.id, edge.to_id)
         graph._check_edge_id(edge)
         stored[edge.id] = edge
     graph._frozen = True
@@ -599,17 +587,21 @@ def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
     e_props, e_rows = _read_csv_rows(
         edges_text, ("_id", "_type", "_from", "_to"), "edge"
     )
+    # one object per distinct text, as in load_graph_json
+    strings: dict[str, str] = {}
+    share = strings.setdefault
     vertices = [
         VertexRecord(
-            row[0], row[1], _csv_props(v_props, row[2:], "vertex", row[0], line),
+            share(row[0], row[0]), share(row[1], row[1]),
+            _csv_props(v_props, row[2:], "vertex", row[0], line, strings),
             copy_properties=False,
         )
         for line, row in v_rows
     ]
     edges = [
         EdgeRecord(
-            row[0], row[1], row[2], row[3],
-            _csv_props(e_props, row[4:], "edge", row[0], line),
+            row[0], share(row[1], row[1]), share(row[2], row[2]), share(row[3], row[3]),
+            _csv_props(e_props, row[4:], "edge", row[0], line, strings),
             copy_properties=False,
         )
         for line, row in e_rows
@@ -618,17 +610,23 @@ def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
 
 
 def _csv_props(
-    names: list[str], cells: list[str], what: str, record_id: str, line: int
+    names: list[str],
+    cells: list[str],
+    what: str,
+    record_id: str,
+    line: int,
+    strings: dict[str, str],
 ) -> dict[str, PropertyValue]:
     props = {}
     for name, cell in zip(names, cells):
         if cell != "":
             try:
-                props[name] = parse_csv_value(cell)
+                value = parse_csv_value(cell)
             except GraphFormatError as exc:
                 raise GraphFormatError(
                     f"{what} {record_id!r}: property {name!r}: {exc}", line=line
                 ) from None
+            props[name] = strings.setdefault(value, value) if type(value) is str else value
     return props
 
 

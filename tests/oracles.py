@@ -72,6 +72,53 @@ def _hop_direction_ok(graph, eid, here, there, direction) -> bool:
     return forward or backward
 
 
+# -- graph equality, kind by kind -------------------------------------------
+
+
+def value_kind(value) -> str:
+    """One of 'boolean', 'integer', 'float', 'text'."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "float"
+    if isinstance(value, str):
+        return "text"
+    raise TypeError(f"unsupported property value {value!r}")
+
+
+def strict_equal(a, b) -> bool:
+    """Equal values of one kind: 2, 2.0, "2" and True are four values."""
+    return value_kind(a) == value_kind(b) and a == b
+
+
+def same_properties(a, b) -> bool:
+    return a.keys() == b.keys() and all(strict_equal(a[k], b[k]) for k in a)
+
+
+def edge_ids(graph: PropertyGraph) -> list[str]:
+    return sorted(edge.id for edge in graph.edges())
+
+
+def same_graph(a: PropertyGraph, b: PropertyGraph) -> bool:
+    """Whether the graphs hold the same records: the same vertex and edge
+    ids, each with the same label or type, endpoints and properties."""
+    if a.vertex_ids() != b.vertex_ids() or edge_ids(a) != edge_ids(b):
+        return False
+    for vid in a.vertex_ids():
+        va, vb = a.vertex(vid), b.vertex(vid)
+        if va.label != vb.label or not same_properties(va.properties, vb.properties):
+            return False
+    for eid in edge_ids(a):
+        ea, eb = a.edge(eid), b.edge(eid)
+        if (ea.type, ea.from_id, ea.to_id) != (eb.type, eb.from_id, eb.to_id):
+            return False
+        if not same_properties(ea.properties, eb.properties):
+            return False
+    return True
+
+
 # -- plan matching by trail filtering ---------------------------------------
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import memory_probe
+import oracles
 import strategies
 from graphpdp import graph_store
 from graphpdp.errors import (
@@ -30,8 +33,6 @@ from graphpdp.graph_store import (
     loose_equal,
     parse_csv_value,
     serialize_graph,
-    strict_equal,
-    value_kind,
 )
 from graphpdp.pdp import DecisionEngine, render_response_xml
 from graphpdp.policy_model import Meta, load_policy_dir
@@ -57,19 +58,43 @@ E_HEADER = "_id,_type,_from,_to\n"
 
 
 def test_value_kind_distinguishes_bool_from_int():
-    assert value_kind(True) == "boolean"
-    assert value_kind(1) == "integer"
-    assert value_kind(1.0) == "float"
-    assert value_kind("1") == "text"
+    assert oracles.value_kind(True) == "boolean"
+    assert oracles.value_kind(1) == "integer"
+    assert oracles.value_kind(1.0) == "float"
+    assert oracles.value_kind("1") == "text"
     with pytest.raises(TypeError):
-        value_kind(None)
+        oracles.value_kind(None)
 
 
 def test_strict_equal_is_kind_aware():
-    assert strict_equal(2, 2)
-    assert not strict_equal(2, 2.0)
-    assert not strict_equal(2, "2")
-    assert not strict_equal(True, 1)
+    assert oracles.strict_equal(2, 2)
+    assert not oracles.strict_equal(2, 2.0)
+    assert not oracles.strict_equal(2, "2")
+    assert not oracles.strict_equal(True, 1)
+
+
+def test_same_graph_tells_apart_records_that_differ_in_any_field_or_kind():
+    g = small_graph()
+    assert oracles.same_graph(g, small_graph())
+    changes = [
+        ("B", {"properties": {"_key": 7.0}}),
+        ("B", {"properties": {"_key": "7"}}),
+        ("B", {"properties": {"_key": 7, "extra": 1}}),
+        ("A", {"label": "tasks"}),
+        ("e1", {"type": "taskDataRelations"}),
+        ("e1", {"to_id": "C"}),
+        ("e2", {"from_id": "A"}),
+        ("e1", {"properties": {"typeKind": True}}),
+    ]
+    for rid, change in changes:
+        edited = inserted(
+            [replace(v, **change) if v.id == rid else v for v in g.vertices()],
+            [replace(e, **change) if e.id == rid else e for e in g.edges()],
+        )
+        assert not oracles.same_graph(edited, g), (rid, change)
+        assert not oracles.same_graph(g, edited), (rid, change)
+    fewer = inserted(g.vertices(), [e for e in g.edges() if e.id != "e2"])
+    assert not oracles.same_graph(fewer, g) and not oracles.same_graph(g, fewer)
 
 
 def test_as_text_canonical_forms():
@@ -216,7 +241,7 @@ def test_snapshot_is_isolated_and_frozen():
     assert snap is not g and snap.snapshot() is snap
     # the records are shared, and cannot change in place
     assert all(snap.vertex(v) is g.vertex(v) for v in g.vertex_ids())
-    assert all(snap.edge(e) is g.edge(e) for e in g.edge_ids())
+    assert all(snap.edge(e) is g.edge(e) for e in oracles.edge_ids(g))
     assert_unchangeable(g.vertex("A"), "label")
     assert_unchangeable(g.edge("e1"), "to_id")
     g.add_vertex(VertexRecord("D", "tasks", {}))
@@ -313,7 +338,7 @@ def test_loaded_and_derived_graphs_equal_the_insert_path(drawn):
         inserted(vertices[::-1], edges[::-1]), probes
     )
     snap = g.snapshot()
-    assert snap == g
+    assert oracles.same_graph(snap, g)
     assert structure(snap, probes) == structure(inserted(g.vertices(), g.edges()), probes)
     # a subset of the mutable source, and one of the frozen loaded source,
     # whose records come in id order
@@ -355,7 +380,7 @@ def audit_heavy_source() -> PropertyGraph:
 def test_subset_drops_unlisted_labels_and_incident_edges():
     subset = build_source_subset(DEMO_META, audit_heavy_source())
     assert set(subset.vertex_ids()) == {"A", "B", "C"}
-    assert set(subset.edge_ids()) == {"e1", "e2"}
+    assert set(oracles.edge_ids(subset)) == {"e1", "e2"}
 
 
 def test_subset_matches_independent_filter():
@@ -370,14 +395,14 @@ def test_subset_matches_independent_filter():
         and e.to_id in wanted_v
     }
     assert set(subset.vertex_ids()) == wanted_v
-    assert set(subset.edge_ids()) == wanted_e
+    assert set(oracles.edge_ids(subset)) == wanted_e
 
 
 def test_subset_shares_only_its_records_with_its_source():
     source = audit_heavy_source()
     subset = build_source_subset(DEMO_META, source)
     assert all(subset.vertex(v) is source.vertex(v) for v in subset.vertex_ids())
-    assert all(subset.edge(e) is source.edge(e) for e in subset.edge_ids())
+    assert all(subset.edge(e) is source.edge(e) for e in oracles.edge_ids(subset))
     assert_unchangeable(source.vertex("A"), "label")
     before = structure(subset)
     source.add_vertex(VertexRecord("D", "dataObjects", {"typeCode": "pmUser"}))
@@ -398,7 +423,7 @@ def test_subset_shares_only_its_records_with_its_source():
     loaded_subset = build_source_subset(DEMO_META, loaded)
     assert loaded_subset.snapshot() is loaded_subset
     assert all(loaded_subset.vertex(v) is loaded.vertex(v) for v in loaded_subset.vertex_ids())
-    assert all(loaded_subset.edge(e) is loaded.edge(e) for e in loaded_subset.edge_ids())
+    assert all(loaded_subset.edge(e) is loaded.edge(e) for e in oracles.edge_ids(loaded_subset))
 
 
 def test_graphs_of_edited_records_index_the_new_values():
@@ -440,7 +465,7 @@ def test_subset_with_full_meta_is_identity():
         ("dataObjects", "tasks", "audit"),
         ("accessRelations", "taskDataRelations", "auditTrail"),
     )
-    assert build_source_subset(everything, source) == source
+    assert oracles.same_graph(build_source_subset(everything, source), source)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -558,6 +583,32 @@ def test_an_engine_builds_its_graph_before_it_decides(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize(
+    "args, phases, records",
+    [
+        (["--source", "graphs/demo_source.json"], ["load", "subset", "engine build"], [16, 11, 11]),
+        (["--graph", "graphs/demo_graph.json"], ["load", "engine build"], [11, 11]),
+        (["--graph", "graphs/demo_csv", "--format", "csv"], ["load", "engine build"], [11, 11]),
+    ],
+    ids=["source", "graph", "csv"],
+)
+def test_the_memory_probe_reports_each_set_up_phase(capsys, fixtures_dir, args, phases, records):
+    args = [args[0], str(fixtures_dir / args[1]), *args[2:]]
+    assert memory_probe.main(["--policies", str(fixtures_dir / "policies"), *args]) == 0
+    assert not tracemalloc.is_tracing()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["phase", "retained_B", "peak_B", "records", "B/record"]
+    table = {row[:14].strip(): row[14:].split() for row in rows}
+    assert list(table) == ["policies", *phases, "engine holds"]
+    for name, count in zip(phases, records):
+        retained, peak, shown, per = table[name]
+        assert 0 < int(retained) <= int(peak)
+        assert (int(shown), int(per)) == (count, round(int(retained) / count))
+    held, peak, shown, _ = table["engine holds"]
+    assert peak == "-" and int(shown) == records[-1]
+    assert int(held) >= int(table["engine build"][0]) + int(table["policies"][0])
+
+
 def json_of(vertices, edges) -> str:
     """A graph file of the records, in this order."""
     return json.dumps({
@@ -600,7 +651,7 @@ def test_reads_between_inserts_see_what_a_load_of_the_same_records_sees(source, 
             ends = (edge.from_id, edge.to_id)
             if vertex.id in ends and all(map(g.has_vertex, ends)):
                 insert(g.add_edge, edge)
-    assert g == source
+    assert oracles.same_graph(g, source)
     read_as_loaded()
 
 
@@ -611,7 +662,7 @@ def test_json_roundtrip(tmp_path):
     g = small_graph()
     out = tmp_path / "g.json"
     out.write_text(serialize_graph(g), encoding="utf-8")
-    assert load_graph_path(out) == g
+    assert oracles.same_graph(load_graph_path(out), g)
 
 
 def test_json_rejects_unknown_keys():
@@ -693,7 +744,133 @@ def test_json_keeps_the_largest_integer_a_float_holds():
 @settings(max_examples=60, deadline=None)
 @given(strategies.graphs())
 def test_serialize_parse_roundtrip(g):
-    assert load_graph_json(serialize_graph(g)) == g
+    assert oracles.same_graph(load_graph_json(serialize_graph(g)), g)
+
+
+# -- shared texts and the property index -----------------------------------
+
+
+def held_texts(g: PropertyGraph) -> list[str]:
+    """Every text object a graph's records hold: ids, labels, types,
+    endpoints and text property values."""
+    texts = []
+    for v in g.vertices():
+        texts += [v.id, v.label, *(x for x in v.properties.values() if type(x) is str)]
+    for e in g.edges():
+        texts += [e.id, e.type, e.from_id, e.to_id]
+        texts += [x for x in e.properties.values() if type(x) is str]
+    return texts
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_a_loaded_graph_keeps_one_object_per_distinct_text(format):
+    # texts of more than one character, which the decoders never share on
+    # their own: every id is an endpoint, the labels, types and values
+    # repeat, and one value spells a vertex id
+    if format == "json":
+        g = load_graph_json(json.dumps({
+            "vertices": [
+                {"id": "va", "label": "node", "properties": {"color": "blue", "peer": "vb"}},
+                {"id": "vb", "label": "node", "properties": {"color": "blue"}},
+            ],
+            "edges": [
+                {"id": "ea", "type": "link", "from": "va", "to": "vb",
+                 "properties": {"color": "blue"}},
+                {"id": "eb", "type": "link", "from": "vb", "to": "va",
+                 "properties": {"shade": "blue"}},
+            ],
+        }))
+    else:
+        g = load_graph_csv(
+            "_id,_label,color,peer\nva,node,blue,vb\nvb,node,blue,\n",
+            "_id,_type,_from,_to,color,shade\nea,link,va,vb,blue,\neb,link,vb,va,,blue\n",
+        )
+    texts = held_texts(g)
+    assert sorted(set(texts)) == ["blue", "ea", "eb", "link", "node", "va", "vb"]
+    assert len({id(text) for text in texts}) == len(set(texts))
+    assert g.edge("ea").from_id is g.vertex("va").id
+    assert g.vertex("va").properties["peer"] is g.vertex("vb").id
+
+
+def test_equal_numbers_booleans_and_texts_load_as_values_of_their_own_kinds():
+    def kinds(g):
+        return {
+            v.id: (oracles.value_kind(v.properties["n"]), v.properties["n"])
+            for v in g.vertices()
+        }
+
+    # 1, 1.0 and True are equal dict keys, and "1" equals them loosely
+    g = load_graph_json(json.dumps({
+        "vertices": [
+            {"id": "int", "label": "l", "properties": {"n": 1}},
+            {"id": "float", "label": "l", "properties": {"n": 1.0}},
+            {"id": "bool", "label": "l", "properties": {"n": True}},
+            {"id": "text", "label": "l", "properties": {"n": "1"}},
+        ],
+        "edges": [],
+    }))
+    assert kinds(g) == {
+        "int": ("integer", 1),
+        "float": ("float", 1.0),
+        "bool": ("boolean", True),
+        "text": ("text", "1"),
+    }
+    assert all(
+        oracles.strict_equal(g.vertex(vid).properties["n"], value)
+        for vid, (_, value) in kinds(g).items()
+    )
+    assert g.vertices_with_property("n", 1) == {"int", "float", "text"}
+    assert g.vertices_with_property("n", True) == {"bool"}
+    # a CSV cell spells no text that reads as a number
+    g = load_graph_csv("_id,_label,n\nint,l,1\nfloat,l,1.0\nbool,l,true\n", E_HEADER)
+    assert kinds(g) == {"int": ("integer", 1), "float": ("float", 1.0), "bool": ("boolean", True)}
+
+
+# values that canonical_key merges, a few words, and values no vertex holds
+MERGED_VALUES = (1, 1.0, "1", "01", "1.0", True, "true", False, "false")
+COMMON_VALUES = ("red", "green", 2, 2.5)
+ABSENT_VALUES = ("absent", 7, 0.5, "2.25", "RED")
+
+
+@st.composite
+def indexed_graphs(draw) -> PropertyGraph:
+    """Vertices whose ``n`` values are often shared, sometimes merged by
+    canonical_key, and sometimes held by one vertex only."""
+    g = PropertyGraph()
+    pool = st.sampled_from(MERGED_VALUES + COMMON_VALUES)
+    for i in range(draw(st.integers(min_value=1, max_value=16))):
+        props = {}
+        kind = draw(st.sampled_from(["pool", "unique", "none"]))
+        if kind == "pool":
+            props["n"] = draw(pool)
+        elif kind == "unique":
+            props["n"] = draw(st.sampled_from([f"only{i}", 100 + i, 100.5 + i]))
+        if draw(st.booleans()):
+            props["m"] = draw(pool)
+        g.add_vertex(VertexRecord(f"v{i}", "node", props))
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(indexed_graphs())
+def test_property_lookups_equal_a_scan_of_every_vertex(g):
+    for graph in (g, load_graph_json(serialize_graph(g))):
+        ids = set(graph.vertex_ids())
+        held = {(n, x) for v in graph.vertices() for n, x in v.properties.items()}
+        probes = held | {(n, x) for n in ("n", "m", "absent") for x in ABSENT_VALUES}
+        probes |= {("n", x) for x in MERGED_VALUES}
+        for name, value in probes:
+            found = graph.vertices_with_property(name, value)
+            scanned = {
+                v.id
+                for v in graph.vertices()
+                if name in v.properties and loose_equal(v.properties[name], value)
+            }
+            assert found == scanned, (name, value)
+            assert found & ids == scanned and ids & found == scanned
+            assert all(vid in found for vid in scanned)
+            assert not any(vid in found for vid in ids - scanned)
+            assert "absent" not in found
 
 
 # -- link errors ------------------------------------------------------------
@@ -728,6 +905,59 @@ def test_an_edge_checks_its_endpoints_before_its_id():
             '{"id": "e", "type": "t", "from": "a", "to": "a"},'
             ' {"id": "e", "type": "t", "from": "ghost", "to": "a"}]}'
         )
+
+
+def json_error(vertices: list, edges: list) -> tuple[type, str]:
+    """Type and message of the error a JSON load of the arrays raises."""
+    with pytest.raises(Exception) as err:
+        load_graph_json(json.dumps({"vertices": vertices, "edges": edges}))
+    return type(err.value), str(err.value)
+
+
+def vertex(vid, **props):
+    return {"id": vid, "label": "l", "properties": props}
+
+
+def edge(eid, source, target, **props):
+    return {"id": eid, "type": "t", "from": source, "to": target, "properties": props}
+
+
+def test_a_malformed_record_wins_over_any_earlier_link_error():
+    # a missing endpoint on the first edge, and a later record that fails
+    # its own checks: a vertex, an edge field, an edge property
+    ghost = edge("e", "a", "ghost")
+    assert json_error([vertex("a")], [ghost, {"id": "f", "type": "t", "from": 5, "to": "a"}]) == (
+        GraphFormatError, "edges[1]: 'from' must be a non-empty string"
+    )
+    assert json_error([vertex("a"), vertex("a"), {"id": "b"}], [ghost]) == (
+        GraphFormatError, "vertices[2]: 'label' must be a non-empty string"
+    )
+    assert json_error([vertex("a")], [ghost, edge("f", "a", "a", w=[1])]) == (
+        GraphFormatError, "edges[1]: property 'w' has unsupported value [1]"
+    )
+    assert link_error(
+        V_HEADER + "a,l\n", "_id,_type,_from,_to,w\ne,t,a,ghost,\nf,t,a,a,1e400\n"
+    ) == (GraphFormatError, "edge 'f': property 'w': '1e400' is not a finite number (line 3)")
+    assert link_error(
+        "_id,_label,n\na,l,\na,l,\nb,l,1e400\n", E_HEADER + "e,t,a,ghost\n"
+    ) == (GraphFormatError, "vertex 'b': property 'n': '1e400' is not a finite number (line 4)")
+    # with no malformed record, the duplicate vertex id comes first, then
+    # the edges in file order, each its endpoints before its id
+    assert json_error([vertex("a"), vertex("a")], [ghost]) == (
+        DuplicateIdError, "duplicate vertex id 'a'"
+    )
+    assert json_error([vertex("a")], [ghost, edge("e", "ghost2", "a")]) == (
+        ReferentialError, "edge 'e' references unknown vertex 'ghost'"
+    )
+    assert json_error([vertex("a")], [edge("e", "a", "a"), edge("e", "a", "ghost")]) == (
+        ReferentialError, "edge 'e' references unknown vertex 'ghost'"
+    )
+    assert json_error([vertex("a")], [edge("e", "ghost", "ghost2")]) == (
+        ReferentialError, "edge 'e' references unknown vertex 'ghost'"
+    )
+    assert json_error([vertex("a")], [edge("e", "a", "a"), edge("e", "a", "a")]) == (
+        DuplicateIdError, "duplicate edge id 'e'"
+    )
 
 
 def test_vertex_errors_come_before_any_edge_error():
