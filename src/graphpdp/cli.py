@@ -30,7 +30,7 @@ from .errors import EngineError, GraphError, PolicySchemaError, RequestParseErro
 from .graph_store import PropertyGraph, build_source_subset, load_graph_path, serialize_graph
 from .pattern_compiler import compile_request_path, emit_cypher
 from .pdp import DecisionEngine, compile_rule, render_response_xml
-from .policy_model import Policy, load_policy_dir, parse_policy, policy_files
+from .policy_model import Meta, Policy, load_policy_dir, parse_policy, policy_files
 from .request_model import parse_request
 
 log = logging.getLogger("graphpdp")
@@ -161,10 +161,19 @@ def cmd_validate(args) -> int:
 def cmd_build_graph(args) -> int:
     try:
         policies = load_policy_dir(args.policies)
-        meta = next((p.meta for p in policies if p.meta is not None), None)
-        if meta is None:
-            print("error: no loaded policy carries a Meta element", file=sys.stderr)
-            return 1
+        # the files that declare each distinct Meta, by the entities it keeps
+        metas: dict[tuple[frozenset, frozenset], tuple[Meta, list[str]]] = {}
+        for file, policy in zip(policy_files(args.policies), policies):
+            meta = policy.meta
+            if meta is not None:
+                kept = (frozenset(meta.vertex_entities), frozenset(meta.edge_entities))
+                metas.setdefault(kept, (meta, []))[1].append(file.name)
+        if not metas:
+            return _fail("no loaded policy carries a Meta element")
+        if len(metas) > 1:
+            files = "; ".join(", ".join(names) for _, names in metas.values())
+            return _fail(f"the policies declare {len(metas)} different Meta elements: {files}")
+        [(meta, _)] = metas.values()
         source = _load_graph_file(Path(args.source), args.format)
     except (EngineError, OSError) as exc:
         return _fail(str(exc))

@@ -19,16 +19,22 @@ records, and is built in one of three ways:
 * the file importers check every record, store them and freeze the graph;
   a loaded graph holds one ``str`` object per distinct text, so each
   edge's endpoints are its vertices' own id objects and a repeated label,
-  type or text value is held once;
+  type, property name or text value is held once;
 * :func:`build_source_subset` and :meth:`PropertyGraph.snapshot` derive a
   frozen graph of the records a built graph keeps; a frozen graph is its
   own snapshot.
 
+The JSON importer builds each record of the ``vertices`` and ``edges``
+arrays as soon as the standard library's scanner has decoded it, so it
+never holds the whole decoded document, and equal property maps whose
+values are all text share one read-only view.
+
 Hop lists and label and property indexes are derived from the records in
 one bulk pass when one of them is first read, and kept until an insert
-drops them: a source only cut down to a subset never derives them.  The
-property index keeps the bare id for a key that one vertex holds, and a
-set only for a key that several hold.
+drops them: a source only cut down to a subset never derives them.  A
+direction without hops shares one empty list.  The property index keeps
+the bare id for a key that one vertex holds, and a set only for a key
+that several hold.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ import io
 import json
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache, wraps
+from json.decoder import WHITESPACE, JSONArray, JSONDecodeError, JSONObject
 from pathlib import Path
 from types import MappingProxyType
 from typing import AbstractSet, Iterator, Mapping
@@ -58,6 +65,7 @@ PropertyValue = str | int | float | bool
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
+_WHITESPACE = WHITESPACE.match
 
 
 def as_text(value: PropertyValue) -> str:
@@ -134,26 +142,49 @@ class EdgeRecord:
         _freeze_properties(self, copy_properties)
 
 
+# The JSON importer sets a record's slots directly: its fields are checked
+# and its properties are a read-only view already, and the frozen dataclass
+# __init__ costs about three times as much.
+_new_record = object.__new__
+_VERTEX_SLOTS = (VertexRecord.id.__set__, VertexRecord.label.__set__,
+                 VertexRecord.properties.__set__)
+_EDGE_SLOTS = (EdgeRecord.id.__set__, EdgeRecord.type.__set__, EdgeRecord.from_id.__set__,
+               EdgeRecord.to_id.__set__, EdgeRecord.properties.__set__)
+
 _HOP_SLOT = {DIRECTION_FROM: 0, DIRECTION_TO: 1, DIRECTION_ANY: 2}
 _NO_IDS: frozenset[str] = frozenset()
+# the hop list of every direction that has no hop: read it, never mutate it
+_NO_HOPS: list[tuple[str, str]] = []
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for a bulk build.
+class _collector_paused:
+    """Pause the cyclic garbage collector for a bulk build: a ``with``
+    block, or a decorated function's every call.
 
     The records and hop lists a load or a structure build creates hold no
     reference cycles, yet the collector rescans them as they pile up,
     which costs more time than the build itself.  The previous state comes
-    back however the block ends.
+    back however the block ends.  A class rather than a generator, whose
+    set-up costs a small load about 2 us more.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
+
+    __slots__ = ("was_enabled",)
+
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.was_enabled:
             gc.enable()
+
+    def __call__(self, function):
+        @wraps(function)
+        def paused(*args, **kwargs):
+            with _collector_paused():
+                return function(*args, **kwargs)
+
+        return paused
 
 
 class PropertyGraph:
@@ -212,12 +243,14 @@ class PropertyGraph:
         """Set ``_hops`` (vertex id -> one sorted hop list per direction in
         _HOP_SLOT order) and the label and property indexes, as plain
         attributes the accessors read directly.  Edges go in id order, so
-        each hop list comes out sorted.  A property key that one vertex
-        holds maps to that vertex's id, one held by several to a set."""
+        each hop list comes out sorted.  Every direction without a hop
+        shares one empty list, and ``any`` is the other direction's own
+        list when only one direction has hops.  A property key is one flat
+        ``(name, kind, value)`` tuple; a key that one vertex holds maps to
+        that vertex's id, one held by several to a set."""
         with _collector_paused():
-            hops = {vid: ([], [], []) for vid in self._vertices}
             labels: dict[str, set[str]] = {}
-            props: dict[tuple[str, tuple], str | set[str]] = {}
+            props: dict[tuple[str, str, float | str], str | set[str]] = {}
             for vid, vertex in self._vertices.items():
                 ids = labels.get(vertex.label)
                 if ids is None:
@@ -225,7 +258,7 @@ class PropertyGraph:
                 else:
                     ids.add(vid)
                 for name, value in vertex.properties.items():
-                    key = (name, canonical_key(value))
+                    key = (name, *canonical_key(value))
                     # a vertex holds each name once, so only a new key
                     # comes back as this very id
                     held = props.setdefault(key, vid)
@@ -235,17 +268,41 @@ class PropertyGraph:
                         props[key] = {held, vid}
                     else:
                         held.add(vid)
+            outs: dict[str, list[tuple[str, str]]] = {}
+            ins: dict[str, list[tuple[str, str]]] = {}
+            loops: set[str] = set()
             edges = self._edges
             for eid in sorted(edges):
                 edge = edges[eid]
-                out_hop, in_hop = (eid, edge.to_id), (eid, edge.from_id)
-                out_hops, _, from_any = hops[edge.from_id]
-                _, in_hops, to_any = hops[edge.to_id]
-                out_hops.append(out_hop)
-                in_hops.append(in_hop)
-                from_any.append(out_hop)
-                if edge.from_id != edge.to_id:  # a self-loop is one hop either way
-                    to_any.append(in_hop)
+                source, target = edge.from_id, edge.to_id
+                listed = outs.get(source)
+                if listed is None:
+                    outs[source] = [(eid, target)]
+                else:
+                    listed.append((eid, target))
+                listed = ins.get(target)
+                if listed is None:
+                    ins[target] = [(eid, source)]
+                else:
+                    listed.append((eid, source))
+                if source == target:
+                    loops.add(source)
+            hops: dict[str, tuple[list, list, list]] = {}
+            for vid in self._vertices:
+                out_hops = outs.get(vid, _NO_HOPS)
+                in_hops = ins.get(vid, _NO_HOPS)
+                if not out_hops:
+                    any_hops = in_hops
+                elif not in_hops:
+                    any_hops = out_hops
+                else:
+                    # both runs are sorted, so the sort merges them; a
+                    # self-loop's hop is the same pair both ways, kept once
+                    any_hops = out_hops + in_hops
+                    any_hops.sort()
+                    if vid in loops:
+                        any_hops = sorted(set(any_hops))
+                hops[vid] = (out_hops, in_hops, any_hops)
         self._hops, self._label_index, self._vertex_prop_index = hops, labels, props
 
     def with_structures(self) -> "PropertyGraph":
@@ -311,7 +368,7 @@ class PropertyGraph:
         set: read it, never mutate it.  One that a single vertex holds gets
         a fresh one-element set."""
         try:
-            ids = self._vertex_prop_index.get((name, canonical_key(value)), _NO_IDS)
+            ids = self._vertex_prop_index.get((name, *canonical_key(value)), _NO_IDS)
         except AttributeError:
             return self.with_structures().vertices_with_property(name, value)
         return frozenset((ids,)) if type(ids) is str else ids
@@ -389,91 +446,198 @@ class _BadRecord(Exception):
     """A record fails a check; the message lacks the record's place."""
 
 
-def _check_properties(raw: object, strings: dict[str, str]) -> dict[str, PropertyValue]:
-    """``raw``, checked, each text value replaced by its ``strings`` entry."""
-    if not isinstance(raw, dict):
+def _check_properties(
+    raw: object, strings: dict[str, str], views: dict[tuple, Mapping[str, PropertyValue]]
+) -> Mapping[str, PropertyValue]:
+    """A read-only view of ``raw``, checked, its names and text values
+    replaced by their ``strings`` entries.  Maps whose values are all text
+    share one view per distinct content, found in ``views`` by the map's
+    items in order; only exact text shares: 1, 1.0 and True are equal
+    values of one entry, and none of them equals a text."""
+    if type(raw) is not dict:
         raise _BadRecord("properties must be an object")
+    share = strings.setdefault
+    props = {}
+    text_only = True
     for name, value in raw.items():
         if type(value) is str:
-            # only exact text: 1, 1.0 and True are equal keys of one entry
-            raw[name] = strings.setdefault(value, value)
-            continue
-        if not isinstance(value, (int, float, bool)):
-            if value is _TOO_LARGE:
-                raise _BadRecord(
-                    f"property {name!r} is an integer too large to compare as a number"
-                )
-            raise _BadRecord(f"property {name!r} has unsupported value {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise _BadRecord(f"property {name!r} is {value!r}, not a finite number")
-    return raw
+            value = share(value, value)
+        else:
+            text_only = False
+            if not isinstance(value, (int, float, bool)):
+                if value is _TOO_LARGE:
+                    raise _BadRecord(
+                        f"property {name!r} is an integer too large to compare as a number"
+                    )
+                raise _BadRecord(f"property {name!r} has unsupported value {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _BadRecord(f"property {name!r} is {value!r}, not a finite number")
+        props[share(name, name)] = value
+    if not text_only:
+        return MappingProxyType(props)
+    key = tuple(props.items())
+    view = views.get(key)
+    if view is None:
+        view = views[key] = MappingProxyType(props)
+    return view
 
 
-def _json_records(
-    raws: list,
-    record: type,
-    fields: tuple[str, ...],
-    shared: tuple[str, ...],
-    what: str,
-    strings: dict[str, str],
-) -> list:
-    """``record(*fields, properties)`` for each raw object of the array
-    ``what``, checked; an error names the object as ``what[i]``.  The
-    ``shared`` fields and the text property values are replaced by their
-    ``strings`` entries, and each raw object leaves ``raws`` once its
-    record is built."""
-    allowed = {*fields, "properties"}
-    records = []
-    for i, raw in enumerate(raws):
-        try:
-            if not isinstance(raw, dict) or not raw.keys() <= allowed:
-                raise _BadRecord(f"expected keys {sorted(allowed)}")
-            values = []
-            for key in fields:
-                value = raw.get(key)
-                if not isinstance(value, str) or not value:
-                    raise _BadRecord(f"{key!r} must be a non-empty string")
-                values.append(strings.setdefault(value, value) if key in shared else value)
-            values.append(_check_properties(raw.get("properties", {}), strings))
-        except _BadRecord as exc:
-            raise GraphFormatError(f"{what}[{i}]: {exc}") from None
-        records.append(record(*values, copy_properties=False))
-        raws[i] = None
-    return records
+def _bad_fields(raw: object, keys: frozenset[str], fields: tuple[str, ...]) -> _BadRecord:
+    """The error of a raw object that is no object of ``keys`` whose
+    ``fields`` all hold non-empty text: the first failing check."""
+    if type(raw) is not dict or not raw.keys() <= keys:
+        return _BadRecord(f"expected keys {sorted(keys)}")
+    key = next(k for k in fields if type(raw.get(k)) is not str or not raw[k])
+    return _BadRecord(f"{key!r} must be a non-empty string")
+
+
+_VERTEX_KEYS = frozenset(("id", "label", "properties"))
+_EDGE_KEYS = frozenset(("id", "type", "from", "to", "properties"))
+_NO_PROPERTIES: dict[str, PropertyValue] = {}
+
+
+def _vertex(raw: object, strings: dict[str, str], views: dict) -> VertexRecord:
+    if type(raw) is dict and raw.keys() <= _VERTEX_KEYS:
+        vid, label = raw.get("id"), raw.get("label")
+        if type(vid) is str and type(label) is str and vid and label:
+            props = _check_properties(raw.get("properties", _NO_PROPERTIES), strings, views)
+            share = strings.setdefault
+            vertex = _new_record(VertexRecord)
+            set_id, set_label, set_properties = _VERTEX_SLOTS
+            set_id(vertex, share(vid, vid))
+            set_label(vertex, share(label, label))
+            set_properties(vertex, props)
+            return vertex
+    raise _bad_fields(raw, _VERTEX_KEYS, ("id", "label"))
+
+
+def _edge(raw: object, strings: dict[str, str], views: dict) -> EdgeRecord:
+    if type(raw) is dict and raw.keys() <= _EDGE_KEYS:
+        eid, etype = raw.get("id"), raw.get("type")
+        source, target = raw.get("from"), raw.get("to")
+        if (
+            type(eid) is str and type(etype) is str and type(source) is str
+            and type(target) is str and eid and etype and source and target
+        ):
+            props = _check_properties(raw.get("properties", _NO_PROPERTIES), strings, views)
+            share = strings.setdefault
+            edge = _new_record(EdgeRecord)
+            set_id, set_type, set_from, set_to, set_properties = _EDGE_SLOTS
+            set_id(edge, eid)  # an edge id is unique, so it stays as decoded
+            set_type(edge, share(etype, etype))
+            set_from(edge, share(source, source))
+            set_to(edge, share(target, target))
+            set_properties(edge, props)
+            return edge
+    raise _bad_fields(raw, _EDGE_KEYS, ("id", "type", "from", "to"))
+
+
+_RECORD_ARRAYS = {"vertices": _vertex, "edges": _edge}
+
+
+class _KeyMemo:
+    """Key memo for :func:`json.decoder.JSONObject` that keeps the key
+    whose value the object decodes next."""
+
+    __slots__ = ("key",)
+
+    def setdefault(self, key: str, default: str) -> str:
+        self.key = key
+        return default
+
+
+def _record_array(s: str, idx: int, scan, what: str, strings: dict, views: dict):
+    """Decode the array that starts at ``s[idx]``, building a record from
+    each element as soon as ``scan`` has decoded it.  Returns ``(records,
+    error)`` and the index after the array: ``error`` is the first bad
+    element's :class:`GraphFormatError`, held so that a JSON error later
+    in the document still wins.  No record is built after a bad element,
+    so the first ``None`` in ``records`` is that element's place."""
+    build = _RECORD_ARRAYS[what]
+    held: list[_BadRecord] = []
+
+    def element(s: str, idx: int):
+        raw, end = scan(s, idx)
+        if not held:
+            try:
+                return build(raw, strings, views), end
+            except _BadRecord as exc:
+                held.append(exc)
+        return None, end
+
+    records, end = JSONArray((s, idx + 1), element)
+    if not held:
+        return (records, None), end
+    return (records, GraphFormatError(f"{what}[{records.index(None)}]: {held[0]}")), end
+
+
+@lru_cache(maxsize=1)
+def _scanner(parse_int):
+    """The C scanner of a decoder that parses integer literals with
+    ``parse_int``, made once rather than per load."""
+    return json.JSONDecoder(parse_int=parse_int).scan_once
+
+
+def _decode_graph(text: str) -> object:
+    """``json.loads(text, parse_int=_integer)``, except that the values of
+    the top-level keys ``vertices`` and ``edges``, when they are arrays,
+    come back as ``(records, error)`` pairs from :func:`_record_array`.
+
+    The whole decoded document is never held at once.  The parse is the
+    standard library's own (its object and array parsers, and its C
+    scanner for each element), so a JSON error reads as ``json.loads``
+    reports it.  A top level that is not an object is decoded whole.
+    """
+    scan = _scanner(_integer)
+    start = _WHITESPACE(text).end()
+    if not text.startswith("{", start):
+        return json.loads(text, parse_int=_integer)
+    memo = _KeyMemo()
+    # one object per distinct text and one view per distinct text-only map
+    strings: dict[str, str] = {}
+    views: dict[tuple, Mapping[str, PropertyValue]] = {}
+
+    def value(s: str, idx: int):
+        if memo.key in _RECORD_ARRAYS and s.startswith("[", idx):
+            return _record_array(s, idx, scan, memo.key, strings, views)
+        return scan(s, idx)
+
+    doc, end = JSONObject((text, start + 1), True, value, None, None, memo)
+    end = _WHITESPACE(text, end).end()
+    if end != len(text):
+        raise JSONDecodeError("Extra data", text, end)
+    return doc
 
 
 @_collector_paused()
 def load_graph_json(text: str) -> PropertyGraph:
     """Load the JSON graph format; edges may precede their endpoints.
 
-    The collector stays paused through the decode and the record checks
-    as well as the link.
+    Errors come in this order: a JSON error anywhere in the document; the
+    top level's shape; the first bad vertex; the first bad edge; then the
+    link's errors.  The collector stays paused through the decode and the
+    record checks as well as the link.
     """
     try:
-        doc = json.loads(text, parse_int=_integer)
-    except json.JSONDecodeError as exc:
+        doc = _decode_graph(text)
+    except JSONDecodeError as exc:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
     except RecursionError:
         raise GraphFormatError("invalid JSON: nested too deeply") from None
-    if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:
+    if type(doc) is not dict or doc.keys() != {"vertices", "edges"}:
         raise GraphFormatError(
             "top level must be an object with exactly 'vertices' and 'edges'"
         )
-    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+    # an array value is a (records, error) pair; anything else is no array
+    vertices, edges = doc["vertices"], doc["edges"]
+    if type(vertices) is not tuple or type(edges) is not tuple:
         raise GraphFormatError("'vertices' and 'edges' must be arrays")
-    # one object per distinct text: a vertex id goes in first, so that the
-    # edges' endpoints become that id object; an edge id is unique
-    strings: dict[str, str] = {}
-    vertices = _json_records(
-        doc["vertices"], VertexRecord, ("id", "label"), ("id", "label"), "vertices", strings
-    )
-    edges = _json_records(
-        doc["edges"], EdgeRecord, ("id", "type", "from", "to"), ("type", "from", "to"),
-        "edges", strings,
-    )
-    return _link(vertices, edges)
+    for _, error in (vertices, edges):
+        if error is not None:
+            raise error
+    return _link(vertices[0], edges[0])
 
 
 def _link(vertices: list[VertexRecord], edges: list[EdgeRecord]) -> PropertyGraph:
@@ -587,9 +751,13 @@ def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
     e_props, e_rows = _read_csv_rows(
         edges_text, ("_id", "_type", "_from", "_to"), "edge"
     )
-    # one object per distinct text, as in load_graph_json
+    # one object per distinct text, as in load_graph_json; each file's
+    # header holds one object per property name
     strings: dict[str, str] = {}
     share = strings.setdefault
+    for name in v_props:
+        share(name, name)
+    e_props = [share(name, name) for name in e_props]
     vertices = [
         VertexRecord(
             share(row[0], row[0]), share(row[1], row[1]),

@@ -8,7 +8,6 @@ xmlns); extension elements must be in the xacml4g namespace.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape, quoteattr
 
 from .uris import XACML3_NS, XACML4G_NS
 
@@ -52,10 +51,23 @@ def text_of(elem: ET.Element) -> str:
     return (elem.text or "").strip()
 
 
+# Written out rather than imported from xml.sax.saxutils, whose import
+# pulls in urllib.request and with it http.client and ssl.
+
+
 def xml_escape(value: str) -> str:
-    return escape(value)
+    """``&``, ``<`` and ``>`` escaped for character data."""
+    return value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def xml_attr(value: str) -> str:
-    """Render an attribute value including the surrounding quotes."""
-    return quoteattr(value)
+    """Render an attribute value including the surrounding quotes: double
+    quotes unless the value holds ``"`` and no ``'``, and newlines, carriage
+    returns and tabs as character references."""
+    value = xml_escape(value)
+    value = value.replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"%s"' % value.replace('"', "&quot;")

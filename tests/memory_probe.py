@@ -14,7 +14,10 @@ the source is dropped), then ``DecisionEngine``.  For each phase it
 prints the bytes the phase retains, the peak above what was held when
 the phase began, and the retained bytes per record of the graph the
 phase yields.  The ``engine holds`` line is everything still held once
-the engine is built.  Standard library only.
+the engine is built.  The ``second set-up`` line builds a second engine
+the same way while the first is still held, as a reload does: its peak
+above the first engine is what a long-running process adds to its own
+peak.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,10 +50,12 @@ class Probe:
         self.rows.append((name, current - before, peak - before, records(result)))
         return result
 
-    def report(self, held: int, records: int) -> str:
+    def hold(self, held: int, records: int) -> None:
+        self.rows.append(("engine holds", held, None, records))
+
+    def report(self) -> str:
         lines = [f"{'phase':<14}{'retained_B':>12}{'peak_B':>12}{'records':>9}{'B/record':>10}"]
-        rows = self.rows + [("engine holds", held, None, records)]
-        for name, retained, peak, count in rows:
+        for name, retained, peak, count in self.rows:
             per = f"{retained / count:.0f}" if count else "-"
             lines.append(
                 f"{name:<14}{retained:>12}{'-' if peak is None else peak:>12}"
@@ -63,31 +68,39 @@ def graph_records(graph) -> int:
     return graph.vertex_count + graph.edge_count
 
 
+def engine_records(engine) -> int:
+    return graph_records(engine.graph)
+
+
+def unmeasured(name: str, build, records=None):
+    return build()
+
+
+def set_up(policy_dir: Path, graph_file: Path, from_source: bool, format: str, phase=unmeasured):
+    """An engine built as ``eval`` builds one, each step run through ``phase``."""
+    policies = phase("policies", lambda: load_policy_dir(policy_dir))
+    graph = phase("load", lambda: load_graph_path(graph_file, format), graph_records)
+    if from_source:
+        meta = next((p.meta for p in policies if p.meta is not None), None)
+        if meta is None:
+            raise SystemExit("error: --source given but no loaded policy carries a Meta")
+        graph = phase("subset", lambda: build_source_subset(meta, graph), graph_records)
+    # the source, if any, is no longer held
+    return phase("engine build", lambda: DecisionEngine(policies, graph), engine_records)
+
+
 def probe(policy_dir: Path, graph_file: Path, from_source: bool, format: str) -> str:
+    inputs = (policy_dir, graph_file, from_source, format)
     tracemalloc.start()
     try:
         gc.collect()
         start = tracemalloc.get_traced_memory()[0]
         phases = Probe()
-        policies = phases.phase("policies", lambda: load_policy_dir(policy_dir))
-        graph = phases.phase("load", lambda: load_graph_path(graph_file, format), graph_records)
-        if from_source:
-            meta = next((p.meta for p in policies if p.meta is not None), None)
-            if meta is None:
-                raise SystemExit("error: --source given but no loaded policy carries a Meta")
-            graph = phases.phase(
-                "subset", lambda: build_source_subset(meta, graph), graph_records
-            )
-        # the source, if any, is no longer held
-        engine = phases.phase(
-            "engine build",
-            lambda: DecisionEngine(policies, graph),
-            lambda engine: graph_records(engine.graph),
-        )
-        del policies, graph
+        engine = set_up(*inputs, phase=phases.phase)
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - start
-        report = phases.report(held, graph_records(engine.graph))
+        phases.hold(tracemalloc.get_traced_memory()[0] - start, engine_records(engine))
+        phases.phase("second set-up", lambda: set_up(*inputs), engine_records)
+        report = phases.report()
     finally:
         tracemalloc.stop()
     return report

@@ -10,11 +10,21 @@ small scanner so emission tests compare structure, not bytes.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import operator as _op
 import re
 
-from graphpdp import uris
-from graphpdp.graph_store import PropertyGraph, as_number, as_text, loose_equal
+from graphpdp import graph_store, uris
+from graphpdp.errors import GraphFormatError, ReferentialError
+from graphpdp.graph_store import (
+    EdgeRecord,
+    PropertyGraph,
+    VertexRecord,
+    as_number,
+    as_text,
+    loose_equal,
+)
 from graphpdp.path_matcher import PathBinding
 from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep
 
@@ -117,6 +127,81 @@ def same_graph(a: PropertyGraph, b: PropertyGraph) -> bool:
         if not same_properties(ea.properties, eb.properties):
             return False
     return True
+
+
+# -- reference JSON graph loader --------------------------------------------
+
+
+class _BadRecord(Exception):
+    """A record fails a check; the message lacks the record's place."""
+
+
+def _reference_properties(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise _BadRecord("properties must be an object")
+    for name, value in raw.items():
+        if isinstance(value, str):
+            continue
+        if not isinstance(value, (int, float, bool)):
+            if value is graph_store._TOO_LARGE:
+                raise _BadRecord(
+                    f"property {name!r} is an integer too large to compare as a number"
+                )
+            raise _BadRecord(f"property {name!r} has unsupported value {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _BadRecord(f"property {name!r} is {value!r}, not a finite number")
+    return raw
+
+
+def _reference_records(raws: list, record: type, fields: tuple[str, ...], what: str) -> list:
+    allowed = {*fields, "properties"}
+    records = []
+    for i, raw in enumerate(raws):
+        try:
+            if not isinstance(raw, dict) or not raw.keys() <= allowed:
+                raise _BadRecord(f"expected keys {sorted(allowed)}")
+            values = []
+            for key in fields:
+                value = raw.get(key)
+                if not isinstance(value, str) or not value:
+                    raise _BadRecord(f"{key!r} must be a non-empty string")
+                values.append(value)
+            values.append(_reference_properties(raw.get("properties", {})))
+        except _BadRecord as exc:
+            raise GraphFormatError(f"{what}[{i}]: {exc}") from None
+        records.append(record(*values))
+    return records
+
+
+def reference_load_graph_json(text: str) -> PropertyGraph:
+    """The JSON graph format loaded the plain way: the whole document
+    decoded by ``json.loads``, then its shape, the vertices, the edges and
+    the links checked in that order."""
+    try:
+        doc = json.loads(text, parse_int=graph_store._integer)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(
+            f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
+        ) from exc
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
+    if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:
+        raise GraphFormatError(
+            "top level must be an object with exactly 'vertices' and 'edges'"
+        )
+    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+        raise GraphFormatError("'vertices' and 'edges' must be arrays")
+    vertices = _reference_records(doc["vertices"], VertexRecord, ("id", "label"), "vertices")
+    edges = _reference_records(doc["edges"], EdgeRecord, ("id", "type", "from", "to"), "edges")
+    graph = PropertyGraph()
+    for vertex in vertices:
+        graph.add_vertex(vertex)
+    for edge in edges:
+        for endpoint in (edge.from_id, edge.to_id):
+            if not graph.has_vertex(endpoint):
+                raise ReferentialError(edge.id, endpoint)
+        graph.add_edge(edge)
+    return graph.snapshot()
 
 
 # -- plan matching by trail filtering ---------------------------------------

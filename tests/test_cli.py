@@ -165,8 +165,40 @@ def test_build_graph_needs_a_meta(capsys, tmp_path, demo_source_file):
             str(tmp_path / "out.json"),
         ]
     )
-    assert code == 1
+    assert code == EXIT_USAGE
     assert "no loaded policy carries a Meta element" in capsys.readouterr().err
+
+
+def test_build_graph_refuses_policies_whose_metas_differ(capsys, tmp_path, demo_policy_dir,
+                                                         demo_source_file):
+    # a.xml keeps no tasks; b.xml is the demo policy, and c.xml lists the
+    # same entities as b.xml in another order
+    demo = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    tasks = "<xacml4g:VertexEntity>tasks</xacml4g:VertexEntity>"
+    objects = "<xacml4g:VertexEntity>dataObjects</xacml4g:VertexEntity>"
+    assert demo.count(tasks) == demo.count(objects) == 1
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    files = {
+        "a.xml": demo.replace(tasks, "").replace('PolicyId="', 'PolicyId="a-'),
+        "b.xml": demo,
+        "c.xml": demo.replace(tasks, "@").replace(objects, tasks).replace("@", objects)
+        .replace('PolicyId="', 'PolicyId="c-'),
+    }
+    for name, text in files.items():
+        (policy_dir / name).write_text(text, encoding="utf-8")
+    out_file = tmp_path / "out.json"
+    args = ["build-graph", "--policies", str(policy_dir), "--source", str(demo_source_file),
+            "--out", str(out_file)]
+    assert run(args) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the policies declare 2 different Meta elements: a.xml; b.xml, c.xml\n"
+    )
+    assert not out_file.exists()
+    # with one Meta, in whatever order its entities are listed, it builds
+    (policy_dir / "a.xml").unlink()
+    assert run(args) == 0
+    assert capsys.readouterr().out == "vertices=6 edges=5\n"
 
 
 def test_build_graph_bad_source(capsys, tmp_path, demo_policy_dir):

@@ -184,6 +184,34 @@ def test_hops_sorted_per_direction():
     assert [eid for eid, _ in g.hops("A", "to")] == ["e0", "e2", "e4"]
 
 
+@settings(max_examples=100, deadline=None)
+@given(strategies.graphs())
+def test_hops_equal_a_scan_of_every_edge(g):
+    for vid in g.vertex_ids():
+        out = sorted((e.id, e.to_id) for e in g.edges() if e.from_id == vid)
+        into = sorted((e.id, e.from_id) for e in g.edges() if e.to_id == vid)
+        assert g.hops(vid, "from") == out
+        assert g.hops(vid, "to") == into
+        assert g.hops(vid, "any") == sorted({*out, *into})
+
+
+def test_a_direction_without_hops_costs_no_list_of_its_own():
+    g = PropertyGraph()
+    for v in "ABCD":
+        g.add_vertex(VertexRecord(v, "n", {}))
+    g.add_edge(EdgeRecord("e1", "t", "A", "B", {}))
+    g.add_edge(EdgeRecord("e2", "t", "A", "C", {}))
+    g.add_edge(EdgeRecord("e3", "t", "C", "B", {}))
+    empty = g.hops("D", "from")
+    assert empty == [] and all(
+        g.hops(v, d) is empty for v, d in [("D", "to"), ("D", "any"), ("A", "to"), ("B", "from")]
+    )
+    # with hops one way only, any is that direction's own list
+    assert g.hops("A", "any") is g.hops("A", "from")
+    assert g.hops("B", "any") is g.hops("B", "to") == [("e1", "A"), ("e3", "C")]
+    assert g.hops("C", "any") == [("e2", "A"), ("e3", "B")]
+
+
 def assert_unchangeable(record, field_name: str) -> None:
     """Neither a property nor the field ``field_name`` of ``record`` can
     be set in place."""
@@ -599,14 +627,16 @@ def test_the_memory_probe_reports_each_set_up_phase(capsys, fixtures_dir, args, 
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["phase", "retained_B", "peak_B", "records", "B/record"]
     table = {row[:14].strip(): row[14:].split() for row in rows}
-    assert list(table) == ["policies", *phases, "engine holds"]
-    for name, count in zip(phases, records):
+    assert list(table) == ["policies", *phases, "engine holds", "second set-up"]
+    for name, count in zip([*phases, "second set-up"], [*records, records[-1]]):
         retained, peak, shown, per = table[name]
         assert 0 < int(retained) <= int(peak)
         assert (int(shown), int(per)) == (count, round(int(retained) / count))
     held, peak, shown, _ = table["engine holds"]
     assert peak == "-" and int(shown) == records[-1]
     assert int(held) >= int(table["engine build"][0]) + int(table["policies"][0])
+    # the second engine shares nothing with the first, which stays held
+    assert int(table["second set-up"][0]) > int(table["engine build"][0])
 
 
 def json_of(vertices, edges) -> str:
@@ -747,6 +777,103 @@ def test_serialize_parse_roundtrip(g):
     assert oracles.same_graph(load_graph_json(serialize_graph(g)), g)
 
 
+# -- the streamed decode against the plain one ------------------------------
+
+# what a record field or property may be replaced by: wrong kinds, empty
+# and ghost ids, ids already taken, and values no record may hold
+ODD_VALUES = (None, 0, 2.5, True, "", "ghost", "v0", "e0", [], [1], {}, {"a": 1}, float("nan"))
+# text spliced into a document: structural tokens, literals and bytes the
+# scanner refuses or reads as a number no float can hold
+TOKENS = (
+    "{", "}", "[", "]", ",", ":", '"', " ", "\n", "\\", "\x00", "-", "0", "1e400",
+    "9" * 400, "NaN", "-Infinity", "null", "true", '"id"', '"vertices"', '"edges": []', "é",
+)
+SPLICED_VALUES = ([], {}, [{"id": 1}], [{"id": "v0", "label": "L0"}], [None], "x")
+
+
+@st.composite
+def graph_documents(draw) -> str:
+    """JSON graph documents, often malformed: records edited, the arrays
+    in either order and a top-level key repeated, then text deleted,
+    spliced in or appended, a BOM put first or arrays nested deeply."""
+    g = draw(strategies.graphs())
+    arrays = json.loads(json_of(g.vertices(), g.edges()))
+    for _ in range(draw(st.integers(0, 2))):
+        records = arrays[draw(st.sampled_from(["vertices", "edges"]))]
+        if not records:
+            continue
+        record = draw(st.sampled_from(records))
+        key = draw(st.sampled_from(["id", "label", "type", "from", "to", "properties", "x"]))
+        if draw(st.booleans()):
+            record.pop(key, None)
+        elif key == "properties":
+            record[key] = {"p": draw(st.sampled_from(ODD_VALUES))}
+        else:
+            record[key] = draw(st.sampled_from(ODD_VALUES))
+    pairs = list(arrays.items())
+    if draw(st.booleans()):
+        pairs.reverse()
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["vertices", "edges"]))
+        pairs.insert(draw(st.integers(0, 2)), (key, draw(st.sampled_from(SPLICED_VALUES))))
+    indent = draw(st.sampled_from([None, 1]))
+    text = "{" + ", ".join(
+        f"{json.dumps(key)}: {json.dumps(value, indent=indent)}" for key, value in pairs
+    ) + "}"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["delete", "splice", "append", "bom", "nest"]))
+        if edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+        elif edit == "splice":
+            text = text[:at] + draw(st.sampled_from(TOKENS)) + text[at:]
+        elif edit == "append":
+            text += draw(st.sampled_from([" ", "\n", "x", "{}", " 1", ","]))
+        elif edit == "bom":
+            text = "\ufeff" + text
+        else:
+            # far below and far above the interpreter's recursion limit
+            depth = draw(st.sampled_from([3, 40, 5000]))
+            text = text[:at] + "[" * depth + "]" * depth + text[at:]
+    return text
+
+
+def load_outcome(load, text: str):
+    """The graph a load returns, or the type, message and place of its error."""
+    try:
+        return load(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_documents())
+def test_the_streamed_load_matches_a_load_of_the_whole_decoded_document(text):
+    streamed = load_outcome(load_graph_json, text)
+    plain = load_outcome(oracles.reference_load_graph_json, text)
+    if isinstance(plain, PropertyGraph):
+        assert isinstance(streamed, PropertyGraph) and oracles.same_graph(streamed, plain)
+    else:
+        assert streamed == plain
+
+
+def test_a_repeated_array_key_keeps_its_last_array_and_that_arrays_own_error():
+    good = '[{"id": "a", "label": "l"}]'
+    bad = '[{"id": "a", "label": 5}]'
+    g = load_graph_json(f'{{"vertices": {bad}, "edges": [], "vertices": {good}}}')
+    assert g.vertex_ids() == ["a"]
+    with pytest.raises(GraphFormatError, match=r"^vertices\[0\]: 'label' must be"):
+        load_graph_json(f'{{"vertices": {good}, "edges": [], "vertices": {bad}}}')
+    # a bad record is held until the document has decoded: a later JSON
+    # error, and the top level's shape, come first
+    with pytest.raises(GraphFormatError, match="invalid JSON: Expecting ',' delimiter"):
+        load_graph_json(f'{{"vertices": {bad}, "edges": [] "x": 1}}')
+    with pytest.raises(GraphFormatError, match="top level must be an object"):
+        load_graph_json(f'{{"vertices": {bad}, "edges": [], "x": 1}}')
+    with pytest.raises(GraphFormatError, match="must be arrays"):
+        load_graph_json(f'{{"vertices": {bad}, "edges": {{}}}}')
+
+
 # -- shared texts and the property index -----------------------------------
 
 
@@ -790,6 +917,86 @@ def test_a_loaded_graph_keeps_one_object_per_distinct_text(format):
     assert len({id(text) for text in texts}) == len(set(texts))
     assert g.edge("ea").from_id is g.vertex("va").id
     assert g.vertex("va").properties["peer"] is g.vertex("vb").id
+    names = [name for record in all_records(g) for name in record.properties]
+    assert sorted(set(names)) == ["color", "peer", "shade"]
+    assert len({id(name) for name in names}) == len(set(names))
+    if format == "json":  # equal all-text maps share one view
+        assert g.vertex("vb").properties is g.edge("ea").properties
+
+
+def all_records(g: PropertyGraph) -> list:
+    return [*g.vertices(), *g.edges()]
+
+
+def test_equal_text_only_property_maps_share_one_view():
+    g = load_graph_json(json.dumps({
+        "vertices": [
+            {"id": "va", "label": "node", "properties": {"color": "blue", "shade": "dark"}},
+            {"id": "vb", "label": "node", "properties": {"color": "blue", "shade": "dark"}},
+            # the same items in another order, and maps of other kinds
+            {"id": "vc", "label": "node", "properties": {"shade": "dark", "color": "blue"}},
+            {"id": "vd", "label": "node", "properties": {"n": 1}},
+            {"id": "ve", "label": "node", "properties": {"n": 1}},
+            {"id": "vf", "label": "node", "properties": {"n": "1"}},
+            {"id": "vg", "label": "node", "properties": {"n": True}},
+            {"id": "vh", "label": "node", "properties": {"n": "1"}},
+            {"id": "vi", "label": "node"},
+        ],
+        "edges": [
+            {"id": "ea", "type": "link", "from": "va", "to": "vb",
+             "properties": {"color": "blue", "shade": "dark"}},
+            {"id": "eb", "type": "link", "from": "vb", "to": "va", "properties": {}},
+        ],
+    }))
+    view = g.vertex("va").properties
+    assert [g.vertex(v).properties is view for v in ("vb", "vc")] == [True, False]
+    assert g.edge("ea").properties is view
+    assert list(g.vertex("vc").properties) == ["shade", "color"]
+    assert g.vertex("vf").properties is g.vertex("vh").properties
+    # numbers and booleans never share, and equal them as values of their kinds
+    assert g.vertex("vd").properties is not g.vertex("ve").properties
+    assert {oracles.value_kind(g.vertex(v).properties["n"]) for v in ("vd", "vf", "vg")} == {
+        "integer", "text", "boolean"
+    }
+    assert g.vertex("vi").properties is g.edge("eb").properties == {}
+    with pytest.raises(TypeError):
+        view["color"] = "red"
+
+
+def generated_graph_json(n_vertices: int, n_edges: int) -> str:
+    """A project-like graph: each vertex keys itself and carries one of a
+    few type codes, each edge one of a few kinds."""
+    codes, kinds = ("user", "task", "document"), ("worksOn", "produces", "references")
+    return json.dumps({
+        "vertices": [
+            {"id": f"v{i:05d}", "label": "dataObjects",
+             "properties": {"_key": f"v{i:05d}", "typeCode": codes[i % 3]}}
+            for i in range(n_vertices)
+        ],
+        "edges": [
+            {"id": f"e{i:05d}", "type": "relations", "from": f"v{i % n_vertices:05d}",
+             "to": f"v{i * 7 % n_vertices:05d}", "properties": {"typeKind": kinds[i % 3]}}
+            for i in range(n_edges)
+        ],
+    }, separators=(",", ":"))
+
+
+def test_a_load_peaks_little_above_what_it_keeps():
+    # a load that decoded the whole document first would peak at about
+    # twice what it keeps
+    text = generated_graph_json(700, 1400)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = load_graph_json(text)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count + g.edge_count == 2100
+    kept, above = held - start, peak - held
+    assert above < kept / 2, (kept, above)
 
 
 def test_equal_numbers_booleans_and_texts_load_as_values_of_their_own_kinds():
