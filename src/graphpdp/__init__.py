@@ -28,35 +28,11 @@ from .graph_store import (
     load_graph_path,
     serialize_graph,
 )
-from .path_matcher import PathBinding, check_intersection, match_plan
-from .pattern_compiler import (
-    EdgeStep,
-    QueryPlan,
-    VertexStep,
-    compile_request_path,
-    compile_rule_pattern,
-    emit_cypher,
-    translate_function,
-)
-from .pdp import (
-    Decision,
-    DecisionEngine,
-    Response,
-    combine,
-    match_target,
-    render_response_xml,
-)
-from .policy_model import (
-    Meta,
-    Pattern,
-    Policy,
-    Rule,
-    Violation,
-    load_policy_dir,
-    parse_policy,
-    validate_policy,
-)
-from .request_model import Request, parse_request, split_attribute_value
+from .path_matcher import check_intersection, match_plan
+from .pattern_compiler import QueryPlan, compile_request_path, compile_rule_pattern, emit_cypher
+from .pdp import Decision, DecisionEngine, Response, combine, match_target, render_response_xml
+from .policy_model import Meta, Policy, Rule, load_policy_dir, parse_policy, validate_policy
+from .request_model import Request, parse_request
 
 __version__ = "0.1.0"
 
@@ -64,14 +40,11 @@ __all__ = [
     "Decision",
     "DecisionEngine",
     "EdgeRecord",
-    "EdgeStep",
     "EngineError",
     "FilterEvalError",
     "GraphError",
     "GraphFormatError",
     "Meta",
-    "PathBinding",
-    "Pattern",
     "Policy",
     "PolicyError",
     "PolicySchemaError",
@@ -84,8 +57,6 @@ __all__ = [
     "Rule",
     "UnknownFunctionError",
     "VertexRecord",
-    "VertexStep",
-    "Violation",
     "build_source_subset",
     "check_intersection",
     "combine",
@@ -102,7 +73,5 @@ __all__ = [
     "parse_request",
     "render_response_xml",
     "serialize_graph",
-    "split_attribute_value",
-    "translate_function",
     "validate_policy",
 ]

@@ -21,16 +21,16 @@ import socketserver
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from email.utils import formatdate
 from http import HTTPStatus
 from pathlib import Path
 
 from .errors import EngineError, GraphError, PolicySchemaError, RequestParseError
 from .graph_store import PropertyGraph, build_source_subset, load_graph_path, serialize_graph
+from .path_matcher import DEFAULT_VARLEN_CAP
 from .pattern_compiler import compile_request_path, emit_cypher
 from .pdp import DecisionEngine, compile_rule, render_response_xml
-from .policy_model import Meta, Policy, load_policy_dir, parse_policy, policy_files
+from .policy_model import Meta, load_policy_dir, parse_policy, policy_files
 from .request_model import parse_request
 
 log = logging.getLogger("graphpdp")
@@ -63,26 +63,6 @@ _HEAD_END = re.compile(rb"\n\r?\n")
 _VERSION = re.compile(r"HTTP/([0-9]{1,9})\.([0-9]{1,9})")
 
 
-@dataclass
-class EngineConfig:
-    policy_dir: Path
-    graph_file: Path | None = None
-    source_file: Path | None = None
-    varlen_cap: int = 8
-    format: str = "json"
-
-    def check(self, need_graph: bool = True) -> None:
-        if self.varlen_cap < 1:
-            raise EngineError("--varlen-cap must be >= 1")
-        if self.format not in ("json", "csv"):
-            raise EngineError(f"unsupported graph format {self.format!r}")
-        have = sum(p is not None for p in (self.graph_file, self.source_file))
-        if need_graph and have != 1:
-            raise EngineError("exactly one of --graph/--source is required")
-        if not need_graph and have > 1:
-            raise EngineError("--graph and --source are mutually exclusive")
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -103,20 +83,6 @@ def _load_graph_file(path: Path, format: str) -> PropertyGraph:
         return load_graph_path(path, format)
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from exc
-
-
-def _load_graph(config: EngineConfig, policies: list[Policy]) -> PropertyGraph | None:
-    if config.graph_file is not None:
-        return _load_graph_file(config.graph_file, config.format)
-    if config.source_file is None:
-        return None
-    source = _load_graph_file(config.source_file, config.format)
-    meta = next((p.meta for p in policies if p.meta is not None), None)
-    if meta is None:
-        raise EngineError(
-            "--source given but no loaded policy carries a Meta element"
-        )
-    return build_source_subset(meta, source)
 
 
 # -- commands --------------------------------------------------------------
@@ -187,17 +153,27 @@ def cmd_build_graph(args) -> int:
 
 
 def _build_engine(args, need_graph: bool = True) -> DecisionEngine:
-    config = EngineConfig(
-        policy_dir=Path(args.policies),
-        graph_file=Path(args.graph) if args.graph else None,
-        source_file=Path(args.source) if args.source else None,
-        varlen_cap=args.varlen_cap,
-        format=args.format,
-    )
-    config.check(need_graph=need_graph)
-    policies = load_policy_dir(config.policy_dir)
-    graph = _load_graph(config, policies)
-    return DecisionEngine(policies, graph, varlen_cap=config.varlen_cap)
+    """The engine of ``--policies`` on the ``--graph`` file, or on the
+    ``--source`` file cut down by the first policy ``Meta``; ``serve``
+    may go without a graph."""
+    if args.varlen_cap < 1:
+        raise EngineError("--varlen-cap must be >= 1")
+    have = bool(args.graph) + bool(args.source)
+    if need_graph and have != 1:
+        raise EngineError("exactly one of --graph/--source is required")
+    if have > 1:
+        raise EngineError("--graph and --source are mutually exclusive")
+    policies = load_policy_dir(Path(args.policies))
+    graph = None
+    if args.graph:
+        graph = _load_graph_file(Path(args.graph), args.format)
+    elif args.source:
+        source = _load_graph_file(Path(args.source), args.format)
+        meta = next((p.meta for p in policies if p.meta is not None), None)
+        if meta is None:
+            raise EngineError("--source given but no loaded policy carries a Meta element")
+        graph = build_source_subset(meta, source)
+    return DecisionEngine(policies, graph, varlen_cap=args.varlen_cap)
 
 
 def cmd_eval(args) -> int:
@@ -519,8 +495,8 @@ def _add_graph_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--varlen-cap",
         type=int,
-        default=8,
-        help="hop cap for unbounded variable-length steps (default 8)",
+        default=DEFAULT_VARLEN_CAP,
+        help=f"hop cap for unbounded variable-length steps (default {DEFAULT_VARLEN_CAP})",
     )
 
 

@@ -13,15 +13,6 @@ class DuplicateIdError(GraphError):
     """A vertex or edge id is already present in the graph."""
 
 
-class MissingEndpointError(GraphError):
-    """An edge references a vertex id that is not in the graph."""
-
-
-class FrozenGraphError(GraphError):
-    """Mutation attempted on a frozen graph: a loaded graph, a subset or a
-    snapshot."""
-
-
 class GraphFormatError(GraphError):
     """A graph file does not conform to the import format.
 
@@ -39,7 +30,7 @@ class GraphFormatError(GraphError):
 
 
 class ReferentialError(GraphError):
-    """An edge in an import file names a vertex that the file never defines."""
+    """An edge names a vertex that the graph's records never define."""
 
     def __init__(self, edge_id, endpoint_id):
         super().__init__(

@@ -12,17 +12,17 @@ value semantics the engine relies on:
 * :func:`as_text` is the canonical textual rendering used for
   lexicographic comparison and for string match functions.
 
-Records are immutable, so graphs share them.  A graph stores only its
-records, and is built in one of three ways:
+Records and graphs are immutable, so graphs share records and a graph is
+its own snapshot.  A graph stores only its records, and is built in one of
+two ways:
 
-* ``add_vertex``/``add_edge`` check and store one record at a time;
-* the file importers check every record, store them and freeze the graph;
-  a loaded graph holds one ``str`` object per distinct text, so each
-  edge's endpoints are its vertices' own id objects and a repeated label,
-  type, property name or text value is held once;
-* :func:`build_source_subset` and :meth:`PropertyGraph.snapshot` derive a
-  frozen graph of the records a built graph keeps; a frozen graph is its
-  own snapshot.
+* ``PropertyGraph(vertices, edges)`` checks every vertex and then every
+  edge and stores them; the file importers build their records and call
+  it, and a loaded graph holds one ``str`` object per distinct text, so
+  each edge's endpoints are its vertices' own id objects and a repeated
+  label, type, property name or text value is held once;
+* :func:`build_source_subset` keeps the records of an already checked
+  graph that a policy's ``Meta`` lists.
 
 The JSON importer builds each record of the ``vertices`` and ``edges``
 arrays as soon as the standard library's scanner has decoded it, so it
@@ -30,11 +30,10 @@ never holds the whole decoded document, and equal property maps whose
 values are all text share one read-only view.
 
 Hop lists and label and property indexes are derived from the records in
-one bulk pass when one of them is first read, and kept until an insert
-drops them: a source only cut down to a subset never derives them.  A
-direction without hops shares one empty list.  The property index keeps
-the bare id for a key that one vertex holds, and a set only for a key
-that several hold.
+one bulk pass when one of them is first read, and kept: a source only cut
+down to a subset never derives them.  A direction without hops shares one
+empty list.  The property index keeps the bare id for a key that one
+vertex holds, and a set only for a key that several hold.
 """
 
 from __future__ import annotations
@@ -45,20 +44,14 @@ import io
 import json
 import math
 import re
-from dataclasses import InitVar, dataclass, field
-from functools import lru_cache, wraps
+from dataclasses import dataclass, field
+from functools import lru_cache
 from json.decoder import WHITESPACE, JSONArray, JSONDecodeError, JSONObject
 from pathlib import Path
 from types import MappingProxyType
-from typing import AbstractSet, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
-from .errors import (
-    DuplicateIdError,
-    FrozenGraphError,
-    GraphFormatError,
-    MissingEndpointError,
-    ReferentialError,
-)
+from .errors import DuplicateIdError, GraphFormatError, ReferentialError
 from .policy_model import DIRECTION_ANY, DIRECTION_FROM, DIRECTION_TO, Meta
 
 PropertyValue = str | int | float | bool
@@ -109,11 +102,9 @@ def loose_equal(a: PropertyValue, b: PropertyValue) -> bool:
     return canonical_key(a) == canonical_key(b)
 
 
-def _freeze_properties(record, copy: bool) -> None:
-    """Wrap the record's properties read-only, over a copy of the given
-    mapping unless the caller handed it over."""
-    properties = dict(record.properties) if copy else record.properties
-    object.__setattr__(record, "properties", MappingProxyType(properties))
+def _freeze_properties(record) -> None:
+    """Wrap a copy of the record's properties read-only."""
+    object.__setattr__(record, "properties", MappingProxyType(dict(record.properties)))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -121,11 +112,8 @@ class VertexRecord:
     id: str
     label: str
     properties: Mapping[str, PropertyValue] = field(default_factory=dict)
-    # False when the caller hands over a dict that nothing else holds
-    copy_properties: InitVar[bool] = True
 
-    def __post_init__(self, copy_properties: bool) -> None:
-        _freeze_properties(self, copy_properties)
+    __post_init__ = _freeze_properties
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -135,21 +123,41 @@ class EdgeRecord:
     from_id: str
     to_id: str
     properties: Mapping[str, PropertyValue] = field(default_factory=dict)
-    # False when the caller hands over a dict that nothing else holds
-    copy_properties: InitVar[bool] = True
 
-    def __post_init__(self, copy_properties: bool) -> None:
-        _freeze_properties(self, copy_properties)
+    __post_init__ = _freeze_properties
 
 
-# The JSON importer sets a record's slots directly: its fields are checked
-# and its properties are a read-only view already, and the frozen dataclass
+# The importers set a record's slots directly: its fields are checked and
+# its properties are a read-only view already, and the frozen dataclass
 # __init__ costs about three times as much.
 _new_record = object.__new__
 _VERTEX_SLOTS = (VertexRecord.id.__set__, VertexRecord.label.__set__,
                  VertexRecord.properties.__set__)
 _EDGE_SLOTS = (EdgeRecord.id.__set__, EdgeRecord.type.__set__, EdgeRecord.from_id.__set__,
                EdgeRecord.to_id.__set__, EdgeRecord.properties.__set__)
+
+
+def _vertex_record(vid: str, label: str, properties: Mapping[str, PropertyValue]) -> VertexRecord:
+    vertex = _new_record(VertexRecord)
+    set_id, set_label, set_properties = _VERTEX_SLOTS
+    set_id(vertex, vid)
+    set_label(vertex, label)
+    set_properties(vertex, properties)
+    return vertex
+
+
+def _edge_record(
+    eid: str, etype: str, source: str, target: str, properties: Mapping[str, PropertyValue]
+) -> EdgeRecord:
+    edge = _new_record(EdgeRecord)
+    set_id, set_type, set_from, set_to, set_properties = _EDGE_SLOTS
+    set_id(edge, eid)
+    set_type(edge, etype)
+    set_from(edge, source)
+    set_to(edge, target)
+    set_properties(edge, properties)
+    return edge
+
 
 _HOP_SLOT = {DIRECTION_FROM: 0, DIRECTION_TO: 1, DIRECTION_ANY: 2}
 _NO_IDS: frozenset[str] = frozenset()
@@ -158,8 +166,8 @@ _NO_HOPS: list[tuple[str, str]] = []
 
 
 class _collector_paused:
-    """Pause the cyclic garbage collector for a bulk build: a ``with``
-    block, or a decorated function's every call.
+    """Pause the cyclic garbage collector for a bulk build, in a ``with``
+    block.
 
     The records and hop lists a load or a structure build creates hold no
     reference cycles, yet the collector rescans them as they pile up,
@@ -178,66 +186,40 @@ class _collector_paused:
         if self.was_enabled:
             gc.enable()
 
-    def __call__(self, function):
-        @wraps(function)
-        def paused(*args, **kwargs):
-            with _collector_paused():
-                return function(*args, **kwargs)
-
-        return paused
-
 
 class PropertyGraph:
-    """Property graph of records, with hop lists and indexes derived on first read.
+    """Immutable property graph of records, with hop lists and indexes
+    derived on first read.  Evaluations run against it as it is, so
+    ``snapshot()`` returns the graph itself."""
 
-    A graph built with ``add_vertex``/``add_edge`` is mutable; loaded
-    graphs and subsets are frozen, and evaluations run against frozen
-    graphs.  ``snapshot()`` returns a frozen graph itself, and derives one
-    from a mutable graph that later inserts into it cannot reach.
-    """
-
-    def __init__(self) -> None:
-        self._vertices: dict[str, VertexRecord] = {}
-        self._edges: dict[str, EdgeRecord] = {}
-        self._frozen = False
-
-    # -- mutation ----------------------------------------------------------
-
-    def add_vertex(self, vertex: VertexRecord) -> None:
-        self._check_mutable()
-        if not vertex.id:
-            raise GraphFormatError("vertex id must be non-empty")
-        if vertex.id in self._vertices:
-            raise DuplicateIdError(f"duplicate vertex id {vertex.id!r}")
-        self._vertices[vertex.id] = vertex
-        self._drop_structures()
-
-    def add_edge(self, edge: EdgeRecord) -> None:
-        self._check_mutable()
-        self._check_edge_id(edge)
-        for endpoint in (edge.from_id, edge.to_id):
-            if endpoint not in self._vertices:
-                raise MissingEndpointError(
-                    f"edge {edge.id!r} references missing vertex {endpoint!r}"
-                )
-        self._edges[edge.id] = edge
-        self._drop_structures()
-
-    def _check_edge_id(self, edge: EdgeRecord) -> None:
-        if not edge.id:
-            raise GraphFormatError("edge id must be non-empty")
-        if edge.id in self._edges:
-            raise DuplicateIdError(f"duplicate edge id {edge.id!r}")
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise FrozenGraphError("graph is frozen")
+    def __init__(
+        self, vertices: Iterable[VertexRecord] = (), edges: Iterable[EdgeRecord] = ()
+    ) -> None:
+        """Check and store every vertex, then every edge, so an edge may
+        come before its endpoints in a file.  A vertex's id must be
+        non-empty and new; an edge's endpoints must both be stored
+        vertices (``from`` checked first), then its id non-empty and new."""
+        stored: dict[str, VertexRecord] = {}
+        for vertex in vertices:
+            if not vertex.id:
+                raise GraphFormatError("vertex id must be non-empty")
+            if vertex.id in stored:
+                raise DuplicateIdError(f"duplicate vertex id {vertex.id!r}")
+            stored[vertex.id] = vertex
+        linked: dict[str, EdgeRecord] = {}
+        for edge in edges:
+            if edge.from_id not in stored:
+                raise ReferentialError(edge.id, edge.from_id)
+            if edge.to_id not in stored:
+                raise ReferentialError(edge.id, edge.to_id)
+            if not edge.id:
+                raise GraphFormatError("edge id must be non-empty")
+            if edge.id in linked:
+                raise DuplicateIdError(f"duplicate edge id {edge.id!r}")
+            linked[edge.id] = edge
+        self._vertices, self._edges = stored, linked
 
     # -- derived structures ------------------------------------------------
-
-    def _drop_structures(self) -> None:
-        if hasattr(self, "_hops"):
-            del self._hops, self._label_index, self._vertex_prop_index
 
     def _derive_structures(self) -> None:
         """Set ``_hops`` (vertex id -> one sorted hop list per direction in
@@ -345,11 +327,11 @@ class PropertyGraph:
 
         ``direction`` is ``from`` (out-edges), ``to`` (in-edges) or ``any``
         (both; a self-loop appears once).  The list is the graph's own:
-        read it, never mutate it; an insert leaves it stale.
+        read it, never mutate it.
         """
         try:
             return self._hops[vertex_id][_HOP_SLOT[direction]]
-        except AttributeError:  # not derived yet, or dropped by an insert
+        except AttributeError:  # not derived yet
             return self.with_structures().hops(vertex_id, direction)
 
     def vertices_with_label(self, label: str) -> AbstractSet[str]:
@@ -373,36 +355,9 @@ class PropertyGraph:
             return self.with_structures().vertices_with_property(name, value)
         return frozenset((ids,)) if type(ids) is str else ids
 
-    # -- snapshots ---------------------------------------------------------
-
     def snapshot(self) -> "PropertyGraph":
-        """This graph when it is frozen, else a frozen graph derived from
-        it (see :meth:`_derived`) that later inserts cannot reach."""
-        return self if self._frozen else self._derived()
-
-    def _derived(
-        self,
-        labels: AbstractSet[str] | None = None,
-        types: AbstractSet[str] | None = None,
-    ) -> "PropertyGraph":
-        """Frozen graph of this graph's own vertices labelled in ``labels``
-        and edges typed in ``types`` whose endpoints are both kept (``None``
-        keeps every label or type)."""
-        graph = PropertyGraph()
-        vertices = graph._vertices = {
-            vid: vertex
-            for vid, vertex in self._vertices.items()
-            if labels is None or vertex.label in labels
-        }
-        graph._edges = {
-            eid: edge
-            for eid, edge in self._edges.items()
-            if (types is None or edge.type in types)
-            and edge.from_id in vertices
-            and edge.to_id in vertices
-        }
-        graph._frozen = True
-        return graph
+        """The graph to decide on: this graph, which nothing can change."""
+        return self
 
     def __repr__(self) -> str:
         return f"PropertyGraph(vertices={self.vertex_count}, edges={self.edge_count})"
@@ -413,10 +368,21 @@ def build_source_subset(meta: Meta, source: PropertyGraph) -> PropertyGraph:
 
     Keeps the vertices whose label is listed in ``meta`` and the edges whose
     type is listed and whose endpoints both survived the vertex filter.
-    The subset is frozen and holds ``source``'s own records; like every
-    graph it derives its hop lists and indexes when they are first read.
+    The subset holds ``source``'s own records, checked already, so it fills
+    its two maps directly; like every graph it derives its hop lists and
+    indexes when they are first read.
     """
-    return source._derived(set(meta.vertex_entities), set(meta.edge_entities))
+    labels, types = set(meta.vertex_entities), set(meta.edge_entities)
+    subset = PropertyGraph.__new__(PropertyGraph)
+    vertices = subset._vertices = {
+        vid: vertex for vid, vertex in source._vertices.items() if vertex.label in labels
+    }
+    subset._edges = {
+        eid: edge
+        for eid, edge in source._edges.items()
+        if edge.type in types and edge.from_id in vertices and edge.to_id in vertices
+    }
+    return subset
 
 
 # -- JSON import/export ----------------------------------------------------
@@ -502,12 +468,7 @@ def _vertex(raw: object, strings: dict[str, str], views: dict) -> VertexRecord:
         if type(vid) is str and type(label) is str and vid and label:
             props = _check_properties(raw.get("properties", _NO_PROPERTIES), strings, views)
             share = strings.setdefault
-            vertex = _new_record(VertexRecord)
-            set_id, set_label, set_properties = _VERTEX_SLOTS
-            set_id(vertex, share(vid, vid))
-            set_label(vertex, share(label, label))
-            set_properties(vertex, props)
-            return vertex
+            return _vertex_record(share(vid, vid), share(label, label), props)
     raise _bad_fields(raw, _VERTEX_KEYS, ("id", "label"))
 
 
@@ -521,14 +482,10 @@ def _edge(raw: object, strings: dict[str, str], views: dict) -> EdgeRecord:
         ):
             props = _check_properties(raw.get("properties", _NO_PROPERTIES), strings, views)
             share = strings.setdefault
-            edge = _new_record(EdgeRecord)
-            set_id, set_type, set_from, set_to, set_properties = _EDGE_SLOTS
-            set_id(edge, eid)  # an edge id is unique, so it stays as decoded
-            set_type(edge, share(etype, etype))
-            set_from(edge, share(source, source))
-            set_to(edge, share(target, target))
-            set_properties(edge, props)
-            return edge
+            # an edge id is unique, so it stays as decoded
+            return _edge_record(
+                eid, share(etype, etype), share(source, source), share(target, target), props
+            )
     raise _bad_fields(raw, _EDGE_KEYS, ("id", "type", "from", "to"))
 
 
@@ -609,55 +566,35 @@ def _decode_graph(text: str) -> object:
     return doc
 
 
-@_collector_paused()
 def load_graph_json(text: str) -> PropertyGraph:
     """Load the JSON graph format; edges may precede their endpoints.
 
     Errors come in this order: a JSON error anywhere in the document; the
     top level's shape; the first bad vertex; the first bad edge; then the
-    link's errors.  The collector stays paused through the decode and the
-    record checks as well as the link.
+    constructor's.  The collector stays paused through the decode, the
+    record checks and the constructor.
     """
-    try:
-        doc = _decode_graph(text)
-    except JSONDecodeError as exc:
-        raise GraphFormatError(
-            f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
-        ) from exc
-    except RecursionError:
-        raise GraphFormatError("invalid JSON: nested too deeply") from None
-    if type(doc) is not dict or doc.keys() != {"vertices", "edges"}:
-        raise GraphFormatError(
-            "top level must be an object with exactly 'vertices' and 'edges'"
-        )
-    # an array value is a (records, error) pair; anything else is no array
-    vertices, edges = doc["vertices"], doc["edges"]
-    if type(vertices) is not tuple or type(edges) is not tuple:
-        raise GraphFormatError("'vertices' and 'edges' must be arrays")
-    for _, error in (vertices, edges):
-        if error is not None:
-            raise error
-    return _link(vertices[0], edges[0])
-
-
-def _link(vertices: list[VertexRecord], edges: list[EdgeRecord]) -> PropertyGraph:
-    # Second phase of the two-phase import: vertices first, then edges, so
-    # file order never matters.  Both loaders run it with the collector
-    # paused.  Each edge is checked as add_edge would (a missing endpoint
-    # first, then its id) and stored.  The graph comes back frozen.
-    graph = PropertyGraph()
-    for vertex in vertices:
-        graph.add_vertex(vertex)
-    ids, stored = graph._vertices, graph._edges
-    for edge in edges:
-        if edge.from_id not in ids:
-            raise ReferentialError(edge.id, edge.from_id)
-        if edge.to_id not in ids:
-            raise ReferentialError(edge.id, edge.to_id)
-        graph._check_edge_id(edge)
-        stored[edge.id] = edge
-    graph._frozen = True
-    return graph
+    with _collector_paused():
+        try:
+            doc = _decode_graph(text)
+        except JSONDecodeError as exc:
+            raise GraphFormatError(
+                f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
+            ) from exc
+        except RecursionError:
+            raise GraphFormatError("invalid JSON: nested too deeply") from None
+        if type(doc) is not dict or doc.keys() != {"vertices", "edges"}:
+            raise GraphFormatError(
+                "top level must be an object with exactly 'vertices' and 'edges'"
+            )
+        # an array value is a (records, error) pair; anything else is no array
+        vertices, edges = doc["vertices"], doc["edges"]
+        if type(vertices) is not tuple or type(edges) is not tuple:
+            raise GraphFormatError("'vertices' and 'edges' must be arrays")
+        for _, error in (vertices, edges):
+            if error is not None:
+                raise error
+        return PropertyGraph(vertices[0], edges[0])
 
 
 def serialize_graph(graph: PropertyGraph) -> str:
@@ -739,7 +676,6 @@ def _read_csv_rows(
     return prop_names, rows
 
 
-@_collector_paused()
 def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
     """Load the two-file CSV format (vertex file + edge file), with the
     collector paused throughout.
@@ -747,34 +683,33 @@ def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
     An empty cell means the property is absent on that record, so rows
     with differing property schemas can share one header.
     """
-    v_props, v_rows = _read_csv_rows(vertices_text, ("_id", "_label"), "vertex")
-    e_props, e_rows = _read_csv_rows(
-        edges_text, ("_id", "_type", "_from", "_to"), "edge"
-    )
-    # one object per distinct text, as in load_graph_json; each file's
-    # header holds one object per property name
-    strings: dict[str, str] = {}
-    share = strings.setdefault
-    for name in v_props:
-        share(name, name)
-    e_props = [share(name, name) for name in e_props]
-    vertices = [
-        VertexRecord(
-            share(row[0], row[0]), share(row[1], row[1]),
-            _csv_props(v_props, row[2:], "vertex", row[0], line, strings),
-            copy_properties=False,
+    with _collector_paused():
+        v_props, v_rows = _read_csv_rows(vertices_text, ("_id", "_label"), "vertex")
+        e_props, e_rows = _read_csv_rows(
+            edges_text, ("_id", "_type", "_from", "_to"), "edge"
         )
-        for line, row in v_rows
-    ]
-    edges = [
-        EdgeRecord(
-            row[0], share(row[1], row[1]), share(row[2], row[2]), share(row[3], row[3]),
-            _csv_props(e_props, row[4:], "edge", row[0], line, strings),
-            copy_properties=False,
-        )
-        for line, row in e_rows
-    ]
-    return _link(vertices, edges)
+        # one object per distinct text, as in load_graph_json; each file's
+        # header holds one object per property name
+        strings: dict[str, str] = {}
+        share = strings.setdefault
+        for name in v_props:
+            share(name, name)
+        e_props = [share(name, name) for name in e_props]
+        vertices = [
+            _vertex_record(
+                share(row[0], row[0]), share(row[1], row[1]),
+                _csv_props(v_props, row[2:], "vertex", row[0], line, strings),
+            )
+            for line, row in v_rows
+        ]
+        edges = [
+            _edge_record(
+                row[0], share(row[1], row[1]), share(row[2], row[2]), share(row[3], row[3]),
+                _csv_props(e_props, row[4:], "edge", row[0], line, strings),
+            )
+            for line, row in e_rows
+        ]
+        return PropertyGraph(vertices, edges)
 
 
 def _csv_props(
@@ -784,7 +719,7 @@ def _csv_props(
     record_id: str,
     line: int,
     strings: dict[str, str],
-) -> dict[str, PropertyValue]:
+) -> Mapping[str, PropertyValue]:
     props = {}
     for name, cell in zip(names, cells):
         if cell != "":
@@ -795,7 +730,7 @@ def _csv_props(
                     f"{what} {record_id!r}: property {name!r}: {exc}", line=line
                 ) from None
             props[name] = strings.setdefault(value, value) if type(value) is str else value
-    return props
+    return MappingProxyType(props)
 
 
 def load_graph_path(path, format: str = "json") -> PropertyGraph:

@@ -56,36 +56,11 @@ class PathBinding:
         self,
         vertex_seq: tuple[str, ...],
         edge_seq: tuple[str, ...] = (),
-        var_bindings: tuple[tuple[str, str], ...] = (),
+        names: tuple[tuple[str, str], ...] = (),
     ):
         self.vertex_seq = vertex_seq
         self.edge_seq = edge_seq
-        self.names: dict[str, str] = dict(var_bindings)
-
-    @property
-    def var_bindings(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.names.items()))
-
-    def bound(self, name: str) -> str | None:
-        return self.names.get(name)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PathBinding):
-            return NotImplemented
-        return (
-            self.vertex_seq == other.vertex_seq
-            and self.edge_seq == other.edge_seq
-            and self.names == other.names
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_seq, self.edge_seq, self.var_bindings))
-
-    def __repr__(self) -> str:
-        return (
-            f"PathBinding(vertex_seq={self.vertex_seq!r}, "
-            f"edge_seq={self.edge_seq!r}, var_bindings={self.var_bindings!r})"
-        )
+        self.names: dict[str, str] = dict(names)
 
 
 def _map_entries(constraints: ConstraintSet) -> list[tuple[str, str]]:

@@ -225,10 +225,6 @@ def translate_function(uri: str) -> Operator:
         raise UnknownFunctionError(uri) from None
 
 
-def known_functions() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
 # -- element checks --------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ import operator as _op
 import re
 
 from graphpdp import graph_store, uris
-from graphpdp.errors import GraphFormatError, ReferentialError
+from graphpdp.errors import DuplicateIdError, GraphFormatError, ReferentialError
 from graphpdp.graph_store import (
     EdgeRecord,
     PropertyGraph,
@@ -193,15 +193,44 @@ def reference_load_graph_json(text: str) -> PropertyGraph:
         raise GraphFormatError("'vertices' and 'edges' must be arrays")
     vertices = _reference_records(doc["vertices"], VertexRecord, ("id", "label"), "vertices")
     edges = _reference_records(doc["edges"], EdgeRecord, ("id", "type", "from", "to"), "edges")
-    graph = PropertyGraph()
+    # the constructor checks all of this again; checked here first, the
+    # loader is compared with rules that it does not share
+    known_vertices: set[str] = set()
     for vertex in vertices:
-        graph.add_vertex(vertex)
+        if not vertex.id:
+            raise GraphFormatError("vertex id must be non-empty")
+        if vertex.id in known_vertices:
+            raise DuplicateIdError(f"duplicate vertex id {vertex.id!r}")
+        known_vertices.add(vertex.id)
+    known_edges: set[str] = set()
     for edge in edges:
         for endpoint in (edge.from_id, edge.to_id):
-            if not graph.has_vertex(endpoint):
+            if endpoint not in known_vertices:
                 raise ReferentialError(edge.id, endpoint)
-        graph.add_edge(edge)
-    return graph.snapshot()
+        if not edge.id:
+            raise GraphFormatError("edge id must be non-empty")
+        if edge.id in known_edges:
+            raise DuplicateIdError(f"duplicate edge id {edge.id!r}")
+        known_edges.add(edge.id)
+    return PropertyGraph(vertices, edges)
+
+
+# -- bindings as values -----------------------------------------------------
+
+
+def var_bindings(binding: PathBinding) -> tuple[tuple[str, str], ...]:
+    """The binding's name -> element id pairs, sorted by name."""
+    return tuple(sorted(binding.names.items()))
+
+
+def binding_key(binding: PathBinding) -> tuple:
+    """The binding as a plain tuple, which compares, hashes and prints as
+    its walked elements and its names."""
+    return (binding.vertex_seq, binding.edge_seq, var_bindings(binding))
+
+
+def binding_keys(bindings) -> set[tuple]:
+    return {binding_key(b) for b in bindings}
 
 
 # -- plan matching by trail filtering ---------------------------------------
@@ -251,8 +280,9 @@ def enumerate_trails_oracle(graph: PropertyGraph, max_edges: int) -> list[PathBi
 
 def plan_match_oracle(
     graph: PropertyGraph, plan: QueryPlan, varlen_cap: int = 8
-) -> set[PathBinding]:
-    """Brute force: every trail, every admissible segmentation."""
+) -> list[PathBinding]:
+    """Brute force: every trail, every admissible segmentation; each
+    distinct binding (see :func:`binding_key`) once."""
     vsteps = [s for s in plan.steps if isinstance(s, VertexStep)]
     esteps = [s for s in plan.steps if isinstance(s, EdgeStep)]
     bounds = [
@@ -260,7 +290,7 @@ def plan_match_oracle(
         for e in esteps
     ]
     max_total = sum(hi for _, hi in bounds)
-    found: set[PathBinding] = set()
+    found: dict[tuple, PathBinding] = {}
     for trail in enumerate_trails_oracle(graph, max_total):
         total = len(trail.edge_seq)
         if total < sum(lo for lo, _ in bounds):
@@ -268,8 +298,8 @@ def plan_match_oracle(
         for lengths in _segmentations(total, bounds):
             binding = _aligned_binding(graph, trail, lengths, vsteps, esteps)
             if binding is not None:
-                found.add(binding)
-    return found
+                found.setdefault(binding_key(binding), binding)
+    return list(found.values())
 
 
 def _aligned_binding(graph, trail, lengths, vsteps, esteps):
@@ -359,7 +389,7 @@ def filter_oracle(graph, binding, expr) -> bool:
         if isinstance(node, Literal):
             return node.value
         if isinstance(node, Designator):
-            element_id = binding.bound(node.binding_ref)
+            element_id = binding.names.get(node.binding_ref)
             if node.category == uris.CAT_PATH_EDGE:
                 rec = graph.edge(element_id)
             else:

@@ -35,12 +35,13 @@ MAX_DEGREE = 6  # keeps trail counts tame for the brute-force oracle
 @st.composite
 def graphs(draw) -> PropertyGraph:
     n = draw(st.integers(min_value=1, max_value=12))
-    g = PropertyGraph()
+    vertices = []
     for i in range(n):
         props = {"_key": f"v{i}"}
         if draw(st.booleans()):
             props["flavor"] = draw(st.sampled_from(WORDS))
-        g.add_vertex(VertexRecord(f"v{i}", draw(st.sampled_from(LABELS)), props))
+        vertices.append(VertexRecord(f"v{i}", draw(st.sampled_from(LABELS)), props))
+    edges = []
     degree = [0] * n
     per_pair: dict[tuple[int, int], int] = {}
     made = 0
@@ -55,14 +56,14 @@ def graphs(draw) -> PropertyGraph:
         props = {}
         if draw(st.booleans()):
             props["kind"] = draw(st.sampled_from(WORDS))
-        g.add_edge(
+        edges.append(
             EdgeRecord(f"e{made}", draw(st.sampled_from(TYPES)), f"v{a}", f"v{b}", props)
         )
         degree[a] += 1
         degree[b] += 1
         per_pair[pair] = per_pair.get(pair, 0) + 1
         made += 1
-    return g
+    return PropertyGraph(vertices, edges)
 
 
 def _constraints(draw, attribute_id: str, category: str) -> ConstraintSet:

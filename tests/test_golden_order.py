@@ -40,20 +40,20 @@ COMPARISONS = (
 
 
 def random_graph(rng: random.Random) -> PropertyGraph:
-    g = PropertyGraph()
+    vertices, edges = [], []
     n = rng.randint(1, 7)
     for i in range(n):
         props = {"_key": f"v{i}"}
         if rng.random() < 0.5:
             props["flavor"] = rng.choice(WORDS)
-        g.add_vertex(VertexRecord(f"v{i}", rng.choice(("A", "B")), props))
+        vertices.append(VertexRecord(f"v{i}", rng.choice(("A", "B")), props))
     for i in range(rng.randint(0, 12)):
         a = rng.randrange(n)
         # a self-loop now and then; repeated pairs give parallel edges
         b = a if rng.random() < 0.15 else rng.randrange(n)
         props = {"kind": rng.choice(WORDS)} if rng.random() < 0.6 else {}
-        g.add_edge(EdgeRecord(f"e{i}", rng.choice(("S", "T")), f"v{a}", f"v{b}", props))
-    return g
+        edges.append(EdgeRecord(f"e{i}", rng.choice(("S", "T")), f"v{a}", f"v{b}", props))
+    return PropertyGraph(vertices, edges)
 
 
 def _constraints(rng: random.Random, attribute: str, category: str) -> ConstraintSet:
@@ -150,7 +150,7 @@ def request_plan(rng: random.Random, g: PropertyGraph) -> QueryPlan:
 def _record(out, label: str, bindings) -> None:
     out.update(label.encode())
     for b in bindings:
-        out.update(repr((b.vertex_seq, b.edge_seq, b.var_bindings)).encode())
+        out.update(repr((b.vertex_seq, b.edge_seq, tuple(sorted(b.names.items())))).encode())
     out.update(b"|")
 
 

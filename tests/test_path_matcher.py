@@ -32,13 +32,14 @@ from graphpdp.pdp import DecisionEngine, compile_rule
 from graphpdp.policy_model import Apply, Designator, Literal, Rule
 
 
+def chain_records(n: int, type_name: str = "link", label: str = "node"):
+    vertices = [VertexRecord(f"c{i}", label, {"_key": f"c{i}"}) for i in range(n + 1)]
+    edges = [EdgeRecord(f"l{i}", type_name, f"c{i}", f"c{i+1}", {}) for i in range(n)]
+    return vertices, edges
+
+
 def chain(n: int, type_name: str = "link", label: str = "node") -> PropertyGraph:
-    g = PropertyGraph()
-    for i in range(n + 1):
-        g.add_vertex(VertexRecord(f"c{i}", label, {"_key": f"c{i}"}))
-    for i in range(n):
-        g.add_edge(EdgeRecord(f"l{i}", type_name, f"c{i}", f"c{i+1}", {}))
-    return g
+    return PropertyGraph(*chain_records(n, type_name, label))
 
 
 def pin(binding: str, key: str) -> VertexStep:
@@ -66,8 +67,8 @@ def test_directed_chain_has_one_match():
             ),
         )
     )
-    assert found == [
-        PathBinding(
+    assert [oracles.binding_key(b) for b in found] == [
+        (
             ("c0", "c1", "c2"),
             ("l0", "l1"),
             (("a", "c0"), ("b", "c1"), ("c", "c2"), ("e1", "l0"), ("e2", "l1")),
@@ -100,12 +101,17 @@ def test_any_direction_matches_both_orientations():
 
 
 def test_label_type_and_property_filters():
-    g = PropertyGraph()
-    g.add_vertex(VertexRecord("u", "users", {"typeCode": "pmUser"}))
-    g.add_vertex(VertexRecord("v", "users", {"typeCode": "extUser"}))
-    g.add_vertex(VertexRecord("t", "tasks", {}))
-    g.add_edge(EdgeRecord("w1", "worksOn", "u", "t", {"since": 2020}))
-    g.add_edge(EdgeRecord("w2", "observes", "v", "t", {}))
+    g = PropertyGraph(
+        [
+            VertexRecord("u", "users", {"typeCode": "pmUser"}),
+            VertexRecord("v", "users", {"typeCode": "extUser"}),
+            VertexRecord("t", "tasks", {}),
+        ],
+        [
+            EdgeRecord("w1", "worksOn", "u", "t", {"since": 2020}),
+            EdgeRecord("w2", "observes", "v", "t", {}),
+        ],
+    )
     found = list(
         match_plan(
             g,
@@ -120,11 +126,10 @@ def test_label_type_and_property_filters():
 
 
 def test_trail_edges_unique_but_vertices_may_repeat():
-    g = PropertyGraph()
-    g.add_vertex(VertexRecord("A", "n", {"_key": "A"}))
-    g.add_vertex(VertexRecord("B", "n", {"_key": "B"}))
-    g.add_edge(EdgeRecord("p", "t", "A", "B", {}))
-    g.add_edge(EdgeRecord("q", "t", "A", "B", {}))
+    g = PropertyGraph(
+        [VertexRecord("A", "n", {"_key": "A"}), VertexRecord("B", "n", {"_key": "B"})],
+        [EdgeRecord("p", "t", "A", "B", {}), EdgeRecord("q", "t", "A", "B", {})],
+    )
     three = plan(
         pin("a", "A"), EdgeStep(), VertexStep("b"), EdgeStep(), VertexStep("c")
     )
@@ -134,9 +139,7 @@ def test_trail_edges_unique_but_vertices_may_repeat():
 
 
 def test_self_loop_is_one_hop():
-    g = PropertyGraph()
-    g.add_vertex(VertexRecord("A", "n", {}))
-    g.add_edge(EdgeRecord("loop", "t", "A", "A", {}))
+    g = PropertyGraph([VertexRecord("A", "n", {})], [EdgeRecord("loop", "t", "A", "A", {})])
     for direction in ("from", "to", "any"):
         found = list(
             match_plan(g, plan(VertexStep("a"), EdgeStep(direction=direction), VertexStep("b")))
@@ -170,12 +173,14 @@ def test_varlen_cap_limits_unbounded_steps_only():
 
 
 def test_varlen_interior_vertices_are_unconstrained():
-    g = PropertyGraph()
-    g.add_vertex(VertexRecord("s", "start", {}))
-    g.add_vertex(VertexRecord("m", "weird", {}))
-    g.add_vertex(VertexRecord("t", "goal", {}))
-    g.add_edge(EdgeRecord("e1", "t", "s", "m", {}))
-    g.add_edge(EdgeRecord("e2", "t", "m", "t", {}))
+    g = PropertyGraph(
+        [
+            VertexRecord("s", "start", {}),
+            VertexRecord("m", "weird", {}),
+            VertexRecord("t", "goal", {}),
+        ],
+        [EdgeRecord("e1", "t", "s", "m", {}), EdgeRecord("e2", "t", "m", "t", {})],
+    )
     found = list(
         match_plan(
             g,
@@ -190,9 +195,11 @@ def test_varlen_interior_vertices_are_unconstrained():
 
 
 def test_varlen_edge_constraints_apply_to_every_hop():
-    g = chain(2, type_name="link")
-    g.add_vertex(VertexRecord("x", "node", {"_key": "x"}))
-    g.add_edge(EdgeRecord("other", "detour", "c2", "x", {}))
+    vertices, edges = chain_records(2, type_name="link")
+    g = PropertyGraph(
+        [*vertices, VertexRecord("x", "node", {"_key": "x"})],
+        [*edges, EdgeRecord("other", "detour", "c2", "x", {})],
+    )
     found = match_plan(
         g,
         plan(
@@ -217,17 +224,21 @@ def test_zero_length_is_not_a_thing():
 def test_deterministic_order():
     g = chain(3)
     p = plan(VertexStep("a"), EdgeStep(min_len=1, max_len=2), VertexStep("b"))
-    assert list(match_plan(g, p)) == list(match_plan(g, p))
+    first = [oracles.binding_key(b) for b in match_plan(g, p)]
+    assert first and first == [oracles.binding_key(b) for b in match_plan(g, p)]
 
 
 # -- filter evaluation ------------------------------------------------------
 
 
 def filter_graph() -> tuple[PropertyGraph, PathBinding]:
-    g = PropertyGraph()
-    g.add_vertex(VertexRecord("u", "users", {"_key": "u", "age": 41, "name": "Ada"}))
-    g.add_vertex(VertexRecord("t", "tasks", {"_key": "t"}))
-    g.add_edge(EdgeRecord("w", "worksOn", "u", "t", {"typeKind": "worksOn"}))
+    g = PropertyGraph(
+        [
+            VertexRecord("u", "users", {"_key": "u", "age": 41, "name": "Ada"}),
+            VertexRecord("t", "tasks", {"_key": "t"}),
+        ],
+        [EdgeRecord("w", "worksOn", "u", "t", {"typeKind": "worksOn"})],
+    )
     binding = PathBinding(("u", "t"), ("w",), (("s", "u"), ("e", "w")))
     return g, binding
 
@@ -344,8 +355,7 @@ COMPARED_VALUES = [
 def test_comparisons_against_a_literal_equal_the_oracle(value):
     # every comparison function, with the literal on either side, against
     # one graph value: numeric and non-numeric text, int, float, boolean
-    g = PropertyGraph()
-    g.add_vertex(VertexRecord("v", "node", {"p": value}))
+    g = PropertyGraph([VertexRecord("v", "node", {"p": value})])
     b = PathBinding(("v",), (), (("s", "v"),))
     prop = des("p", uris.CAT_PATH_VERTEX, "s")
     assert len(COMPARISONS) == 9
@@ -437,13 +447,14 @@ def test_a_variable_length_edge_name_is_unbound():
 
 def parallel_pair() -> PropertyGraph:
     """a -> b twice (p1, then p2, kind "keep"), and b -> c."""
-    g = PropertyGraph()
-    for v in "abc":
-        g.add_vertex(VertexRecord(v, "n", {"_key": v}))
-    g.add_edge(EdgeRecord("p1", "t", "a", "b", {"kind": "drop"}))
-    g.add_edge(EdgeRecord("p2", "t", "a", "b", {"kind": "keep"}))
-    g.add_edge(EdgeRecord("bc", "t", "b", "c", {"kind": "drop"}))
-    return g
+    return PropertyGraph(
+        [VertexRecord(v, "n", {"_key": v}) for v in "abc"],
+        [
+            EdgeRecord("p1", "t", "a", "b", {"kind": "drop"}),
+            EdgeRecord("p2", "t", "a", "b", {"kind": "keep"}),
+            EdgeRecord("bc", "t", "b", "c", {"kind": "drop"}),
+        ],
+    )
 
 
 def test_the_pivot_keeps_containment_exact():
@@ -477,22 +488,18 @@ def test_the_pivot_keeps_containment_exact():
 
 
 def with_rival_managers(demo: PropertyGraph, count: int = 30) -> PropertyGraph:
-    """A mutable graph of the demo graph's records plus ``count`` pmUsers
-    whose ids sort before the demo subject's, each with its own task and
-    design document."""
-    graph = PropertyGraph()
-    for vertex in demo.vertices():
-        graph.add_vertex(vertex)
-    for edge in demo.edges():
-        graph.add_edge(edge)
+    """A graph of the demo graph's records plus ``count`` pmUsers whose
+    ids sort before the demo subject's, each with its own task and design
+    document."""
+    vertices, edges = list(demo.vertices()), list(demo.edges())
     for i in range(count):
         user, task, doc = f"10{i:08d}", f"11{i:08d}", f"0{i:09d}"
-        graph.add_vertex(VertexRecord(user, "dataObjects", {"_key": user, "typeCode": "pmUser"}))
-        graph.add_vertex(VertexRecord(task, "tasks", {"_key": task}))
-        graph.add_vertex(VertexRecord(doc, "dataObjects", {"_key": doc, "typeCode": "designDoc"}))
-        graph.add_edge(EdgeRecord(f"ar-x{i}", "accessRelations", user, task, {"typeKind": "worksOn"}))
-        graph.add_edge(EdgeRecord(f"td-x{i}", "taskDataRelations", task, doc, {"typeKind": "produces"}))
-    return graph
+        vertices.append(VertexRecord(user, "dataObjects", {"_key": user, "typeCode": "pmUser"}))
+        vertices.append(VertexRecord(task, "tasks", {"_key": task}))
+        vertices.append(VertexRecord(doc, "dataObjects", {"_key": doc, "typeCode": "designDoc"}))
+        edges.append(EdgeRecord(f"ar-x{i}", "accessRelations", user, task, {"typeKind": "worksOn"}))
+        edges.append(EdgeRecord(f"td-x{i}", "taskDataRelations", task, doc, {"typeKind": "produces"}))
+    return PropertyGraph(vertices, edges)
 
 
 def count_matches(monkeypatch) -> list[list[int]]:
@@ -615,14 +622,14 @@ def test_search_evaluators_equal_the_oracle(condition, monkeypatch, demo_policy,
     results, original = {}, path_matcher.eval_filter
 
     def recording(binding, expr, graph):
-        results[binding] = original(binding, expr, graph)
-        return results[binding]
+        passed = results[oracles.binding_key(binding)] = original(binding, expr, graph)
+        return passed
 
     monkeypatch.setattr(path_matcher, "eval_filter", recording)
     # no rule match holds the reviewer's path, so the search filters them all
     assert not check_intersection(graph, rule_plan, REVIEWER_PATH)
     monkeypatch.undo()
-    want = {b: oracles.filter_oracle(graph, b, condition) for b in matches}
+    want = {oracles.binding_key(b): oracles.filter_oracle(graph, b, condition) for b in matches}
     assert results == want
     assert 0 < sum(want.values()) < len(want)
     for request_plan in (REVIEWER_PATH, DEMO_PATH):
@@ -658,14 +665,15 @@ def test_preferred_starts_come_first_and_keep_their_order(data):
     g = data.draw(strategies.graphs())
     p = data.draw(strategies.plans(g))
     prefer = data.draw(st.frozensets(st.sampled_from(g.vertex_ids() + ["not-a-vertex"])))
-    plain = list(match_plan(g, p, varlen_cap=3))
-    preferred = list(match_plan(g, p, varlen_cap=3, prefer=prefer))
-    assert list(match_plan(g, p, varlen_cap=3, prefer=frozenset())) == plain
+    key = oracles.binding_key
+    plain = [key(b) for b in match_plan(g, p, varlen_cap=3)]
+    preferred = [key(b) for b in match_plan(g, p, varlen_cap=3, prefer=prefer)]
+    assert [key(b) for b in match_plan(g, p, varlen_cap=3, prefer=frozenset())] == plain
     # the same bindings: those from preferred starts first, each group in
     # the order of the plain stream, which is depth-first and id-ordered
     assert preferred == (
-        [b for b in plain if b.vertex_seq[0] in prefer]
-        + [b for b in plain if b.vertex_seq[0] not in prefer]
+        [b for b in plain if b[0][0] in prefer]
+        + [b for b in plain if b[0][0] not in prefer]
     )
 
 
@@ -673,13 +681,14 @@ def test_preferred_starts_come_first_and_keep_their_order(data):
 
 
 def triangle() -> PropertyGraph:
-    g = PropertyGraph()
-    for v in "ABC":
-        g.add_vertex(VertexRecord(v, "n", {}))
-    g.add_edge(EdgeRecord("ab", "t", "A", "B", {}))
-    g.add_edge(EdgeRecord("bc", "t", "B", "C", {}))
-    g.add_edge(EdgeRecord("ca", "t", "C", "A", {}))
-    return g
+    return PropertyGraph(
+        [VertexRecord(v, "n", {}) for v in "ABC"],
+        [
+            EdgeRecord("ab", "t", "A", "B", {}),
+            EdgeRecord("bc", "t", "B", "C", {}),
+            EdgeRecord("ca", "t", "C", "A", {}),
+        ],
+    )
 
 
 def test_triangle_trail_census():
@@ -718,8 +727,8 @@ def test_both_trail_counters_agree(g, budget):
 def test_match_plan_equals_oracle(data):
     g = data.draw(strategies.graphs())
     p = data.draw(strategies.plans(g))
-    got = set(match_plan(g, p, varlen_cap=3))
-    want = oracles.plan_match_oracle(g, p, varlen_cap=3)
+    got = oracles.binding_keys(match_plan(g, p, varlen_cap=3))
+    want = oracles.binding_keys(oracles.plan_match_oracle(g, p, varlen_cap=3))
     assert got == want
 
 

@@ -4,6 +4,7 @@ import oracles
 from graphpdp import uris
 from graphpdp.errors import UnknownFunctionError
 from graphpdp.pattern_compiler import (
+    _REGISTRY,
     EdgeStep,
     QueryPlan,
     VertexStep,
@@ -12,7 +13,6 @@ from graphpdp.pattern_compiler import (
     cypher_ident,
     cypher_string,
     emit_cypher,
-    known_functions,
     render_filter,
     render_pattern,
     translate_function,
@@ -31,9 +31,9 @@ from graphpdp.policy_model import (
 
 
 def test_registry_is_closed_and_total():
-    assert set(known_functions()) == set(uris.CONDITION_FUNCTIONS)
-    assert len(known_functions()) == 11
-    for fn in known_functions():
+    assert set(_REGISTRY) == set(uris.CONDITION_FUNCTIONS)
+    assert len(_REGISTRY) == 11
+    for fn in _REGISTRY:
         op = translate_function(fn)
         assert op.logical or (op.compare is not None and op.render is not None)
 
