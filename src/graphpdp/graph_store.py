@@ -32,8 +32,15 @@ values are all text share one read-only view.
 Hop lists and label and property indexes are derived from the records in
 one bulk pass when one of them is first read, and kept: a source only cut
 down to a subset never derives them.  A direction without hops shares one
-empty list.  The property index keeps the bare id for a key that one
-vertex holds, and a set only for a key that several hold.
+empty list.  The property index maps each property name to a table keyed
+by :func:`index_key` (the float of a numeric value, the text of any
+other), so it builds no key object per property.  It keeps the bare id
+for a key that one vertex holds, and a set only for a key that several
+hold.
+
+Loads and structure builds run with the cyclic garbage collector paused,
+and leave what they made in its oldest generation (see
+:class:`_collector_paused`), so no young collection rescans a build.
 """
 
 from __future__ import annotations
@@ -80,7 +87,8 @@ def as_number(value: PropertyValue) -> float | None:
         return None
     if isinstance(value, (int, float)):
         return float(value)
-    if _FLOAT_RE.match(value):
+    # a run of decimal digits, the common case, is what ``\d+`` matches
+    if value.isdecimal() or _FLOAT_RE.match(value):
         return float(value)
     return None
 
@@ -91,6 +99,14 @@ def canonical_key(value: PropertyValue) -> tuple[str, float | str]:
     if num is not None:
         return ("num", num)
     return ("text", as_text(value))
+
+
+def index_key(value: PropertyValue) -> float | str:
+    """:func:`canonical_key` without its kind: the float of a numeric value,
+    the text of any other.  A float never equals a str, so two values have
+    equal keys exactly when they are loosely equal."""
+    num = as_number(value)
+    return as_text(value) if num is None else num
 
 
 def loose_equal(a: PropertyValue, b: PropertyValue) -> bool:
@@ -161,19 +177,25 @@ def _edge_record(
 
 _HOP_SLOT = {DIRECTION_FROM: 0, DIRECTION_TO: 1, DIRECTION_ANY: 2}
 _NO_IDS: frozenset[str] = frozenset()
+_NO_KEYS: Mapping[float | str, str | set[str]] = MappingProxyType({})
 # the hop list of every direction that has no hop: read it, never mutate it
 _NO_HOPS: list[tuple[str, str]] = []
 
 
 class _collector_paused:
     """Pause the cyclic garbage collector for a bulk build, in a ``with``
-    block.
+    block, and leave it nothing of the build to rescan.
 
-    The records and hop lists a load or a structure build creates hold no
-    reference cycles, yet the collector rescans them as they pile up,
-    which costs more time than the build itself.  The previous state comes
-    back however the block ends.  A class rather than a generator, whose
-    set-up costs a small load about 2 us more.
+    The records, hop lists and indexes a build creates hold no reference
+    cycles, yet the collector would rescan them as they pile up, which
+    costs more time than the build itself.  Paused, it would still rescan
+    them all in the young collection that the build's allocations leave
+    due.  So before the collector comes back on, ``gc.freeze()`` and
+    ``gc.unfreeze()`` move every tracked object to the oldest generation,
+    which only a full collection scans, and reset the young count.  That
+    is skipped while a caller holds objects frozen, which stay frozen.
+    The previous state comes back however the block ends.  A class rather
+    than a generator, whose set-up costs a small load about 2 us more.
     """
 
     __slots__ = ("was_enabled",)
@@ -184,6 +206,9 @@ class _collector_paused:
 
     def __exit__(self, *exc_info) -> None:
         if self.was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -227,12 +252,13 @@ class PropertyGraph:
         attributes the accessors read directly.  Edges go in id order, so
         each hop list comes out sorted.  Every direction without a hop
         shares one empty list, and ``any`` is the other direction's own
-        list when only one direction has hops.  A property key is one flat
-        ``(name, kind, value)`` tuple; a key that one vertex holds maps to
-        that vertex's id, one held by several to a set."""
+        list when only one direction has hops.  The property index maps
+        each name to its values' :func:`index_key` keys; a key that one
+        vertex holds maps to that vertex's id, one held by several to a
+        set."""
         with _collector_paused():
             labels: dict[str, set[str]] = {}
-            props: dict[tuple[str, str, float | str], str | set[str]] = {}
+            props: dict[str, dict[float | str, str | set[str]]] = {}
             for vid, vertex in self._vertices.items():
                 ids = labels.get(vertex.label)
                 if ids is None:
@@ -240,14 +266,17 @@ class PropertyGraph:
                 else:
                     ids.add(vid)
                 for name, value in vertex.properties.items():
-                    key = (name, *canonical_key(value))
+                    keyed = props.get(name)
+                    if keyed is None:
+                        keyed = props[name] = {}
+                    key = index_key(value)
                     # a vertex holds each name once, so only a new key
                     # comes back as this very id
-                    held = props.setdefault(key, vid)
+                    held = keyed.setdefault(key, vid)
                     if held is vid:
                         continue
                     if type(held) is str:
-                        props[key] = {held, vid}
+                        keyed[key] = {held, vid}
                     else:
                         held.add(vid)
             outs: dict[str, list[tuple[str, str]]] = {}
@@ -350,7 +379,7 @@ class PropertyGraph:
         set: read it, never mutate it.  One that a single vertex holds gets
         a fresh one-element set."""
         try:
-            ids = self._vertex_prop_index.get((name, *canonical_key(value)), _NO_IDS)
+            ids = self._vertex_prop_index.get(name, _NO_KEYS).get(index_key(value), _NO_IDS)
         except AttributeError:
             return self.with_structures().vertices_with_property(name, value)
         return frozenset((ids,)) if type(ids) is str else ids
@@ -419,9 +448,17 @@ def _check_properties(
     replaced by their ``strings`` entries.  Maps whose values are all text
     share one view per distinct content, found in ``views`` by the map's
     items in order; only exact text shares: 1, 1.0 and True are equal
-    values of one entry, and none of them equals a text."""
+    values of one entry, and none of them equals a text.  So a map found
+    in ``views`` as it was decoded is all text, and its view is the one
+    the checks below would give."""
     if type(raw) is not dict:
         raise _BadRecord("properties must be an object")
+    try:
+        view = views.get(tuple(raw.items()))
+    except TypeError:  # an unhashable value, so not all text
+        view = None
+    if view is not None:
+        return view
     share = strings.setdefault
     props = {}
     text_only = True
@@ -441,10 +478,8 @@ def _check_properties(
         props[share(name, name)] = value
     if not text_only:
         return MappingProxyType(props)
-    key = tuple(props.items())
-    view = views.get(key)
-    if view is None:
-        view = views[key] = MappingProxyType(props)
+    # keyed by the shared texts, so the table keeps no decoded copy alive
+    view = views[tuple(props.items())] = MappingProxyType(props)
     return view
 
 

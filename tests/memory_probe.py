@@ -5,7 +5,7 @@ Usage, from the root of a checkout::
     PYTHONPATH=src python tests/memory_probe.py --policies fixtures/policies \\
         --graph fixtures/graphs/demo_graph.json
     PYTHONPATH=src python tests/memory_probe.py --policies fixtures/policies \\
-        --source fixtures/graphs/demo_source.json
+        --source fixtures/graphs/demo_source.json --repeat 20
 
 Builds an engine the way ``graphpdp eval`` does, under ``tracemalloc``:
 the policy directory, then the graph file (or the ``--source`` file and
@@ -17,7 +17,15 @@ phase yields.  The ``engine holds`` line is everything still held once
 the engine is built.  The ``second set-up`` line builds a second engine
 the same way while the first is still held, as a reload does: its peak
 above the first engine is what a long-running process adds to its own
-peak.  Standard library only.
+peak.
+
+``--repeat N`` then builds N more engines the same way, untraced and one
+after another (only the newest is held), and prints a second table: each
+phase's best wall time over the N set-ups, and the collector passes and
+collector time per set-up that ``gc.callbacks`` saw in it.  A phase runs
+from its own start to the next one's, so a collection that a phase's
+allocations leave due counts in that phase, and ``set-up`` is the whole
+build.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import gc
 import sys
 import tracemalloc
 from pathlib import Path
+from time import perf_counter
 
 from graphpdp.graph_store import build_source_subset, load_graph_path
 from graphpdp.pdp import DecisionEngine
@@ -62,6 +71,73 @@ class Probe:
                 f"{'-' if count is None else count:>9}{per:>10}"
             )
         return "\n".join(lines)
+
+
+class Timer:
+    """Wall time and collector passes of each phase of repeated set-ups."""
+
+    def __init__(self) -> None:
+        self.passes = 0
+        self.collector_s = 0.0
+        self.collection_began = 0.0
+        # per set-up, [phase, clock, passes, collector_s] at each phase start
+        self.runs: list[list[list]] = []
+
+    def collector(self, phase: str, info: dict) -> None:
+        """A ``gc.callbacks`` hook."""
+        if phase == "start":
+            self.collection_began = perf_counter()
+        else:
+            self.passes += 1
+            self.collector_s += perf_counter() - self.collection_began
+
+    def mark(self, name: str) -> None:
+        # the new list is a container: a young collection that the phase
+        # before left due runs here, before the clock is read
+        entry = [name]
+        entry += perf_counter(), self.passes, self.collector_s
+        self.runs[-1].append(entry)
+
+    def phase(self, name: str, build, records=None):
+        self.mark(name)
+        return build()
+
+    def set_up(self, inputs) -> object:
+        self.runs.append([])
+        engine = set_up(*inputs, phase=self.phase)
+        self.mark("end")
+        return engine
+
+    def report(self) -> str:
+        # phase -> (wall s, collector passes, collector s) of each set-up
+        rows: dict[str, list[tuple]] = {}
+        for marks in self.runs:
+            spans = [(name, start, end) for (name, *start), (_, *end) in zip(marks, marks[1:])]
+            spans.append(("set-up", marks[0][1:], marks[-1][1:]))
+            for name, start, end in spans:
+                rows.setdefault(name, []).append(tuple(b - a for a, b in zip(start, end)))
+        lines = [f"{'phase':<14}{'best_ms':>10}{'gc_passes':>11}{'gc_ms':>9}"]
+        for name, runs in rows.items():
+            lines.append(
+                f"{name:<14}{min(r[0] for r in runs) * 1e3:>10.2f}"
+                f"{sum(r[1] for r in runs) / len(runs):>11.1f}"
+                f"{sum(r[2] for r in runs) / len(runs) * 1e3:>9.2f}"
+            )
+        return "\n".join(lines)
+
+
+def timings(inputs, repeat: int) -> str:
+    """The best-of-``repeat`` wall time and the mean collector passes and
+    time per set-up of each phase, untraced."""
+    timer = Timer()
+    gc.callbacks.append(timer.collector)
+    try:
+        for _ in range(repeat):
+            # the engine before is freed here, after its set-up's last mark
+            engine = timer.set_up(inputs)  # noqa: F841
+    finally:
+        gc.callbacks.remove(timer.collector)
+    return timer.report()
 
 
 def graph_records(graph) -> int:
@@ -113,8 +189,16 @@ def main(argv=None) -> int:
     graphs.add_argument("--graph", type=Path)
     graphs.add_argument("--source", type=Path)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--repeat", type=int, default=0, metavar="N",
+                        help="also time N untraced set-ups, phase by phase")
     args = parser.parse_args(argv)
-    print(probe(args.policies, args.graph or args.source, args.source is not None, args.format))
+    if args.repeat < 0:
+        parser.error("--repeat must be >= 0")
+    inputs = (args.policies, args.graph or args.source, args.source is not None, args.format)
+    print(probe(*inputs))
+    if args.repeat:
+        print()
+        print(timings(inputs, args.repeat))
     return 0
 
 

@@ -1,4 +1,5 @@
 import http.client
+import io
 import json
 import logging
 import os
@@ -10,7 +11,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -540,6 +541,89 @@ def test_a_condition_at_the_depth_limit_decides(
     policy_dir = nested_condition_policy_dir(tmp_path, demo_policy_dir, 98)
     assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 0
     assert capsys.readouterr().out == PERMIT_XML
+
+
+DEMO_GRAPH_TEXT = (Path(__file__).resolve().parent.parent / "fixtures" / "graphs"
+                   / "demo_graph.json").read_text(encoding="utf-8")
+# a placeholder put at a place in the document, which the rendered text
+# then replaces with deeply nested JSON
+NESTED = "\x00nested"
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -0.0, "", "1196741133", "pmUser", "worksOn", "tasks"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def json_places(node):
+    """Every (container, key) place inside a decoded JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, value in items:
+        yield node, key
+        yield from json_places(value)
+
+
+@st.composite
+def mutated_graph_files(draw) -> bytes:
+    """The demo graph file with one to three places replaced, deleted or
+    copied, then sometimes one place nested deeply, and sometimes a
+    stretch of the text replaced by junk that need not be UTF-8."""
+    holder = [json.loads(DEMO_GRAPH_TEXT)]
+    for _ in range(draw(st.integers(1, 3))):
+        places = list(json_places(holder))
+        container, key = draw(st.sampled_from(places))
+        action = draw(st.sampled_from(["replace", "delete", "copy"]))
+        if action == "replace" or container is holder:
+            container[key] = draw(json_values)
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            container.insert(key, json.loads(json.dumps(container[key])))
+        else:
+            container[draw(st.text(max_size=4))] = json.loads(json.dumps(container[key]))
+    text = json.dumps(holder[0])
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(list(json_places(holder))))
+        container[key] = NESTED
+        depth = draw(st.sampled_from([1, 40, 999, 1000, 5000, 100_000]))
+        opening, closing = draw(st.sampled_from([("[", "]"), ('{"a":', "}"), ('[{"k":', "}]")]))
+        text = json.dumps(holder[0]).replace(
+            json.dumps(NESTED), opening * depth + '"leaf"' + closing * depth
+        )
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 40)))
+        junk = draw(st.text(st.characters(codec="utf-8"), max_size=8) | st.just("\ud800"))
+        text = text[:start] + junk + text[end:]
+    return text.encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(content=mutated_graph_files())
+def test_eval_gives_any_graph_file_a_defined_exit(tmp_path, demo_policy_dir, demo_request_file,
+                                                 content):
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(eval_args(demo_policy_dir, demo_request_file, graph))
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if code == EXIT_USAGE:
+        assert out == ""
+        assert err.startswith(f"error: {graph}: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code in DECISION_EXIT_CODES.values(), (code, err)
+        assert err == "" and "<Decision>" in out
 
 
 # -- emit-cypher ------------------------------------------------------------

@@ -111,6 +111,11 @@ def test_as_number_parses_exact_literals_only():
     assert as_number("7 ") is None
     assert as_number("v7") is None
     assert as_number(True) is None  # booleans are not numbers here
+    # any Unicode decimal digits, signed or not, but no other digit
+    assert as_number("٣٤") == 34.0
+    assert as_number("+٣") == 3.0
+    assert as_number("²") is None
+    assert as_number("") is None
 
 
 def test_loose_equal_matches_comparison_semantics():
@@ -500,7 +505,7 @@ def test_bulk_inserts_pause_the_collector_and_restore_it(enabled, monkeypatch):
         graph_store, "parse_csv_value", spying(graph_store.parse_csv_value)
     )
     monkeypatch.setattr(PropertyGraph, "__init__", spying(PropertyGraph.__init__))
-    monkeypatch.setattr(graph_store, "canonical_key", spying(graph_store.canonical_key))
+    monkeypatch.setattr(graph_store, "index_key", spying(graph_store.index_key))
     text = serialize_graph(small_graph())
     assert '"_key": 7' in text  # the decode calls _integer
     builds = {
@@ -536,6 +541,55 @@ def test_bulk_inserts_pause_the_collector_and_restore_it(enabled, monkeypatch):
     assert after_failure is enabled
     # the failing load ran paused too: its decode and its constructor
     assert seen == [False, False]
+
+
+def collections_during(build) -> list[int]:
+    """The generation of each collection that runs during ``build()``, with
+    the collector enabled and starting from empty young generations."""
+    passes: list[int] = []
+
+    def seen(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(seen)
+    try:
+        build()
+    finally:
+        gc.callbacks.remove(seen)
+        (gc.enable if was_enabled else gc.disable)()
+    return passes
+
+
+def test_a_set_up_leaves_the_collector_nothing_to_rescan(demo_policy_dir):
+    # without the promotion, the first allocation after the load runs a
+    # young collection over everything the load made
+    policies = load_policy_dir(demo_policy_dir)
+    text = generated_graph_json(3000, 6000)
+    engines = []
+    assert collections_during(
+        lambda: engines.append(DecisionEngine(policies, load_graph_json(text)))
+    ) == []
+    assert engines[0].graph.vertex_count == 3000
+
+
+def test_a_set_up_keeps_what_a_caller_froze_frozen(demo_policy_dir):
+    policies = load_policy_dir(demo_policy_dir)
+    text = generated_graph_json(300, 600)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        DecisionEngine(policies, load_graph_json(text))
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # -- structure builds -------------------------------------------------------
@@ -622,6 +676,27 @@ def test_the_memory_probe_reports_each_set_up_phase(capsys, fixtures_dir, args, 
     assert int(held) >= int(table["engine build"][0]) + int(table["policies"][0])
     # the second engine shares nothing with the first, which stays held
     assert int(table["second set-up"][0]) > int(table["engine build"][0])
+
+
+def test_the_memory_probe_times_each_phase_with_its_collector_passes(capsys, fixtures_dir):
+    args = ["--policies", str(fixtures_dir / "policies"),
+            "--source", str(fixtures_dir / "graphs" / "demo_source.json")]
+    assert memory_probe.main([*args, "--repeat", "3"]) == 0
+    assert not tracemalloc.is_tracing()
+    memory, timing = capsys.readouterr().out.split("\n\n")
+    assert memory.splitlines()[-1].startswith("second set-up")
+    header, *rows = timing.splitlines()
+    assert header.split() == ["phase", "best_ms", "gc_passes", "gc_ms"]
+    table = {row[:14].strip(): [float(x) for x in row[14:].split()] for row in rows}
+    assert list(table) == ["policies", "load", "subset", "engine build", "set-up"]
+    *phases, whole = table.values()
+    assert all(x >= 0 for row in table.values() for x in row)
+    # a set-up spans its phases, so its best is at least their bests' sum,
+    # and its mean passes are their means' sum, each printed rounded
+    assert sum(best for best, _, _ in phases) <= whole[0] + 0.03
+    assert abs(sum(passes for _, passes, _ in phases) - whole[1]) <= 0.25
+    with pytest.raises(SystemExit):
+        memory_probe.main([*args, "--repeat", "-1"])
 
 
 def json_of(vertices, edges) -> str:
@@ -988,7 +1063,8 @@ def test_equal_numbers_booleans_and_texts_load_as_values_of_their_own_kinds():
 
 
 # values that canonical_key merges, a few words, and values no vertex holds
-MERGED_VALUES = (1, 1.0, "1", "01", "1.0", True, "true", False, "false")
+MERGED_VALUES = (1, 1.0, "1", "01", "1.0", True, "true", False, "false",
+                 "٣", 3, "03", -0.0, 0.0, "-0")
 COMMON_VALUES = ("red", "green", 2, 2.5)
 ABSENT_VALUES = ("absent", 7, 0.5, "2.25", "RED")
 
