@@ -38,9 +38,10 @@ other), so it builds no key object per property.  It keeps the bare id
 for a key that one vertex holds, and a set only for a key that several
 hold.
 
-Loads and structure builds run with the cyclic garbage collector paused,
-and leave what they made in its oldest generation (see
-:class:`_collector_paused`), so no young collection rescans a build.
+Loads and structure builds run with the cyclic garbage collector paused.
+One that leaves a young collection due moves what it made to the
+collector's oldest generation (see :class:`_collector_paused`), so no
+young collection rescans it.
 """
 
 from __future__ import annotations
@@ -87,26 +88,24 @@ def as_number(value: PropertyValue) -> float | None:
         return None
     if isinstance(value, (int, float)):
         return float(value)
-    # a run of decimal digits, the common case, is what ``\d+`` matches
-    if value.isdecimal() or _FLOAT_RE.match(value):
+    if _FLOAT_RE.match(value):
         return float(value)
     return None
 
 
-def canonical_key(value: PropertyValue) -> tuple[str, float | str]:
-    """Equivalence-class key under :func:`loose_equal`."""
-    num = as_number(value)
-    if num is not None:
-        return ("num", num)
-    return ("text", as_text(value))
-
-
 def index_key(value: PropertyValue) -> float | str:
-    """:func:`canonical_key` without its kind: the float of a numeric value,
-    the text of any other.  A float never equals a str, so two values have
-    equal keys exactly when they are loosely equal."""
+    """Equivalence-class key under :func:`loose_equal`: the float of a
+    numeric value, the text of any other.  A float never equals a str, so
+    two values have equal keys exactly when they are loosely equal."""
     num = as_number(value)
     return as_text(value) if num is None else num
+
+
+def canonical_key(value: PropertyValue) -> tuple[str, float | str]:
+    """:func:`index_key` tagged with its kind, ``"num"`` or ``"text"``, for
+    the comparisons that order two values only of one kind."""
+    key = index_key(value)
+    return ("text", key) if type(key) is str else ("num", key)
 
 
 def loose_equal(a: PropertyValue, b: PropertyValue) -> bool:
@@ -115,7 +114,7 @@ def loose_equal(a: PropertyValue, b: PropertyValue) -> bool:
     Numeric-looking operands compare as floats; two non-numeric operands
     compare by text; a numeric/non-numeric mix is unequal.
     """
-    return canonical_key(a) == canonical_key(b)
+    return index_key(a) == index_key(b)
 
 
 def _freeze_properties(record) -> None:
@@ -190,12 +189,14 @@ class _collector_paused:
     cycles, yet the collector would rescan them as they pile up, which
     costs more time than the build itself.  Paused, it would still rescan
     them all in the young collection that the build's allocations leave
-    due.  So before the collector comes back on, ``gc.freeze()`` and
-    ``gc.unfreeze()`` move every tracked object to the oldest generation,
-    which only a full collection scans, and reset the young count.  That
-    is skipped while a caller holds objects frozen, which stay frozen.
-    The previous state comes back however the block ends.  A class rather
-    than a generator, whose set-up costs a small load about 2 us more.
+    due.  So when one is due, ``gc.freeze()`` and ``gc.unfreeze()`` move
+    every tracked object to the oldest generation, which only a full
+    collection scans, and reset the young count, before the collector
+    comes back on.  A build too small to leave a collection due promotes
+    nothing, and neither does one while a caller holds objects frozen,
+    which stay frozen.  The previous state comes back however the block
+    ends.  A class rather than a generator, whose set-up costs a small
+    load about 2 us more.
     """
 
     __slots__ = ("was_enabled",)
@@ -206,7 +207,8 @@ class _collector_paused:
 
     def __exit__(self, *exc_info) -> None:
         if self.was_enabled:
-            if not gc.get_freeze_count():
+            young = gc.get_threshold()[0]
+            if 0 < young < gc.get_count()[0] and not gc.get_freeze_count():
                 gc.freeze()
                 gc.unfreeze()
             gc.enable()

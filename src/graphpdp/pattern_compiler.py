@@ -30,6 +30,7 @@ from .graph_store import (
     as_number,
     as_text,
     canonical_key,
+    index_key,
 )
 from .policy_model import (
     Apply,
@@ -254,7 +255,7 @@ def element_check(step: PlanStep) -> ElementCheck | None:
         return None
     # each pinned literal is classified once, here; a value equal to its
     # literal text needs no classification at all
-    pins = [(name, wanted, canonical_key(wanted)) for name, wanted in step.pinned]
+    pins = [(name, wanted, index_key(wanted)) for name, wanted in step.pinned]
     alternatives = [tuple(map(_match_form, all_of)) for all_of in step.constraints.any_of]
 
     def check(record) -> bool:
@@ -265,7 +266,7 @@ def element_check(step: PlanStep) -> ElementCheck | None:
             if name not in props:
                 return False
             value = props[name]
-            if value != wanted and canonical_key(value) != wanted_key:
+            if value != wanted and index_key(value) != wanted_key:
                 return False
         if not alternatives:
             return True

@@ -5,7 +5,7 @@ Usage, from the root of a checkout::
     PYTHONPATH=src python tests/memory_probe.py --policies fixtures/policies \\
         --graph fixtures/graphs/demo_graph.json
     PYTHONPATH=src python tests/memory_probe.py --policies fixtures/policies \\
-        --source fixtures/graphs/demo_source.json --repeat 20
+        --source fixtures/graphs/demo_source.json
 
 Builds an engine the way ``graphpdp eval`` does, under ``tracemalloc``:
 the policy directory, then the graph file (or the ``--source`` file and
@@ -19,13 +19,13 @@ the same way while the first is still held, as a reload does: its peak
 above the first engine is what a long-running process adds to its own
 peak.
 
-``--repeat N`` then builds N more engines the same way, untraced and one
-after another (only the newest is held), and prints a second table: each
-phase's best wall time over the N set-ups, and the collector passes and
-collector time per set-up that ``gc.callbacks`` saw in it.  A phase runs
-from its own start to the next one's, so a collection that a phase's
-allocations leave due counts in that phase, and ``set-up`` is the whole
-build.  Standard library only.
+It then builds ``TIMED_SET_UPS`` (10) more engines the same way, untraced and
+one after another (only the newest is held), and prints a second table:
+each phase's best wall time over those set-ups, and the collector passes
+and collector time per set-up that ``gc.callbacks`` saw in it.  A phase
+runs from its own start to the next one's, so a collection that a
+phase's allocations leave due counts in that phase, and ``set-up`` is the
+whole build.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from time import perf_counter
 from graphpdp.graph_store import build_source_subset, load_graph_path
 from graphpdp.pdp import DecisionEngine
 from graphpdp.policy_model import load_policy_dir
+
+# untraced set-ups that the timing table takes the best of
+TIMED_SET_UPS = 10
 
 
 class Probe:
@@ -126,13 +129,13 @@ class Timer:
         return "\n".join(lines)
 
 
-def timings(inputs, repeat: int) -> str:
-    """The best-of-``repeat`` wall time and the mean collector passes and
-    time per set-up of each phase, untraced."""
+def timings(inputs) -> str:
+    """The best-of-``TIMED_SET_UPS`` wall time and the mean collector
+    passes and time per set-up of each phase, untraced."""
     timer = Timer()
     gc.callbacks.append(timer.collector)
     try:
-        for _ in range(repeat):
+        for _ in range(TIMED_SET_UPS):
             # the engine before is freed here, after its set-up's last mark
             engine = timer.set_up(inputs)  # noqa: F841
     finally:
@@ -189,16 +192,11 @@ def main(argv=None) -> int:
     graphs.add_argument("--graph", type=Path)
     graphs.add_argument("--source", type=Path)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--repeat", type=int, default=0, metavar="N",
-                        help="also time N untraced set-ups, phase by phase")
     args = parser.parse_args(argv)
-    if args.repeat < 0:
-        parser.error("--repeat must be >= 0")
     inputs = (args.policies, args.graph or args.source, args.source is not None, args.format)
     print(probe(*inputs))
-    if args.repeat:
-        print()
-        print(timings(inputs, args.repeat))
+    print()
+    print(timings(inputs))
     return 0
 
 
