@@ -19,13 +19,13 @@ the same way while the first is still held, as a reload does: its peak
 above the first engine is what a long-running process adds to its own
 peak.
 
-It then builds ``TIMED_SET_UPS`` (10) more engines the same way, untraced and
-one after another (only the newest is held), and prints a second table:
-each phase's best wall time over those set-ups, and the collector passes
-and collector time per set-up that ``gc.callbacks`` saw in it.  A phase
-runs from its own start to the next one's, so a collection that a
-phase's allocations leave due counts in that phase, and ``set-up`` is the
-whole build.  Standard library only.
+It then builds ``TIMED_SET_UPS`` (10) more engines the same way,
+untraced and one after another (only the newest is held), and prints a
+second table: each phase's best wall time over those set-ups, and the
+collector passes and collector time per set-up that ``gc.callbacks`` saw
+in it.  A phase runs from its own start to the next one's, so a
+collection that a phase's allocations leave due counts in that phase,
+and ``set-up`` is the whole build.  Standard library only.
 """
 
 from __future__ import annotations
