@@ -124,22 +124,29 @@ def cmd_validate(args) -> int:
     return 0 if problems == 0 else 1
 
 
+def _one_meta(policy_dir, policies) -> Meta:
+    """The one ``Meta`` the policies loaded from ``policy_dir`` declare;
+    none, or several that keep different entities, is an error naming
+    the files of each."""
+    # the files that declare each distinct Meta, by the entities it keeps
+    metas: dict[tuple[frozenset, frozenset], tuple[Meta, list[str]]] = {}
+    for file, policy in zip(policy_files(policy_dir), policies):
+        meta = policy.meta
+        if meta is not None:
+            kept = (frozenset(meta.vertex_entities), frozenset(meta.edge_entities))
+            metas.setdefault(kept, (meta, []))[1].append(file.name)
+    if not metas:
+        raise EngineError("no loaded policy carries a Meta element")
+    if len(metas) > 1:
+        files = "; ".join(", ".join(names) for _, names in metas.values())
+        raise EngineError(f"the policies declare {len(metas)} different Meta elements: {files}")
+    [(meta, _)] = metas.values()
+    return meta
+
+
 def cmd_build_graph(args) -> int:
     try:
-        policies = load_policy_dir(args.policies)
-        # the files that declare each distinct Meta, by the entities it keeps
-        metas: dict[tuple[frozenset, frozenset], tuple[Meta, list[str]]] = {}
-        for file, policy in zip(policy_files(args.policies), policies):
-            meta = policy.meta
-            if meta is not None:
-                kept = (frozenset(meta.vertex_entities), frozenset(meta.edge_entities))
-                metas.setdefault(kept, (meta, []))[1].append(file.name)
-        if not metas:
-            return _fail("no loaded policy carries a Meta element")
-        if len(metas) > 1:
-            files = "; ".join(", ".join(names) for _, names in metas.values())
-            return _fail(f"the policies declare {len(metas)} different Meta elements: {files}")
-        [(meta, _)] = metas.values()
+        meta = _one_meta(args.policies, load_policy_dir(args.policies))
         source = _load_graph_file(Path(args.source), args.format)
     except (EngineError, OSError) as exc:
         return _fail(str(exc))
@@ -154,7 +161,7 @@ def cmd_build_graph(args) -> int:
 
 def _build_engine(args, need_graph: bool = True) -> DecisionEngine:
     """The engine of ``--policies`` on the ``--graph`` file, or on the
-    ``--source`` file cut down by the first policy ``Meta``; ``serve``
+    ``--source`` file cut down by the policies' one ``Meta``; ``serve``
     may go without a graph."""
     if args.varlen_cap < 1:
         raise EngineError("--varlen-cap must be >= 1")
@@ -169,10 +176,7 @@ def _build_engine(args, need_graph: bool = True) -> DecisionEngine:
         graph = _load_graph_file(Path(args.graph), args.format)
     elif args.source:
         source = _load_graph_file(Path(args.source), args.format)
-        meta = next((p.meta for p in policies if p.meta is not None), None)
-        if meta is None:
-            raise EngineError("--source given but no loaded policy carries a Meta element")
-        graph = build_source_subset(meta, source)
+        graph = build_source_subset(_one_meta(args.policies, policies), source)
     return DecisionEngine(policies, graph, varlen_cap=args.varlen_cap)
 
 

@@ -101,13 +101,6 @@ def index_key(value: PropertyValue) -> float | str:
     return as_text(value) if num is None else num
 
 
-def canonical_key(value: PropertyValue) -> tuple[str, float | str]:
-    """:func:`index_key` tagged with its kind, ``"num"`` or ``"text"``, for
-    the comparisons that order two values only of one kind."""
-    key = index_key(value)
-    return ("text", key) if type(key) is str else ("num", key)
-
-
 def loose_equal(a: PropertyValue, b: PropertyValue) -> bool:
     """Equality as the comparison operator '=' sees it.
 

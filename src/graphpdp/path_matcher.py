@@ -39,10 +39,8 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterable, Iterator
 
-from . import uris
 from .graph_store import PropertyGraph
-from .pattern_compiler import ElementCheck, Evaluator, QueryPlan, VertexStep
-from .policy_model import ConstraintSet
+from .pattern_compiler import ElementCheck, Evaluator, QueryPlan, VertexStep, _equality_pins
 
 DEFAULT_VARLEN_CAP = 8
 
@@ -63,17 +61,6 @@ class PathBinding:
         self.names: dict[str, str] = dict(names)
 
 
-def _map_entries(constraints: ConstraintSet) -> list[tuple[str, str]]:
-    """Equality pins usable for index lookup (single conjunctive all-of)."""
-    if len(constraints.any_of) != 1:
-        return []
-    return [
-        (m.attribute_id, m.literal)
-        for m in constraints.any_of[0]
-        if m.match_function == uris.MATCH_STRING_EQUAL
-    ]
-
-
 def _start_groups(
     graph: PropertyGraph,
     step: VertexStep,
@@ -89,7 +76,7 @@ def _start_groups(
     elif step.label is not None:
         pool = graph.vertices_with_label(step.label)
     else:
-        entries = _map_entries(step.constraints)
+        entries = _equality_pins(step.constraints)
         if entries:
             name, value = entries[0]
             pool = graph.vertices_with_property(name, value)

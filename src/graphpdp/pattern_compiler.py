@@ -3,7 +3,10 @@
 A query plan is the shared intermediate form consumed by both back ends:
 the native matcher walks it directly, and :func:`emit_cypher` prints it as
 an intersection query (two MATCH clauses plus containment predicates) for
-offloading to an external Cypher engine.
+offloading to an external Cypher engine.  Its steps are the pattern's
+:class:`~graphpdp.policy_model.VertexStep` and
+:class:`~graphpdp.policy_model.EdgeStep`: a rule's plan keeps the parsed
+steps, and a request's pins the request path's properties on its own.
 
 Function URIs are resolved through a closed registry.  Comparison
 operators coerce both operands to float when both look numeric, compare
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import AbstractSet, Any, Callable, Union
 
@@ -29,7 +32,6 @@ from .graph_store import (
     VertexRecord,
     as_number,
     as_text,
-    canonical_key,
     index_key,
 )
 from .policy_model import (
@@ -37,46 +39,19 @@ from .policy_model import (
     ConditionExpr,
     ConstraintSet,
     Designator,
-    DIRECTION_ANY,
     DIRECTION_FROM,
     DIRECTION_TO,
-    EMPTY_CONSTRAINTS,
+    EdgeStep,
     Literal,
     MatchConstraint,
     Pattern,
-    PathVertexSpec,
+    PinnedProps,
+    PlanStep,
+    VertexStep,
 )
 from .request_model import AttributeGroup, KIND_EDGE, split_attribute_value
 
-PinnedProps = tuple[tuple[str, str], ...]
 ElementCheck = Callable[[Union[VertexRecord, EdgeRecord]], bool]
-
-
-@dataclass(frozen=True)
-class VertexStep:
-    binding: str
-    label: str | None = None
-    constraints: ConstraintSet = EMPTY_CONSTRAINTS
-    pinned: PinnedProps = ()
-    auto: bool = False  # binding was generated, not declared in the policy
-
-
-@dataclass(frozen=True)
-class EdgeStep:
-    binding: str | None = None
-    type: str | None = None
-    direction: str = DIRECTION_ANY
-    min_len: int = 1
-    max_len: int | None = 1  # None = unbounded
-    constraints: ConstraintSet = EMPTY_CONSTRAINTS
-    pinned: PinnedProps = ()
-
-    @property
-    def is_single_hop(self) -> bool:
-        return self.min_len == 1 and self.max_len == 1
-
-
-PlanStep = Union[VertexStep, EdgeStep]
 
 
 @dataclass(frozen=True)
@@ -138,7 +113,7 @@ class QueryPlan:
 def _coercing(op) -> dict:
     """Numeric-looking operands compare as floats, two non-numeric ones
     as text; a numeric/non-numeric pair never matches."""
-    return dict(key=canonical_key, test=lambda a, b: a[0] == b[0] and op(a[1], b[1]))
+    return dict(key=index_key, test=lambda a, b: type(a) is type(b) and op(a, b))
 
 
 # The Python comparison behind each coercing function, and its Cypher
@@ -238,6 +213,18 @@ def _match_form(match: MatchConstraint) -> tuple[str, bool, str]:
     validation admits no match function but the two string equalities."""
     fold = match.match_function == uris.MATCH_STRING_EQUAL_IGNORE_CASE
     return match.attribute_id, fold, match.literal.casefold() if fold else match.literal
+
+
+def _equality_pins(constraints: ConstraintSet) -> list[tuple[str, str]]:
+    """The ``(attribute, literal)`` pairs of a one-conjunction set's
+    string-equal matches, in order; none for any other set."""
+    if len(constraints.any_of) != 1:
+        return []
+    return [
+        (m.attribute_id, m.literal)
+        for m in constraints.any_of[0]
+        if m.match_function == uris.MATCH_STRING_EQUAL
+    ]
 
 
 def element_check(step: PlanStep) -> ElementCheck | None:
@@ -481,23 +468,22 @@ def _against_literal(
     compare = _COERCING[op.uri][0]
     if literal_left:
         compare = _SWAPPED[compare]
-    kind, form = literal_key
-    if kind == "num":
+    if type(literal_key) is float:
         def holds(value):
             value_type = type(value)  # bool is neither int nor float here
             if value_type is int or value_type is float:
-                return compare(float(value), form)
+                return compare(float(value), literal_key)
             return general(value)
     elif compare is operator.eq:
         # text equal to a non-numeric literal is itself non-numeric
         def holds(value):
             if type(value) is str:
-                return value == form
+                return value == literal_key
             return general(value)
     else:
         def holds(value):
             if type(value) is str:
-                return compare(value, form) and as_number(value) is None
+                return compare(value, literal_key) and as_number(value) is None
             return general(value)
     return holds
 
@@ -516,40 +502,16 @@ def _auto_binding(index: int, taken: set[str]) -> str:
 def compile_rule_pattern(
     pattern: Pattern, condition: ConditionExpr | None = None
 ) -> QueryPlan:
-    """One plan step per pattern step; the condition becomes the filter."""
+    """The pattern's steps, each anonymous vertex step given a generated
+    name; the condition becomes the filter."""
     taken = set(pattern.binding_names())
-    steps: list[PlanStep] = []
-    for i, spec in enumerate(pattern.steps):
-        if isinstance(spec, PathVertexSpec):
-            if spec.vertex_id is not None:
-                steps.append(
-                    VertexStep(
-                        binding=spec.vertex_id,
-                        label=spec.label,
-                        constraints=spec.constraints,
-                    )
-                )
-            else:
-                steps.append(
-                    VertexStep(
-                        binding=_auto_binding(i, taken),
-                        label=spec.label,
-                        constraints=spec.constraints,
-                        auto=True,
-                    )
-                )
-        else:
-            steps.append(
-                EdgeStep(
-                    binding=spec.edge_id,
-                    type=spec.type,
-                    direction=spec.direction,
-                    min_len=spec.min_len,
-                    max_len=spec.max_len,
-                    constraints=spec.constraints,
-                )
-            )
-    return QueryPlan(steps=tuple(steps), filter=condition)
+    steps = tuple(
+        replace(step, binding=_auto_binding(i, taken), auto=True)
+        if isinstance(step, VertexStep) and step.binding is None
+        else step
+        for i, step in enumerate(pattern.steps)
+    )
+    return QueryPlan(steps=steps, filter=condition)
 
 
 def _pinned_props(group: AttributeGroup) -> PinnedProps:
@@ -604,14 +566,10 @@ def _simple_conjunction(constraints: ConstraintSet) -> list[tuple[str, str]] | N
     """Property-map entries when the set is one all-of of plain equals."""
     if constraints.is_empty:
         return []
-    if len(constraints.any_of) != 1:
+    pins = _equality_pins(constraints)
+    if len(constraints.any_of) != 1 or len(pins) != len(constraints.any_of[0]):
         return None
-    entries = []
-    for match in constraints.any_of[0]:
-        if match.match_function != uris.MATCH_STRING_EQUAL:
-            return None
-        entries.append((match.attribute_id, match.literal))
-    return entries
+    return pins
 
 
 def _props_map(entries: list[tuple[str, str]]) -> str:

@@ -8,6 +8,10 @@ in the xacml4g namespace are rejected, unknown attributes are ignored but
 recorded as warnings on the parsed policy, and so is a pattern Label or
 Type that the policy's Meta does not declare.
 
+A pattern's steps are :class:`VertexStep` and :class:`EdgeStep`, the
+steps query plans are made of: compiling a rule's pattern keeps each
+parsed step and only names the vertex steps the policy leaves anonymous.
+
 Standard rule ``Condition`` elements are outside the subset and rejected
 rather than silently ignored: dropping a condition would loosen the policy.
 """
@@ -85,46 +89,54 @@ class ConstraintSet:
 EMPTY_CONSTRAINTS = ConstraintSet()
 
 
+PinnedProps = tuple[tuple[str, str], ...]
+
+
 @dataclass(frozen=True)
-class PathVertexSpec:
-    vertex_id: str | None = None
+class VertexStep:
+    """A pattern's vertex, and a query plan's vertex step.
+
+    The parser leaves ``binding`` None where the policy names no
+    ``VertexId``; a plan names every vertex step.  ``pinned`` holds a
+    request path's properties, which the parser never sets.
+    """
+
+    binding: str | None = None
     label: str | None = None
-    category: str = uris.CAT_PATH_VERTEX
     constraints: ConstraintSet = EMPTY_CONSTRAINTS
+    pinned: PinnedProps = ()
+    auto: bool = False  # binding was generated, not declared in the policy
+    category: str = uris.CAT_PATH_VERTEX
 
 
 @dataclass(frozen=True)
-class PathEdgeSpec:
-    edge_id: str | None = None
+class EdgeStep:
+    """A pattern's edge, and a query plan's edge step."""
+
+    binding: str | None = None
     type: str | None = None
-    category: str = uris.CAT_PATH_EDGE
     direction: str = DIRECTION_ANY
     min_len: int = 1
     max_len: int | None = 1  # None = unbounded
     constraints: ConstraintSet = EMPTY_CONSTRAINTS
+    pinned: PinnedProps = ()
+    category: str = uris.CAT_PATH_EDGE
 
     @property
     def is_single_hop(self) -> bool:
         return self.min_len == 1 and self.max_len == 1
 
 
-PathStep = Union[PathVertexSpec, PathEdgeSpec]
+PlanStep = Union[VertexStep, EdgeStep]
 
 
 @dataclass(frozen=True)
 class Pattern:
     pattern_id: str
-    steps: tuple[PathStep, ...]
+    steps: tuple[PlanStep, ...]
 
     def binding_names(self) -> list[str]:
-        names = []
-        for step in self.steps:
-            name = (
-                step.vertex_id if isinstance(step, PathVertexSpec) else step.edge_id
-            )
-            if name is not None:
-                names.append(name)
-        return names
+        return [step.binding for step in self.steps if step.binding is not None]
 
 
 # Condition expression tree.
@@ -241,7 +253,7 @@ def parse_policy(xml_text: str) -> Policy:
         # a Meta subset keeps only the declared entities
         for rule in rules:
             for i, step in enumerate(rule.pattern.steps if rule.pattern else ()):
-                if isinstance(step, PathVertexSpec):
+                if isinstance(step, VertexStep):
                     what, kind, declared = "Label", step.label, meta.vertex_entities
                 else:
                     what, kind, declared = "Type", step.type, meta.edge_entities
@@ -395,13 +407,13 @@ def _parse_pattern(elem: ET.Element, path: str, warnings: list[str]) -> Pattern:
     paths = [c for c in elem if is_ext(c, "Path")]
     if len(paths) != 1 or len(paths) != len(list(elem)):
         _fail(path, "Pattern must contain exactly one Path")
-    steps: list[PathStep] = []
+    steps: list[PlanStep] = []
     _parse_path(paths[0], f"{path}/Path", warnings, steps)
     return Pattern(pattern_id=pattern_id, steps=tuple(steps))
 
 
 def _parse_path(
-    elem: ET.Element, path: str, warnings: list[str], steps: list[PathStep]
+    elem: ET.Element, path: str, warnings: list[str], steps: list[PlanStep]
 ) -> None:
     """Append the path's steps to ``steps`` left to right; a nested Path
     adds its steps in place, since nesting depth carries no meaning."""
@@ -420,22 +432,20 @@ def _parse_path(
         _fail(path, "empty Path")
 
 
-def _parse_vertex(
-    elem: ET.Element, path: str, warnings: list[str]
-) -> PathVertexSpec:
+def _parse_vertex(elem: ET.Element, path: str, warnings: list[str]) -> VertexStep:
     _check_attrs(elem, {"VertexId", "Label", "Category"}, path, warnings)
     category = elem.get("Category", uris.CAT_PATH_VERTEX)
     if category not in uris.VERTEX_CATEGORIES:
         _fail(path, f"invalid vertex category {category!r}")
-    return PathVertexSpec(
-        vertex_id=elem.get("VertexId"),
+    return VertexStep(
+        binding=elem.get("VertexId"),
         label=elem.get("Label"),
-        category=category,
         constraints=_parse_anyofs(list(elem), path, warnings),
+        category=category,
     )
 
 
-def _parse_edge(elem: ET.Element, path: str, warnings: list[str]) -> PathEdgeSpec:
+def _parse_edge(elem: ET.Element, path: str, warnings: list[str]) -> EdgeStep:
     _check_attrs(
         elem,
         {"EdgeId", "Type", "MinLength", "MaxLength", "Length", "Category", "Direction"},
@@ -461,14 +471,14 @@ def _parse_edge(elem: ET.Element, path: str, warnings: list[str]) -> PathEdgeSpe
     else:
         min_len = 1 if min_length is None else min_length
         max_len = max_length  # None = unbounded
-    return PathEdgeSpec(
-        edge_id=elem.get("EdgeId"),
+    return EdgeStep(
+        binding=elem.get("EdgeId"),
         type=elem.get("Type"),
-        category=category,
         direction=direction,
         min_len=min_len,
         max_len=max_len,
         constraints=_parse_anyofs(list(elem), path, warnings),
+        category=category,
     )
 
 
@@ -626,7 +636,7 @@ def _validate_pattern(
     alternates = len(steps) >= 3 and len(steps) % 2 == 1
     for i, step in enumerate(steps):
         want_vertex = i % 2 == 0
-        if isinstance(step, PathVertexSpec) != want_vertex:
+        if isinstance(step, VertexStep) != want_vertex:
             alternates = False
     if not alternates:
         violations.append(
@@ -638,12 +648,11 @@ def _validate_pattern(
     resource_positions: list[int] = []
     for i, step in enumerate(steps):
         step_path = f"{path}/step[{i}]"
-        if isinstance(step, PathVertexSpec):
+        if isinstance(step, VertexStep):
             if step.category == uris.CAT_SUBJECT:
                 subject_count += 1
             if step.category == uris.CAT_RESOURCE:
                 resource_positions.append(i)
-            name = step.vertex_id
             kind = "vertex"
         else:
             if step.category == uris.CAT_RESOURCE:
@@ -657,16 +666,16 @@ def _validate_pattern(
                         f"length range [{step.min_len}, {step.max_len}] is inverted",
                     )
                 )
-            if step.edge_id is not None and not step.is_single_hop:
+            if step.binding is not None and not step.is_single_hop:
                 violations.append(
                     Violation(
                         step_path,
                         "an EdgeId cannot name a variable-length segment",
                     )
                 )
-            name = step.edge_id
             kind = "edge"
         _validate_constraints(step.constraints, step_path, violations)
+        name = step.binding
         if name is not None:
             if name in declared:
                 violations.append(
@@ -687,7 +696,7 @@ def _validate_pattern(
         )
     else:
         pos = resource_positions[0]
-        if isinstance(steps[pos], PathEdgeSpec) and pos != len(steps) - 2:
+        if isinstance(steps[pos], EdgeStep) and pos != len(steps) - 2:
             violations.append(
                 Violation(path, "a resource edge must be the final edge of the pattern")
             )

@@ -12,11 +12,11 @@ from graphpdp.policy_model import (
     ConditionExpr,
     ConstraintSet,
     Designator,
+    EdgeStep,
     Literal,
-    PathEdgeSpec,
-    PathVertexSpec,
     Policy,
     Rule,
+    VertexStep,
 )
 from graphpdp.xmlutil import xml_attr, xml_escape
 
@@ -95,7 +95,7 @@ def _emit_rule(out: list[str], rule: Rule) -> None:
         )
         out.append("      <xacml4g:Path>")
         for step in rule.pattern.steps:
-            if isinstance(step, PathVertexSpec):
+            if isinstance(step, VertexStep):
                 _emit_vertex(out, step, "        ")
             else:
                 _emit_edge(out, step, "        ")
@@ -108,10 +108,10 @@ def _emit_rule(out: list[str], rule: Rule) -> None:
     out.append("  </xacml:Rule>")
 
 
-def _emit_vertex(out: list[str], step: PathVertexSpec, indent: str) -> None:
+def _emit_vertex(out: list[str], step: VertexStep, indent: str) -> None:
     attrs = []
-    if step.vertex_id is not None:
-        attrs.append(f"VertexId={xml_attr(step.vertex_id)}")
+    if step.binding is not None:
+        attrs.append(f"VertexId={xml_attr(step.binding)}")
     if step.label is not None:
         attrs.append(f"Label={xml_attr(step.label)}")
     attrs.append(f"Category={xml_attr(step.category)}")
@@ -124,10 +124,10 @@ def _emit_vertex(out: list[str], step: PathVertexSpec, indent: str) -> None:
         out.append(f"{indent}</xacml4g:Vertex>")
 
 
-def _emit_edge(out: list[str], step: PathEdgeSpec, indent: str) -> None:
+def _emit_edge(out: list[str], step: EdgeStep, indent: str) -> None:
     attrs = []
-    if step.edge_id is not None:
-        attrs.append(f"EdgeId={xml_attr(step.edge_id)}")
+    if step.binding is not None:
+        attrs.append(f"EdgeId={xml_attr(step.binding)}")
     if step.type is not None:
         attrs.append(f"Type={xml_attr(step.type)}")
     if step.min_len == step.max_len:

@@ -259,6 +259,30 @@ def test_eval_source_matches_prebuilt_graph(
     assert capsys.readouterr().out == via_graph == PERMIT_XML
 
 
+def test_source_refuses_policies_whose_metas_differ(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, demo_source_file
+):
+    # a.xml is the demo policy without tasks in its Meta, so the subset a.xml
+    # would cut has no path for the demo request, and b.xml's has one
+    demo = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    tasks = "<xacml4g:VertexEntity>tasks</xacml4g:VertexEntity>"
+    assert demo.count(tasks) == 1
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    (policy_dir / "a.xml").write_text(
+        demo.replace(tasks, "").replace('PolicyId="', 'PolicyId="a-'), encoding="utf-8"
+    )
+    (policy_dir / "b.xml").write_text(demo, encoding="utf-8")
+    message = "error: the policies declare 2 different Meta elements: a.xml; b.xml\n"
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 0
+    capsys.readouterr()
+    source = ["--policies", str(policy_dir), "--source", str(demo_source_file)]
+    assert run(["eval", "--request", str(demo_request_file), *source]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", message)
+    assert run(["serve", "--port", "0", *source]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", message)
+
+
 def test_eval_is_deterministic(capsys, demo_policy_dir, demo_request_file, demo_graph_file):
     args = eval_args(demo_policy_dir, demo_request_file, demo_graph_file)
     run(args)

@@ -20,7 +20,7 @@ from graphpdp.graph_store import (
     as_number,
     as_text,
     build_source_subset,
-    canonical_key,
+    index_key,
     load_graph_csv,
     load_graph_json,
     load_graph_path,
@@ -123,7 +123,7 @@ def test_loose_equal_matches_comparison_semantics():
     assert loose_equal("2.0", 2)
     assert not loose_equal("a", 7)
     assert loose_equal(True, "true")  # both non-numeric -> text compare
-    assert canonical_key("07") == canonical_key(7)
+    assert index_key("07") == index_key(7)
 
 
 # -- construction and lookups ----------------------------------------------
@@ -1114,7 +1114,7 @@ def test_equal_numbers_booleans_and_texts_load_as_values_of_their_own_kinds():
     assert kinds(g) == {"int": ("integer", 1), "float": ("float", 1.0), "bool": ("boolean", True)}
 
 
-# values that canonical_key merges, a few words, and values no vertex holds
+# values that index_key merges, a few words, and values no vertex holds
 MERGED_VALUES = (1, 1.0, "1", "01", "1.0", True, "true", False, "false",
                  "٣", 3, "03", -0.0, 0.0, "-0")
 COMMON_VALUES = ("red", "green", 2, 2.5)
@@ -1124,7 +1124,7 @@ ABSENT_VALUES = ("absent", 7, 0.5, "2.25", "RED")
 @st.composite
 def indexed_graphs(draw) -> PropertyGraph:
     """Vertices whose ``n`` values are often shared, sometimes merged by
-    canonical_key, and sometimes held by one vertex only."""
+    index_key, and sometimes held by one vertex only."""
     vertices = []
     pool = st.sampled_from(MERGED_VALUES + COMMON_VALUES)
     for i in range(draw(st.integers(min_value=1, max_value=16))):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import oracles
@@ -23,9 +25,10 @@ from graphpdp.policy_model import (
     Designator,
     Literal,
     MatchConstraint,
-    PathVertexSpec,
     Pattern,
+    parse_policy,
 )
+from test_acceptance import CHAIN_POLICY
 
 # -- registry ---------------------------------------------------------------
 
@@ -92,9 +95,27 @@ def test_compile_demo_pattern(demo_policy):
     assert len(set(names)) == 4
 
 
+@pytest.mark.parametrize("which", ["demo", "chain"])
+def test_rule_plan_steps_are_the_parsed_steps(which, demo_policy):
+    policy = demo_policy if which == "demo" else parse_policy(CHAIN_POLICY)
+    rule = policy.rules[0]
+    parsed = rule.pattern.steps
+    plan = compile_rule_pattern(rule.pattern, rule.pattern_condition)
+    assert len(plan.steps) == len(parsed)
+    anonymous = [i for i, step in enumerate(parsed)
+                 if isinstance(step, VertexStep) and step.binding is None]
+    assert anonymous
+    for i, (step, planned) in enumerate(zip(parsed, plan.steps)):
+        if i in anonymous:
+            assert planned.auto and planned.binding is not None
+            assert replace(planned, binding=None, auto=False) == step
+        else:
+            assert planned is step
+
+
 def test_auto_binding_avoids_declared_names(demo_policy):
     pattern = demo_policy.rules[0].pattern
-    clash = PathVertexSpec(vertex_id="_v2", category=uris.CAT_SUBJECT)
+    clash = VertexStep("_v2", category=uris.CAT_SUBJECT)
     reshaped = Pattern(pattern.pattern_id, (clash,) + pattern.steps[1:])
     plan = compile_rule_pattern(reshaped)
     bindings = [s.binding for s in plan.steps if isinstance(s, VertexStep)]

@@ -9,11 +9,11 @@ from graphpdp.policy_model import (
     Literal,
     MatchConstraint,
     Meta,
-    PathEdgeSpec,
-    PathVertexSpec,
+    EdgeStep,
     Pattern,
     Policy,
     Rule,
+    VertexStep,
     Violation,
     load_policy_dir,
     parse_policy,
@@ -91,15 +91,15 @@ def test_demo_pattern_flattens_to_five_steps(demo_policy):
     steps = demo_policy.rules[0].pattern.steps
     assert len(steps) == 5
     subject, e1, middle, e2, resource = steps
-    assert isinstance(subject, PathVertexSpec)
-    assert subject.vertex_id == "s"
+    assert isinstance(subject, VertexStep)
+    assert subject.binding == "s"
     assert subject.category == uris.CAT_SUBJECT
     assert subject.constraints.any_of[0][0] == MatchConstraint(
         uris.MATCH_STRING_EQUAL, "pmUser", "typeCode", uris.CAT_PATH_VERTEX
     )
-    assert (e1.type, e1.direction, e1.edge_id) == ("accessRelations", "from", "e")
+    assert (e1.type, e1.direction, e1.binding) == ("accessRelations", "from", "e")
     assert (e1.min_len, e1.max_len) == (1, 1)
-    assert middle.label == "tasks" and middle.vertex_id is None
+    assert middle.label == "tasks" and middle.binding is None
     assert (e2.min_len, e2.max_len, e2.direction) == (1, 2, "any")
     assert resource.category == uris.CAT_RESOURCE
 
@@ -155,7 +155,7 @@ def test_nesting_does_not_change_the_flattened_sequence():
 
 
 def test_length_attribute_mappings():
-    def edge_of(attrs: str) -> PathEdgeSpec:
+    def edge_of(attrs: str) -> EdgeStep:
         xml = policy_xml(
             META + rule_xml(SUBJECT_V + f"<xacml4g:Edge {attrs}/>" + RESOURCE_V)
         )
@@ -414,9 +414,9 @@ def test_validate_directly_constructed_policy():
                 pattern=Pattern(
                     "pat",
                     (
-                        PathVertexSpec(vertex_id="a", category=uris.CAT_SUBJECT),
-                        PathEdgeSpec(min_len=2, max_len=1),
-                        PathVertexSpec(category=uris.CAT_RESOURCE),
+                        VertexStep("a", category=uris.CAT_SUBJECT),
+                        EdgeStep(min_len=2, max_len=1),
+                        VertexStep(category=uris.CAT_RESOURCE),
                     ),
                 ),
             ),
@@ -479,9 +479,9 @@ def test_serializer_length_forms():
                     pattern=Pattern(
                         "pat",
                         (
-                            PathVertexSpec(vertex_id="a", category=uris.CAT_SUBJECT),
-                            PathEdgeSpec(min_len=lo, max_len=hi),
-                            PathVertexSpec(category=uris.CAT_RESOURCE),
+                            VertexStep("a", category=uris.CAT_SUBJECT),
+                            EdgeStep(min_len=lo, max_len=hi),
+                            VertexStep(category=uris.CAT_RESOURCE),
                         ),
                     ),
                 ),
