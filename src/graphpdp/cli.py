@@ -197,11 +197,12 @@ def cmd_emit_cypher(args) -> int:
         request = parse_request(_read_text(Path(args.request)))
     except (EngineError, OSError) as exc:
         return _fail(str(exc))
-    found = DecisionEngine(policies, None).find_rule(args.rule)
-    if found is None:
+    # the first rule with the id, in load order
+    rule = next((r for p in policies for r in p.rules if r.rule_id == args.rule), None)
+    if rule is None:
         print(f"error: no rule with id {args.rule!r}", file=sys.stderr)
         return 1
-    rule_plan = compile_rule(found[1])
+    rule_plan = compile_rule(rule)
     if rule_plan is None:
         print(f"error: rule {args.rule!r} has no pattern", file=sys.stderr)
         return 1

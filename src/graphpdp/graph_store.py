@@ -8,7 +8,7 @@ value semantics the engine relies on:
 * a value keeps its kind (integer 2, float 2.0, text "2" and boolean
   True are four different values),
 * comparison operators coerce to float only when both operands look
-  numeric (see :func:`loose_equal`),
+  numeric (see :func:`index_key`),
 * :func:`as_text` is the canonical textual rendering used for
   lexicographic comparison and for string match functions.
 
@@ -94,20 +94,12 @@ def as_number(value: PropertyValue) -> float | None:
 
 
 def index_key(value: PropertyValue) -> float | str:
-    """Equivalence-class key under :func:`loose_equal`: the float of a
+    """Equality key as the comparison operator '=' sees it: the float of a
     numeric value, the text of any other.  A float never equals a str, so
-    two values have equal keys exactly when they are loosely equal."""
+    numeric-looking values compare as floats, two non-numeric ones by
+    text, and a numeric/non-numeric mix is unequal."""
     num = as_number(value)
     return as_text(value) if num is None else num
-
-
-def loose_equal(a: PropertyValue, b: PropertyValue) -> bool:
-    """Equality as the comparison operator '=' sees it.
-
-    Numeric-looking operands compare as floats; two non-numeric operands
-    compare by text; a numeric/non-numeric mix is unequal.
-    """
-    return index_key(a) == index_key(b)
 
 
 def _freeze_properties(record) -> None:
@@ -369,8 +361,8 @@ class PropertyGraph:
     def vertices_with_property(
         self, name: str, value: PropertyValue
     ) -> AbstractSet[str]:
-        """Ids of the vertices whose ``name`` property loosely equals
-        ``value``.  A value that several vertices hold gets the index's own
+        """Ids of the vertices whose ``name`` property has the
+        :func:`index_key` of ``value``.  A value that several vertices hold gets the index's own
         set: read it, never mutate it.  One that a single vertex holds gets
         a fresh one-element set."""
         try:

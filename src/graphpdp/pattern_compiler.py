@@ -21,7 +21,7 @@ import operator
 import re
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import AbstractSet, Any, Callable, Union
+from typing import Any, Callable, Mapping, Union
 
 from . import uris
 from .errors import FilterEvalError, UnknownFunctionError
@@ -49,7 +49,7 @@ from .policy_model import (
     PlanStep,
     VertexStep,
 )
-from .request_model import AttributeGroup, KIND_EDGE, split_attribute_value
+from .request_model import KIND_EDGE, PathGroup
 
 ElementCheck = Callable[[Union[VertexRecord, EdgeRecord]], bool]
 
@@ -66,8 +66,8 @@ class QueryPlan:
     edge binding is ``None`` unless the step is a single hop, and ``last``
     marks the final segment.  ``compiled_filter`` is what
     :func:`compile_filter` gives for ``filter`` and the names every match
-    binds: each vertex step's, and that of each single-hop edge step that
-    has one.  All are built once, when the plan is.
+    binds, each with its kind: each vertex step's, and that of each
+    single-hop edge step that has one.  All are built once, when the plan is.
     """
 
     steps: tuple[PlanStep, ...]
@@ -102,8 +102,12 @@ class QueryPlan:
         object.__setattr__(self, "segments", tuple(segments))
         compiled = None
         if self.filter is not None:
-            bound = {s.binding for s in steps if isinstance(s, VertexStep) or s.is_single_hop}
-            compiled = compile_filter(self.filter, bound - {None})
+            bound = {
+                s.binding: uris.CAT_PATH_VERTEX if isinstance(s, VertexStep) else uris.CAT_PATH_EDGE
+                for s in steps
+                if s.binding is not None and (isinstance(s, VertexStep) or s.is_single_hop)
+            }
+            compiled = compile_filter(self.filter, bound)
         object.__setattr__(self, "compiled_filter", compiled)
 
 
@@ -291,29 +295,36 @@ def _fail(message: str):
 
 
 def compile_filter(
-    expr: ConditionExpr, bound: AbstractSet[str]
+    expr: ConditionExpr, bound: Mapping[str, str]
 ) -> tuple[Evaluator, str | None]:
-    """Compile a condition tree for matches that bind the names ``bound``.
+    """Compile a condition tree for matches that bind the names in
+    ``bound``, each mapped to the category a designator reads it with.
 
     Gives the evaluator and, when the filter reads exactly one name and
     cannot fail, that name.  A filter that fails under eager, depth-first
-    evaluation, by reading a name outside ``bound`` or at a structural
-    error (unknown function, wrong argument count), compiles to an
-    evaluator that raises that first error on every call.  Any other
-    filter cannot raise, so ``and``/``or`` stop at their first deciding
-    argument.
+    evaluation, by reading a name outside ``bound`` or with another
+    category, or at a structural error (unknown function, wrong argument
+    count), compiles to an evaluator that raises that first error on
+    every call.  Any other filter cannot raise, so ``and``/``or`` stop at
+    their first deciding argument.
     """
-    refs: list[str] = []
+    refs: list[Designator] = []
     try:
         evaluate, fault = _predicate(expr, refs), None
     except _Fault as stop:
         evaluate, fault = None, stop.raise_error
-    unbound = [ref for ref in refs if ref not in bound]
-    if unbound:
-        fault = partial(_fail, f"condition references unbound name {unbound[0]!r}")
+    misread = next((ref for ref in refs if bound.get(ref.binding_ref) != ref.category), None)
+    if misread is not None:
+        name, category = misread.binding_ref, misread.category
+        if name not in bound:
+            fault = partial(_fail, f"condition references unbound name {name!r}")
+        else:
+            fault = partial(
+                _fail, f"condition reads {name!r} with category {category!r}, not {bound[name]!r}"
+            )
     if fault is not None:
         return (lambda names, graph: fault()), None
-    reads = set(refs)
+    reads = {ref.binding_ref for ref in refs}
     return evaluate, (reads.pop() if len(reads) == 1 else None)
 
 
@@ -325,9 +336,9 @@ def _truthy(value: PropertyValue | None) -> bool:
     return as_text(value) == "true"
 
 
-def _designator(expr: Designator, refs: list[str]) -> Evaluator:
+def _designator(expr: Designator, refs: list[Designator]) -> Evaluator:
     ref, attribute = expr.binding_ref, expr.attribute_id
-    refs.append(ref)
+    refs.append(expr)
     if expr.category == uris.CAT_PATH_EDGE:
         def get(names, graph):
             return graph.edge(names[ref]).properties.get(attribute)
@@ -338,12 +349,12 @@ def _designator(expr: Designator, refs: list[str]) -> Evaluator:
 
 
 def _property_test(
-    expr: Designator, holds: Callable[[PropertyValue], bool], refs: list[str]
+    expr: Designator, holds: Callable[[PropertyValue], bool], refs: list[Designator]
 ) -> Evaluator:
     """Evaluator applying ``holds`` to the designated property, read in
     the same closure; an absent property gives false."""
     ref, attribute = expr.binding_ref, expr.attribute_id
-    refs.append(ref)
+    refs.append(expr)
     if expr.category == uris.CAT_PATH_EDGE:
         def evaluate(names, graph):
             value = graph.edge(names[ref]).properties.get(attribute)
@@ -362,7 +373,7 @@ def _operator(expr: Apply) -> Operator:
         raise _Fault(partial(translate_function, expr.function)) from None
 
 
-def _predicate(expr: ConditionExpr, refs: list[str]) -> Evaluator:
+def _predicate(expr: ConditionExpr, refs: list[Designator]) -> Evaluator:
     """Evaluator giving the truth value of ``expr``."""
     if isinstance(expr, Literal):
         truth = _truthy(expr.value)
@@ -404,7 +415,7 @@ def _any(parts: tuple[Evaluator, ...]) -> Evaluator:
     return evaluate
 
 
-def _operand(expr: ConditionExpr, refs: list[str]) -> Evaluator:
+def _operand(expr: ConditionExpr, refs: list[Designator]) -> Evaluator:
     """Evaluator of a non-literal operand's value; an ``Apply`` operand's
     value is its truth value."""
     if isinstance(expr, Designator):
@@ -413,7 +424,7 @@ def _operand(expr: ConditionExpr, refs: list[str]) -> Evaluator:
 
 
 def _comparison(
-    op: Operator, args: tuple[ConditionExpr, ...], refs: list[str]
+    op: Operator, args: tuple[ConditionExpr, ...], refs: list[Designator]
 ) -> Evaluator:
     """An absent operand makes the comparison false; a literal operand is
     compiled, once, into a test on the other operand's value."""
@@ -514,8 +525,8 @@ def compile_rule_pattern(
     return QueryPlan(steps=steps, filter=condition)
 
 
-def _pinned_props(group: AttributeGroup) -> PinnedProps:
-    return tuple(split_attribute_value(raw) for _, raw in group.attributes)
+def _pinned_props(group: PathGroup) -> PinnedProps:
+    return tuple((name, value) for _, name, value in group.values)
 
 
 def compile_request_path(path_groups) -> QueryPlan:

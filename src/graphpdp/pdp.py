@@ -19,8 +19,14 @@ from .pattern_compiler import (
     compile_rule_pattern,
 )
 from .path_matcher import DEFAULT_VARLEN_CAP, check_intersection
-from .policy_model import ConstraintSet, Policy, Rule, condition_depth_violations
-from .request_model import Request, split_attribute_value
+from .policy_model import (
+    ConstraintSet,
+    Policy,
+    Rule,
+    condition_depth_violations,
+    direction_violations,
+)
+from .request_model import Request
 from .xmlutil import xml_attr, xml_escape
 
 PERMIT_VALUE = "Permit"
@@ -76,23 +82,17 @@ def _attribute_bag(request: Request, category: str, attribute_id: str) -> list[s
     """Request values for one (category, attribute id) pair.
 
     Action attributes are taken verbatim; path-group attributes contribute
-    the value part of their colon-split form.
+    the value part of their ``name:value`` form.
     """
     if category == uris.CAT_ACTION:
         return request.action_values(attribute_id)
-    values = []
-    for group in request.path_groups:
-        if group.category != category:
-            continue
-        for attr_id, raw in group.attributes:
-            if attr_id != attribute_id:
-                continue
-            try:
-                _, value = split_attribute_value(raw)
-            except EngineError:
-                continue
-            values.append(value)
-    return values
+    return [
+        value
+        for group in request.path_groups
+        if group.category == category
+        for attr_id, _, value in group.values
+        if attr_id == attribute_id
+    ]
 
 
 def _match_holds(match, request: Request) -> bool:
@@ -120,14 +120,18 @@ def match_target(target: ConstraintSet | None, request: Request) -> str:
 
 def compile_rule(rule: Rule) -> QueryPlan | None:
     """The rule's plan, or None when it has no pattern.  Raises
-    :class:`PolicySchemaError` for a condition nested too deeply to compile."""
+    :class:`PolicySchemaError` for an edge step with no known direction
+    and for a condition nested too deeply to compile."""
     if rule.pattern is None:
         return None
+    path = f"Policy/Rule[{rule.rule_id}]"
+    refused = direction_violations(rule.pattern, f"{path}/Pattern")
     if rule.pattern_condition is not None:
-        path = f"Policy/Rule[{rule.rule_id}]/PatternCondition"
-        too_deep = condition_depth_violations(rule.pattern_condition, path)
-        if too_deep:
-            raise PolicySchemaError(too_deep)
+        refused += condition_depth_violations(
+            rule.pattern_condition, f"{path}/PatternCondition"
+        )
+    if refused:
+        raise PolicySchemaError(refused)
     return compile_rule_pattern(rule.pattern, rule.pattern_condition)
 
 
@@ -218,12 +222,7 @@ def evaluate_request(
 ) -> Response:
     """Walk ``(policy, rule plans)`` pairs in load order; the first
     applicable policy decides."""
-    try:
-        request_plan = compile_request_path(request.path_groups)
-    except EngineError as exc:
-        decision = indeterminate(f"request path compilation failed: {exc}")
-        return Response(decision, _status_for(decision), ())
-
+    request_plan = compile_request_path(request.path_groups)
     for policy, rule_plans in compiled:
         decision = evaluate_policy(
             policy, rule_plans, request, request_plan, graph, varlen_cap
@@ -288,10 +287,3 @@ class DecisionEngine:
 
     def decide(self, request: Request) -> Response:
         return evaluate_request(self._compiled, request, self.graph, self.varlen_cap)
-
-    def find_rule(self, rule_id: str) -> tuple[Policy, Rule] | None:
-        for policy in self.policies:
-            for rule in policy.rules:
-                if rule.rule_id == rule_id:
-                    return policy, rule
-        return None

@@ -40,6 +40,7 @@ EFFECT_DENY = "Deny"
 DIRECTION_FROM = "from"
 DIRECTION_TO = "to"
 DIRECTION_ANY = "any"
+DIRECTIONS = (DIRECTION_FROM, DIRECTION_TO, DIRECTION_ANY)
 
 # deepest Apply nesting a condition may have: parsing, compiling and
 # evaluating a condition each recurse once per level
@@ -456,7 +457,7 @@ def _parse_edge(elem: ET.Element, path: str, warnings: list[str]) -> EdgeStep:
     if category not in uris.EDGE_CATEGORIES:
         _fail(path, f"invalid edge category {category!r}")
     direction = elem.get("Direction", DIRECTION_ANY)
-    if direction not in (DIRECTION_FROM, DIRECTION_TO, DIRECTION_ANY):
+    if direction not in DIRECTIONS:
         _fail(path, f"invalid direction {direction!r}")
 
     length = _int_attr(elem, "Length", path)
@@ -626,6 +627,16 @@ def condition_depth_violations(expr: ConditionExpr, path: str) -> list[Violation
     return []
 
 
+def direction_violations(pattern: Pattern, path: str) -> list[Violation]:
+    """A violation, as parsing words it, for each edge step whose direction
+    is none of :data:`DIRECTIONS`."""
+    return [
+        Violation(f"{path}/step[{i}]", f"invalid direction {step.direction!r}")
+        for i, step in enumerate(pattern.steps)
+        if isinstance(step, EdgeStep) and step.direction not in DIRECTIONS
+    ]
+
+
 def _validate_pattern(
     pattern: Pattern, path: str, violations: list[Violation]
 ) -> dict[str, str]:
@@ -683,6 +694,7 @@ def _validate_pattern(
                 )
             declared[name] = kind
 
+    violations.extend(direction_violations(pattern, path))
     if subject_count != 1:
         violations.append(
             Violation(path, f"pattern must have exactly one subject vertex, found {subject_count}")
@@ -712,6 +724,12 @@ def _validate_condition(
     if isinstance(expr, Literal):
         return
     if isinstance(expr, Designator):
+        if expr.category not in (uris.CAT_PATH_VERTEX, uris.CAT_PATH_EDGE):
+            violations.append(Violation(
+                path,
+                f"condition designator category must be path vertex/edge, got {expr.category!r}",
+            ))
+            return
         kind = "vertex" if expr.category == uris.CAT_PATH_VERTEX else "edge"
         if expr.binding_ref not in declared:
             violations.append(
@@ -726,6 +744,9 @@ def _validate_condition(
                     f"but the designator category says {kind}",
                 )
             )
+        return
+    if not isinstance(expr, Apply):
+        violations.append(Violation(path, f"unsupported expression node {expr!r}"))
         return
     if expr.function not in uris.CONDITION_FUNCTIONS:
         violations.append(Violation(path, f"unknown function {expr.function!r}"))

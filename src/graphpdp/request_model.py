@@ -5,6 +5,13 @@ containers: ``ActionAttributes`` for the action bag and ``PathAttributes``
 for the ordered list of graph elements the requester claims to traverse.
 Each path attribute value encodes a property as ``name:value``, split at
 the first colon, so values may themselves contain colons.
+
+The parsed :class:`Request` is what the engine reads, so no later layer
+parses again: the action values form one flat bag of ``(attribute id,
+value)`` pairs, and each path group holds its values split, as
+``(attribute id, property name, value)``.  Values are split once the
+path order is known to hold, so of the two faults the order is reported
+first.
 """
 
 from __future__ import annotations
@@ -18,17 +25,8 @@ from .xmlutil import is_core, is_ext, local_name, parse_xml, text_of
 KIND_VERTEX = "vertex"
 KIND_EDGE = "edge"
 
-_PATH_CATEGORIES = (
-    uris.CAT_SUBJECT,
-    uris.CAT_PATH_VERTEX,
-    uris.CAT_PATH_EDGE,
-    uris.CAT_RESOURCE,
-)
-
-_TYPE_TO_KIND = {
-    uris.CAT_PATH_VERTEX: KIND_VERTEX,
-    uris.CAT_PATH_EDGE: KIND_EDGE,
-}
+_PATH_CATEGORIES = (uris.CAT_SUBJECT, uris.CAT_PATH_VERTEX, uris.CAT_PATH_EDGE, uris.CAT_RESOURCE)
+_TYPE_TO_KIND = {uris.CAT_PATH_VERTEX: KIND_VERTEX, uris.CAT_PATH_EDGE: KIND_EDGE}
 
 
 def split_attribute_value(raw: str) -> tuple[str, str]:
@@ -42,25 +40,22 @@ def split_attribute_value(raw: str) -> tuple[str, str]:
 
 
 @dataclass(frozen=True)
-class AttributeGroup:
+class PathGroup:
+    """One element of the request path: a vertex, or the trailing edge."""
+
     category: str
-    element_type: str | None  # vertex/edge for path groups, None for action
-    attributes: tuple[tuple[str, str], ...]  # (attribute id, raw value)
+    element_type: str  # KIND_VERTEX or KIND_EDGE
+    values: tuple[tuple[str, str, str], ...]  # (attribute id, property name, value)
 
 
 @dataclass(frozen=True)
 class Request:
-    action_groups: tuple[AttributeGroup, ...]
-    path_groups: tuple[AttributeGroup, ...]
+    actions: tuple[tuple[str, str], ...]  # (attribute id, value)
+    path_groups: tuple[PathGroup, ...]
 
     def action_values(self, attribute_id: str) -> list[str]:
         """Bag of action attribute values for one attribute id."""
-        values = []
-        for group in self.action_groups:
-            for attr_id, raw in group.attributes:
-                if attr_id == attribute_id:
-                    values.append(raw)
-        return values
+        return [value for attr_id, value in self.actions if attr_id == attribute_id]
 
 
 def parse_request(xml_text: str) -> Request:
@@ -69,115 +64,92 @@ def parse_request(xml_text: str) -> Request:
     resource-last ordering."""
     root = parse_xml(xml_text, RequestParseError)
     if not is_core(root, "Request"):
-        raise RequestParseError(
-            f"root element is {root.tag!r}, expected Request"
-        )
-    action_groups: list[AttributeGroup] = []
-    path_groups: list[AttributeGroup] = []
+        raise RequestParseError(f"root element is {root.tag!r}, expected Request")
+    actions: list[tuple[str, str]] = []
+    groups: list[tuple[str, str, list[tuple[str, str]]]] = []
     saw_paths = False
     for child in root:
         if is_ext(child, "ActionAttributes"):
-            action_groups.extend(
-                _parse_group(g, "ActionAttributes") for g in child
-            )
+            for group in child:
+                actions.extend(_action_group(group))
         elif is_ext(child, "PathAttributes"):
             if saw_paths:
                 raise RequestParseError("more than one PathAttributes element")
             saw_paths = True
-            path_groups.extend(_parse_group(g, "PathAttributes") for g in child)
+            groups.extend(map(_path_group, child))
         else:
-            raise RequestParseError(
-                f"unexpected element {local_name(child)!r} in Request"
-            )
+            raise RequestParseError(f"unexpected element {local_name(child)!r} in Request")
 
-    _check_path_order(path_groups)
-    # colon-format errors surface at parse time, the first in path order
-    for group in path_groups:
-        for _, raw in group.attributes:
-            split_attribute_value(raw)
-    return Request(tuple(action_groups), tuple(path_groups))
+    _check_path_order(groups)
+    # colon-format errors surface once the order holds, the first in path order
+    path_groups = tuple(
+        PathGroup(category, kind, tuple((a, *split_attribute_value(raw)) for a, raw in attributes))
+        for category, kind, attributes in groups
+    )
+    return Request(tuple(actions), path_groups)
 
 
-def _parse_group(elem, container: str) -> AttributeGroup:
+def _action_group(elem) -> list[tuple[str, str]]:
+    category = _category(elem, "ActionAttributes")
+    if category != uris.CAT_ACTION:
+        raise RequestParseError(f"unexpected category {category!r} in ActionAttributes")
+    return _attributes(elem, category)
+
+
+def _path_group(elem) -> tuple[str, str, list[tuple[str, str]]]:
+    """The group's category, kind and unsplit attributes."""
+    category = _category(elem, "PathAttributes")
+    if category not in _PATH_CATEGORIES:
+        raise RequestParseError(f"unexpected path group category {category!r}")
+    type_attr = elem.get("Type")
+    if type_attr is None:
+        kind = KIND_EDGE if category == uris.CAT_PATH_EDGE else KIND_VERTEX
+    elif type_attr in _TYPE_TO_KIND:
+        kind = _TYPE_TO_KIND[type_attr]
+    else:
+        raise RequestParseError(f"invalid path group Type {type_attr!r}")
+    if category == uris.CAT_PATH_EDGE and kind != KIND_EDGE:
+        raise RequestParseError("path-category:edge group typed as vertex")
+    return category, kind, _attributes(elem, category)
+
+
+def _category(elem, container: str) -> str:
     if not is_core(elem, "Attributes"):
-        raise RequestParseError(
-            f"unexpected element {local_name(elem)!r} in {container}"
-        )
+        raise RequestParseError(f"unexpected element {local_name(elem)!r} in {container}")
     category = elem.get("Category")
     if not category:
         raise RequestParseError(f"Attributes in {container} without Category")
+    return category
 
-    element_type: str | None = None
-    if container == "ActionAttributes":
-        if category != uris.CAT_ACTION:
-            raise RequestParseError(
-                f"unexpected category {category!r} in ActionAttributes"
-            )
-    else:
-        if category not in _PATH_CATEGORIES:
-            raise RequestParseError(
-                f"unexpected path group category {category!r}"
-            )
-        type_attr = elem.get("Type")
-        if type_attr is not None:
-            if type_attr not in _TYPE_TO_KIND:
-                raise RequestParseError(
-                    f"invalid path group Type {type_attr!r}"
-                )
-            element_type = _TYPE_TO_KIND[type_attr]
-        elif category == uris.CAT_PATH_EDGE:
-            element_type = KIND_EDGE
-        else:
-            element_type = KIND_VERTEX
-        if category == uris.CAT_PATH_EDGE and element_type != KIND_EDGE:
-            raise RequestParseError(
-                "path-category:edge group typed as vertex"
-            )
 
+def _attributes(elem, category: str) -> list[tuple[str, str]]:
+    """(attribute id, value text) of each AttributeValue, in document order."""
     attributes: list[tuple[str, str]] = []
     for attr in elem:
         if not is_core(attr, "Attribute"):
-            raise RequestParseError(
-                f"unexpected element {local_name(attr)!r} in Attributes"
-            )
+            raise RequestParseError(f"unexpected element {local_name(attr)!r} in Attributes")
         attr_id = attr.get("AttributeId")
         if not attr_id:
             raise RequestParseError("Attribute without AttributeId")
         values = [v for v in attr if is_core(v, "AttributeValue")]
         if not values:
-            raise RequestParseError(
-                f"attribute {attr_id!r} has no AttributeValue"
-            )
-        for value in values:
-            attributes.append((attr_id, text_of(value)))
+            raise RequestParseError(f"attribute {attr_id!r} has no AttributeValue")
+        attributes.extend((attr_id, text_of(value)) for value in values)
     if not attributes:
-        raise RequestParseError(
-            f"empty Attributes element (category {category!r})"
-        )
-    return AttributeGroup(
-        category=category,
-        element_type=element_type,
-        attributes=tuple(attributes),
-    )
+        raise RequestParseError(f"empty Attributes element (category {category!r})")
+    return attributes
 
 
-def _check_path_order(groups: list[AttributeGroup]) -> None:
-    subjects = [i for i, g in enumerate(groups) if g.category == uris.CAT_SUBJECT]
-    resources = [i for i, g in enumerate(groups) if g.category == uris.CAT_RESOURCE]
-    if len(subjects) != 1:
-        raise RequestParseError(
-            f"request path needs exactly one subject group, found {len(subjects)}"
-        )
-    if len(resources) != 1:
-        raise RequestParseError(
-            f"request path needs exactly one resource group, found {len(resources)}"
-        )
-    if subjects[0] != 0:
+def _check_path_order(groups) -> None:
+    """``groups`` holds each path group's (category, kind, attributes)."""
+    categories = [category for category, _, _ in groups]
+    for category, name in ((uris.CAT_SUBJECT, "subject"), (uris.CAT_RESOURCE, "resource")):
+        found = categories.count(category)
+        if found != 1:
+            raise RequestParseError(f"request path needs exactly one {name} group, found {found}")
+    if categories[0] != uris.CAT_SUBJECT:
         raise RequestParseError("the subject group must come first in the path")
-    if resources[0] != len(groups) - 1:
+    if categories[-1] != uris.CAT_RESOURCE:
         raise RequestParseError("the resource group must come last in the path")
-    for i, group in enumerate(groups):
-        if group.element_type == KIND_EDGE and i != len(groups) - 1:
-            raise RequestParseError(
-                "an edge group is only allowed as the trailing resource element"
-            )
+    if any(kind == KIND_EDGE for _, kind, _ in groups[:-1]):
+        raise RequestParseError("an edge group is only allowed as the trailing resource element")

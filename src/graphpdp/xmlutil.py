@@ -2,7 +2,9 @@
 
 Core XACML elements are accepted either in the XACML 3.0 namespace or with
 no namespace at all (requests in the wild frequently omit the default
-xmlns); extension elements must be in the xacml4g namespace.
+xmlns); extension elements must be in the xacml4g namespace.  ElementTree
+spells a tag in a namespace ``{namespace}local``, so each test compares
+the whole tag against a ``{namespace}`` prefix built once, here.
 """
 
 from __future__ import annotations
@@ -11,31 +13,26 @@ import xml.etree.ElementTree as ET
 
 from .uris import XACML3_NS, XACML4G_NS
 
-
-def split_tag(tag: str) -> tuple[str, str]:
-    """Return (namespace, local name) for an ElementTree tag."""
-    if tag.startswith("{"):
-        ns, _, local = tag[1:].partition("}")
-        return ns, local
-    return "", tag
+_CORE = "{" + XACML3_NS + "}"
+_EXT = "{" + XACML4G_NS + "}"
 
 
 def is_core(elem: ET.Element, local: str) -> bool:
-    ns, name = split_tag(elem.tag)
-    return name == local and ns in (XACML3_NS, "")
+    tag = elem.tag
+    return tag == local or tag == _CORE + local
 
 
 def is_ext(elem: ET.Element, local: str) -> bool:
-    ns, name = split_tag(elem.tag)
-    return name == local and ns == XACML4G_NS
+    return elem.tag == _EXT + local
 
 
 def in_ext_ns(elem: ET.Element) -> bool:
-    return split_tag(elem.tag)[0] == XACML4G_NS
+    return elem.tag.startswith(_EXT)
 
 
 def local_name(elem: ET.Element) -> str:
-    return split_tag(elem.tag)[1]
+    tag = elem.tag
+    return tag.partition("}")[2] if tag.startswith("{") else tag
 
 
 def parse_xml(text: str, error_cls) -> ET.Element:

@@ -23,7 +23,6 @@ from graphpdp.graph_store import (
     VertexRecord,
     as_number,
     as_text,
-    loose_equal,
 )
 from graphpdp.path_matcher import PathBinding
 from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep
@@ -357,6 +356,13 @@ def _cmp(py_op, a, b):
     if an is None and bn is None:
         return py_op(as_text(a), as_text(b))
     return False
+
+
+def loose_equal(a, b) -> bool:
+    """Equality as the comparison operator '=' sees it: numeric-looking
+    operands compare as floats, two non-numeric ones by text, and a
+    numeric/non-numeric mix is unequal."""
+    return _cmp(_op.eq, a, b)
 
 
 _CMPS = {

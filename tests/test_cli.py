@@ -704,6 +704,37 @@ def test_emit_cypher_patternless_rule(capsys, tmp_path, demo_request_file):
     assert capsys.readouterr().err == "error: rule 'allow_all' has no pattern\n"
 
 
+@pytest.mark.parametrize("plain_name, emitted", [("a.xml", False), ("c.xml", True)])
+def test_emit_cypher_takes_the_first_rule_with_the_id_in_load_order(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, plain_name, emitted
+):
+    # a patternless rule with the demo rule's id, loaded before or after
+    # the demo policy (b.xml)
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    demo = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    (policy_dir / "b.xml").write_text(demo, encoding="utf-8")
+    plain = METALESS_POLICY.replace('RuleId="allow_all"', 'RuleId="user_access_dataObj"')
+    (policy_dir / plain_name).write_text(plain, encoding="utf-8")
+    code = run(
+        [
+            "emit-cypher",
+            "--policies",
+            str(policy_dir),
+            "--request",
+            str(demo_request_file),
+            "--rule",
+            "user_access_dataObj",
+        ]
+    )
+    out, err = capsys.readouterr()
+    if emitted:
+        assert (code, out, err) == (0, DEMO_QUERY, "")
+    else:
+        assert (code, out) == (1, "")
+        assert err == "error: rule 'user_access_dataObj' has no pattern\n"
+
+
 # -- serve ------------------------------------------------------------------
 
 

@@ -21,7 +21,7 @@ from graphpdp.graph_store import EdgeRecord, PropertyGraph, VertexRecord
 from graphpdp.path_matcher import check_intersection, match_plan
 from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep, compile_request_path
 from graphpdp.policy_model import Apply, ConstraintSet, Designator, Literal, MatchConstraint
-from graphpdp.request_model import KIND_EDGE, KIND_VERTEX, AttributeGroup
+from graphpdp.request_model import KIND_EDGE, KIND_VERTEX, PathGroup
 
 CASES = 300
 REQUESTS = 3  # request plans per case
@@ -137,13 +137,13 @@ def request_plan(rng: random.Random, g: PropertyGraph) -> QueryPlan:
     groups = []
     for i, key in enumerate(walk):
         category = uris.CAT_SUBJECT if i == 0 else uris.CAT_PATH_VERTEX
-        pin = f"_key:{key}"
+        pin = ("_key", key)
         if i and rng.random() < 0.25:
-            pin = f"flavor:{rng.choice(WORDS)}"  # may match several vertices
-        groups.append(AttributeGroup(category, KIND_VERTEX, (("id", pin),)))
+            pin = ("flavor", rng.choice(WORDS))  # may match several vertices
+        groups.append(PathGroup(category, KIND_VERTEX, (("id", *pin),)))
     if rng.random() < 0.35:
-        groups.append(AttributeGroup(uris.CAT_RESOURCE, KIND_EDGE,
-                                     (("id", f"kind:{rng.choice(WORDS)}"),)))
+        groups.append(PathGroup(uris.CAT_RESOURCE, KIND_EDGE,
+                                (("id", "kind", rng.choice(WORDS)),)))
     return compile_request_path(groups)
 
 

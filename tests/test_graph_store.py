@@ -24,7 +24,6 @@ from graphpdp.graph_store import (
     load_graph_csv,
     load_graph_json,
     load_graph_path,
-    loose_equal,
     parse_csv_value,
     serialize_graph,
 )
@@ -119,10 +118,10 @@ def test_as_number_parses_exact_literals_only():
 
 
 def test_loose_equal_matches_comparison_semantics():
-    assert loose_equal(7, "7")
-    assert loose_equal("2.0", 2)
-    assert not loose_equal("a", 7)
-    assert loose_equal(True, "true")  # both non-numeric -> text compare
+    assert oracles.loose_equal(7, "7")
+    assert oracles.loose_equal("2.0", 2)
+    assert not oracles.loose_equal("a", 7)
+    assert oracles.loose_equal(True, "true")  # both non-numeric -> text compare
     assert index_key("07") == index_key(7)
 
 
@@ -1153,7 +1152,7 @@ def test_property_lookups_equal_a_scan_of_every_vertex(g):
             scanned = {
                 v.id
                 for v in graph.vertices()
-                if name in v.properties and loose_equal(v.properties[name], value)
+                if name in v.properties and oracles.loose_equal(v.properties[name], value)
             }
             assert found == scanned, (name, value)
             assert found & ids == scanned and ids & found == scanned

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,6 @@ from graphpdp.graph_store import (
     PropertyGraph,
     VertexRecord,
     load_graph_path,
-    loose_equal,
 )
 from graphpdp.path_matcher import (
     PathBinding,
@@ -368,6 +368,54 @@ def test_comparisons_against_a_literal_equal_the_oracle(value):
                 ), (function, args)
 
 
+def random_tree(rng: random.Random, depth: int, props: list[str]):
+    """A condition tree over the names ``s``, ``r`` (vertices) and ``e``
+    (an edge) of :func:`operand_graph` that cannot fail: a literal, a bare
+    designator, a logical, or a comparison whose operands may be literals,
+    designators or trees themselves."""
+    shape = rng.choice(("literal", "designator") + ("logical", "comparison") * (depth > 0))
+    if shape == "literal":
+        return Literal(rng.choice(COMPARED_LITERALS))
+    if shape == "designator":
+        ref = rng.choice("ser")
+        category = uris.CAT_PATH_EDGE if ref == "e" else uris.CAT_PATH_VERTEX
+        return des(rng.choice(props), category, ref)
+    if shape == "logical":
+        args = tuple(random_tree(rng, depth - 1, props) for _ in range(rng.randint(1, 3)))
+        return Apply(rng.choice((uris.FN_AND, uris.FN_OR)), args)
+    return Apply(rng.choice(COMPARISONS), tuple(random_tree(rng, depth - 1, props) for _ in "lr"))
+
+
+def operand_graph() -> tuple[PropertyGraph, PathBinding, list[str]]:
+    """Two vertices and an edge holding the same property values, one per
+    property name, plus a name none holds."""
+    values = {f"p{i}": value for i, value in enumerate(COMPARED_VALUES)}
+    g = PropertyGraph(
+        [VertexRecord("u", "node", values), VertexRecord("t", "node", values)],
+        [EdgeRecord("w", "link", "u", "t", values)],
+    )
+    binding = PathBinding(("u", "t"), ("w",), (("s", "u"), ("e", "w"), ("r", "t")))
+    return g, binding, [*values, "absent"]
+
+
+def test_random_filter_trees_equal_the_oracle():
+    # covers what the comparison tests above do not: two designators
+    # compared with each other, an Apply as a comparison operand, a
+    # literal against a literal and a bare designator as a predicate
+    g, b, props = operand_graph()
+    rng = random.Random(20231)
+    shapes = set()
+    for _ in range(3000):
+        expr = random_tree(rng, rng.randint(0, 3), props)
+        assert eval_tree(b, expr, g) == oracles.filter_oracle(g, b, expr), expr
+        if isinstance(expr, Designator):
+            shapes.add("bare designator")
+        if isinstance(expr, Apply) and expr.function in COMPARISONS:
+            kinds = {type(arg).__name__ for arg in expr.args}
+            shapes.add("-".join(sorted(kinds)) if len(kinds) == 1 else "mixed")
+    assert {"bare designator", "Designator", "Literal", "Apply"} <= shapes
+
+
 @pytest.mark.parametrize("value", COMPARED_VALUES, ids=repr)
 def test_pinned_literals_match_loosely(value):
     # a pin holds exactly where loose equality does, also when the value's
@@ -375,7 +423,7 @@ def test_pinned_literals_match_loosely(value):
     record = VertexRecord("v", "node", {"p": value})
     for literal in COMPARED_LITERALS:
         check = element_check(VertexStep("s", pinned=(("p", literal),)))
-        assert check(record) == loose_equal(value, literal), literal
+        assert check(record) == oracles.loose_equal(value, literal), literal
 
 
 # -- intersection -----------------------------------------------------------

@@ -137,11 +137,11 @@ def test_compile_demo_request(demo_request):
 
 
 def test_compile_request_with_trailing_edge():
-    from graphpdp.request_model import AttributeGroup
+    from graphpdp.request_model import PathGroup
 
     groups = (
-        AttributeGroup(uris.CAT_SUBJECT, "vertex", (("id", "_key:a"),)),
-        AttributeGroup(uris.CAT_RESOURCE, "edge", (("id", "typeKind:owns"),)),
+        PathGroup(uris.CAT_SUBJECT, "vertex", (("id", "_key", "a"),)),
+        PathGroup(uris.CAT_RESOURCE, "edge", (("id", "typeKind", "owns"),)),
     )
     plan = compile_request_path(groups)
     # subject vertex, pinned edge, free vertex to terminate the pattern

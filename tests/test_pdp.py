@@ -34,7 +34,7 @@ from graphpdp.policy_model import (
     Rule,
     validate_policy,
 )
-from graphpdp.request_model import AttributeGroup, Request, parse_request
+from graphpdp.request_model import parse_request
 
 
 def target(*all_ofs) -> ConstraintSet:
@@ -276,22 +276,6 @@ def test_evaluate_request_not_applicable(demo_policy, demo_graph, demo_request_f
     assert response.policy_ids == ()
 
 
-def test_unsplittable_path_value_fails_request_compilation(demo_policy, demo_graph):
-    mangled = Request(
-        action_groups=(),
-        path_groups=(
-            AttributeGroup(
-                uris.CAT_SUBJECT, "vertex", ((uris.ATTR_SUBJECT_ID, "nocolon"),)
-            ),
-        ),
-    )
-    response = decide([demo_policy], mangled, demo_graph)
-    assert response.decision.value == "Indeterminate"
-    assert "request path compilation failed" in response.decision.reason
-    assert response.status_code == uris.STATUS_PROCESSING_ERROR
-    assert response.policy_ids == ()
-
-
 # -- response rendering -----------------------------------------------------
 
 
@@ -338,6 +322,18 @@ def test_engine_end_to_end(demo_policy, demo_request, demo_graph):
     engine = DecisionEngine([demo_policy], demo_graph)
     response = engine.decide(demo_request)
     assert render_response_xml(response) == PERMIT_XML
+
+
+def test_a_request_without_the_default_namespace_decides_alike(
+    demo_policy, demo_request, demo_request_file, demo_graph
+):
+    text = demo_request_file.read_text(encoding="utf-8")
+    bare = text.replace(f' xmlns="{uris.XACML3_NS}"', "")
+    assert bare != text
+    request = parse_request(bare)
+    assert request == demo_request
+    engine = DecisionEngine([demo_policy], demo_graph)
+    assert render_response_xml(engine.decide(request)) == PERMIT_XML
 
 
 def rebuilt(graph: PropertyGraph, *edited) -> PropertyGraph:
@@ -404,14 +400,6 @@ def test_an_edited_record_decides_by_its_new_value(
     assert decide(edited) is PERMIT
 
 
-def test_find_rule(demo_policy):
-    found = demo_policy, demo_policy.rules[0]
-    engine = DecisionEngine([demo_policy], None)
-    assert engine.find_rule("user_access_dataObj") == found
-    assert engine.find_rule("ghost") is None
-
-
-
 def deeper(policy: Policy, levels: int) -> Policy:
     """``policy`` with its one rule's condition wrapped in ``levels``
     one-argument ``and`` Applies."""
@@ -441,3 +429,64 @@ def test_a_condition_at_the_depth_cap_is_accepted(demo_policy, demo_request, dem
     policy = deeper(demo_policy, MAX_APPLY_DEPTH - 2)
     assert validate_policy(policy) == []
     assert DecisionEngine([policy], demo_graph).decide(demo_request).decision is PERMIT
+
+
+# -- policies built in code that parsing would refuse -----------------------
+
+
+def with_condition(policy: Policy, condition) -> Policy:
+    (rule,) = policy.rules
+    return replace(policy, rules=(replace(rule, pattern_condition=condition),))
+
+
+def test_an_edge_step_without_a_known_direction_is_refused(
+    demo_policy, demo_request, demo_graph
+):
+    (rule,) = demo_policy.rules
+    steps = list(rule.pattern.steps)
+    steps[1] = replace(steps[1], direction="sideways")
+    pattern = replace(rule.pattern, steps=tuple(steps))
+    policy = replace(demo_policy, rules=(replace(rule, pattern=pattern),))
+    refused = "Policy/Rule[user_access_dataObj]/Pattern/step[1]: invalid direction 'sideways'"
+    with pytest.raises(PolicySchemaError) as raised:
+        DecisionEngine([policy], demo_graph).decide(demo_request)
+    assert str(raised.value) == refused
+    assert [str(v) for v in validate_policy(policy)] == [refused]
+
+
+@pytest.mark.parametrize("category, violation", [
+    (uris.CAT_RESOURCE,
+     f"condition designator category must be path vertex/edge, got {uris.CAT_RESOURCE!r}"),
+    (uris.CAT_PATH_VERTEX, "binding 'e' is an edge, but the designator category says vertex"),
+], ids=["category of neither kind", "vertex category on an edge"])
+def test_a_designator_that_misreads_its_binding_is_indeterminate(
+    demo_policy, demo_request, demo_graph, category, violation
+):
+    designator = Designator("typeKind", category, "e")
+    policy = with_condition(
+        demo_policy, Apply(uris.FN_EQUAL, (designator, Literal("worksOn")))
+    )
+    decision = DecisionEngine([policy], demo_graph).decide(demo_request).decision
+    assert decision == indeterminate(
+        f"rule 'user_access_dataObj': condition reads 'e' with category {category!r}, "
+        f"not {uris.CAT_PATH_EDGE!r}"
+    )
+    path = "Policy/Rule[user_access_dataObj]/PatternCondition"
+    assert [str(v) for v in validate_policy(policy)] == [f"{path}: {violation}"]
+
+
+@pytest.mark.parametrize("condition", [
+    42, Apply(uris.FN_AND, (Literal("true"), 42)),
+], ids=["top level", "Apply argument"])
+def test_a_condition_node_of_no_known_kind_is_a_violation(
+    demo_policy, demo_request, demo_graph, condition
+):
+    policy = with_condition(demo_policy, condition)
+    path = "Policy/Rule[user_access_dataObj]/PatternCondition"
+    assert [str(v) for v in validate_policy(policy)] == [
+        f"{path}: unsupported expression node 42"
+    ]
+    decision = DecisionEngine([policy], demo_graph).decide(demo_request).decision
+    assert decision == indeterminate(
+        "rule 'user_access_dataObj': unsupported expression node 42"
+    )

@@ -87,6 +87,17 @@ def test_parse_demo_policy(demo_policy):
     assert rule.pattern.pattern_id == "userToDataObjectAccess"
 
 
+def test_core_elements_without_a_namespace_parse_alike(demo_policy, demo_policy_dir):
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    bare = (
+        text.replace(f' xmlns:xacml="{uris.XACML3_NS}"', "")
+        .replace("<xacml:", "<")
+        .replace("</xacml:", "</")
+    )
+    assert "xacml:" not in bare.replace("names:tc:xacml:", "")
+    assert parse_policy(bare) == demo_policy
+
+
 def test_demo_pattern_flattens_to_five_steps(demo_policy):
     steps = demo_policy.rules[0].pattern.steps
     assert len(steps) == 5

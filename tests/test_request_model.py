@@ -68,9 +68,9 @@ def test_parse_demo_request(demo_request):
     r = demo_request
     assert r.action_values(uris.ATTR_ACTION_ID) == ["access-do"]
     bindings = [
-        (position, group.element_type, *split_attribute_value(raw))
+        (position, group.element_type, name, value)
         for position, group in enumerate(r.path_groups)
-        for _, raw in group.attributes
+        for _, name, value in group.values
     ]
     assert bindings == [
         (0, "vertex", "_key", "1196741133"),
@@ -91,9 +91,9 @@ def test_multiple_values_on_one_attribute():
         SUBJECT + group(uris.CAT_PATH_VERTEX, "_key:a", "name:b") + RESOURCE
     )
     middle = parse_request(xml).path_groups[1]
-    assert middle.attributes == (
-        (uris.ATTR_PATH_VERTEX_ID, "_key:a"),
-        (uris.ATTR_PATH_VERTEX_ID, "name:b"),
+    assert middle.values == (
+        (uris.ATTR_PATH_VERTEX_ID, "_key", "a"),
+        (uris.ATTR_PATH_VERTEX_ID, "name", "b"),
     )
 
 
@@ -103,9 +103,7 @@ def test_trailing_edge_group_via_type():
     )
     r = parse_request(xml)
     assert r.path_groups[-1].element_type == "edge"
-    assert [split_attribute_value(raw) for _, raw in r.path_groups[-1].attributes] == [
-        ("name", "link")
-    ]
+    assert r.path_groups[-1].values == ((uris.ATTR_PATH_VERTEX_ID, "name", "link"),)
 
 
 def test_edge_category_implies_edge_kind():
@@ -228,5 +226,5 @@ def test_not_a_request_document():
 def test_request_without_action_still_parses():
     xml = request_xml(SUBJECT + RESOURCE, action=None)
     r = parse_request(xml)
-    assert r.action_groups == ()
+    assert r.actions == ()
     assert r.action_values(uris.ATTR_ACTION_ID) == []
