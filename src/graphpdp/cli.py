@@ -206,8 +206,12 @@ def cmd_emit_cypher(args) -> int:
     if rule_plan is None:
         print(f"error: rule {args.rule!r} has no pattern", file=sys.stderr)
         return 1
-    request_plan = compile_request_path(request.path_groups)
-    print(emit_cypher(rule_plan, request_plan), end="")
+    try:
+        query = emit_cypher(rule_plan, compile_request_path(request.path_groups))
+    except EngineError as exc:
+        print(f"error: rule {args.rule!r}: {exc}", file=sys.stderr)
+        return 1
+    print(query, end="")
     return 0
 
 

@@ -21,9 +21,10 @@ constants of each segment (an edge step and the vertex step after it),
 and the rule filter compiled into closures, with each comparison against
 a literal specialised on that literal.  The last segment yields each
 binding where it builds it.  Every match of a plan binds the same names,
-so the filter's errors are settled when the plan is built: a filter
-that eager, depth-first evaluation would fail raises that error on every
-call, and any other filter cannot raise.
+so the filter's errors are settled when the plan is built: compiling
+stops at the first fault that eager, depth-first evaluation would meet,
+and the filter raises that error on every call; any other filter
+cannot raise.
 
 Each rule match costs the intersection test one filter call and a
 containment test, and both are kept cheap.  A filter that reads one name
@@ -200,10 +201,12 @@ def match_plan(
 def eval_filter(binding: PathBinding, evaluate: Evaluator, graph: PropertyGraph) -> bool:
     """Evaluate a plan's compiled rule filter on one of its matches.
 
-    A filter the plan could not compile raises its error on every call:
-    :class:`FilterEvalError` for an unbound name, a wrong argument count
-    or a zero-argument logical, and :class:`UnknownFunctionError` for an
-    unknown function; both become Indeterminate in the decision pipeline.
+    A filter the plan could not compile raises its first fault's error on
+    every call: :class:`FilterEvalError` for a name read that the match
+    does not bind or binds as the other kind of element, a wrong argument
+    count, a zero-argument logical or a node of no known kind, and
+    :class:`UnknownFunctionError` for an unknown function; both become
+    Indeterminate in the decision pipeline.
     An absent property is not an error — comparisons over it are simply
     false.
     """

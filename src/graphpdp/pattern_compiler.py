@@ -20,11 +20,10 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Callable, Mapping, Union
 
 from . import uris
-from .errors import FilterEvalError, UnknownFunctionError
+from .errors import EngineError, FilterEvalError, UnknownFunctionError
 from .graph_store import (
     EdgeRecord,
     PropertyGraph,
@@ -280,18 +279,7 @@ def element_check(step: PlanStep) -> ElementCheck | None:
 
 Names = dict[str, str]  # binding name -> element id
 Evaluator = Callable[[Names, PropertyGraph], Any]
-
-
-class _Fault(Exception):
-    """Stops compilation at a structural error; ``raise_error`` raises it."""
-
-    def __init__(self, raise_error: Callable[[], Any]):
-        super().__init__()
-        self.raise_error = raise_error
-
-
-def _fail(message: str):
-    raise FilterEvalError(message)
+Read = Callable[[Designator], None]  # checks a designator the filter reads
 
 
 def compile_filter(
@@ -301,44 +289,50 @@ def compile_filter(
     ``bound``, each mapped to the category a designator reads it with.
 
     Gives the evaluator and, when the filter reads exactly one name and
-    cannot fail, that name.  A filter that fails under eager, depth-first
-    evaluation, by reading a name outside ``bound`` or with another
-    category, or at a structural error (unknown function, wrong argument
-    count), compiles to an evaluator that raises that first error on
-    every call.  Any other filter cannot raise, so ``and``/``or`` stop at
-    their first deciding argument.
+    cannot fail, that name.  Compilation walks the tree depth-first and
+    stops at its first fault: a name read that is outside ``bound`` or
+    read with another category, an unknown function, a wrong argument
+    count or a node of no known kind.  A filter with a fault compiles to
+    an evaluator that raises that error afresh on every call, as eager
+    evaluation would.  Any other filter cannot raise, so ``and``/``or``
+    stop at their first deciding argument.
     """
-    refs: list[Designator] = []
-    try:
-        evaluate, fault = _predicate(expr, refs), None
-    except _Fault as stop:
-        evaluate, fault = None, stop.raise_error
-    misread = next((ref for ref in refs if bound.get(ref.binding_ref) != ref.category), None)
-    if misread is not None:
-        name, category = misread.binding_ref, misread.category
+    reads: set[str] = set()
+
+    def read(ref: Designator) -> None:
+        name, category = ref.binding_ref, ref.category
         if name not in bound:
-            fault = partial(_fail, f"condition references unbound name {name!r}")
-        else:
-            fault = partial(
-                _fail, f"condition reads {name!r} with category {category!r}, not {bound[name]!r}"
+            raise FilterEvalError(f"condition references unbound name {name!r}")
+        if bound[name] != category:
+            raise FilterEvalError(
+                f"condition reads {name!r} with category {category!r}, not {bound[name]!r}"
             )
-    if fault is not None:
-        return (lambda names, graph: fault()), None
-    reads = {ref.binding_ref for ref in refs}
-    return evaluate, (reads.pop() if len(reads) == 1 else None)
+        reads.add(name)
+
+    try:
+        evaluate = _predicate(expr, read)
+    except FilterEvalError as exc:
+        error, arg = FilterEvalError, str(exc)
+    except UnknownFunctionError as exc:
+        error, arg = UnknownFunctionError, exc.uri
+    else:
+        return evaluate, (reads.pop() if len(reads) == 1 else None)
+
+    def fail(names, graph):
+        raise error(arg)
+
+    return fail, None
 
 
-def _truthy(value: PropertyValue | None) -> bool:
+def _truthy(value: PropertyValue) -> bool:
     if isinstance(value, bool):
         return value
-    if value is None:
-        return False
     return as_text(value) == "true"
 
 
-def _designator(expr: Designator, refs: list[Designator]) -> Evaluator:
+def _designator(expr: Designator, read: Read) -> Evaluator:
+    read(expr)
     ref, attribute = expr.binding_ref, expr.attribute_id
-    refs.append(expr)
     if expr.category == uris.CAT_PATH_EDGE:
         def get(names, graph):
             return graph.edge(names[ref]).properties.get(attribute)
@@ -349,12 +343,12 @@ def _designator(expr: Designator, refs: list[Designator]) -> Evaluator:
 
 
 def _property_test(
-    expr: Designator, holds: Callable[[PropertyValue], bool], refs: list[Designator]
+    expr: Designator, holds: Callable[[PropertyValue], bool], read: Read
 ) -> Evaluator:
     """Evaluator applying ``holds`` to the designated property, read in
     the same closure; an absent property gives false."""
+    read(expr)
     ref, attribute = expr.binding_ref, expr.attribute_id
-    refs.append(expr)
     if expr.category == uris.CAT_PATH_EDGE:
         def evaluate(names, graph):
             value = graph.edge(names[ref]).properties.get(attribute)
@@ -366,33 +360,25 @@ def _property_test(
     return evaluate
 
 
-def _operator(expr: Apply) -> Operator:
-    try:
-        return translate_function(expr.function)
-    except UnknownFunctionError:
-        raise _Fault(partial(translate_function, expr.function)) from None
-
-
-def _predicate(expr: ConditionExpr, refs: list[Designator]) -> Evaluator:
-    """Evaluator giving the truth value of ``expr``."""
+def _predicate(expr: ConditionExpr, read: Read) -> Evaluator:
+    """Evaluator giving the truth value of ``expr``; ``read`` checks each
+    designator where the walk reaches it."""
     if isinstance(expr, Literal):
         truth = _truthy(expr.value)
         return lambda names, graph: truth
     if isinstance(expr, Designator):
-        return _property_test(expr, _truthy, refs)
+        return _property_test(expr, _truthy, read)
     if not isinstance(expr, Apply):
-        raise _Fault(partial(_fail, f"unsupported expression node {expr!r}"))
-    op = _operator(expr)
+        raise FilterEvalError(f"unsupported expression node {expr!r}")
+    op = translate_function(expr.function)
     if op.logical:
-        parts = tuple(_predicate(arg, refs) for arg in expr.args)
-        if not parts:
-            raise _Fault(partial(_fail, f"{expr.function} applied to zero arguments"))
+        if not expr.args:
+            raise FilterEvalError(f"{expr.function} applied to zero arguments")
+        parts = tuple(_predicate(arg, read) for arg in expr.args)
         return _all(parts) if expr.function == uris.FN_AND else _any(parts)
     if len(expr.args) != 2:
-        raise _Fault(partial(
-            _fail, f"{expr.function} needs two arguments, got {len(expr.args)}"
-        ))
-    return _comparison(op, expr.args, refs)
+        raise FilterEvalError(f"{expr.function} needs two arguments, got {len(expr.args)}")
+    return _comparison(op, expr.args, read)
 
 
 def _all(parts: tuple[Evaluator, ...]) -> Evaluator:
@@ -415,17 +401,15 @@ def _any(parts: tuple[Evaluator, ...]) -> Evaluator:
     return evaluate
 
 
-def _operand(expr: ConditionExpr, refs: list[Designator]) -> Evaluator:
+def _operand(expr: ConditionExpr, read: Read) -> Evaluator:
     """Evaluator of a non-literal operand's value; an ``Apply`` operand's
     value is its truth value."""
     if isinstance(expr, Designator):
-        return _designator(expr, refs)
-    return _predicate(expr, refs)
+        return _designator(expr, read)
+    return _predicate(expr, read)
 
 
-def _comparison(
-    op: Operator, args: tuple[ConditionExpr, ...], refs: list[Designator]
-) -> Evaluator:
+def _comparison(op: Operator, args: tuple[ConditionExpr, ...], read: Read) -> Evaluator:
     """An absent operand makes the comparison false; a literal operand is
     compiled, once, into a test on the other operand's value."""
     left, right = args
@@ -437,10 +421,10 @@ def _comparison(
         literal, other = (left, right) if literal_left else (right, left)
         holds = _against_literal(op, literal.value, literal_left)
         if isinstance(other, Designator):
-            return _property_test(other, holds, refs)
-        truth = _predicate(other, refs)
+            return _property_test(other, holds, read)
+        truth = _predicate(other, read)
         return lambda names, graph: holds(truth(names, graph))
-    get_left, get_right = _operand(left, refs), _operand(right, refs)
+    get_left, get_right = _operand(left, read), _operand(right, read)
     key, test = op.key, op.test
 
     def evaluate(names, graph):
@@ -641,14 +625,15 @@ def _length_marker(step: EdgeStep) -> str:
     return f"*{step.min_len}..{step.max_len}"
 
 
-def _render_edge(step: EdgeStep, extras: list[str]) -> str:
+def _render_edge(step: EdgeStep, index: int, extras: list[str]) -> str:
     entries = list(step.pinned)
     simple = _simple_conjunction(step.constraints)
     if simple is None:
-        # No anonymous fallback for edges: a declared binding exists
-        # whenever the policy constrains an edge beyond a property map.
         if step.binding is None:
-            raise ValueError("unbound edge step with non-map constraints")
+            raise EngineError(
+                f"Pattern/step[{index}]: an edge without an EdgeId cannot be"
+                " constrained beyond a property map in Cypher"
+            )
         extras.append(_constraint_predicate(step.binding, step.constraints))
     else:
         entries.extend(simple)
@@ -667,11 +652,11 @@ def render_pattern(plan: QueryPlan, extras: list[str] | None = None) -> str:
     if extras is None:
         extras = []
     parts = []
-    for step in plan.steps:
+    for i, step in enumerate(plan.steps):
         if isinstance(step, VertexStep):
             parts.append(_render_vertex(step, extras))
         else:
-            parts.append(_render_edge(step, extras))
+            parts.append(_render_edge(step, i, extras))
     return "".join(parts)
 
 
@@ -704,7 +689,12 @@ def render_filter(expr: ConditionExpr) -> str:
 
 
 def emit_cypher(rule_plan: QueryPlan, request_plan: QueryPlan) -> str:
-    """Intersection query: does some request path lie inside a rule match."""
+    """Intersection query: does some request path lie inside a rule match.
+
+    Raises :class:`EngineError` for an edge step with no binding whose
+    constraints a property map cannot hold, such as a variable-length
+    edge with two alternatives: a WHERE clause has no name to test them by.
+    """
     extras: list[str] = []
     p1 = render_pattern(rule_plan, extras)
     p2 = render_pattern(request_plan, extras)

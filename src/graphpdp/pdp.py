@@ -19,13 +19,7 @@ from .pattern_compiler import (
     compile_rule_pattern,
 )
 from .path_matcher import DEFAULT_VARLEN_CAP, check_intersection
-from .policy_model import (
-    ConstraintSet,
-    Policy,
-    Rule,
-    condition_depth_violations,
-    direction_violations,
-)
+from .policy_model import ConstraintSet, Policy, Rule, rule_violations
 from .request_model import Request
 from .xmlutil import xml_attr, xml_escape
 
@@ -120,18 +114,13 @@ def match_target(target: ConstraintSet | None, request: Request) -> str:
 
 def compile_rule(rule: Rule) -> QueryPlan | None:
     """The rule's plan, or None when it has no pattern.  Raises
-    :class:`PolicySchemaError` for an edge step with no known direction
-    and for a condition nested too deeply to compile."""
-    if rule.pattern is None:
-        return None
-    path = f"Policy/Rule[{rule.rule_id}]"
-    refused = direction_violations(rule.pattern, f"{path}/Pattern")
-    if rule.pattern_condition is not None:
-        refused += condition_depth_violations(
-            rule.pattern_condition, f"{path}/PatternCondition"
-        )
+    :class:`PolicySchemaError` with validation's violations when the
+    rule's shape is one that parsing would refuse."""
+    refused = rule_violations(rule, f"Policy/Rule[{rule.rule_id}]", shape_only=True)
     if refused:
         raise PolicySchemaError(refused)
+    if rule.pattern is None:
+        return None
     return compile_rule_pattern(rule.pattern, rule.pattern_condition)
 
 

@@ -45,6 +45,8 @@ DIRECTIONS = (DIRECTION_FROM, DIRECTION_TO, DIRECTION_ANY)
 # deepest Apply nesting a condition may have: parsing, compiling and
 # evaluating a condition each recurse once per level
 MAX_APPLY_DEPTH = 100
+# deepest Path nesting a pattern may have: parsing recurses once per level
+MAX_PATH_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -414,10 +416,12 @@ def _parse_pattern(elem: ET.Element, path: str, warnings: list[str]) -> Pattern:
 
 
 def _parse_path(
-    elem: ET.Element, path: str, warnings: list[str], steps: list[PlanStep]
+    elem: ET.Element, path: str, warnings: list[str], steps: list[PlanStep], depth: int = 1
 ) -> None:
     """Append the path's steps to ``steps`` left to right; a nested Path
     adds its steps in place, since nesting depth carries no meaning."""
+    if depth > MAX_PATH_DEPTH:
+        _fail(path, f"Path nested more than {MAX_PATH_DEPTH} levels deep")
     _check_attrs(elem, set(), path, warnings)
     for i, child in enumerate(elem):
         child_path = f"{path}/{local_name(child)}[{i}]"
@@ -426,7 +430,7 @@ def _parse_path(
         elif is_ext(child, "Edge"):
             steps.append(_parse_edge(child, child_path, warnings))
         elif is_ext(child, "Path"):
-            _parse_path(child, child_path, warnings, steps)
+            _parse_path(child, child_path, warnings, steps, depth + 1)
         else:
             _fail(path, f"unexpected element {local_name(child)!r} in Path")
     if len(elem) == 0:
@@ -567,7 +571,7 @@ def validate_policy(policy: Policy) -> list[Violation]:
         if rule.rule_id in seen_rule_ids:
             violations.append(Violation(rule_path, "duplicate RuleId"))
         seen_rule_ids.add(rule.rule_id)
-        _validate_rule(rule, rule_path, violations)
+        violations.extend(rule_violations(rule, rule_path))
     return violations
 
 
@@ -593,10 +597,20 @@ def _validate_constraints(
             violations.append(Violation(path, "Match designator without AttributeId"))
 
 
-def _validate_rule(rule: Rule, path: str, violations: list[Violation]) -> None:
+def rule_violations(rule: Rule, path: str, shape_only: bool = False) -> list[Violation]:
+    """The rule's violations, in the order validation reports them.
+
+    With ``shape_only``, only those that keep the rule from compiling: an
+    effect other than Permit or Deny, a PatternCondition without a
+    Pattern, every fault in the pattern, and a condition nested more than
+    MAX_APPLY_DEPTH levels deep.  Faults in a Target, and in a condition's
+    functions, names or arity, are left to evaluation, which decides
+    Indeterminate on them.
+    """
+    violations: list[Violation] = []
     if rule.effect not in (EFFECT_PERMIT, EFFECT_DENY):
         violations.append(Violation(path, f"invalid effect {rule.effect!r}"))
-    if rule.target is not None:
+    if rule.target is not None and not shape_only:
         _validate_constraints(rule.target, f"{path}/Target", violations)
     if rule.pattern_condition is not None and rule.pattern is None:
         violations.append(
@@ -607,13 +621,14 @@ def _validate_rule(rule: Rule, path: str, violations: list[Violation]) -> None:
         declared = _validate_pattern(rule.pattern, f"{path}/Pattern", violations)
     if rule.pattern_condition is not None:
         condition_path = f"{path}/PatternCondition"
-        too_deep = condition_depth_violations(rule.pattern_condition, condition_path)
+        too_deep = _condition_depth_violations(rule.pattern_condition, condition_path)
         violations.extend(too_deep)
-        if not too_deep:
+        if not too_deep and not shape_only:
             _validate_condition(rule.pattern_condition, declared, condition_path, violations)
+    return violations
 
 
-def condition_depth_violations(expr: ConditionExpr, path: str) -> list[Violation]:
+def _condition_depth_violations(expr: ConditionExpr, path: str) -> list[Violation]:
     """A violation when ``expr`` nests Apply more than MAX_APPLY_DEPTH
     levels deep, as parsing reports it, else none.  The walk keeps its own
     stack, so it measures a condition built in code at any depth."""
@@ -625,16 +640,6 @@ def condition_depth_violations(expr: ConditionExpr, path: str) -> list[Violation
                 return [Violation(path, f"Apply nested more than {MAX_APPLY_DEPTH} levels deep")]
             stack.extend((arg, depth + 1) for arg in expr.args)
     return []
-
-
-def direction_violations(pattern: Pattern, path: str) -> list[Violation]:
-    """A violation, as parsing words it, for each edge step whose direction
-    is none of :data:`DIRECTIONS`."""
-    return [
-        Violation(f"{path}/step[{i}]", f"invalid direction {step.direction!r}")
-        for i, step in enumerate(pattern.steps)
-        if isinstance(step, EdgeStep) and step.direction not in DIRECTIONS
-    ]
 
 
 def _validate_pattern(
@@ -694,7 +699,11 @@ def _validate_pattern(
                 )
             declared[name] = kind
 
-    violations.extend(direction_violations(pattern, path))
+    violations.extend(
+        Violation(f"{path}/step[{i}]", f"invalid direction {step.direction!r}")
+        for i, step in enumerate(steps)
+        if isinstance(step, EdgeStep) and step.direction not in DIRECTIONS
+    )
     if subject_count != 1:
         violations.append(
             Violation(path, f"pattern must have exactly one subject vertex, found {subject_count}")

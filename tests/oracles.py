@@ -414,6 +414,56 @@ def filter_oracle(graph, binding, expr) -> bool:
     return _as_bool(ev(expr))
 
 
+def filter_fault_oracle(expr, bound):
+    """The first fault an eager, depth-first evaluation of ``expr`` meets,
+    as ``(error type, message)``, or None when it meets none.
+
+    ``bound`` maps each name a match binds to the category a designator
+    must read it with.  A node's own fault (an unknown function, a
+    logical without arguments, a comparison without two) comes before
+    its arguments' faults, and arguments are visited left to right.
+    """
+    from graphpdp.errors import FilterEvalError, UnknownFunctionError
+    from graphpdp.policy_model import Apply, Designator, Literal
+
+    if isinstance(expr, Literal):
+        return None
+    if isinstance(expr, Designator):
+        name, category = expr.binding_ref, expr.category
+        if name not in bound:
+            return FilterEvalError, f"condition references unbound name {name!r}"
+        if bound[name] != category:
+            return FilterEvalError, (
+                f"condition reads {name!r} with category {category!r}, not {bound[name]!r}"
+            )
+        return None
+    if not isinstance(expr, Apply):
+        return FilterEvalError, f"unsupported expression node {expr!r}"
+    if expr.function not in uris.CONDITION_FUNCTIONS:
+        return UnknownFunctionError, f"unknown function {expr.function!r}"
+    if expr.function in (uris.FN_AND, uris.FN_OR):
+        if not expr.args:
+            return FilterEvalError, f"{expr.function} applied to zero arguments"
+    elif len(expr.args) != 2:
+        return FilterEvalError, f"{expr.function} needs two arguments, got {len(expr.args)}"
+    for arg in expr.args:
+        fault = filter_fault_oracle(arg, bound)
+        if fault is not None:
+            return fault
+    return None
+
+
+def filter_names_read(expr) -> set[str]:
+    """The binding names the designators of ``expr`` read."""
+    from graphpdp.policy_model import Apply, Designator
+
+    if isinstance(expr, Designator):
+        return {expr.binding_ref}
+    if isinstance(expr, Apply):
+        return set().union(*map(filter_names_read, expr.args))
+    return set()
+
+
 # -- second, differently-shaped trail counter -------------------------------
 
 

@@ -27,6 +27,7 @@ from graphpdp.cli import (
     build_server,
     run,
 )
+from graphpdp.errors import PolicySchemaError
 from graphpdp.graph_store import load_graph_path
 from graphpdp.pdp import DecisionEngine
 from graphpdp.policy_model import load_policy_dir
@@ -567,6 +568,46 @@ def test_a_condition_at_the_depth_limit_decides(
     assert capsys.readouterr().out == PERMIT_XML
 
 
+def nested_path_policy_dir(tmp_path, demo_policy_dir, depth: int) -> Path:
+    """The demo policy with its inner Path wrapped in ``depth`` more Paths."""
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    start = text.index("<xacml4g:Path>", text.index("<xacml4g:Path>") + 1)
+    end = text.index("</xacml4g:Path>") + len("</xacml4g:Path>")
+    policy_dir = tmp_path / f"paths{depth}"
+    policy_dir.mkdir()
+    (policy_dir / "deep.xml").write_text(
+        text[:start] + "<xacml4g:Path>" * depth + text[start:end]
+        + "</xacml4g:Path>" * depth + text[end:],
+        encoding="utf-8",
+    )
+    return policy_dir
+
+
+def test_a_path_nested_too_deeply_is_a_violation(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file
+):
+    policy_dir = nested_path_policy_dir(tmp_path, demo_policy_dir, 5000)
+    too_deep = ": Path nested more than 100 levels deep"
+    assert run(["validate", "--policies", str(policy_dir)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("deep.xml: Policy/Rule[user_access_dataObj]/Pattern/Path/Path[2]/")
+    assert lines[0].endswith(too_deep)
+    assert lines[1:] == ["1 policies checked, 1 violations"]
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: deep.xml: Policy/Rule[user_access_dataObj]/Pattern/")
+    assert captured.err.endswith(too_deep + "\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_path_at_the_depth_limit_is_the_demo_policy(tmp_path, demo_policy_dir, demo_policy):
+    # the demo pattern's Paths are two deep, so 98 wrappers reach the limit
+    assert load_policy_dir(nested_path_policy_dir(tmp_path, demo_policy_dir, 98)) == [demo_policy]
+    with pytest.raises(PolicySchemaError, match="Path nested more than 100 levels deep"):
+        load_policy_dir(nested_path_policy_dir(tmp_path, demo_policy_dir, 99))
+
+
 DEMO_GRAPH_TEXT = (Path(__file__).resolve().parent.parent / "fixtures" / "graphs"
                    / "demo_graph.json").read_text(encoding="utf-8")
 # a placeholder put at a place in the document, which the rendered text
@@ -702,6 +743,38 @@ def test_emit_cypher_patternless_rule(capsys, tmp_path, demo_request_file):
     )
     assert code == 1
     assert capsys.readouterr().err == "error: rule 'allow_all' has no pattern\n"
+
+
+def test_emit_cypher_refuses_an_anonymous_edge_it_cannot_constrain(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file
+):
+    # the demo rule's variable-length edge, which no EdgeId may name, with
+    # two alternatives: a valid policy that a property map cannot express
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    edge = '<xacml4g:Edge MaxLength="2" Category="xacml4g:1.0:path-category:edge"/>'
+    alternatives = "".join(
+        "<xacml:AllOf><xacml:Match MatchId=\"urn:oasis:names:tc:xacml:1.0:function:string-equal\">"
+        f"<xacml:AttributeValue>{kind}</xacml:AttributeValue>"
+        '<xacml:AttributeDesignator AttributeId="typeKind"'
+        ' Category="xacml4g:1.0:path-category:edge"/></xacml:Match></xacml:AllOf>'
+        for kind in ("produces", "references")
+    )
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    (policy_dir / "alt.xml").write_text(
+        text.replace(edge, f"{edge[:-2]}><xacml:AnyOf>{alternatives}</xacml:AnyOf></xacml4g:Edge>"),
+        encoding="utf-8",
+    )
+    assert run(["validate", "--policies", str(policy_dir)]) == 0
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 0
+    assert capsys.readouterr().out.endswith(PERMIT_XML)
+    code = run(["emit-cypher", "--policies", str(policy_dir), "--request",
+                str(demo_request_file), "--rule", "user_access_dataObj"])
+    assert code == 1
+    assert capsys.readouterr() == ("", (
+        "error: rule 'user_access_dataObj': Pattern/step[3]: an edge without an EdgeId"
+        " cannot be constrained beyond a property map in Cypher\n"
+    ))
 
 
 @pytest.mark.parametrize("plain_name, emitted", [("a.xml", False), ("c.xml", True)])

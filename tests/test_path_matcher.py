@@ -26,6 +26,7 @@ from graphpdp.pattern_compiler import (
     EdgeStep,
     QueryPlan,
     VertexStep,
+    compile_filter,
     element_check,
 )
 from graphpdp.pdp import DecisionEngine, compile_rule
@@ -414,6 +415,85 @@ def test_random_filter_trees_equal_the_oracle():
             kinds = {type(arg).__name__ for arg in expr.args}
             shapes.add("-".join(sorted(kinds)) if len(kinds) == 1 else "mixed")
     assert {"bare designator", "Designator", "Literal", "Apply"} <= shapes
+
+
+# The six ways a condition tree can fail, each with a node that fails so.
+FAULTS = {
+    "unbound name": lambda rng: des(
+        "p0", rng.choice((uris.CAT_PATH_VERTEX, uris.CAT_PATH_EDGE)), rng.choice(("ghost", "x"))
+    ),
+    "misread category": lambda rng: rng.choice((
+        des("p0", uris.CAT_PATH_VERTEX, "e"),
+        des("p0", uris.CAT_PATH_EDGE, "s"),
+        des("p0", uris.CAT_RESOURCE, "r"),
+    )),
+    "unknown function": lambda rng: Apply(XOR, (Literal("1"),) * rng.randint(0, 2)),
+    "wrong arity": lambda rng: Apply(
+        rng.choice(COMPARISONS), (Literal("1"),) * rng.choice((0, 1, 3))
+    ),
+    "zero-argument logical": lambda rng: Apply(rng.choice((uris.FN_AND, uris.FN_OR)), ()),
+    "unsupported node": lambda rng: rng.choice((42, None, "true", (Literal("1"),))),
+}
+BOUND = {"s": uris.CAT_PATH_VERTEX, "e": uris.CAT_PATH_EDGE, "r": uris.CAT_PATH_VERTEX}
+
+
+def faulty_tree(rng: random.Random, depth: int, props: list[str]):
+    """A tree of :func:`random_tree`'s shapes where each node may instead
+    be one of the :data:`FAULTS`, at any depth."""
+    if rng.random() < 0.15:
+        node = rng.choice(list(FAULTS.values()))(rng)
+        if isinstance(node, Apply) and node.args and rng.random() < 0.5:
+            # a faulty node whose arguments may fail too
+            node = Apply(node.function, tuple(
+                faulty_tree(rng, depth - 1, props) for _ in node.args
+            ))
+        return node
+    shape = rng.choice(("literal", "designator") + ("logical", "comparison") * (depth > 0))
+    if shape in ("literal", "designator"):
+        return random_tree(rng, 0, props)
+    if shape == "logical":
+        args = tuple(faulty_tree(rng, depth - 1, props) for _ in range(rng.randint(1, 3)))
+        return Apply(rng.choice((uris.FN_AND, uris.FN_OR)), args)
+    return Apply(rng.choice(COMPARISONS), tuple(faulty_tree(rng, depth - 1, props) for _ in "lr"))
+
+
+def fault_kind(fault) -> str:
+    error, message = fault
+    if error is UnknownFunctionError:
+        return "unknown function"
+    for kind, words in (("unbound name", "unbound name"), ("misread category", "with category"),
+                        ("wrong arity", "needs two"), ("zero-argument logical", "zero arg"),
+                        ("unsupported node", "unsupported")):
+        if words in message:
+            return kind
+    raise AssertionError(message)
+
+
+def test_the_first_filter_fault_equals_the_oracle():
+    # a filter that fails raises the first fault an eager, depth-first walk
+    # meets, on every call; one that cannot fail names the one name it
+    # reads, if it reads one
+    g, b, props = operand_graph()
+    rng = random.Random(4099)
+    kinds, fault_free = set(), 0
+    for _ in range(4000):
+        expr = faulty_tree(rng, rng.randint(0, 4), props)
+        evaluate, name = compile_filter(expr, BOUND)
+        fault = oracles.filter_fault_oracle(expr, BOUND)
+        if fault is None:
+            fault_free += 1
+            assert evaluate(b.names, g) == oracles.filter_oracle(g, b, expr), expr
+            reads = oracles.filter_names_read(expr)
+            assert name == (next(iter(reads)) if len(reads) == 1 else None), expr
+            continue
+        kinds.add(fault_kind(fault))
+        assert name is None
+        for _ in range(2):
+            with pytest.raises(fault[0]) as raised:
+                evaluate(b.names, g)
+            assert type(raised.value) is fault[0] and str(raised.value) == fault[1], expr
+    assert kinds == set(FAULTS)
+    assert 1000 < fault_free < 3000
 
 
 @pytest.mark.parametrize("value", COMPARED_VALUES, ids=repr)

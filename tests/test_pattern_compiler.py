@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from graphpdp import uris
-from graphpdp.errors import UnknownFunctionError
+from graphpdp.errors import EngineError, UnknownFunctionError
 from graphpdp.pattern_compiler import (
     _REGISTRY,
     EdgeStep,
@@ -252,7 +252,7 @@ def test_unbound_edge_with_complex_constraints_is_unprintable():
     plan = QueryPlan(
         (VertexStep("v"), EdgeStep(constraints=odd, max_len=2), VertexStep("w"))
     )
-    with pytest.raises(ValueError, match="unbound edge"):
+    with pytest.raises(EngineError, match=r"^Pattern/step\[1\]: an edge without an EdgeId"):
         render_pattern(plan)
 
 

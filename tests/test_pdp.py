@@ -490,3 +490,53 @@ def test_a_condition_node_of_no_known_kind_is_a_violation(
     assert decision == indeterminate(
         "rule 'user_access_dataObj': unsupported expression node 42"
     )
+
+
+REGEXP_MATCH = "urn:oasis:names:tc:xacml:1.0:function:regexp-string-match"
+
+
+def rule_shape(rule: Rule, fault: str) -> Rule:
+    """``rule``, the demo rule, with one fault in its shape."""
+    steps = list(rule.pattern.steps)
+    if fault == "effect":
+        return replace(rule, effect="Allow")
+    if fault == "condition without pattern":
+        return replace(rule, pattern=None, pattern_condition=Apply(
+            uris.FN_EQUAL, (Literal("a"), Literal("b"))
+        ))
+    if fault == "step match function":
+        (all_of,) = steps[0].constraints.any_of
+        regexp = tuple(replace(m, match_function=REGEXP_MATCH, literal="pm.*") for m in all_of)
+        steps[0] = replace(steps[0], constraints=ConstraintSet((regexp,)))
+    elif fault == "two steps":
+        steps = steps[:2]
+    elif fault == "vertex in the edge slot":
+        steps[1] = steps[2]
+    elif fault == "direction":
+        steps[1] = replace(steps[1], direction="sideways")
+    elif fault == "length range":
+        steps[3] = replace(steps[3], min_len=3, max_len=2)
+    elif fault == "depth":
+        condition = rule.pattern_condition
+        for _ in range(600):
+            condition = Apply(uris.FN_AND, (condition,))
+        return replace(rule, pattern_condition=condition)
+    return replace(rule, pattern=replace(rule.pattern, steps=tuple(steps)))
+
+
+@pytest.mark.parametrize("fault", [
+    "effect", "condition without pattern", "step match function", "two steps",
+    "vertex in the edge slot", "direction", "length range", "depth",
+])
+def test_the_engine_refuses_a_rule_shape_with_validations_words(demo_policy, demo_graph, fault):
+    # a rule built in code that parsing would refuse for its shape is
+    # refused when the engine is built, with what validation reports
+    (rule,) = demo_policy.rules
+    if fault != "depth":
+        rule = replace(rule, pattern_condition=None)
+    policy = replace(demo_policy, rules=(rule_shape(rule, fault),))
+    violations = validate_policy(policy)
+    assert len(violations) == 1
+    with pytest.raises(PolicySchemaError) as raised:
+        DecisionEngine([policy], demo_graph)
+    assert str(raised.value) == "; ".join(map(str, violations))
