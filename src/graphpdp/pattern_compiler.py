@@ -8,11 +8,16 @@ offloading to an external Cypher engine.  Its steps are the pattern's
 :class:`~graphpdp.policy_model.EdgeStep`: a rule's plan keeps the parsed
 steps, and a request's pins the request path's properties on its own.
 
-Function URIs are resolved through a closed registry.  Comparison
-operators coerce both operands to float when both look numeric, compare
-text lexicographically when neither does, and return false on a mixed
-pair — properties are untyped text at the policy surface, so a typing
-error is a non-match rather than an evaluation failure.
+What each function means is written once, in one table: an
+:class:`Operator` entry per condition function, per Match function and
+for the request pin, carrying its native form and its Cypher spelling.
+Target matching, element checks, filter compilation and Cypher emission
+all read their entry from it, so the emitted query and the native
+matcher test the same thing.  Comparison operators coerce both operands
+to float when both look numeric, compare text lexicographically when
+neither does, and return false on a mixed pair — properties are untyped
+text at the policy surface, so a typing error is a non-match rather than
+an evaluation failure.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .policy_model import (
     DIRECTION_TO,
     EdgeStep,
     Literal,
-    MatchConstraint,
     Pattern,
     PinnedProps,
     PlanStep,
@@ -110,25 +114,68 @@ class QueryPlan:
         object.__setattr__(self, "compiled_filter", compiled)
 
 
-# -- function registry -----------------------------------------------------
+# -- function table --------------------------------------------------------
 
 
-def _coercing(op) -> dict:
+def _all(parts: tuple[Evaluator, ...]) -> Evaluator:
+    def evaluate(names, graph):
+        for part in parts:
+            if not part(names, graph):
+                return False
+        return True
+
+    return evaluate
+
+
+def _any(parts: tuple[Evaluator, ...]) -> Evaluator:
+    def evaluate(names, graph):
+        for part in parts:
+            if part(names, graph):
+                return True
+        return False
+
+    return evaluate
+
+
+@dataclass(frozen=True)
+class Operator:
+    """One table entry: what a function does natively and how Cypher
+    spells it.
+
+    A comparison maps each operand to its comparison form with ``key``
+    and decides on the two forms with ``test``, so a constant operand is
+    mapped once, when it is compiled; ``render`` spells it on two
+    operands' text.  A coercing comparison also carries ``relation``, its
+    Python comparison.  ``and`` and ``or`` carry ``combine``, which joins
+    their arguments' evaluators, and a ``render`` that joins their text.
+    """
+
+    uri: str
+    key: Callable[[PropertyValue], Any] | None = None
+    test: Callable[[Any, Any], bool] | None = None
+    render: Callable[..., str] | None = None
+    relation: Callable[[Any, Any], bool] | None = None
+    combine: Callable[[tuple[Evaluator, ...]], Evaluator] | None = None
+
+    @property
+    def logical(self) -> bool:
+        return self.combine is not None
+
+    def compare(self, a: PropertyValue, b: PropertyValue) -> bool:
+        return self.test(self.key(a), self.key(b))
+
+
+def _infix(symbol: str) -> Callable[[str, str], str]:
+    return lambda a, b: f"{a} {symbol} {b}"
+
+
+def _coercing(uri: str, relation: Callable[[Any, Any], bool], symbol: str) -> Operator:
     """Numeric-looking operands compare as floats, two non-numeric ones
     as text; a numeric/non-numeric pair never matches."""
-    return dict(key=index_key, test=lambda a, b: type(a) is type(b) and op(a, b))
+    return Operator(uri, index_key, lambda a, b: type(a) is type(b) and relation(a, b),
+                    _infix(symbol), relation)
 
 
-# The Python comparison behind each coercing function, and its Cypher
-# symbol.
-_COERCING = {
-    uris.FN_EQUAL: (operator.eq, "="),
-    uris.FN_NOT_EQUAL: (operator.ne, "<>"),
-    uris.FN_GREATER_THAN: (operator.gt, ">"),
-    uris.FN_GREATER_THAN_OR_EQUAL: (operator.ge, ">="),
-    uris.FN_LESS_THAN: (operator.lt, "<"),
-    uris.FN_LESS_THAN_OR_EQUAL: (operator.le, "<="),
-}
 # The comparison that gives the same result with the operands swapped.
 _SWAPPED = {
     operator.eq: operator.eq,
@@ -144,56 +191,32 @@ def _folded(value: PropertyValue) -> str:
     return as_text(value).casefold()
 
 
-@dataclass(frozen=True)
-class Operator:
-    """One registry entry: native evaluation plus its Cypher spelling.
-
-    A comparison maps each operand to its comparison form with ``key``
-    and decides on the two forms with ``test``, so a constant operand is
-    mapped once, when the filter is compiled.
-    """
-
-    uri: str
-    logical: bool = False
-    key: Callable[[PropertyValue], Any] | None = None
-    test: Callable[[Any, Any], bool] | None = None
-    render: Callable[[str, str], str] | None = None
-
-    def compare(self, a: PropertyValue, b: PropertyValue) -> bool:
-        return self.test(self.key(a), self.key(b))
-
-
-def _infix(symbol: str) -> Callable[[str, str], str]:
-    return lambda a, b: f"{a} {symbol} {b}"
-
-
-_REGISTRY: dict[str, Operator] = {
-    uris.FN_AND: Operator(uris.FN_AND, logical=True),
-    uris.FN_OR: Operator(uris.FN_OR, logical=True),
-    **{
-        uri: Operator(uri, **_coercing(compare), render=_infix(symbol))
-        for uri, (compare, symbol) in _COERCING.items()
-    },
+# Condition functions, for pattern conditions.
+_REGISTRY: dict[str, Operator] = {op.uri: op for op in (
+    Operator(uris.FN_AND, combine=_all, render=" AND ".join),
+    Operator(uris.FN_OR, combine=_any, render=" OR ".join),
+    _coercing(uris.FN_EQUAL, operator.eq, "="),
+    _coercing(uris.FN_NOT_EQUAL, operator.ne, "<>"),
+    _coercing(uris.FN_GREATER_THAN, operator.gt, ">"),
+    _coercing(uris.FN_GREATER_THAN_OR_EQUAL, operator.ge, ">="),
+    _coercing(uris.FN_LESS_THAN, operator.lt, "<"),
+    _coercing(uris.FN_LESS_THAN_OR_EQUAL, operator.le, "<="),
     # Case-insensitive, going by the URI (the label says otherwise).
-    uris.FN_STRING_EQUAL_IGNORE_CASE: Operator(
-        uris.FN_STRING_EQUAL_IGNORE_CASE,
-        key=_folded,
-        test=operator.eq,
-        render=lambda a, b: f"toLower({a}) = toLower({b})",
-    ),
-    uris.FN_STRING_CONTAINS: Operator(
-        uris.FN_STRING_CONTAINS,
-        key=as_text,
-        test=lambda a, b: b in a,
-        render=_infix("CONTAINS"),
-    ),
-    uris.FN_STRING_STARTS_WITH: Operator(
-        uris.FN_STRING_STARTS_WITH,
-        key=as_text,
-        test=str.startswith,
-        render=_infix("STARTS WITH"),
-    ),
+    Operator(uris.FN_STRING_EQUAL_IGNORE_CASE, _folded, operator.eq,
+             lambda a, b: f"toLower({a}) = toLower({b})"),
+    Operator(uris.FN_STRING_CONTAINS, as_text, lambda a, b: b in a, _infix("CONTAINS")),
+    Operator(uris.FN_STRING_STARTS_WITH, as_text, str.startswith, _infix("STARTS WITH")),
+)}
+
+# Match functions, for targets and pattern element constraints; the keys
+# are validation's ``uris.MATCH_FUNCTIONS``.
+MATCH_REGISTRY: dict[str, Operator] = {
+    uris.MATCH_STRING_EQUAL: Operator(uris.MATCH_STRING_EQUAL, as_text, operator.eq, _infix("=")),
+    uris.MATCH_STRING_EQUAL_IGNORE_CASE: _REGISTRY[uris.FN_STRING_EQUAL_IGNORE_CASE],
 }
+
+# A request pin compares as the condition function ``equal`` does.
+_PIN = _REGISTRY[uris.FN_EQUAL]
 
 
 def translate_function(uri: str) -> Operator:
@@ -211,13 +234,6 @@ _LABEL_OF = operator.attrgetter("label")
 _TYPE_OF = operator.attrgetter("type")
 
 
-def _match_form(match: MatchConstraint) -> tuple[str, bool, str]:
-    """(attribute, ignore case, literal case-folded when case is ignored);
-    validation admits no match function but the two string equalities."""
-    fold = match.match_function == uris.MATCH_STRING_EQUAL_IGNORE_CASE
-    return match.attribute_id, fold, match.literal.casefold() if fold else match.literal
-
-
 def _equality_pins(constraints: ConstraintSet) -> list[tuple[str, str]]:
     """The ``(attribute, literal)`` pairs of a one-conjunction set's
     string-equal matches, in order; none for any other set."""
@@ -230,12 +246,20 @@ def _equality_pins(constraints: ConstraintSet) -> list[tuple[str, str]]:
     ]
 
 
-def element_check(step: PlanStep) -> ElementCheck | None:
-    """Predicate on the records a step may bind: label or type, pinned
-    properties (loose equality), then the constraint set.
+def _equality(name: str, literal: str, op: Operator) -> tuple:
+    return name, literal, op.key, op.key(literal)
 
-    ``None`` when the step has no label or type, no pins and no
-    constraints, so the matcher skips free steps without a call.
+
+def element_check(step: PlanStep) -> ElementCheck | None:
+    """Predicate on the records a step may bind: label or type, then some
+    conjunction of the constraint set holds together with every pin.
+
+    Pins and Matches are all equalities, each read from its table entry:
+    a pin compares as ``equal`` does, a Match as its function does.  Each
+    is one ``(name, literal, key, literal key)`` test, and holds when the
+    property's key equals the literal's; a value equal to its literal
+    needs no key.  ``None`` when the step has no label or type, no pins
+    and no constraints, so the matcher skips free steps without a call.
     """
     if isinstance(step, VertexStep):
         kind, kind_of = step.label, _LABEL_OF
@@ -243,30 +267,24 @@ def element_check(step: PlanStep) -> ElementCheck | None:
         kind, kind_of = step.type, _TYPE_OF
     if kind is None and not step.pinned and step.constraints.is_empty:
         return None
-    # each pinned literal is classified once, here; a value equal to its
-    # literal text needs no classification at all
-    pins = [(name, wanted, index_key(wanted)) for name, wanted in step.pinned]
-    alternatives = [tuple(map(_match_form, all_of)) for all_of in step.constraints.any_of]
+    # each literal is mapped to its key once, here
+    pins = [_equality(name, wanted, _PIN) for name, wanted in step.pinned]
+    conjunctions = [
+        pins + [
+            _equality(m.attribute_id, m.literal, MATCH_REGISTRY[m.match_function])
+            for m in all_of
+        ]
+        for all_of in step.constraints.any_of
+    ] or [pins]
 
     def check(record) -> bool:
         if kind is not None and kind_of(record) != kind:
             return False
         props = record.properties
-        for name, wanted, wanted_key in pins:
-            if name not in props:
-                return False
-            value = props[name]
-            if value != wanted and index_key(value) != wanted_key:
-                return False
-        if not alternatives:
-            return True
-        for all_of in alternatives:
-            for name, fold, literal in all_of:
+        for tests in conjunctions:
+            for name, literal, key, literal_key in tests:
                 value = props.get(name)
-                if value is None:
-                    break
-                text = as_text(value)
-                if (text.casefold() if fold else text) != literal:
+                if value is None or (value != literal and key(value) != literal_key):
                     break
             else:
                 return True
@@ -374,31 +392,10 @@ def _predicate(expr: ConditionExpr, read: Read) -> Evaluator:
     if op.logical:
         if not expr.args:
             raise FilterEvalError(f"{expr.function} applied to zero arguments")
-        parts = tuple(_predicate(arg, read) for arg in expr.args)
-        return _all(parts) if expr.function == uris.FN_AND else _any(parts)
+        return op.combine(tuple(_predicate(arg, read) for arg in expr.args))
     if len(expr.args) != 2:
         raise FilterEvalError(f"{expr.function} needs two arguments, got {len(expr.args)}")
     return _comparison(op, expr.args, read)
-
-
-def _all(parts: tuple[Evaluator, ...]) -> Evaluator:
-    def evaluate(names, graph):
-        for part in parts:
-            if not part(names, graph):
-                return False
-        return True
-
-    return evaluate
-
-
-def _any(parts: tuple[Evaluator, ...]) -> Evaluator:
-    def evaluate(names, graph):
-        for part in parts:
-            if part(names, graph):
-                return True
-        return False
-
-    return evaluate
 
 
 def _operand(expr: ConditionExpr, read: Read) -> Evaluator:
@@ -458,9 +455,9 @@ def _against_literal(
     else:
         def general(value):
             return test(key(value), literal_key)
-    if op.uri not in _COERCING:
+    compare = op.relation
+    if compare is None:
         return general
-    compare = _COERCING[op.uri][0]
     if literal_left:
         compare = _SWAPPED[compare]
     if type(literal_key) is float:
@@ -567,52 +564,61 @@ def _simple_conjunction(constraints: ConstraintSet) -> list[tuple[str, str]] | N
     return pins
 
 
-def _props_map(entries: list[tuple[str, str]]) -> str:
-    if not entries:
-        return ""
-    seen: dict[str, str] = {}
-    for name, value in entries:
-        seen.setdefault(name, value)
-    inner = ",".join(f"{cypher_ident(n)}:{cypher_string(v)}" for n, v in seen.items())
-    return "{" + inner + "}"
+def _render_test(ref: str, attribute: str, literal: str, op: Operator) -> str:
+    return op.render(f"{ref}.{cypher_ident(attribute)}", cypher_string(literal))
 
 
 def _constraint_predicate(ref: str, constraints: ConstraintSet) -> str:
     """WHERE fallback for constraint sets a property map cannot express."""
     alternatives = []
     for all_of in constraints.any_of:
-        parts = []
-        for match in all_of:
-            op = _match_operator(match.match_function)
-            parts.append(op(f"{ref}.{cypher_ident(match.attribute_id)}",
-                            cypher_string(match.literal)))
+        parts = [
+            _render_test(ref, m.attribute_id, m.literal, MATCH_REGISTRY[m.match_function])
+            for m in all_of
+        ]
         alternatives.append(" AND ".join(parts) if len(parts) != 1 else parts[0])
     if len(alternatives) == 1:
         return f"({alternatives[0]})"
     return "(" + " OR ".join(f"({a})" for a in alternatives) + ")"
 
 
-def _match_operator(match_function: str) -> Callable[[str, str], str]:
-    if match_function == uris.MATCH_STRING_EQUAL:
-        return _infix("=")
-    if match_function == uris.MATCH_STRING_EQUAL_IGNORE_CASE:
-        return lambda a, b: f"toLower({a}) = toLower({b})"
-    # Validation confines match functions to the two above.
-    return _infix("=")
+def _map_and_where(step: PlanStep, ref: str) -> tuple[str, list[str]]:
+    """The step's property map, and the WHERE conjuncts on ``ref`` that
+    test what the map cannot hold.
 
-
-def _render_vertex(step: VertexStep, extras: list[str]) -> str:
-    entries = list(step.pinned)
+    A map holds one value per name, so a pin or plain string-equal Match
+    whose name the map holds with another value is tested in WHERE, with
+    the ``=`` a map entry means; a constraint set that is not one
+    conjunction of plain string-equal Matches is tested there whole.
+    """
     simple = _simple_conjunction(step.constraints)
-    needs_name = not step.auto
-    if simple is None:
-        needs_name = True
-        extras.append(_constraint_predicate(step.binding, step.constraints))
+    kept: dict[str, str] = {}
+    repeats = [
+        (name, value)
+        for name, value in (*step.pinned, *(simple or ()))
+        if kept.setdefault(name, value) != value
+    ]
+    where = [] if simple is not None else [_constraint_predicate(ref, step.constraints)]
+    where.extend(f"({_render_test(ref, n, v, _PIN)})" for n, v in repeats)
+    if not kept:
+        return "", where
+    inner = ",".join(f"{cypher_ident(n)}:{cypher_string(v)}" for n, v in kept.items())
+    return "{" + inner + "}", where
+
+
+def _render_vertex(step: VertexStep, extras: list[str], taken: set[str]) -> str:
+    name = step.binding
+    # a generated name is kept apart from every name printed before it
+    while step.auto and name in taken:
+        name += "_"
+    props, where = _map_and_where(step, name)
+    if where or not step.auto:
+        taken.add(name)
+        extras.extend(where)
     else:
-        entries.extend(simple)
-    name = step.binding if needs_name else ""
+        name = ""
     label = f":{cypher_ident(step.label)}" if step.label is not None else ""
-    return f"({name}{label}{_props_map(entries)})"
+    return f"({name}{label}{props})"
 
 
 def _length_marker(step: EdgeStep) -> str:
@@ -625,21 +631,20 @@ def _length_marker(step: EdgeStep) -> str:
     return f"*{step.min_len}..{step.max_len}"
 
 
-def _render_edge(step: EdgeStep, index: int, extras: list[str]) -> str:
-    entries = list(step.pinned)
-    simple = _simple_conjunction(step.constraints)
-    if simple is None:
-        if step.binding is None:
-            raise EngineError(
-                f"Pattern/step[{index}]: an edge without an EdgeId cannot be"
-                " constrained beyond a property map in Cypher"
-            )
-        extras.append(_constraint_predicate(step.binding, step.constraints))
-    else:
-        entries.extend(simple)
+def _render_edge(
+    step: EdgeStep, location: str, extras: list[str], taken: set[str]
+) -> str:
     name = step.binding or ""
+    props, where = _map_and_where(step, name)
+    if where and not name:
+        raise EngineError(
+            f"{location}: an edge without an EdgeId cannot be"
+            " constrained beyond a property map in Cypher"
+        )
+    extras.extend(where)
+    taken.add(name)
     type_part = f":{cypher_ident(step.type)}" if step.type is not None else ""
-    inner = f"[{name}{type_part}{_length_marker(step)}{_props_map(entries)}]"
+    inner = f"[{name}{type_part}{_length_marker(step)}{props}]"
     if step.direction == DIRECTION_FROM:
         return f"-{inner}->"
     if step.direction == DIRECTION_TO:
@@ -647,16 +652,28 @@ def _render_edge(step: EdgeStep, index: int, extras: list[str]) -> str:
     return f"-{inner}-"
 
 
-def render_pattern(plan: QueryPlan, extras: list[str] | None = None) -> str:
-    """Linear pattern text, e.g. ``(s{...})-[e:t]->()-[*..2]-()``."""
+def render_pattern(
+    plan: QueryPlan,
+    extras: list[str] | None = None,
+    taken: set[str] | None = None,
+    path: str = "Pattern",
+) -> str:
+    """Linear pattern text, e.g. ``(s{...})-[e:t]->()-[*..2]-()``.
+
+    WHERE conjuncts the text needs go to ``extras``.  Each name printed
+    goes to ``taken``, and a generated one is first changed until it is
+    not there; ``path`` starts the location of an edge that is refused.
+    """
     if extras is None:
         extras = []
+    if taken is None:
+        taken = set()
     parts = []
     for i, step in enumerate(plan.steps):
         if isinstance(step, VertexStep):
-            parts.append(_render_vertex(step, extras))
+            parts.append(_render_vertex(step, extras, taken))
         else:
-            parts.append(_render_edge(step, i, extras))
+            parts.append(_render_edge(step, f"{path}/step[{i}]", extras, taken))
     return "".join(parts)
 
 
@@ -678,12 +695,10 @@ def render_filter(expr: ConditionExpr) -> str:
         return _render_atom(expr)
     op = translate_function(expr.function)
     if op.logical:
-        joiner = " AND " if expr.function == uris.FN_AND else " OR "
-        parts = [
+        return "(" + op.render(
             render_filter(a) if isinstance(a, Apply) else _render_atom(a)
             for a in expr.args
-        ]
-        return "(" + joiner.join(parts) + ")"
+        ) + ")"
     left, right = expr.args
     return op.render(_render_atom(left), _render_atom(right))
 
@@ -691,13 +706,17 @@ def render_filter(expr: ConditionExpr) -> str:
 def emit_cypher(rule_plan: QueryPlan, request_plan: QueryPlan) -> str:
     """Intersection query: does some request path lie inside a rule match.
 
-    Raises :class:`EngineError` for an edge step with no binding whose
-    constraints a property map cannot hold, such as a variable-length
-    edge with two alternatives: a WHERE clause has no name to test them by.
+    Every test of every step reaches the query: what a property map
+    cannot hold goes to WHERE, on the step's name.  Raises
+    :class:`EngineError` for an edge step with no binding that needs such
+    a test, such as a variable-length edge with two alternatives or a
+    request's trailing edge with two values of one property: WHERE has
+    no name to test it by.
     """
     extras: list[str] = []
-    p1 = render_pattern(rule_plan, extras)
-    p2 = render_pattern(request_plan, extras)
+    taken: set[str] = set()
+    p1 = render_pattern(rule_plan, extras, taken)
+    p2 = render_pattern(request_plan, extras, taken, "Request")
     conjuncts = []
     if rule_plan.filter is not None:
         text = render_filter(rule_plan.filter)

@@ -14,6 +14,7 @@ from . import uris
 from .errors import EngineError, PolicyError, PolicySchemaError
 from .graph_store import PropertyGraph
 from .pattern_compiler import (
+    MATCH_REGISTRY,
     QueryPlan,
     compile_request_path,
     compile_rule_pattern,
@@ -91,9 +92,9 @@ def _attribute_bag(request: Request, category: str, attribute_id: str) -> list[s
 
 def _match_holds(match, request: Request) -> bool:
     bag = _attribute_bag(request, match.category, match.attribute_id)
-    if match.match_function == uris.MATCH_STRING_EQUAL_IGNORE_CASE:
-        return any(v.casefold() == match.literal.casefold() for v in bag)
-    return any(v == match.literal for v in bag)
+    key = MATCH_REGISTRY[match.match_function].key
+    literal = key(match.literal)
+    return any(key(v) == literal for v in bag)
 
 
 def match_target(target: ConstraintSet | None, request: Request) -> str:
@@ -101,7 +102,7 @@ def match_target(target: ConstraintSet | None, request: Request) -> str:
     if target is None or target.is_empty:
         return MATCH
     for match in target.constraints():
-        if match.match_function not in uris.MATCH_FUNCTIONS:
+        if match.match_function not in MATCH_REGISTRY:
             return INDETERMINATE_MATCH
     for all_of in target.any_of:
         if all(_match_holds(m, request) for m in all_of):

@@ -673,9 +673,16 @@ def _validate_pattern(
         else:
             if step.category == uris.CAT_RESOURCE:
                 resource_positions.append(i)
-            if step.min_len < 1:
+            # a bool is an int to Python, but not a length
+            integral = type(step.min_len) is int and type(step.max_len) in (int, type(None))
+            if not integral:
+                violations.append(Violation(
+                    step_path,
+                    f"length bounds must be integers, got {step.min_len!r} and {step.max_len!r}",
+                ))
+            if integral and step.min_len < 1:
                 violations.append(Violation(step_path, "minimum length must be >= 1"))
-            if step.max_len is not None and step.max_len < step.min_len:
+            if integral and step.max_len is not None and step.max_len < step.min_len:
                 violations.append(
                     Violation(
                         step_path,

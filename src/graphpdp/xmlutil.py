@@ -36,10 +36,11 @@ def local_name(elem: ET.Element) -> str:
 
 
 def parse_xml(text: str, error_cls) -> ET.Element:
-    """Parse ``text``, converting syntax errors to ``error_cls``."""
+    """Parse ``text``, converting syntax errors to ``error_cls``; so is a
+    lone surrogate, which the parser cannot encode."""
     try:
         return ET.fromstring(text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, UnicodeEncodeError) as exc:
         raise error_cls(f"not well-formed XML: {exc}") from exc
 
 

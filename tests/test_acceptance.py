@@ -27,9 +27,27 @@ from graphpdp.cli import run
 from graphpdp.errors import PolicySchemaError, UnknownFunctionError
 from graphpdp.graph_store import EdgeRecord, PropertyGraph, VertexRecord
 from graphpdp.path_matcher import PathBinding, check_intersection, match_plan
-from graphpdp.pattern_compiler import _REGISTRY, translate_function
-from graphpdp.pdp import DecisionEngine
-from graphpdp.policy_model import Apply, Designator, Literal, Policy, Rule, parse_policy
+from graphpdp.pattern_compiler import (
+    _REGISTRY,
+    MATCH_REGISTRY,
+    QueryPlan,
+    element_check,
+    render_pattern,
+    translate_function,
+)
+from graphpdp.pdp import MATCH, NO_MATCH, DecisionEngine, match_target
+from graphpdp.policy_model import (
+    Apply,
+    ConstraintSet,
+    Designator,
+    EdgeStep,
+    Literal,
+    MatchConstraint,
+    Policy,
+    Rule,
+    VertexStep,
+    parse_policy,
+)
 from graphpdp.request_model import parse_request
 
 PERMIT_XML = """\
@@ -233,6 +251,114 @@ def test_condition_function_set_is_complete_and_closed():
     engine = DecisionEngine([one_rule], chain_graph)
     decision = engine.decide(parse_request(chain_request(1))).decision
     assert decision.value == "Indeterminate"
+
+
+def test_match_function_set_is_complete_and_closed(demo_request_file):
+    # the table's keys are the functions validation admits
+    assert set(MATCH_REGISTRY) == set(uris.MATCH_FUNCTIONS)
+    assert len(MATCH_REGISTRY) == 2
+
+    # a target, an element check and the emitted Cypher read one entry
+    request = parse_request(
+        demo_request_file.read_text(encoding="utf-8").replace("access-do", "Amber")
+    )
+    record = VertexRecord("v", "signs", {"word": "Amber"})
+    probes = [
+        (uris.MATCH_STRING_EQUAL, "Amber", True, '{word:"Amber"}'),
+        (uris.MATCH_STRING_EQUAL, "amber", False, '{word:"amber"}'),
+        (uris.MATCH_STRING_EQUAL_IGNORE_CASE, "aMBER", True, 'toLower(v.word) = toLower("aMBER")'),
+        (uris.MATCH_STRING_EQUAL_IGNORE_CASE, "Ambe", False, 'toLower(v.word) = toLower("Ambe")'),
+    ]
+    for fn, literal, holds, cypher in probes:
+        on_word = MatchConstraint(fn, literal, "word", uris.CAT_PATH_VERTEX)
+        on_action = MatchConstraint(fn, literal, uris.ATTR_ACTION_ID, uris.CAT_ACTION)
+        assert match_target(ConstraintSet(((on_action,),)), request) == (MATCH if holds else NO_MATCH)
+        step = VertexStep("v", constraints=ConstraintSet(((on_word,),)))
+        assert element_check(step)(record) is holds, (fn, literal)
+        extras: list[str] = []
+        text = render_pattern(QueryPlan((step, EdgeStep(), VertexStep("w"))), extras)
+        assert cypher in text + " ".join(extras), (fn, literal)
+
+
+RESOURCE_EDGE_TAIL = """\
+          <xacml4g:Edge EdgeId="r" Type="taskDataRelations" Direction="from"
+                        Category="urn:oasis:names:tc:xacml:3.0:attribute-category:resource"/>
+          <xacml4g:Vertex/>
+"""
+
+
+def resource_edge_setup(tmp_path, demo_policy_dir, demo_request_file, kind, final=True):
+    """The demo policy with its pattern ending in a resource edge (or,
+    with ``final`` false, with its first edge the resource), and the demo
+    request with its resource group an edge of typeKind ``kind``."""
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    tail = (
+        '          <xacml4g:Edge MaxLength="2" Category="xacml4g:1.0:path-category:edge"/>\n'
+        '          <xacml4g:Vertex Category="urn:oasis:names:tc:xacml:3.0:attribute-category:resource"/>\n'
+    )
+    assert tail in text
+    text = text.replace(tail, RESOURCE_EDGE_TAIL)
+    if not final:
+        first = 'Category="xacml4g:1.0:path-category:edge"/>\n        <xacml4g:Path>'
+        assert first in text
+        text = text.replace(first, f'Category="{uris.CAT_RESOURCE}"/>\n        <xacml4g:Path>')
+        text = text.replace(RESOURCE_EDGE_TAIL, RESOURCE_EDGE_TAIL.replace(
+            uris.CAT_RESOURCE, uris.CAT_PATH_EDGE))
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    (policy_dir / "edge.xml").write_text(text, encoding="utf-8")
+
+    request = demo_request_file.read_text(encoding="utf-8")
+    group = f'<Attributes Category="{uris.CAT_RESOURCE}">'
+    assert group in request and "_key:1196742142" in request
+    request = request.replace(group, group.replace(">", f' Type="{uris.CAT_PATH_EDGE}">')).replace(
+        "_key:1196742142", f"typeKind:{kind}")
+    request_file = tmp_path / "request.xml"
+    request_file.write_text(request, encoding="utf-8")
+    return policy_dir, request_file
+
+
+@pytest.mark.parametrize("kind, code, decision", [
+    ("produces", 0, "Permit"), ("references", 3, "NotApplicable"),
+])
+def test_an_edge_is_a_protected_resource_end_to_end(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, kind, code, decision
+):
+    # the task vertex 1196741778 produces the design spec through td-1; no
+    # edge it touches is a reference
+    policy_dir, request = resource_edge_setup(tmp_path, demo_policy_dir, demo_request_file, kind)
+    assert run(["validate", "--policies", str(policy_dir)]) == 0
+    assert capsys.readouterr().out == "edge.xml: OK\n1 policies checked, 0 violations\n"
+    assert run(["eval", "--policies", str(policy_dir), "--request", str(request),
+                "--graph", str(demo_graph_file)]) == code
+    out = capsys.readouterr().out
+    assert f"<Decision>{decision}</Decision>" in out
+    if decision == "Permit":
+        assert out == PERMIT_XML
+    assert run(["emit-cypher", "--policies", str(policy_dir), "--request", str(request),
+                "--rule", "user_access_dataObj"]) == 0
+    assert capsys.readouterr().out == (
+        'MATCH p1 = (s{typeCode:"pmUser"})-[e:accessRelations]->(:tasks)-[r:taskDataRelations]->()\n'
+        'MATCH p2 = ({_key:"1196741133"})-[]-({_key:"1196741778"})-[{typeKind:"%s"}]-()\n'
+        'WHERE (e.typeKind = "worksOn" OR e.typeKind = "allocates")'
+        " AND ALL (x IN nodes(p2) WHERE x IN nodes(p1))"
+        " AND ALL (x IN relationships(p2) WHERE x IN relationships(p1))\n"
+        "RETURN p1 IS NOT NULL AS result\n" % kind
+    )
+
+
+def test_a_resource_edge_must_be_the_final_edge(
+    capsys, tmp_path, demo_policy_dir, demo_request_file
+):
+    policy_dir, _ = resource_edge_setup(
+        tmp_path, demo_policy_dir, demo_request_file, "produces", final=False
+    )
+    assert run(["validate", "--policies", str(policy_dir)]) == 1
+    assert capsys.readouterr().out == (
+        "edge.xml: Policy/Rule[user_access_dataObj]/Pattern:"
+        " a resource edge must be the final edge of the pattern\n"
+        "1 policies checked, 1 violations\n"
+    )
 
 
 CHAIN_POLICY = """\

@@ -777,6 +777,85 @@ def test_emit_cypher_refuses_an_anonymous_edge_it_cannot_constrain(
     ))
 
 
+def emit_args(policy_dir, request_file) -> list[str]:
+    return ["emit-cypher", "--policies", str(policy_dir), "--request", str(request_file),
+            "--rule", "user_access_dataObj"]
+
+
+SUBJECT_MATCH = """\
+              <xacml:Match MatchId="urn:oasis:names:tc:xacml:1.0:function:string-equal">
+                <xacml:AttributeValue>pmUser</xacml:AttributeValue>
+                <xacml:AttributeDesignator AttributeId="typeCode"
+                                           Category="xacml4g:1.0:path-category:vertex"/>
+              </xacml:Match>
+"""
+
+
+def test_emit_cypher_renders_a_second_equality_on_one_rule_property(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file
+):
+    # the subject must have typeCode pmUser and typeCode extUser: no vertex
+    # has both, so the decision is NotApplicable, and so must the query be
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    assert SUBJECT_MATCH in text
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    (policy_dir / "both.xml").write_text(
+        text.replace(SUBJECT_MATCH, SUBJECT_MATCH + SUBJECT_MATCH.replace("pmUser", "extUser")),
+        encoding="utf-8",
+    )
+    assert run(["validate", "--policies", str(policy_dir)]) == 0
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 3
+    capsys.readouterr()
+    assert run(emit_args(policy_dir, demo_request_file)) == 0
+    assert capsys.readouterr() == (DEMO_QUERY.replace(
+        " AND ALL (x IN nodes", ' AND (s.typeCode = "extUser") AND ALL (x IN nodes', 1), "")
+
+
+def test_emit_cypher_renders_a_second_value_in_one_request_group(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file
+):
+    # the subject must be both the demo subject and the task vertex
+    value = "        <AttributeValue>_key:1196741133</AttributeValue>\n"
+    text = demo_request_file.read_text(encoding="utf-8")
+    assert value in text
+    request = tmp_path / "request.xml"
+    request.write_text(text.replace(value, value + value.replace("1133", "1778")), encoding="utf-8")
+    assert run(eval_args(demo_policy_dir, request, demo_graph_file)) == 3
+    capsys.readouterr()
+    assert run(emit_args(demo_policy_dir, request)) == 0
+    assert capsys.readouterr() == (DEMO_QUERY.replace(
+        'p2 = ({_key:"1196741133"})', 'p2 = (_v0{_key:"1196741133"})'
+    ).replace(
+        " AND ALL (x IN nodes", ' AND (_v0._key = "1196741778") AND ALL (x IN nodes', 1
+    ), "")
+
+
+def test_emit_cypher_refuses_a_request_edge_with_a_second_value(
+    capsys, tmp_path, demo_policy_dir, demo_request_file
+):
+    # a trailing edge group whose typeKind is two values: a request edge
+    # has no name for WHERE to test the second by
+    resource = (
+        '<Attributes Category="urn:oasis:names:tc:xacml:3.0:attribute-category:resource">'
+    )
+    text = demo_request_file.read_text(encoding="utf-8")
+    start = text.index(resource)
+    end = text.index("</Attributes>", start) + len("</Attributes>")
+    request = tmp_path / "request.xml"
+    request.write_text(text[:start] + resource.replace(
+        ">", ' Type="xacml4g:1.0:path-category:edge">'
+    ) + '<Attribute AttributeId="urn:oasis:names:tc:xacml:1.0:resource:resource-id">'
+        "<AttributeValue>typeKind:produces</AttributeValue>"
+        "<AttributeValue>typeKind:references</AttributeValue>"
+        "</Attribute></Attributes>" + text[end:], encoding="utf-8")
+    assert run(emit_args(demo_policy_dir, request)) == 1
+    assert capsys.readouterr() == ("", (
+        "error: rule 'user_access_dataObj': Request/step[3]: an edge without an EdgeId"
+        " cannot be constrained beyond a property map in Cypher\n"
+    ))
+
+
 @pytest.mark.parametrize("plain_name, emitted", [("a.xml", False), ("c.xml", True)])
 def test_emit_cypher_takes_the_first_rule_with_the_id_in_load_order(
     capsys, tmp_path, demo_policy_dir, demo_request_file, plain_name, emitted

@@ -28,6 +28,7 @@ from graphpdp.policy_model import (
     Pattern,
     parse_policy,
 )
+from graphpdp.request_model import PathGroup
 from test_acceptance import CHAIN_POLICY
 
 # -- registry ---------------------------------------------------------------
@@ -340,3 +341,69 @@ def test_emitted_demo_text_parses_back(demo_policy, demo_request):
     assert parsed["p2"][0]["props"] == {"_key": "1196741133"}
     assert parsed["containment"] == (("p2", "p1"), ("p2", "p1"))
     assert parsed["filter"][0] == "or"
+
+
+def test_an_apply_operand_is_parenthesised_unless_it_delimits_itself():
+    e = Designator("typeKind", uris.CAT_PATH_EDGE, "e")
+    comparison = Apply(uris.FN_EQUAL, (e, Literal("worksOn")))
+    logical = Apply(uris.FN_OR, (comparison, comparison))
+    assert render_filter(Apply(uris.FN_EQUAL, (comparison, Literal("true")))) == (
+        '(e.typeKind = "worksOn") = "true"'
+    )
+    assert render_filter(Apply(uris.FN_NOT_EQUAL, (logical, Literal("false")))) == (
+        '(e.typeKind = "worksOn" OR e.typeKind = "worksOn") <> "false"'
+    )
+    assert render_filter(Literal("true")) == '"true"'
+    assert render_filter(e) == "e.typeKind"
+
+
+def test_a_top_level_comparison_filter_is_parenthesised_in_where():
+    e = Designator("typeKind", uris.CAT_PATH_EDGE, "e")
+    rule_plan = QueryPlan(
+        (VertexStep("a"), EdgeStep("e"), VertexStep("b")),
+        Apply(uris.FN_EQUAL, (e, Literal("worksOn"))),
+    )
+    request_plan = QueryPlan((VertexStep("x", pinned=(("_key", "1"),), auto=True),))
+    assert emit_cypher(rule_plan, request_plan).splitlines()[2] == (
+        'WHERE (e.typeKind = "worksOn") AND ALL (x IN nodes(p2) WHERE x IN nodes(p1))'
+        " AND ALL (x IN relationships(p2) WHERE x IN relationships(p1))"
+    )
+
+
+def test_a_named_edge_takes_what_a_map_cannot_hold_in_where():
+    two_ways = ConstraintSet(
+        (
+            (MatchConstraint(uris.MATCH_STRING_EQUAL, "a", "k", uris.CAT_PATH_EDGE),),
+            (MatchConstraint(uris.MATCH_STRING_EQUAL, "b", "k", uris.CAT_PATH_EDGE),),
+        )
+    )
+    extras: list[str] = []
+    text = render_pattern(
+        QueryPlan((VertexStep("v"), EdgeStep("e", constraints=two_ways), VertexStep("w"))),
+        extras,
+    )
+    assert text == "(v)-[e]-(w)"
+    assert extras == ['((e.k = "a") OR (e.k = "b"))']
+
+
+def test_a_generated_name_printed_in_both_patterns_is_kept_apart():
+    # the rule prints its generated _v2 for a WHERE test; the request's
+    # _v2 needs a WHERE test too, so it is printed under another name
+    ignore_case = ConstraintSet(
+        ((MatchConstraint(uris.MATCH_STRING_EQUAL_IGNORE_CASE, "T", "k", uris.CAT_PATH_VERTEX),),)
+    )
+    rule = compile_rule_pattern(Pattern("p", (
+        VertexStep("s", category=uris.CAT_SUBJECT),
+        EdgeStep(),
+        VertexStep(constraints=ignore_case, category=uris.CAT_RESOURCE),
+    )))
+    request = compile_request_path((
+        PathGroup(uris.CAT_SUBJECT, "vertex", (("id", "_key", "1"),)),
+        PathGroup(uris.CAT_RESOURCE, "vertex", (("id", "_key", "2"), ("id", "_key", "3"))),
+    ))
+    lines = emit_cypher(rule, request).splitlines()
+    assert lines[0] == "MATCH p1 = (s)-[]-(_v2)"
+    assert lines[1] == 'MATCH p2 = ({_key:"1"})-[]-(_v2_{_key:"2"})'
+    assert lines[2].startswith(
+        'WHERE (toLower(_v2.k) = toLower("T")) AND (_v2_._key = "3") AND ALL'
+    )

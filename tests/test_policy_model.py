@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from graphpdp import uris
 from graphpdp.errors import PolicySchemaError
+from graphpdp.pdp import DecisionEngine
 from graphpdp.policy_model import (
     Apply,
     ConstraintSet,
@@ -412,6 +415,26 @@ def test_not_xml_at_all():
 
 
 # -- validate_policy on hand-built objects ----------------------------------
+
+
+@pytest.mark.parametrize("min_len, max_len", [
+    ("2", 2), (1.5, 2), (True, True), (1, 2.5), (1, "3"),
+])
+def test_a_length_bound_that_is_not_an_int_is_a_violation(demo_policy, demo_graph, min_len, max_len):
+    rule = demo_policy.rules[0]
+    steps = list(rule.pattern.steps)
+    steps[3] = replace(steps[3], min_len=min_len, max_len=max_len)
+    pattern = replace(rule.pattern, steps=tuple(steps))
+    policy = replace(demo_policy, rules=(replace(rule, pattern=pattern),))
+    violation = Violation(
+        "Policy/Rule[user_access_dataObj]/Pattern/step[3]",
+        f"length bounds must be integers, got {min_len!r} and {max_len!r}",
+    )
+    assert validate_policy(policy) == [violation]
+    with pytest.raises(PolicySchemaError) as refused:
+        DecisionEngine([policy], demo_graph)
+    assert refused.value.violations == [violation]
+
 
 
 def test_validate_directly_constructed_policy():

@@ -1,0 +1,308 @@
+"""Refusal branches, end to end: each fault a policy or a request can
+carry is reported in its own words by ``validate``, ``eval`` and
+``serve``, and a target the engine cannot evaluate decides Indeterminate.
+
+Every policy here is the demo policy with one change.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from graphpdp import uris
+from graphpdp.cli import run
+from graphpdp.graph_store import load_graph_path
+from graphpdp.pdp import DecisionEngine, render_response_xml
+from graphpdp.policy_model import ConstraintSet, MatchConstraint, load_policy_dir
+from test_cli import PERMIT_XML, eval_args, http_call, serving
+
+DEMO_POLICY = "pm_user_to_data_object.xml"
+RULE = '<xacml:Rule Effect="Permit" RuleId="user_access_dataObj">'
+META_END = "</xacml4g:Meta>"
+MATCH = '<xacml:Match MatchId="urn:oasis:names:tc:xacml:1.0:function:string-equal">'
+VALUE = "<xacml:AttributeValue>pmUser</xacml:AttributeValue>"
+TASKS = '<xacml4g:Vertex Label="tasks" Category="xacml4g:1.0:path-category:vertex"/>'
+VARLEN = '<xacml4g:Edge MaxLength="2" Category="xacml4g:1.0:path-category:edge"/>'
+DESIGNATOR = (
+    '<xacml:AttributeDesignator AttributeId="typeKind"\n'
+    '                                     Category="xacml4g:1.0:path-category:edge"\n'
+    '                                     EdgeId="e"/>'
+)
+OR = '<xacml:Apply FunctionId="xacml4g:1.0:function:or">'
+RULE_PATH = "Policy/Rule[user_access_dataObj]"
+SUBJECT_MATCH = f"{RULE_PATH}/Pattern/Path/Vertex[0]/AnyOf/AllOf[0]"
+
+
+def element(text: str, tag: str) -> str:
+    """The first ``tag`` element of ``text``, from its start tag to its end tag."""
+    start = text.index(f"<{tag}")
+    end = text.index(f"</{tag}>", start) + len(f"</{tag}>")
+    return text[start:end]
+
+
+# name -> (text to change, its replacement, the one violation); a callable
+# change is given the demo text and gives the changed text
+POLICY_FAULTS = {
+    "two policy Targets": (
+        META_END, META_END + "<xacml:Target/><xacml:Target/>", "Policy: more than one Target"),
+    "two Metas": (
+        lambda text: text.replace(META_END, META_END + element(text, "xacml4g:Meta")),
+        None, "Policy: more than one Meta"),
+    "two rule Targets": (
+        RULE, RULE + "<xacml:Target/><xacml:Target/>", f"{RULE_PATH}: more than one Target"),
+    "two Patterns": (
+        lambda text: text.replace(
+            "</xacml4g:Pattern>", "</xacml4g:Pattern>" + element(text, "xacml4g:Pattern")),
+        None, f"{RULE_PATH}: more than one Pattern"),
+    "two PatternConditions": (
+        lambda text: text.replace(
+            "</xacml4g:PatternCondition>",
+            "</xacml4g:PatternCondition>" + element(text, "xacml4g:PatternCondition")),
+        None, f"{RULE_PATH}: more than one PatternCondition"),
+    "two AttributeValues": (
+        VALUE, VALUE + VALUE, f"{SUBJECT_MATCH}: Match has more than one AttributeValue"),
+    "two AttributeDesignators": (
+        VALUE, VALUE + '<xacml:AttributeDesignator AttributeId="a" Category="c"/>',
+        f"{SUBJECT_MATCH}: Match has more than one AttributeDesignator"),
+    "element in Meta": (
+        "<xacml4g:Vertices>", "<xacml4g:Extra/><xacml4g:Vertices>",
+        "Policy/Meta: unexpected element 'Extra' in Meta"),
+    "element in Vertices": (
+        "<xacml4g:VertexEntity>tasks", "<xacml4g:Extra/><xacml4g:VertexEntity>tasks",
+        "Policy/Meta: unexpected element 'Extra' in Vertices"),
+    "element in Edges": (
+        "<xacml4g:EdgeEntity>accessRelations",
+        "<xacml4g:Extra/><xacml4g:EdgeEntity>accessRelations",
+        "Policy/Meta: unexpected element 'Extra' in Edges"),
+    "element instead of AnyOf": (
+        "<xacml:AnyOf>", "<xacml:AllOf/><xacml:AnyOf>",
+        f"{RULE_PATH}/Pattern/Path/Vertex[0]: unexpected element 'AllOf', expected AnyOf"),
+    "element in AnyOf": (
+        "<xacml:AllOf>", "<xacml:Match/><xacml:AllOf>",
+        f"{RULE_PATH}/Pattern/Path/Vertex[0]: unexpected element 'Match' in AnyOf"),
+    "element in AllOf": (
+        MATCH, "<xacml:AnyOf/>" + MATCH,
+        f"{SUBJECT_MATCH}: unexpected element 'AnyOf', expected Match"),
+    "element in Match": (
+        VALUE, VALUE + "<xacml:Apply/>", f"{SUBJECT_MATCH}: unexpected element 'Apply' in Match"),
+    "Match without AttributeValue": (
+        VALUE, "", f"{SUBJECT_MATCH}: Match needs an AttributeValue and an AttributeDesignator"),
+    "element in Path": (
+        TASKS, "<xacml4g:Step/>" + TASKS,
+        f"{RULE_PATH}/Pattern/Path/Path[2]: unexpected element 'Step' in Path"),
+    "element in Apply": (
+        lambda text: text.replace(DESIGNATOR, DESIGNATOR + "<xacml:Function/>", 1), None,
+        f"{RULE_PATH}/PatternCondition/Apply/Apply[0]: unexpected element 'Function' in Apply"),
+    "missing attribute": (
+        ' PatternId="userToDataObjectAccess"', "",
+        f"{RULE_PATH}/Pattern: missing required attribute 'PatternId'"),
+    "non-integer length": (
+        'MaxLength="2"', 'MaxLength="two"',
+        f"{RULE_PATH}/Pattern/Path/Path[2]/Edge[1]: attribute MaxLength='two' is not an integer"),
+    "wrong root": (
+        "xacml:Policy", "xacml:PolicySet",
+        f"Policy: root element is '{{{uris.XACML3_NS}}}PolicySet', expected Policy"),
+    "empty Path": (
+        TASKS, "<xacml4g:Path/>" + TASKS,
+        f"{RULE_PATH}/Pattern/Path/Path[2]/Path[0]: empty Path"),
+    "Pattern without one Path": (
+        "</xacml4g:Pattern>", "<xacml4g:Path/></xacml4g:Pattern>",
+        f"{RULE_PATH}/Pattern: Pattern must contain exactly one Path"),
+    "missing RuleId": (
+        ' RuleId="user_access_dataObj"', "",
+        "Policy/Rule[rule[0]]: missing required attribute 'RuleId'"),
+    "xacml4g element in Rule": (
+        RULE, RULE + "<xacml4g:Extra/>", f"{RULE_PATH}: unexpected xacml4g element 'Extra'"),
+    "vertex category": (
+        TASKS, TASKS.replace("path-category:vertex", "path-category:edge"),
+        f"{RULE_PATH}/Pattern/Path/Path[2]/Vertex[0]: invalid vertex category"
+        " 'xacml4g:1.0:path-category:edge'"),
+    "edge category": (
+        VARLEN, VARLEN.replace("path-category:edge", "path-category:vertex"),
+        f"{RULE_PATH}/Pattern/Path/Path[2]/Edge[1]: invalid edge category"
+        " 'xacml4g:1.0:path-category:vertex'"),
+    "direction": (
+        'Direction="from"', 'Direction="both"',
+        f"{RULE_PATH}/Pattern/Path/Edge[1]: invalid direction 'both'"),
+    "designator category": (
+        lambda text: text.replace(DESIGNATOR, DESIGNATOR.replace(
+            uris.CAT_PATH_EDGE, uris.CAT_RESOURCE), 1), None,
+        f"{RULE_PATH}/PatternCondition/Apply/Apply[0]/AttributeDesignator[0]: condition"
+        f" designator category must be path vertex/edge, got '{uris.CAT_RESOURCE}'"),
+    "designator with a VertexId": (
+        lambda text: text.replace(DESIGNATOR, DESIGNATOR.replace('EdgeId="e"', 'VertexId="e"'), 1),
+        None,
+        f"{RULE_PATH}/PatternCondition/Apply/Apply[0]/AttributeDesignator[0]: designator with"
+        f" category '{uris.CAT_PATH_EDGE}' needs exactly a EdgeId"),
+    "empty Meta entity": (
+        "<xacml4g:VertexEntity>tasks</xacml4g:VertexEntity>",
+        "<xacml4g:VertexEntity>tasks</xacml4g:VertexEntity><xacml4g:VertexEntity/>",
+        "Policy/Meta: empty entity name in Meta"),
+    "zero minimum length": (
+        'MaxLength="2"', 'MinLength="0" MaxLength="2"',
+        f"{RULE_PATH}/Pattern/step[3]: minimum length must be >= 1"),
+    "zero-argument or": (
+        lambda text: text.replace(
+            element(text, "xacml4g:PatternCondition"),
+            f"<xacml4g:PatternCondition>{OR}</xacml:Apply></xacml4g:PatternCondition>"),
+        None, f"{RULE_PATH}/PatternCondition: xacml4g:1.0:function:or needs at least one argument"),
+}
+
+
+def changed_policy_dir(tmp_path, demo_policy_dir, change, replacement=None):
+    """A directory holding the demo policy with ``change`` made: a text
+    and its ``replacement``, or a function of the whole text."""
+    text = (demo_policy_dir / DEMO_POLICY).read_text(encoding="utf-8")
+    if callable(change):
+        changed = change(text)
+    else:
+        assert change in text
+        changed = text.replace(change, replacement)
+    assert changed != text
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    (policy_dir / DEMO_POLICY).write_text(changed, encoding="utf-8")
+    return policy_dir
+
+
+@pytest.mark.parametrize("fault", POLICY_FAULTS)
+def test_a_policy_fault_is_its_one_violation_for_validate_and_eval(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, fault
+):
+    change, replacement, violation = POLICY_FAULTS[fault]
+    policy_dir = changed_policy_dir(tmp_path, demo_policy_dir, change, replacement)
+    assert run(["validate", "--policies", str(policy_dir)]) == 1
+    assert capsys.readouterr() == (
+        f"{DEMO_POLICY}: {violation}\n1 policies checked, 1 violations\n", "")
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 2
+    assert capsys.readouterr() == ("", f"error: {DEMO_POLICY}: {violation}\n")
+
+
+def test_description_children_are_skipped_and_unknown_core_elements_warned(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file
+):
+    def described(text):
+        return text.replace(
+            META_END, META_END + "<xacml:Description>policy</xacml:Description>"
+        ).replace(RULE, RULE + "<xacml:Description>rule</xacml:Description><xacml:Obligation/>")
+
+    policy_dir = changed_policy_dir(tmp_path, demo_policy_dir, described)
+    assert run(["validate", "--policies", str(policy_dir)]) == 0
+    assert capsys.readouterr().out == (
+        f"{DEMO_POLICY}: OK\n"
+        f"{DEMO_POLICY}: warning: {RULE_PATH}: ignored unknown element 'Obligation'\n"
+        "1 policies checked, 0 violations\n"
+    )
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 0
+    assert capsys.readouterr().out == PERMIT_XML
+
+
+NOT_APPLICABLE_XML = """\
+<Response xmlns="urn:oasis:names:tc:xacml:3.0:core:schema:wd-17">
+  <Result>
+    <Decision>NotApplicable</Decision>
+    <Status>
+      <StatusCode Value="urn:oasis:names:tc:xacml:1.0:status:ok"/>
+    </Status>
+  </Result>
+</Response>
+"""
+
+
+def action_target(action: str) -> str:
+    return (
+        f'<xacml:Target><xacml:AnyOf><xacml:AllOf><xacml:Match MatchId="{uris.MATCH_STRING_EQUAL}">'
+        f"<xacml:AttributeValue>{action}</xacml:AttributeValue>"
+        f'<xacml:AttributeDesignator AttributeId="{uris.ATTR_ACTION_ID}"'
+        f' Category="{uris.CAT_ACTION}"/></xacml:Match></xacml:AllOf></xacml:AnyOf></xacml:Target>'
+    )
+
+
+@pytest.mark.parametrize("action, code, response", [
+    ("access-do", 0, PERMIT_XML),
+    ("delete-do", 3, NOT_APPLICABLE_XML),
+])
+def test_a_policy_target_gates_the_whole_policy(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, action, code, response
+):
+    policy_dir = changed_policy_dir(
+        tmp_path, demo_policy_dir, META_END, META_END + action_target(action)
+    )
+    assert run(["validate", "--policies", str(policy_dir)]) == 0
+    assert capsys.readouterr().out == f"{DEMO_POLICY}: OK\n1 policies checked, 0 violations\n"
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == code
+    assert capsys.readouterr() == (response, "")
+
+
+@pytest.mark.parametrize("level", ["rule", "policy"])
+def test_an_unsupported_match_function_in_a_target_decides_indeterminate(
+    demo_policy, demo_request, demo_graph, level
+):
+    unsupported = "urn:oasis:names:tc:xacml:1.0:function:regexp-string-match"
+    target = ConstraintSet(((MatchConstraint(
+        unsupported, "access-do", uris.ATTR_ACTION_ID, uris.CAT_ACTION),),))
+    if level == "rule":
+        rules = (replace(demo_policy.rules[0], target=target),)
+        policy = replace(demo_policy, rules=rules)
+        reason = "rule 'user_access_dataObj': target evaluation failed"
+    else:
+        policy = replace(demo_policy, target=target)
+        reason = "policy 'pmUserToDataObject': target evaluation failed"
+    response = render_response_xml(DecisionEngine([policy], demo_graph).decide(demo_request))
+    assert response == PERMIT_XML.replace("Permit<", "Indeterminate<").replace(
+        f'<StatusCode Value="{uris.STATUS_OK}"/>\n',
+        f'<StatusCode Value="{uris.STATUS_PROCESSING_ERROR}"/>\n'
+        f"      <StatusMessage>{reason}</StatusMessage>\n",
+    )
+
+
+SUBJECT_GROUP = '<Attributes Category="urn:oasis:names:tc:xacml:1.0:subject-category:access-subject">'
+SUBJECT_ATTRIBUTE = '<Attribute AttributeId="urn:oasis:names:tc:xacml:1.0:subject:subject-id">'
+VERTEX_GROUP = '<Attributes Category="xacml4g:1.0:path-category:vertex">'
+
+# name -> (text to change, its replacement, the parse error)
+REQUEST_FAULTS = {
+    "edge group typed as vertex": (
+        VERTEX_GROUP,
+        f'<Attributes Category="{uris.CAT_PATH_EDGE}" Type="{uris.CAT_PATH_VERTEX}">',
+        "path-category:edge group typed as vertex"),
+    "element in PathAttributes": (
+        SUBJECT_GROUP, "<Other/>" + SUBJECT_GROUP, "unexpected element 'Other' in PathAttributes"),
+    "Attributes without Category": (
+        SUBJECT_GROUP, "<Attributes>", "Attributes in PathAttributes without Category"),
+    "element in Attributes": (
+        SUBJECT_ATTRIBUTE, "<Other/>" + SUBJECT_ATTRIBUTE, "unexpected element 'Other' in Attributes"),
+    "Attribute without AttributeId": (
+        SUBJECT_ATTRIBUTE, "<Attribute>", "Attribute without AttributeId"),
+}
+
+
+def changed_request(demo_request_file, fault: str) -> str:
+    change, replacement, _ = REQUEST_FAULTS[fault]
+    text = demo_request_file.read_text(encoding="utf-8")
+    assert change in text
+    return text.replace(change, replacement)
+
+
+@pytest.mark.parametrize("fault", REQUEST_FAULTS)
+def test_a_request_fault_exits_2_from_eval(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, fault
+):
+    request = tmp_path / "request.xml"
+    request.write_text(changed_request(demo_request_file, fault), encoding="utf-8")
+    assert run(eval_args(demo_policy_dir, request, demo_graph_file)) == 2
+    assert capsys.readouterr() == ("", f"error: {REQUEST_FAULTS[fault][2]}\n")
+
+
+@pytest.fixture()
+def server_address(demo_policy_dir, demo_graph_file):
+    engine = DecisionEngine(load_policy_dir(demo_policy_dir), load_graph_path(demo_graph_file))
+    with serving(engine) as server:
+        yield server.server_address
+
+
+@pytest.mark.parametrize("fault", REQUEST_FAULTS)
+def test_a_request_fault_is_a_400_from_serve(server_address, demo_request_file, fault):
+    body = changed_request(demo_request_file, fault)
+    assert http_call(server_address, "POST", "/decision", body) == (
+        400, f"bad request: {REQUEST_FAULTS[fault][2]}")
