@@ -18,6 +18,11 @@ to float when both look numeric, compare text lexicographically when
 neither does, and return false on a mixed pair — properties are untyped
 text at the policy surface, so a typing error is a non-match rather than
 an evaluation failure.
+
+A filter is built only from a condition without faults; one with a fault
+compiles to the error that
+:func:`~graphpdp.policy_model.condition_faults` names first, the fault
+validation reports in the same words.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Union
 
 from . import uris
-from .errors import EngineError, FilterEvalError, UnknownFunctionError
+from .errors import EngineError, UnknownFunctionError
 from .graph_store import (
     EdgeRecord,
     PropertyGraph,
@@ -51,6 +56,7 @@ from .policy_model import (
     PinnedProps,
     PlanStep,
     VertexStep,
+    condition_faults,
 )
 from .request_model import KIND_EDGE, PathGroup
 
@@ -297,7 +303,6 @@ def element_check(step: PlanStep) -> ElementCheck | None:
 
 Names = dict[str, str]  # binding name -> element id
 Evaluator = Callable[[Names, PropertyGraph], Any]
-Read = Callable[[Designator], None]  # checks a designator the filter reads
 
 
 def compile_filter(
@@ -307,39 +312,30 @@ def compile_filter(
     ``bound``, each mapped to the category a designator reads it with.
 
     Gives the evaluator and, when the filter reads exactly one name and
-    cannot fail, that name.  Compilation walks the tree depth-first and
-    stops at its first fault: a name read that is outside ``bound`` or
-    read with another category, an unknown function, a wrong argument
-    count or a node of no known kind.  A filter with a fault compiles to
-    an evaluator that raises that error afresh on every call, as eager
+    cannot fail, that name.  A filter with a fault, the first that
+    :func:`~graphpdp.policy_model.condition_faults` yields, compiles to an
+    evaluator that raises that error afresh on every call, as eager
     evaluation would.  Any other filter cannot raise, so ``and``/``or``
     stop at their first deciding argument.
     """
-    reads: set[str] = set()
-
-    def read(ref: Designator) -> None:
-        name, category = ref.binding_ref, ref.category
-        if name not in bound:
-            raise FilterEvalError(f"condition references unbound name {name!r}")
-        if bound[name] != category:
-            raise FilterEvalError(
-                f"condition reads {name!r} with category {category!r}, not {bound[name]!r}"
-            )
-        reads.add(name)
-
-    try:
-        evaluate = _predicate(expr, read)
-    except FilterEvalError as exc:
-        error, arg = FilterEvalError, str(exc)
-    except UnknownFunctionError as exc:
-        error, arg = UnknownFunctionError, exc.uri
-    else:
-        return evaluate, (reads.pop() if len(reads) == 1 else None)
+    fault = next(condition_faults(expr, bound), None)
+    if fault is None:
+        reads = _names_read(expr)
+        return _predicate(expr), (next(iter(reads)) if len(reads) == 1 else None)
+    error, arg = fault
 
     def fail(names, graph):
         raise error(arg)
 
     return fail, None
+
+
+def _names_read(expr: ConditionExpr) -> set[str]:
+    if isinstance(expr, Designator):
+        return {expr.binding_ref}
+    if isinstance(expr, Apply):
+        return set().union(*map(_names_read, expr.args))
+    return set()
 
 
 def _truthy(value: PropertyValue) -> bool:
@@ -348,8 +344,7 @@ def _truthy(value: PropertyValue) -> bool:
     return as_text(value) == "true"
 
 
-def _designator(expr: Designator, read: Read) -> Evaluator:
-    read(expr)
+def _designator(expr: Designator) -> Evaluator:
     ref, attribute = expr.binding_ref, expr.attribute_id
     if expr.category == uris.CAT_PATH_EDGE:
         def get(names, graph):
@@ -360,12 +355,9 @@ def _designator(expr: Designator, read: Read) -> Evaluator:
     return get
 
 
-def _property_test(
-    expr: Designator, holds: Callable[[PropertyValue], bool], read: Read
-) -> Evaluator:
+def _property_test(expr: Designator, holds: Callable[[PropertyValue], bool]) -> Evaluator:
     """Evaluator applying ``holds`` to the designated property, read in
     the same closure; an absent property gives false."""
-    read(expr)
     ref, attribute = expr.binding_ref, expr.attribute_id
     if expr.category == uris.CAT_PATH_EDGE:
         def evaluate(names, graph):
@@ -378,35 +370,28 @@ def _property_test(
     return evaluate
 
 
-def _predicate(expr: ConditionExpr, read: Read) -> Evaluator:
-    """Evaluator giving the truth value of ``expr``; ``read`` checks each
-    designator where the walk reaches it."""
+def _predicate(expr: ConditionExpr) -> Evaluator:
+    """Evaluator giving the truth value of ``expr``, a tree without faults."""
     if isinstance(expr, Literal):
         truth = _truthy(expr.value)
         return lambda names, graph: truth
     if isinstance(expr, Designator):
-        return _property_test(expr, _truthy, read)
-    if not isinstance(expr, Apply):
-        raise FilterEvalError(f"unsupported expression node {expr!r}")
+        return _property_test(expr, _truthy)
     op = translate_function(expr.function)
     if op.logical:
-        if not expr.args:
-            raise FilterEvalError(f"{expr.function} applied to zero arguments")
-        return op.combine(tuple(_predicate(arg, read) for arg in expr.args))
-    if len(expr.args) != 2:
-        raise FilterEvalError(f"{expr.function} needs two arguments, got {len(expr.args)}")
-    return _comparison(op, expr.args, read)
+        return op.combine(tuple(map(_predicate, expr.args)))
+    return _comparison(op, expr.args)
 
 
-def _operand(expr: ConditionExpr, read: Read) -> Evaluator:
+def _operand(expr: ConditionExpr) -> Evaluator:
     """Evaluator of a non-literal operand's value; an ``Apply`` operand's
     value is its truth value."""
     if isinstance(expr, Designator):
-        return _designator(expr, read)
-    return _predicate(expr, read)
+        return _designator(expr)
+    return _predicate(expr)
 
 
-def _comparison(op: Operator, args: tuple[ConditionExpr, ...], read: Read) -> Evaluator:
+def _comparison(op: Operator, args: tuple[ConditionExpr, ...]) -> Evaluator:
     """An absent operand makes the comparison false; a literal operand is
     compiled, once, into a test on the other operand's value."""
     left, right = args
@@ -418,10 +403,10 @@ def _comparison(op: Operator, args: tuple[ConditionExpr, ...], read: Read) -> Ev
         literal, other = (left, right) if literal_left else (right, left)
         holds = _against_literal(op, literal.value, literal_left)
         if isinstance(other, Designator):
-            return _property_test(other, holds, read)
-        truth = _predicate(other, read)
+            return _property_test(other, holds)
+        truth = _predicate(other)
         return lambda names, graph: holds(truth(names, graph))
-    get_left, get_right = _operand(left, read), _operand(right, read)
+    get_left, get_right = _operand(left), _operand(right)
     key, test = op.key, op.test
 
     def evaluate(names, graph):
@@ -483,8 +468,9 @@ def _against_literal(
 # -- compilation -----------------------------------------------------------
 
 
-def _auto_binding(index: int, taken: set[str]) -> str:
-    name = f"_v{index}"
+def _unused_name(name: str, taken: set[str]) -> str:
+    """``name`` with ``_`` appended until it is not in ``taken``, which
+    then holds it."""
     while name in taken:
         name += "_"
     taken.add(name)
@@ -498,7 +484,7 @@ def compile_rule_pattern(
     name; the condition becomes the filter."""
     taken = set(pattern.binding_names())
     steps = tuple(
-        replace(step, binding=_auto_binding(i, taken), auto=True)
+        replace(step, binding=_unused_name(f"_v{i}", taken), auto=True)
         if isinstance(step, VertexStep) and step.binding is None
         else step
         for i, step in enumerate(pattern.steps)
@@ -528,14 +514,14 @@ def compile_request_path(path_groups) -> QueryPlan:
             steps.append(EdgeStep())
         steps.append(
             VertexStep(
-                binding=_auto_binding(len(steps), taken),
+                binding=_unused_name(f"_v{len(steps)}", taken),
                 pinned=_pinned_props(group),
                 auto=True,
             )
         )
     if trailing_edge is not None:
         steps.append(EdgeStep(pinned=_pinned_props(trailing_edge)))
-        steps.append(VertexStep(binding=_auto_binding(len(steps), taken), auto=True))
+        steps.append(VertexStep(binding=_unused_name(f"_v{len(steps)}", taken), auto=True))
     return QueryPlan(steps=tuple(steps))
 
 
@@ -707,7 +693,10 @@ def emit_cypher(rule_plan: QueryPlan, request_plan: QueryPlan) -> str:
     """Intersection query: does some request path lie inside a rule match.
 
     Every test of every step reaches the query: what a property map
-    cannot hold goes to WHERE, on the step's name.  Raises
+    cannot hold goes to WHERE, on the step's name.  The path variables
+    ``p1`` and ``p2`` and the list variable ``x`` are chosen after both
+    patterns are printed, each changed as a generated name is until no
+    printed name equals it.  Raises
     :class:`EngineError` for an edge step with no binding that needs such
     a test, such as a variable-length edge with two alternatives or a
     request's trailing edge with two values of one property: WHERE has
@@ -717,6 +706,7 @@ def emit_cypher(rule_plan: QueryPlan, request_plan: QueryPlan) -> str:
     taken: set[str] = set()
     p1 = render_pattern(rule_plan, extras, taken)
     p2 = render_pattern(request_plan, extras, taken, "Request")
+    rule_path, request_path, x = (_unused_name(name, taken) for name in ("p1", "p2", "x"))
     conjuncts = []
     if rule_plan.filter is not None:
         text = render_filter(rule_plan.filter)
@@ -725,11 +715,13 @@ def emit_cypher(rule_plan: QueryPlan, request_plan: QueryPlan) -> str:
             text = f"({text})"
         conjuncts.append(text)
     conjuncts.extend(extras)
-    conjuncts.append("ALL (x IN nodes(p2) WHERE x IN nodes(p1))")
-    conjuncts.append("ALL (x IN relationships(p2) WHERE x IN relationships(p1))")
+    conjuncts.extend(
+        f"ALL ({x} IN {items}({request_path}) WHERE {x} IN {items}({rule_path}))"
+        for items in ("nodes", "relationships")
+    )
     return (
-        f"MATCH p1 = {p1}\n"
-        f"MATCH p2 = {p2}\n"
+        f"MATCH {rule_path} = {p1}\n"
+        f"MATCH {request_path} = {p2}\n"
         f"WHERE {' AND '.join(conjuncts)}\n"
-        "RETURN p1 IS NOT NULL AS result\n"
+        f"RETURN {rule_path} IS NOT NULL AS result\n"
     )

@@ -12,6 +12,10 @@ A pattern's steps are :class:`VertexStep` and :class:`EdgeStep`, the
 steps query plans are made of: compiling a rule's pattern keeps each
 parsed step and only names the vertex steps the policy leaves anonymous.
 
+A condition's faults are listed in one place, :func:`condition_faults`:
+validation reports each one, and the filter compiler turns the first into
+the error that a decision reports as Indeterminate, in the same words.
+
 Standard rule ``Condition`` elements are outside the subset and rejected
 rather than silently ignored: dropping a condition would loosen the policy.
 """
@@ -21,10 +25,10 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from . import uris
-from .errors import PolicySchemaError
+from .errors import EngineError, FilterEvalError, PolicySchemaError, UnknownFunctionError
 from .xmlutil import (
     in_ext_ns,
     is_core,
@@ -366,8 +370,6 @@ def _parse_rule(
     if elem.get("RuleId") is None:
         _fail(path, "missing required attribute 'RuleId'")
     effect = _require_attr(elem, "Effect", path)
-    if effect not in (EFFECT_PERMIT, EFFECT_DENY):
-        _fail(path, f"Effect must be Permit or Deny, got {effect!r}")
 
     target: ConstraintSet | None = None
     pattern: Pattern | None = None
@@ -600,16 +602,19 @@ def _validate_constraints(
 def rule_violations(rule: Rule, path: str, shape_only: bool = False) -> list[Violation]:
     """The rule's violations, in the order validation reports them.
 
-    With ``shape_only``, only those that keep the rule from compiling: an
-    effect other than Permit or Deny, a PatternCondition without a
-    Pattern, every fault in the pattern, and a condition nested more than
-    MAX_APPLY_DEPTH levels deep.  Faults in a Target, and in a condition's
-    functions, names or arity, are left to evaluation, which decides
-    Indeterminate on them.
+    A condition's faults are those :func:`condition_faults` yields for the
+    names the pattern declares, each in the words of the error that
+    evaluation raises for it, so ``validate`` and an Indeterminate reason
+    say the same thing.  With ``shape_only``, only the violations that
+    keep the rule from compiling: an effect other than Permit or Deny, a
+    PatternCondition without a Pattern, every fault in the pattern, and a
+    condition nested more than MAX_APPLY_DEPTH levels deep.  Faults in a
+    Target, and a condition's faults, are left to evaluation, which
+    decides Indeterminate on them.
     """
     violations: list[Violation] = []
     if rule.effect not in (EFFECT_PERMIT, EFFECT_DENY):
-        violations.append(Violation(path, f"invalid effect {rule.effect!r}"))
+        violations.append(Violation(path, f"Effect must be Permit or Deny, got {rule.effect!r}"))
     if rule.target is not None and not shape_only:
         _validate_constraints(rule.target, f"{path}/Target", violations)
     if rule.pattern_condition is not None and rule.pattern is None:
@@ -624,7 +629,10 @@ def rule_violations(rule: Rule, path: str, shape_only: bool = False) -> list[Vio
         too_deep = _condition_depth_violations(rule.pattern_condition, condition_path)
         violations.extend(too_deep)
         if not too_deep and not shape_only:
-            _validate_condition(rule.pattern_condition, declared, condition_path, violations)
+            violations.extend(
+                Violation(condition_path, str(error(arg)))
+                for error, arg in condition_faults(rule.pattern_condition, declared)
+            )
     return violations
 
 
@@ -645,7 +653,8 @@ def _condition_depth_violations(expr: ConditionExpr, path: str) -> list[Violatio
 def _validate_pattern(
     pattern: Pattern, path: str, violations: list[Violation]
 ) -> dict[str, str]:
-    """Check pattern shape; returns declared binding name -> 'vertex'/'edge'."""
+    """Check pattern shape; returns each declared binding name with the
+    category a condition designator reads it with."""
     steps = pattern.steps
     declared: dict[str, str] = {}
 
@@ -669,7 +678,7 @@ def _validate_pattern(
                 subject_count += 1
             if step.category == uris.CAT_RESOURCE:
                 resource_positions.append(i)
-            kind = "vertex"
+            category = uris.CAT_PATH_VERTEX
         else:
             if step.category == uris.CAT_RESOURCE:
                 resource_positions.append(i)
@@ -696,7 +705,7 @@ def _validate_pattern(
                         "an EdgeId cannot name a variable-length segment",
                     )
                 )
-            kind = "edge"
+            category = uris.CAT_PATH_EDGE
         _validate_constraints(step.constraints, step_path, violations)
         name = step.binding
         if name is not None:
@@ -704,7 +713,7 @@ def _validate_pattern(
                 violations.append(
                     Violation(step_path, f"duplicate binding name {name!r}")
                 )
-            declared[name] = kind
+            declared[name] = category
 
     violations.extend(
         Violation(f"{path}/step[{i}]", f"invalid direction {step.direction!r}")
@@ -731,52 +740,41 @@ def _validate_pattern(
     return declared
 
 
-def _validate_condition(
-    expr: ConditionExpr,
-    declared: dict[str, str],
-    path: str,
-    violations: list[Violation],
-) -> None:
+def condition_faults(
+    expr: ConditionExpr, bound: Mapping[str, str]
+) -> Iterator[tuple[type[EngineError], str]]:
+    """Each fault of a condition, as ``(error type, argument)``.
+
+    ``bound`` maps each name a match binds to the category a designator
+    must read it with.  The faults come in the order an eager, depth-first
+    evaluation meets them: a node's own fault (an unknown function, a
+    logical without arguments, a comparison without two) first, then its
+    arguments' faults, left to right.  ``error(argument)`` is the error
+    that evaluation raises, and its text is what validation reports.
+    """
     if isinstance(expr, Literal):
         return
     if isinstance(expr, Designator):
-        if expr.category not in (uris.CAT_PATH_VERTEX, uris.CAT_PATH_EDGE):
-            violations.append(Violation(
-                path,
-                f"condition designator category must be path vertex/edge, got {expr.category!r}",
-            ))
-            return
-        kind = "vertex" if expr.category == uris.CAT_PATH_VERTEX else "edge"
-        if expr.binding_ref not in declared:
-            violations.append(
-                Violation(path, f"designator references undeclared binding {expr.binding_ref!r}")
-            )
-        elif declared[expr.binding_ref] != kind:
-            declared_as = "an edge" if declared[expr.binding_ref] == "edge" else "a vertex"
-            violations.append(
-                Violation(
-                    path,
-                    f"binding {expr.binding_ref!r} is {declared_as}, "
-                    f"but the designator category says {kind}",
-                )
+        name, category = expr.binding_ref, expr.category
+        if name not in bound:
+            yield FilterEvalError, f"condition references unbound name {name!r}"
+        elif bound[name] != category:
+            yield FilterEvalError, (
+                f"condition reads {name!r} with category {category!r}, not {bound[name]!r}"
             )
         return
     if not isinstance(expr, Apply):
-        violations.append(Violation(path, f"unsupported expression node {expr!r}"))
+        yield FilterEvalError, f"unsupported expression node {expr!r}"
         return
     if expr.function not in uris.CONDITION_FUNCTIONS:
-        violations.append(Violation(path, f"unknown function {expr.function!r}"))
+        yield UnknownFunctionError, expr.function
     elif expr.function in (uris.FN_AND, uris.FN_OR):
         if not expr.args:
-            violations.append(
-                Violation(path, f"{expr.function} needs at least one argument")
-            )
+            yield FilterEvalError, f"{expr.function} applied to zero arguments"
     elif len(expr.args) != 2:
-        violations.append(
-            Violation(path, f"{expr.function} needs exactly two arguments")
-        )
+        yield FilterEvalError, f"{expr.function} needs two arguments, got {len(expr.args)}"
     for arg in expr.args:
-        _validate_condition(arg, declared, path, violations)
+        yield from condition_faults(arg, bound)
 
 
 # -- directory loading -----------------------------------------------------

@@ -831,6 +831,31 @@ def test_emit_cypher_renders_a_second_value_in_one_request_group(
     ), "")
 
 
+@pytest.mark.parametrize("name, renamed", [
+    ("p2", {"MATCH p2 =": "MATCH p2_ =", "(p2)": "(p2_)"}),
+    ("x", {"(x IN": "(x_ IN", "WHERE x IN": "WHERE x_ IN"}),
+], ids=["path variable", "list variable"])
+def test_emit_cypher_keeps_its_own_variables_apart_from_declared_names(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, name, renamed
+):
+    # the demo subject declared under a name the query uses for itself:
+    # one name bound twice is a query a Cypher engine refuses
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    (policy_dir / "named.xml").write_text(
+        text.replace('VertexId="s"', f'VertexId="{name}"'), encoding="utf-8"
+    )
+    assert run(["validate", "--policies", str(policy_dir)]) == 0
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 0
+    assert capsys.readouterr().out.endswith(PERMIT_XML)
+    query = DEMO_QUERY.replace("(s{", f"({name}{{")
+    for old, new in renamed.items():
+        query = query.replace(old, new)
+    assert run(emit_args(policy_dir, demo_request_file)) == 0
+    assert capsys.readouterr() == (query, "")
+
+
 def test_emit_cypher_refuses_a_request_edge_with_a_second_value(
     capsys, tmp_path, demo_policy_dir, demo_request_file
 ):

@@ -26,6 +26,7 @@ from graphpdp.policy_model import (
     Literal,
     MatchConstraint,
     Pattern,
+    condition_faults,
     parse_policy,
 )
 from graphpdp.request_model import PathGroup
@@ -40,6 +41,21 @@ def test_registry_is_closed_and_total():
     for fn in _REGISTRY:
         op = translate_function(fn)
         assert op.logical or (op.compare is not None and op.render is not None)
+
+
+def test_the_functions_condition_faults_treats_as_logical_are_the_logical_entries():
+    # an and/or takes any number of arguments above zero, any other
+    # function two
+    def fault(uri, n):
+        return next(condition_faults(Apply(uri, (Literal("1"),) * n), {}), (None, None))[1]
+
+    for uri, op in _REGISTRY.items():
+        if op.logical:
+            assert fault(uri, 0) == f"{uri} applied to zero arguments"
+            assert fault(uri, 1) is None and fault(uri, 3) is None
+        else:
+            assert fault(uri, 0) == f"{uri} needs two arguments, got 0"
+            assert fault(uri, 2) is None
 
 
 def test_unknown_uri_raises():

@@ -1,7 +1,10 @@
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from graphpdp import pdp, uris
 from graphpdp.errors import PolicyError, PolicySchemaError
 from graphpdp.graph_store import (
@@ -32,9 +35,11 @@ from graphpdp.policy_model import (
     MatchConstraint,
     Policy,
     Rule,
+    parse_policy,
     validate_policy,
 )
 from graphpdp.request_model import parse_request
+from test_path_matcher import faulty_tree
 
 
 def target(*all_ofs) -> ConstraintSet:
@@ -454,25 +459,20 @@ def test_an_edge_step_without_a_known_direction_is_refused(
     assert [str(v) for v in validate_policy(policy)] == [refused]
 
 
-@pytest.mark.parametrize("category, violation", [
-    (uris.CAT_RESOURCE,
-     f"condition designator category must be path vertex/edge, got {uris.CAT_RESOURCE!r}"),
-    (uris.CAT_PATH_VERTEX, "binding 'e' is an edge, but the designator category says vertex"),
-], ids=["category of neither kind", "vertex category on an edge"])
+@pytest.mark.parametrize("category", [uris.CAT_RESOURCE, uris.CAT_PATH_VERTEX],
+                         ids=["category of neither kind", "vertex category on an edge"])
 def test_a_designator_that_misreads_its_binding_is_indeterminate(
-    demo_policy, demo_request, demo_graph, category, violation
+    demo_policy, demo_request, demo_graph, category
 ):
     designator = Designator("typeKind", category, "e")
     policy = with_condition(
         demo_policy, Apply(uris.FN_EQUAL, (designator, Literal("worksOn")))
     )
+    fault = f"condition reads 'e' with category {category!r}, not {uris.CAT_PATH_EDGE!r}"
     decision = DecisionEngine([policy], demo_graph).decide(demo_request).decision
-    assert decision == indeterminate(
-        f"rule 'user_access_dataObj': condition reads 'e' with category {category!r}, "
-        f"not {uris.CAT_PATH_EDGE!r}"
-    )
+    assert decision == indeterminate(f"rule 'user_access_dataObj': {fault}")
     path = "Policy/Rule[user_access_dataObj]/PatternCondition"
-    assert [str(v) for v in validate_policy(policy)] == [f"{path}: {violation}"]
+    assert [str(v) for v in validate_policy(policy)] == [f"{path}: {fault}"]
 
 
 @pytest.mark.parametrize("condition", [
@@ -490,6 +490,31 @@ def test_a_condition_node_of_no_known_kind_is_a_violation(
     assert decision == indeterminate(
         "rule 'user_access_dataObj': unsupported expression node 42"
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 4))
+def test_a_condition_fault_reads_the_same_in_validate_and_in_the_decision(
+    demo_policy_dir, demo_request_file, demo_graph_file, rng, depth
+):
+    # the demo rule declares s and e; the trees also read r, ghost and x,
+    # which it does not declare, and never a generated _v name, which
+    # only the compiled plan binds
+    policy = parse_policy(
+        (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8"))
+    request = parse_request(demo_request_file.read_text(encoding="utf-8"))
+    condition = faulty_tree(rng, depth, ["typeKind", "typeCode", "_key", "absent"])
+    assume(condition is not None)  # a rule without a condition
+    policy = with_condition(policy, condition)
+    bound = {"s": uris.CAT_PATH_VERTEX, "e": uris.CAT_PATH_EDGE}
+    fault = oracles.filter_fault_oracle(condition, bound)
+    faults = [v.reason for v in validate_policy(policy) if v.path.endswith("/PatternCondition")]
+    decision = DecisionEngine([policy], load_graph_path(demo_graph_file)).decide(request).decision
+    if fault is None:
+        assert faults == [] and decision.value != pdp.INDETERMINATE_VALUE, condition
+    else:
+        assert faults[0] == fault[1], condition
+        assert decision == indeterminate(f"rule 'user_access_dataObj': {fault[1]}"), condition
 
 
 REGEXP_MATCH = "urn:oasis:names:tc:xacml:1.0:function:regexp-string-match"

@@ -145,7 +145,7 @@ POLICY_FAULTS = {
         lambda text: text.replace(
             element(text, "xacml4g:PatternCondition"),
             f"<xacml4g:PatternCondition>{OR}</xacml:Apply></xacml4g:PatternCondition>"),
-        None, f"{RULE_PATH}/PatternCondition: xacml4g:1.0:function:or needs at least one argument"),
+        None, f"{RULE_PATH}/PatternCondition: xacml4g:1.0:function:or applied to zero arguments"),
 }
 
 
@@ -306,3 +306,50 @@ def test_a_request_fault_is_a_400_from_serve(server_address, demo_request_file, 
     body = changed_request(demo_request_file, fault)
     assert http_call(server_address, "POST", "/decision", body) == (
         400, f"bad request: {REQUEST_FAULTS[fault][2]}")
+
+
+# A document type declaration whose internal entity stands for the demo
+# subject's value: with entities expanded the request decides Permit.
+SUBJECT_VALUE = "<AttributeValue>_key:1196741133</AttributeValue>"
+DOCTYPE_REFUSED = "document type declarations are not allowed"
+
+
+def with_doctype(text: str, root: str) -> str:
+    declared = f'<!DOCTYPE {root} [<!ENTITY subj "_key:1196741133">]>\n'
+    return text.replace(f"<{root}", declared + f"<{root}", 1)
+
+
+@pytest.fixture()
+def doctype_request(demo_request_file) -> str:
+    text = demo_request_file.read_text(encoding="utf-8")
+    assert SUBJECT_VALUE in text
+    return with_doctype(text, "Request").replace(
+        SUBJECT_VALUE, "<AttributeValue>&subj;</AttributeValue>")
+
+
+def test_a_request_with_a_document_type_declaration_exits_2_from_eval(
+    capsys, tmp_path, demo_policy_dir, demo_graph_file, doctype_request
+):
+    request = tmp_path / "request.xml"
+    request.write_text(doctype_request, encoding="utf-8")
+    assert run(eval_args(demo_policy_dir, request, demo_graph_file)) == 2
+    assert capsys.readouterr() == ("", f"error: {DOCTYPE_REFUSED}\n")
+
+
+def test_a_request_with_a_document_type_declaration_is_a_400_from_serve(
+    server_address, doctype_request
+):
+    assert http_call(server_address, "POST", "/decision", doctype_request) == (
+        400, f"bad request: {DOCTYPE_REFUSED}")
+
+
+def test_a_policy_with_a_document_type_declaration_is_one_violation(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file
+):
+    policy_dir = changed_policy_dir(
+        tmp_path, demo_policy_dir, lambda text: with_doctype(text, "xacml:Policy"))
+    assert run(["validate", "--policies", str(policy_dir)]) == 1
+    assert capsys.readouterr() == (
+        f"{DEMO_POLICY}: Policy: {DOCTYPE_REFUSED}\n1 policies checked, 1 violations\n", "")
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 2
+    assert capsys.readouterr() == ("", f"error: {DEMO_POLICY}: Policy: {DOCTYPE_REFUSED}\n")
