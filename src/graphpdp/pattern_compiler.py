@@ -57,6 +57,7 @@ from .policy_model import (
     PlanStep,
     VertexStep,
     condition_faults,
+    readable_names,
 )
 from .request_model import KIND_EDGE, PathGroup
 
@@ -74,9 +75,9 @@ class QueryPlan:
     binding, last)``, where ``max_len`` is ``None`` when unbounded, the
     edge binding is ``None`` unless the step is a single hop, and ``last``
     marks the final segment.  ``compiled_filter`` is what
-    :func:`compile_filter` gives for ``filter`` and the names every match
-    binds, each with its kind: each vertex step's, and that of each
-    single-hop edge step that has one.  All are built once, when the plan is.
+    :func:`compile_filter` gives for ``filter`` and the steps'
+    :func:`~graphpdp.policy_model.readable_names`, which validation checks
+    too.  All are built once, when the plan is.
     """
 
     steps: tuple[PlanStep, ...]
@@ -111,12 +112,7 @@ class QueryPlan:
         object.__setattr__(self, "segments", tuple(segments))
         compiled = None
         if self.filter is not None:
-            bound = {
-                s.binding: uris.CAT_PATH_VERTEX if isinstance(s, VertexStep) else uris.CAT_PATH_EDGE
-                for s in steps
-                if s.binding is not None and (isinstance(s, VertexStep) or s.is_single_hop)
-            }
-            compiled = compile_filter(self.filter, bound)
+            compiled = compile_filter(self.filter, readable_names(steps))
         object.__setattr__(self, "compiled_filter", compiled)
 
 
@@ -594,17 +590,17 @@ def _map_and_where(step: PlanStep, ref: str) -> tuple[str, list[str]]:
 
 def _render_vertex(step: VertexStep, extras: list[str], taken: set[str]) -> str:
     name = step.binding
-    # a generated name is kept apart from every name printed before it
-    while step.auto and name in taken:
-        name += "_"
-    props, where = _map_and_where(step, name)
-    if where or not step.auto:
-        taken.add(name)
-        extras.extend(where)
+    if step.auto:
+        # a generated name is printed only for a WHERE test, kept apart
+        # from every name printed before it
+        name = _unused_name(name, taken) if _map_and_where(step, "")[1] else ""
     else:
-        name = ""
+        taken.add(name)
+    ref = cypher_ident(name) if name else ""
+    props, where = _map_and_where(step, ref)
+    extras.extend(where)
     label = f":{cypher_ident(step.label)}" if step.label is not None else ""
-    return f"({name}{label}{props})"
+    return f"({ref}{label}{props})"
 
 
 def _length_marker(step: EdgeStep) -> str:
@@ -621,7 +617,8 @@ def _render_edge(
     step: EdgeStep, location: str, extras: list[str], taken: set[str]
 ) -> str:
     name = step.binding or ""
-    props, where = _map_and_where(step, name)
+    ref = cypher_ident(name) if name else ""
+    props, where = _map_and_where(step, ref)
     if where and not name:
         raise EngineError(
             f"{location}: an edge without an EdgeId cannot be"
@@ -630,7 +627,7 @@ def _render_edge(
     extras.extend(where)
     taken.add(name)
     type_part = f":{cypher_ident(step.type)}" if step.type is not None else ""
-    inner = f"[{name}{type_part}{_length_marker(step)}{props}]"
+    inner = f"[{ref}{type_part}{_length_marker(step)}{props}]"
     if step.direction == DIRECTION_FROM:
         return f"-{inner}->"
     if step.direction == DIRECTION_TO:
@@ -647,8 +644,10 @@ def render_pattern(
     """Linear pattern text, e.g. ``(s{...})-[e:t]->()-[*..2]-()``.
 
     WHERE conjuncts the text needs go to ``extras``.  Each name printed
-    goes to ``taken``, and a generated one is first changed until it is
-    not there; ``path`` starts the location of an edge that is refused.
+    goes to ``taken`` as declared, and a generated one is first changed
+    until it is not there; a declared name that is not a Cypher identifier
+    is printed quoted.  ``path`` starts the location of an edge that is
+    refused.
     """
     if extras is None:
         extras = []
@@ -667,7 +666,7 @@ def _render_atom(expr: ConditionExpr) -> str:
     if isinstance(expr, Literal):
         return cypher_string(expr.value)
     if isinstance(expr, Designator):
-        return f"{expr.binding_ref}.{cypher_ident(expr.attribute_id)}"
+        return f"{cypher_ident(expr.binding_ref)}.{cypher_ident(expr.attribute_id)}"
     # Apply as a comparison operand: parenthesize unless self-delimiting.
     rendered = render_filter(expr)
     op = translate_function(expr.function)

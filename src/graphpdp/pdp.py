@@ -110,6 +110,15 @@ def match_target(target: ConstraintSet | None, request: Request) -> str:
     return NO_MATCH
 
 
+def _target_fault(target: ConstraintSet) -> str:
+    """Why ``match_target`` gave Indeterminate: its first unsupported
+    match function, in target order and in validation's words."""
+    function = next(
+        m.match_function for m in target.constraints() if m.match_function not in MATCH_REGISTRY
+    )
+    return f"unsupported match function {function!r}"
+
+
 # -- rule and policy evaluation --------------------------------------------
 
 
@@ -141,7 +150,7 @@ def evaluate_rule(
     if matched == NO_MATCH:
         return NOT_APPLICABLE
     if matched == INDETERMINATE_MATCH:
-        return indeterminate(f"rule {rule.rule_id!r}: target evaluation failed")
+        return indeterminate(f"rule {rule.rule_id!r}: {_target_fault(rule.target)}")
 
     if rule_plan is None:
         return effect_decision(rule.effect)
@@ -191,9 +200,7 @@ def evaluate_policy(
     if matched == NO_MATCH:
         return NOT_APPLICABLE
     if matched == INDETERMINATE_MATCH:
-        return indeterminate(
-            f"policy {policy.policy_id!r}: target evaluation failed"
-        )
+        return indeterminate(f"policy {policy.policy_id!r}: {_target_fault(policy.target)}")
     decisions = [
         evaluate_rule(rule, plan, request, request_plan, graph, varlen_cap)
         for rule, plan in zip(policy.rules, rule_plans)

@@ -12,9 +12,14 @@ A pattern's steps are :class:`VertexStep` and :class:`EdgeStep`, the
 steps query plans are made of: compiling a rule's pattern keeps each
 parsed step and only names the vertex steps the policy leaves anonymous.
 
-A condition's faults are listed in one place, :func:`condition_faults`:
-validation reports each one, and the filter compiler turns the first into
-the error that a decision reports as Indeterminate, in the same words.
+The parser only builds: it stores categories and directions as written,
+and :func:`validate_policy`, which parsing runs, judges them, so a policy
+built in code is judged as a parsed one is.
+
+A condition's faults are listed in one place, :func:`condition_faults`,
+against the names :func:`readable_names` gives: validation reports each
+fault, and the filter compiler turns the first into the error that a
+decision reports as Indeterminate, in the same words.
 
 Standard rule ``Condition`` elements are outside the subset and rejected
 rather than silently ignored: dropping a condition would loosen the policy.
@@ -441,14 +446,11 @@ def _parse_path(
 
 def _parse_vertex(elem: ET.Element, path: str, warnings: list[str]) -> VertexStep:
     _check_attrs(elem, {"VertexId", "Label", "Category"}, path, warnings)
-    category = elem.get("Category", uris.CAT_PATH_VERTEX)
-    if category not in uris.VERTEX_CATEGORIES:
-        _fail(path, f"invalid vertex category {category!r}")
     return VertexStep(
         binding=elem.get("VertexId"),
         label=elem.get("Label"),
         constraints=_parse_anyofs(list(elem), path, warnings),
-        category=category,
+        category=elem.get("Category", uris.CAT_PATH_VERTEX),
     )
 
 
@@ -459,13 +461,6 @@ def _parse_edge(elem: ET.Element, path: str, warnings: list[str]) -> EdgeStep:
         path,
         warnings,
     )
-    category = elem.get("Category", uris.CAT_PATH_EDGE)
-    if category not in uris.EDGE_CATEGORIES:
-        _fail(path, f"invalid edge category {category!r}")
-    direction = elem.get("Direction", DIRECTION_ANY)
-    if direction not in DIRECTIONS:
-        _fail(path, f"invalid direction {direction!r}")
-
     length = _int_attr(elem, "Length", path)
     min_length = _int_attr(elem, "MinLength", path)
     max_length = _int_attr(elem, "MaxLength", path)
@@ -481,11 +476,11 @@ def _parse_edge(elem: ET.Element, path: str, warnings: list[str]) -> EdgeStep:
     return EdgeStep(
         binding=elem.get("EdgeId"),
         type=elem.get("Type"),
-        direction=direction,
+        direction=elem.get("Direction", DIRECTION_ANY),
         min_len=min_len,
         max_len=max_len,
         constraints=_parse_anyofs(list(elem), path, warnings),
-        category=category,
+        category=elem.get("Category", uris.CAT_PATH_EDGE),
     )
 
 
@@ -528,8 +523,6 @@ def _parse_condition_designator(
         warnings,
     )
     category = _require_attr(elem, "Category", path)
-    if category not in (uris.CAT_PATH_VERTEX, uris.CAT_PATH_EDGE):
-        _fail(path, f"condition designator category must be path vertex/edge, got {category!r}")
     vertex_ref = elem.get("VertexId")
     edge_ref = elem.get("EdgeId")
     if category == uris.CAT_PATH_VERTEX:
@@ -603,7 +596,7 @@ def rule_violations(rule: Rule, path: str, shape_only: bool = False) -> list[Vio
     """The rule's violations, in the order validation reports them.
 
     A condition's faults are those :func:`condition_faults` yields for the
-    names the pattern declares, each in the words of the error that
+    pattern's :func:`readable_names`, each in the words of the error that
     evaluation raises for it, so ``validate`` and an Indeterminate reason
     say the same thing.  With ``shape_only``, only the violations that
     keep the rule from compiling: an effect other than Permit or Deny, a
@@ -653,11 +646,10 @@ def _condition_depth_violations(expr: ConditionExpr, path: str) -> list[Violatio
 def _validate_pattern(
     pattern: Pattern, path: str, violations: list[Violation]
 ) -> dict[str, str]:
-    """Check pattern shape; returns each declared binding name with the
-    category a condition designator reads it with."""
+    """Check the pattern's shape and each step, parsed or built in code
+    alike; returns :func:`readable_names` of the steps, or none when the
+    steps do not alternate."""
     steps = pattern.steps
-    declared: dict[str, str] = {}
-
     alternates = len(steps) >= 3 and len(steps) % 2 == 1
     for i, step in enumerate(steps):
         want_vertex = i % 2 == 0
@@ -667,21 +659,24 @@ def _validate_pattern(
         violations.append(
             Violation(path, "pattern must alternate vertex,edge,... with >= 2 vertices")
         )
-        return declared
+        return {}
 
     subject_count = 0
     resource_positions: list[int] = []
+    declared: set[str] = set()
     for i, step in enumerate(steps):
         step_path = f"{path}/step[{i}]"
-        if isinstance(step, VertexStep):
-            if step.category == uris.CAT_SUBJECT:
-                subject_count += 1
-            if step.category == uris.CAT_RESOURCE:
-                resource_positions.append(i)
-            category = uris.CAT_PATH_VERTEX
+        is_vertex = isinstance(step, VertexStep)
+        kind = "vertex" if is_vertex else "edge"
+        if step.category not in (uris.VERTEX_CATEGORIES if is_vertex else uris.EDGE_CATEGORIES):
+            violations.append(Violation(step_path, f"invalid {kind} category {step.category!r}"))
+        if step.category == uris.CAT_RESOURCE:
+            resource_positions.append(i)
+        if is_vertex:
+            subject_count += step.category == uris.CAT_SUBJECT
         else:
-            if step.category == uris.CAT_RESOURCE:
-                resource_positions.append(i)
+            if step.direction not in DIRECTIONS:
+                violations.append(Violation(step_path, f"invalid direction {step.direction!r}"))
             # a bool is an int to Python, but not a length
             integral = type(step.min_len) is int and type(step.max_len) in (int, type(None))
             if not integral:
@@ -705,21 +700,12 @@ def _validate_pattern(
                         "an EdgeId cannot name a variable-length segment",
                     )
                 )
-            category = uris.CAT_PATH_EDGE
         _validate_constraints(step.constraints, step_path, violations)
-        name = step.binding
-        if name is not None:
-            if name in declared:
-                violations.append(
-                    Violation(step_path, f"duplicate binding name {name!r}")
-                )
-            declared[name] = category
+        if step.binding in declared:
+            violations.append(Violation(step_path, f"duplicate binding name {step.binding!r}"))
+        if step.binding is not None:
+            declared.add(step.binding)
 
-    violations.extend(
-        Violation(f"{path}/step[{i}]", f"invalid direction {step.direction!r}")
-        for i, step in enumerate(steps)
-        if isinstance(step, EdgeStep) and step.direction not in DIRECTIONS
-    )
     if subject_count != 1:
         violations.append(
             Violation(path, f"pattern must have exactly one subject vertex, found {subject_count}")
@@ -737,7 +723,19 @@ def _validate_pattern(
             violations.append(
                 Violation(path, "a resource edge must be the final edge of the pattern")
             )
-    return declared
+    return readable_names(steps)
+
+
+def readable_names(steps: Iterable[PlanStep]) -> dict[str, str]:
+    """Each name a condition may read, with the category a designator
+    reads it with: each declared vertex name and each single-hop edge's
+    name.  Validation and a query plan's filter both read these names."""
+    return {
+        step.binding: uris.CAT_PATH_VERTEX if isinstance(step, VertexStep) else uris.CAT_PATH_EDGE
+        for step in steps
+        if step.binding is not None
+        and (not step.auto if isinstance(step, VertexStep) else step.is_single_hop)
+    }
 
 
 def condition_faults(

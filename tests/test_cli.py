@@ -856,6 +856,29 @@ def test_emit_cypher_keeps_its_own_variables_apart_from_declared_names(
     assert capsys.readouterr() == (query, "")
 
 
+def test_emit_cypher_quotes_a_declared_name_that_is_no_identifier(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file
+):
+    # names with a space, read in the pattern, in a WHERE test on the
+    # subject and in the condition: each is printed as a quoted name
+    text = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    named = text.replace('VertexId="s"', 'VertexId="my user"').replace(
+        'EdgeId="e"', 'EdgeId="my edge"'
+    ).replace(SUBJECT_MATCH, SUBJECT_MATCH + SUBJECT_MATCH.replace("pmUser", "extUser"))
+    assert named.count('EdgeId="my edge"') == 3
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    (policy_dir / "named.xml").write_text(named, encoding="utf-8")
+    assert run(["validate", "--policies", str(policy_dir)]) == 0
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == 3
+    capsys.readouterr()
+    assert run(emit_args(policy_dir, demo_request_file)) == 0
+    query = DEMO_QUERY.replace("(s{", "(`my user`{").replace("[e:", "[`my edge`:")
+    query = query.replace("e.typeKind", "`my edge`.typeKind").replace(
+        " AND ALL (x IN nodes", ' AND (`my user`.typeCode = "extUser") AND ALL (x IN nodes', 1)
+    assert capsys.readouterr() == (query, "")
+
+
 def test_emit_cypher_refuses_a_request_edge_with_a_second_value(
     capsys, tmp_path, demo_policy_dir, demo_request_file
 ):

@@ -3,9 +3,11 @@ oracle can run.
 
 Each graph comes from ``perfbench/workloads.GENERATORS`` and is decided
 through ``--source``: the policies' ``Meta`` cuts the source graph down
-before the engine is built.  A relation changes the source graph in a
-way that cannot change any decision, and compares whole response bytes.
-The base responses must also be the ones each request's class expects.
+before the engine is built.  A relation changes the source graph, or the
+route to the engine, in a way that cannot change any decision, or, for
+monotonicity, cannot take a Permit away, and compares whole response
+bytes.  The base responses must also be the ones each request's class
+expects.
 """
 
 import json
@@ -16,20 +18,25 @@ from pathlib import Path
 import pytest
 
 from graphpdp import cli
+from graphpdp.path_matcher import DEFAULT_VARLEN_CAP
 from graphpdp.pdp import render_response_xml
+from graphpdp.policy_model import load_policy_dir
 from graphpdp.request_model import parse_request
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 CASES = [(name, seed) for name in ("project_graph", "deep_varlen") for seed in (1, 2)]
+PROJECT_CASES = [case for case in CASES if case[0] == "project_graph"]
+PERMIT = "<Decision>Permit</Decision>"
 
 
-def responses(workload, source: Path) -> list[str]:
+def responses(workload, graph: Path, *options: str, route: str = "--source") -> list[str]:
     """Every request of ``workload`` decided by one engine built as
-    ``eval --source`` builds it."""
+    ``eval`` builds it with ``graph`` read through ``route`` and the
+    other ``options``."""
     args = cli.build_arg_parser().parse_args([
-        "eval", "--policies", workload.policy_dir, "--request", "-", "--source", str(source),
+        "eval", "--policies", workload.policy_dir, "--request", "-", route, str(graph), *options,
     ])
     engine = cli._build_engine(args)
     return [
@@ -39,7 +46,11 @@ def responses(workload, source: Path) -> list[str]:
     ]
 
 
-@pytest.fixture(scope="module", params=CASES, ids=[f"{n}-{s}" for n, s in CASES])
+def case_ids(cases) -> list[str]:
+    return [f"{name}-{seed}" for name, seed in cases]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=case_ids(CASES))
 def case(request, tmp_path_factory):
     name, seed = request.param
     work = tmp_path_factory.mktemp(f"{name}-{seed}")
@@ -103,3 +114,62 @@ def test_a_disjoint_copy_of_the_graph_changes_no_response(case):
         ],
     }
     assert responses(workload, write_graph(work, "copied.json", copy)) == base
+
+
+def test_eval_through_source_answers_as_eval_on_the_built_graph(case):
+    # one view, two routes: the Meta cut made while the engine is built
+    # equals the graph build-graph writes
+    workload, seed, doc, base, work = case
+    built = work / "built.json"
+    code = cli.run([
+        "build-graph", "--policies", workload.policy_dir, "--source", workload.graph_file,
+        "--out", str(built),
+    ])
+    assert code == 0
+    assert responses(workload, built, route="--graph") == base
+
+
+def permits(base: list[str]) -> list[int]:
+    """The positions of the Permit responses, of which there are some."""
+    found = [i for i, response in enumerate(base) if PERMIT in response]
+    assert found
+    return found
+
+
+@pytest.mark.parametrize("case", PROJECT_CASES, ids=case_ids(PROJECT_CASES), indirect=True)
+def test_adding_edges_of_a_meta_type_keeps_every_permit(case):
+    # the demo policy is one Permit rule under first-applicable, so a new
+    # edge can add rule matches but never take one away; half the new
+    # edges start or end at a vertex of a Permit request's path
+    workload, seed, doc, base, work = case
+    rng = random.Random(seed)
+    (meta,) = {policy.meta for policy in load_policy_dir(workload.policy_dir)}
+    visible = [v["id"] for v in doc["vertices"] if v["label"] in meta.vertex_entities]
+    on_path = [
+        value
+        for i in permits(base)
+        for group in parse_request(
+            Path(workload.ops[i].request_file).read_text(encoding="utf-8")).path_groups
+        for _, name, value in group.values
+        if name == "_key"  # a project_graph vertex's id is its _key
+    ]
+    kinds = ("worksOn", "allocates", "observes", "produces", "references")
+    added = []
+    for n in range(400):
+        ends = [rng.choice(on_path if n % 2 else visible), rng.choice(visible)]
+        rng.shuffle(ends)
+        added.append({
+            "id": f"added-{n}", "type": rng.choice(meta.edge_entities), "from": ends[0],
+            "to": ends[1], "properties": {"typeKind": rng.choice(kinds)},
+        })
+    grown_doc = dict(doc, edges=doc["edges"] + added)
+    grown = responses(workload, write_graph(work, "grown.json", grown_doc))
+    assert [grown[i] for i in permits(base)] == [base[i] for i in permits(base)]
+
+
+@pytest.mark.parametrize("case", PROJECT_CASES, ids=case_ids(PROJECT_CASES), indirect=True)
+def test_raising_the_varlen_cap_keeps_every_permit(case):
+    workload, seed, doc, base, work = case
+    cap = str(2 * DEFAULT_VARLEN_CAP)
+    raised = responses(workload, Path(workload.graph_file), "--varlen-cap", cap)
+    assert [raised[i] for i in permits(base)] == [base[i] for i in permits(base)]

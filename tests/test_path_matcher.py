@@ -420,7 +420,8 @@ def test_random_filter_trees_equal_the_oracle():
 # The six ways a condition tree can fail, each with a node that fails so.
 FAULTS = {
     "unbound name": lambda rng: des(
-        "p0", rng.choice((uris.CAT_PATH_VERTEX, uris.CAT_PATH_EDGE)), rng.choice(("ghost", "x"))
+        "p0", rng.choice((uris.CAT_PATH_VERTEX, uris.CAT_PATH_EDGE)),
+        rng.choice(("ghost", "x", "_v2")),
     ),
     "misread category": lambda rng: rng.choice((
         des("p0", uris.CAT_PATH_VERTEX, "e"),
@@ -745,7 +746,12 @@ DESIGN_DOC = equal("_v4", uris.CAT_PATH_VERTEX, "typeCode", "designDoc")
 ], ids=["one name", "two names"])
 def test_search_evaluators_equal_the_oracle(condition, monkeypatch, demo_policy, demo_graph):
     graph = with_rival_managers(demo_graph)
-    rule_plan = QueryPlan(compile_rule(demo_policy.rules[0]).steps, filter=condition)
+    # the conditions read _v2 and _v4, so the plan declares them
+    steps = tuple(
+        replace(s, auto=False) if isinstance(s, VertexStep) else s
+        for s in compile_rule(demo_policy.rules[0]).steps
+    )
+    rule_plan = QueryPlan(steps, filter=condition)
     matches = list(match_plan(graph, rule_plan))
     results, original = {}, path_matcher.eval_filter
 

@@ -497,9 +497,8 @@ def test_a_condition_node_of_no_known_kind_is_a_violation(
 def test_a_condition_fault_reads_the_same_in_validate_and_in_the_decision(
     demo_policy_dir, demo_request_file, demo_graph_file, rng, depth
 ):
-    # the demo rule declares s and e; the trees also read r, ghost and x,
-    # which it does not declare, and never a generated _v name, which
-    # only the compiled plan binds
+    # the demo rule declares s and e; the trees also read r, ghost, x and
+    # _v2, which it does not declare
     policy = parse_policy(
         (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8"))
     request = parse_request(demo_request_file.read_text(encoding="utf-8"))

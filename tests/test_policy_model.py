@@ -4,7 +4,7 @@ import pytest
 
 from graphpdp import uris
 from graphpdp.errors import PolicySchemaError
-from graphpdp.pdp import DecisionEngine
+from graphpdp.pdp import PERMIT, DecisionEngine, indeterminate
 from graphpdp.policy_model import (
     Apply,
     ConstraintSet,
@@ -474,6 +474,66 @@ def test_violation_str():
 def test_serialize_then_parse_is_identity(demo_policy):
     text = serialize_policy(demo_policy)
     assert parse_policy(text) == demo_policy
+
+
+def _demo_changed(policy: Policy, change: str) -> Policy:
+    """The demo policy built in code with one or two changes; each change
+    but ``none`` is a fault that the parser builds without judging."""
+    (rule,) = policy.rules
+    steps = list(rule.pattern.steps)
+    condition = rule.pattern_condition
+    for one in change.split(" and "):
+        if one == "bogus vertex category":
+            steps[2] = replace(steps[2], category="urn:example:bogus")
+        elif one == "subject category on an edge":
+            steps[1] = replace(steps[1], category=uris.CAT_SUBJECT)
+        elif one == "direction both":
+            steps[1] = replace(steps[1], direction="both")
+        elif one in ("resource designator", "reads _v2"):
+            ref, category = ("e", uris.CAT_RESOURCE) if one == "resource designator" else (
+                "_v2", uris.CAT_PATH_VERTEX)
+            condition = Apply(uris.FN_OR, (condition, Apply(
+                uris.FN_EQUAL, (Designator("label_x", category, ref), Literal("nothing")))))
+        elif one == "EdgeId on the variable-length edge":
+            steps[3] = replace(steps[3], binding="hops")
+        else:
+            assert one == "none", one
+    pattern = replace(rule.pattern, steps=tuple(steps))
+    return replace(policy, rules=(replace(rule, pattern=pattern, pattern_condition=condition),))
+
+
+@pytest.mark.parametrize("change", [
+    "none", "bogus vertex category", "subject category on an edge", "direction both",
+    "resource designator", "reads _v2", "EdgeId on the variable-length edge",
+    "bogus vertex category and reads _v2",
+])
+def test_a_parsed_and_a_hand_built_policy_get_the_same_verdict(
+    demo_policy, demo_request, demo_graph, change
+):
+    # validation is the one judge: parsing the policy's XML refuses it
+    # with exactly validate's findings, and the engine refuses its shape
+    # findings or decides Indeterminate on its first condition fault
+    policy = _demo_changed(demo_policy, change)
+    violations = validate_policy(policy)
+    assert (violations == []) == (change == "none")
+    text = serialize_policy(policy)
+    if violations:
+        with pytest.raises(PolicySchemaError) as refused:
+            parse_policy(text)
+        assert refused.value.violations == violations
+    else:
+        assert parse_policy(text) == policy
+    shape = [v for v in violations if not v.path.endswith("/PatternCondition")]
+    if shape:
+        with pytest.raises(PolicySchemaError) as refused:
+            DecisionEngine([policy], demo_graph)
+        assert refused.value.violations == shape
+        return
+    decision = DecisionEngine([policy], demo_graph).decide(demo_request).decision
+    if violations:
+        assert decision == indeterminate(f"rule 'user_access_dataObj': {violations[0].reason}")
+    else:
+        assert decision == PERMIT
 
 
 def test_serialize_normalizes_nesting():

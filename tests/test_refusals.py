@@ -115,20 +115,18 @@ POLICY_FAULTS = {
         RULE, RULE + "<xacml4g:Extra/>", f"{RULE_PATH}: unexpected xacml4g element 'Extra'"),
     "vertex category": (
         TASKS, TASKS.replace("path-category:vertex", "path-category:edge"),
-        f"{RULE_PATH}/Pattern/Path/Path[2]/Vertex[0]: invalid vertex category"
-        " 'xacml4g:1.0:path-category:edge'"),
+        f"{RULE_PATH}/Pattern/step[2]: invalid vertex category 'xacml4g:1.0:path-category:edge'"),
     "edge category": (
         VARLEN, VARLEN.replace("path-category:edge", "path-category:vertex"),
-        f"{RULE_PATH}/Pattern/Path/Path[2]/Edge[1]: invalid edge category"
-        " 'xacml4g:1.0:path-category:vertex'"),
+        f"{RULE_PATH}/Pattern/step[3]: invalid edge category 'xacml4g:1.0:path-category:vertex'"),
     "direction": (
         'Direction="from"', 'Direction="both"',
-        f"{RULE_PATH}/Pattern/Path/Edge[1]: invalid direction 'both'"),
+        f"{RULE_PATH}/Pattern/step[1]: invalid direction 'both'"),
     "designator category": (
         lambda text: text.replace(DESIGNATOR, DESIGNATOR.replace(
             uris.CAT_PATH_EDGE, uris.CAT_RESOURCE), 1), None,
-        f"{RULE_PATH}/PatternCondition/Apply/Apply[0]/AttributeDesignator[0]: condition"
-        f" designator category must be path vertex/edge, got '{uris.CAT_RESOURCE}'"),
+        f"{RULE_PATH}/PatternCondition: condition reads 'e' with category"
+        f" '{uris.CAT_RESOURCE}', not '{uris.CAT_PATH_EDGE}'"),
     "designator with a VertexId": (
         lambda text: text.replace(DESIGNATOR, DESIGNATOR.replace('EdgeId="e"', 'VertexId="e"'), 1),
         None,
@@ -238,16 +236,19 @@ def test_a_policy_target_gates_the_whole_policy(
 def test_an_unsupported_match_function_in_a_target_decides_indeterminate(
     demo_policy, demo_request, demo_graph, level
 ):
+    # the reason names the first unsupported function in target order
     unsupported = "urn:oasis:names:tc:xacml:1.0:function:regexp-string-match"
-    target = ConstraintSet(((MatchConstraint(
-        unsupported, "access-do", uris.ATTR_ACTION_ID, uris.CAT_ACTION),),))
+    target = ConstraintSet(tuple(
+        (MatchConstraint(function, "access-do", uris.ATTR_ACTION_ID, uris.CAT_ACTION),)
+        for function in (uris.MATCH_STRING_EQUAL, unsupported, "urn:example:other-match")
+    ))
     if level == "rule":
         rules = (replace(demo_policy.rules[0], target=target),)
         policy = replace(demo_policy, rules=rules)
-        reason = "rule 'user_access_dataObj': target evaluation failed"
+        reason = f"rule 'user_access_dataObj': unsupported match function '{unsupported}'"
     else:
         policy = replace(demo_policy, target=target)
-        reason = "policy 'pmUserToDataObject': target evaluation failed"
+        reason = f"policy 'pmUserToDataObject': unsupported match function '{unsupported}'"
     response = render_response_xml(DecisionEngine([policy], demo_graph).decide(demo_request))
     assert response == PERMIT_XML.replace("Permit<", "Indeterminate<").replace(
         f'<StatusCode Value="{uris.STATUS_OK}"/>\n',
