@@ -27,7 +27,10 @@ two ways:
 The JSON importer builds each record of the ``vertices`` and ``edges``
 arrays as soon as the standard library's scanner has decoded it, so it
 never holds the whole decoded document, and equal property maps whose
-values are all text share one read-only view.
+values are all text share one read-only view.  The CSV importer builds
+each row as the JSON object with the same fields, through the same record
+check, so both formats accept and refuse the same records and share texts
+and views alike.
 
 Hop lists and label and property indexes are derived from the records in
 one bulk pass when one of them is first read, and kept: a source only cut
@@ -647,38 +650,49 @@ def serialize_graph(graph: PropertyGraph) -> str:
 # -- CSV import ------------------------------------------------------------
 
 
-def parse_csv_value(cell: str) -> PropertyValue:
-    """CSV cells are text unless they are exact int/float/bool literals.
+def parse_csv_value(cell: str) -> PropertyValue | _TooLarge:
+    """A CSV cell's value: an exact integer, float or bool literal reads
+    as that kind, any other cell as text.
 
-    Raises :class:`GraphFormatError` for an integer no float can hold, and
-    for a float literal too large for one.
+    Raises nothing: as the JSON decoder does, it reads an integer literal
+    no float can hold as ``_TOO_LARGE`` and a float literal past the float
+    range as an infinity, and :func:`_check_properties` refuses both.
     """
     if _INT_RE.match(cell):
-        value = _integer(cell)
-        if value is _TOO_LARGE:
-            raise GraphFormatError(
-                f"integer of {len(cell)} characters is too large to compare as a number"
-            )
-        return value
+        return _integer(cell)
     if _FLOAT_RE.match(cell):
-        value = float(cell)
-        if not math.isfinite(value):
-            raise GraphFormatError(f"{cell!r} is not a finite number")
-        return value
+        return float(cell)
     if cell in ("true", "false"):
         return cell == "true"
     return cell
 
 
-def _read_csv_rows(
-    text: str, fixed: tuple[str, ...], what: str
-) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _csv_lines(text: str, what: str) -> Iterator[tuple[int, list[str]]]:
+    """Each row of a CSV text with the line it starts on (a quoted cell may
+    hold line breaks); a row the reader refuses, such as a field past its
+    size limit, is a :class:`GraphFormatError`."""
     reader = csv.reader(io.StringIO(text))
+    start = 1
     try:
-        header = next(reader)
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise GraphFormatError(f"{what} CSV: {exc}", line=reader.line_num) from None
+
+
+def _read_csv_rows(
+    text: str, fields: tuple[str, ...], what: str
+) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The property columns and the numbered rows of a CSV file whose
+    header starts with ``_<field>`` per field, its row widths checked."""
+    reader = _csv_lines(text, what)
+    try:
+        _, header = next(reader)
     except StopIteration:
         raise GraphFormatError(f"{what} CSV is empty", line=1) from None
-    if tuple(header[: len(fixed)]) != fixed:
+    fixed = [f"_{name}" for name in fields]
+    if header[: len(fixed)] != fixed:
         raise GraphFormatError(
             f"{what} CSV header must start with {','.join(fixed)}", line=1
         )
@@ -686,7 +700,7 @@ def _read_csv_rows(
     if len(set(prop_names)) != len(prop_names):
         raise GraphFormatError(f"{what} CSV header repeats a property column", line=1)
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row:
             continue
         if len(row) != len(header):
@@ -698,61 +712,50 @@ def _read_csv_rows(
     return prop_names, rows
 
 
+_CSV_VERTEX_FIELDS = ("id", "label")
+_CSV_EDGE_FIELDS = ("id", "type", "from", "to")
+
+
 def load_graph_csv(vertices_text: str, edges_text: str) -> PropertyGraph:
     """Load the two-file CSV format (vertex file + edge file), with the
     collector paused throughout.
 
-    An empty cell means the property is absent on that record, so rows
-    with differing property schemas can share one header.
+    Each row is built as the JSON object with the same fields would be,
+    by :func:`_vertex` or :func:`_edge`, so both formats accept and refuse
+    the same records in the same words, and share texts and all-text
+    views alike; a CSV fault names the row's id and line.  An empty cell
+    means the property is absent on that record, so rows with differing
+    property schemas can share one header.  Errors come in this order:
+    both files' headers and row widths, the first bad vertex row, the
+    first bad edge row, then the constructor's.
     """
     with _collector_paused():
-        v_props, v_rows = _read_csv_rows(vertices_text, ("_id", "_label"), "vertex")
-        e_props, e_rows = _read_csv_rows(
-            edges_text, ("_id", "_type", "_from", "_to"), "edge"
-        )
-        # one object per distinct text, as in load_graph_json; each file's
-        # header holds one object per property name
+        v_names, v_rows = _read_csv_rows(vertices_text, _CSV_VERTEX_FIELDS, "vertex")
+        e_names, e_rows = _read_csv_rows(edges_text, _CSV_EDGE_FIELDS, "edge")
+        # one object per distinct text and one view per distinct text-only map
         strings: dict[str, str] = {}
-        share = strings.setdefault
-        for name in v_props:
-            share(name, name)
-        e_props = [share(name, name) for name in e_props]
-        vertices = [
-            _vertex_record(
-                share(row[0], row[0]), share(row[1], row[1]),
-                _csv_props(v_props, row[2:], "vertex", row[0], line, strings),
-            )
-            for line, row in v_rows
-        ]
-        edges = [
-            _edge_record(
-                row[0], share(row[1], row[1]), share(row[2], row[2]), share(row[3], row[3]),
-                _csv_props(e_props, row[4:], "edge", row[0], line, strings),
-            )
-            for line, row in e_rows
-        ]
+        views: dict[tuple, Mapping[str, PropertyValue]] = {}
+        vertices = _csv_records(_vertex, _CSV_VERTEX_FIELDS, v_names, v_rows, strings, views)
+        edges = _csv_records(_edge, _CSV_EDGE_FIELDS, e_names, e_rows, strings, views)
         return PropertyGraph(vertices, edges)
 
 
-def _csv_props(
-    names: list[str],
-    cells: list[str],
-    what: str,
-    record_id: str,
-    line: int,
-    strings: dict[str, str],
-) -> Mapping[str, PropertyValue]:
-    props = {}
-    for name, cell in zip(names, cells):
-        if cell != "":
-            try:
-                value = parse_csv_value(cell)
-            except GraphFormatError as exc:
-                raise GraphFormatError(
-                    f"{what} {record_id!r}: property {name!r}: {exc}", line=line
-                ) from None
-            props[name] = strings.setdefault(value, value) if type(value) is str else value
-    return MappingProxyType(props)
+def _csv_records(build, fields: tuple, names: list, rows: list, strings: dict, views: dict):
+    """The record ``build`` makes of each row, in file order: the object
+    of ``fields`` from its first cells, and a property for each of its
+    other non-empty cells, read by :func:`parse_csv_value`."""
+    what = "vertex" if build is _vertex else "edge"
+    width = len(fields)
+    records = []
+    for line, row in rows:
+        raw: dict[str, object] = dict(zip(fields, row))
+        cells = zip(names, row[width:])
+        raw["properties"] = {name: parse_csv_value(cell) for name, cell in cells if cell}
+        try:
+            records.append(build(raw, strings, views))
+        except _BadRecord as exc:
+            raise GraphFormatError(f"{what} {row[0]!r}: {exc}", line=line) from None
+    return records
 
 
 def load_graph_path(path, format: str = "json") -> PropertyGraph:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from itertools import chain, product
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -56,6 +57,9 @@ DIRECTIONS = (DIRECTION_FROM, DIRECTION_TO, DIRECTION_ANY)
 MAX_APPLY_DEPTH = 100
 # deepest Path nesting a pattern may have: parsing recurses once per level
 MAX_PATH_DEPTH = 100
+# most alternatives a Target's or a step's AnyOfs may join to: each
+# alternative holds one AllOf of every AnyOf, and matching may try each
+MAX_ALTERNATIVES = 1000
 
 
 @dataclass(frozen=True)
@@ -317,19 +321,36 @@ def _parse_target(elem: ET.Element, path: str, warnings: list[str]) -> Constrain
 def _parse_anyofs(
     children: list[ET.Element], path: str, warnings: list[str]
 ) -> ConstraintSet:
-    any_of: list[tuple[MatchConstraint, ...]] = []
+    """The constraints of a Target's or a pattern step's AnyOf children:
+    every AnyOf holds, each by one of its AllOfs, each by all its Matches
+    (XACML 3.0 sections 5.6-5.8).  So the set has one alternative per way
+    to pick an AllOf of every AnyOf, its Matches in document order.  An
+    empty AnyOf or AllOf is refused, and so are AnyOfs that would join to
+    more than MAX_ALTERNATIVES alternatives, before any is built."""
+    any_ofs: list[list[tuple[MatchConstraint, ...]]] = []
+    alternatives = 1
     for child in children:
         if not is_core(child, "AnyOf"):
             _fail(path, f"unexpected element {local_name(child)!r}, expected AnyOf")
+        all_ofs = []
         for i, all_of_elem in enumerate(child):
             if not is_core(all_of_elem, "AllOf"):
                 _fail(path, f"unexpected element {local_name(all_of_elem)!r} in AnyOf")
-            matches = tuple(
-                _parse_match(m, f"{path}/AnyOf/AllOf[{i}]", warnings)
-                for m in all_of_elem
-            )
-            any_of.append(matches)
-    return ConstraintSet(tuple(any_of))
+            all_of_path = f"{path}/AnyOf/AllOf[{i}]"
+            if len(all_of_elem) == 0:
+                _fail(all_of_path, "empty AllOf")
+            all_ofs.append(tuple(_parse_match(m, all_of_path, warnings) for m in all_of_elem))
+        if not all_ofs:
+            _fail(path, "empty AnyOf")
+        alternatives *= len(all_ofs)
+        if alternatives > MAX_ALTERNATIVES:
+            _fail(path, f"AnyOfs join to more than {MAX_ALTERNATIVES} alternatives")
+        any_ofs.append(all_ofs)
+    if not any_ofs:
+        return EMPTY_CONSTRAINTS
+    return ConstraintSet(tuple(
+        tuple(chain.from_iterable(picked)) for picked in product(*any_ofs)
+    ))
 
 
 def _parse_match(elem: ET.Element, path: str, warnings: list[str]) -> MatchConstraint:
@@ -526,13 +547,15 @@ def _parse_condition_designator(
     vertex_ref = elem.get("VertexId")
     edge_ref = elem.get("EdgeId")
     if category == uris.CAT_PATH_VERTEX:
-        ref, wrong = vertex_ref, edge_ref
-        expected = "VertexId"
-    else:
-        ref, wrong = edge_ref, vertex_ref
-        expected = "EdgeId"
+        ref, wrong, expected = vertex_ref, edge_ref, "a VertexId"
+    elif category == uris.CAT_PATH_EDGE:
+        ref, wrong, expected = edge_ref, vertex_ref, "an EdgeId"
+    else:  # either reference reads; condition_faults judges the category
+        ref = edge_ref if vertex_ref is None else vertex_ref
+        wrong = None if vertex_ref is None else edge_ref
+        expected = "a VertexId or an EdgeId"
     if ref is None or wrong is not None:
-        _fail(path, f"designator with category {category!r} needs exactly a {expected}")
+        _fail(path, f"designator with category {category!r} needs exactly {expected}")
     return Designator(
         attribute_id=_require_attr(elem, "AttributeId", path),
         category=category,

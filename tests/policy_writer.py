@@ -62,8 +62,11 @@ def _emit_target(out: list[str], target: ConstraintSet, indent: str) -> None:
 
 
 def _emit_anyofs(out: list[str], constraints: ConstraintSet, indent: str) -> None:
+    """The set as one AnyOf holding one AllOf per conjunction."""
+    if constraints.is_empty:
+        return
+    out.append(f"{indent}<xacml:AnyOf>")
     for all_of in constraints.any_of:
-        out.append(f"{indent}<xacml:AnyOf>")
         out.append(f"{indent}  <xacml:AllOf>")
         for match in all_of:
             out.append(
@@ -80,7 +83,7 @@ def _emit_anyofs(out: list[str], constraints: ConstraintSet, indent: str) -> Non
             )
             out.append(f"{indent}    </xacml:Match>")
         out.append(f"{indent}  </xacml:AllOf>")
-        out.append(f"{indent}</xacml:AnyOf>")
+    out.append(f"{indent}</xacml:AnyOf>")
 
 
 def _emit_rule(out: list[str], rule: Rule) -> None:

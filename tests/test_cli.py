@@ -326,6 +326,21 @@ def test_eval_rejects_a_graph_with_a_huge_integer(
     assert "too large to compare as a number" in captured.err
 
 
+def test_eval_refuses_a_csv_vertex_with_an_empty_label(
+    capsys, tmp_path, fixtures_dir, demo_policy_dir, demo_request_file
+):
+    graph = tmp_path / "csv"
+    shutil.copytree(fixtures_dir / "graphs" / "demo_csv", graph)
+    vertices = graph / "vertices.csv"
+    text = vertices.read_text(encoding="utf-8")
+    vertices.write_text(text.replace("1196741133,dataObjects,", "1196741133,,", 1), encoding="utf-8")
+    code = run(eval_args(demo_policy_dir, demo_request_file, graph) + ["--format", "csv"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"error: {graph}: vertex '1196741133': 'label' must be a non-empty string (line 2)\n"
+    )
+
+
 def test_eval_deny_rule_first(capsys, fixtures_dir, demo_request_file, demo_graph_file):
     code = run(
         eval_args(

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -1000,8 +1002,8 @@ def test_a_loaded_graph_keeps_one_object_per_distinct_text(format):
     names = [name for record in all_records(g) for name in record.properties]
     assert sorted(set(names)) == ["color", "peer", "shade"]
     assert len({id(name) for name in names}) == len(set(names))
-    if format == "json":  # equal all-text maps share one view
-        assert g.vertex("vb").properties is g.edge("ea").properties
+    # equal all-text maps share one view
+    assert g.vertex("vb").properties is g.edge("ea").properties
 
 
 def all_records(g: PropertyGraph) -> list:
@@ -1171,20 +1173,31 @@ def link_error(vertices_csv: str, edges_csv: str) -> tuple[type, str]:
     return type(err.value), str(err.value)
 
 
+def constructor_error(vertices: list, edges: list) -> tuple[type, str]:
+    """Type and message of the error ``PropertyGraph`` raises for records
+    built by hand as ``(id, from, to)`` edges between ``l`` vertices."""
+    with pytest.raises(Exception) as err:
+        PropertyGraph(
+            [VertexRecord(vid, "l") for vid in vertices],
+            [EdgeRecord(eid, "t", source, target) for eid, source, target in edges],
+        )
+    return type(err.value), str(err.value)
+
+
 def test_an_edge_checks_its_endpoints_before_its_id():
     # a missing endpoint and a duplicate id on one edge
-    assert link_error(V_HEADER + "a,l\n", E_HEADER + "e,t,a,a\ne,t,a,ghost\n") == (
+    assert constructor_error(["a"], [("e", "a", "a"), ("e", "a", "ghost")]) == (
         ReferentialError, "edge 'e' references unknown vertex 'ghost'"
     )
     # a missing endpoint and an empty id
-    assert link_error(V_HEADER + "a,l\n", E_HEADER + ",t,ghost,a\n") == (
+    assert constructor_error(["a"], [("", "ghost", "a")]) == (
         ReferentialError, "edge '' references unknown vertex 'ghost'"
     )
-    assert link_error(V_HEADER + "a,l\n", E_HEADER + ",t,a,a\n") == (
+    assert constructor_error(["a"], [("", "a", "a")]) == (
         GraphFormatError, "edge id must be non-empty"
     )
     # the first bad edge in file order wins
-    assert link_error(V_HEADER + "a,l\n", E_HEADER + "e,t,a,a\ne,t,a,a\nf,t,a,ghost\n") == (
+    assert constructor_error(["a"], [("e", "a", "a"), ("e", "a", "a"), ("f", "a", "ghost")]) == (
         DuplicateIdError, "duplicate edge id 'e'"
     )
     with pytest.raises(ReferentialError, match="edge 'e' references unknown vertex 'ghost'"):
@@ -1193,6 +1206,10 @@ def test_an_edge_checks_its_endpoints_before_its_id():
             '{"id": "e", "type": "t", "from": "a", "to": "a"},'
             ' {"id": "e", "type": "t", "from": "ghost", "to": "a"}]}'
         )
+    # a file's edge goes through the same constructor checks
+    assert link_error(V_HEADER + "a,l\n", E_HEADER + "e,t,a,a\ne,t,a,ghost\n") == (
+        ReferentialError, "edge 'e' references unknown vertex 'ghost'"
+    )
 
 
 def json_error(vertices: list, edges: list) -> tuple[type, str]:
@@ -1225,10 +1242,10 @@ def test_a_malformed_record_wins_over_any_earlier_link_error():
     )
     assert link_error(
         V_HEADER + "a,l\n", "_id,_type,_from,_to,w\ne,t,a,ghost,\nf,t,a,a,1e400\n"
-    ) == (GraphFormatError, "edge 'f': property 'w': '1e400' is not a finite number (line 3)")
+    ) == (GraphFormatError, "edge 'f': property 'w' is inf, not a finite number (line 3)")
     assert link_error(
         "_id,_label,n\na,l,\na,l,\nb,l,1e400\n", E_HEADER + "e,t,a,ghost\n"
-    ) == (GraphFormatError, "vertex 'b': property 'n': '1e400' is not a finite number (line 4)")
+    ) == (GraphFormatError, "vertex 'b': property 'n' is inf, not a finite number (line 4)")
     # with no malformed record, the duplicate vertex id comes first, then
     # the edges in file order, each its endpoints before its id
     assert json_error([vertex("a"), vertex("a")], [ghost]) == (
@@ -1253,7 +1270,7 @@ def test_vertex_errors_come_before_any_edge_error():
         DuplicateIdError, "duplicate vertex id 'a'"
     )
     assert link_error(V_HEADER + ",l\na,l\na,l\n", E_HEADER + "e,t,a,ghost\n") == (
-        GraphFormatError, "vertex id must be non-empty"
+        GraphFormatError, "vertex '': 'id' must be a non-empty string (line 2)"
     )
     with pytest.raises(DuplicateIdError, match="duplicate vertex id 'b'"):
         load_graph_json(
@@ -1285,19 +1302,22 @@ def test_csv_roundtrip_semantics():
 
 @pytest.mark.parametrize("literal", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS.keys())
 def test_csv_rejects_integers_no_float_can_hold(literal):
-    with pytest.raises(GraphFormatError, match="vertex 'B': property 'n': integer") as err:
+    too_large = "is an integer too large to compare as a number"
+    with pytest.raises(GraphFormatError, match=f"vertex 'B': property 'n' {too_large}") as err:
         load_graph_csv(f"_id,_label,n\nA,l,1\nB,l,{literal}\n", "_id,_type,_from,_to\n")
     assert err.value.line == 3
-    with pytest.raises(GraphFormatError, match="edge 'e1': property 'w': integer") as err:
+    with pytest.raises(GraphFormatError, match=f"edge 'e1': property 'w' {too_large}") as err:
         load_graph_csv("_id,_label\nA,l\n", f"_id,_type,_from,_to,w\ne1,t,A,A,{literal}\n")
     assert err.value.line == 2
 
 
 @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1.5e999"])
 def test_csv_rejects_floats_no_float_can_hold(literal):
-    with pytest.raises(GraphFormatError, match=f"vertex 'B': property 'n': '{literal}' is not a"):
+    # as JSON words the same literal: the float it overflows to
+    not_finite = f"is {float(literal)!r}, not a finite number"
+    with pytest.raises(GraphFormatError, match=f"vertex 'B': property 'n' {not_finite}"):
         load_graph_csv(f"_id,_label,n\nA,l,1\nB,l,{literal}\n", "_id,_type,_from,_to\n")
-    with pytest.raises(GraphFormatError, match=f"edge 'e1': property 'w': '{literal}' is not a"):
+    with pytest.raises(GraphFormatError, match=f"edge 'e1': property 'w' {not_finite}"):
         load_graph_csv("_id,_label\nA,l\n", f"_id,_type,_from,_to,w\ne1,t,A,A,{literal}\n")
 
 
@@ -1311,6 +1331,26 @@ def test_csv_header_and_row_errors():
         load_graph_csv("", "_id,_type,_from,_to\n")
 
 
+def test_a_csv_fault_names_the_line_its_row_starts_on():
+    # a quoted cell may hold line breaks, so rows and lines part ways
+    note = '"two\nlines"'
+    with pytest.raises(GraphFormatError, match=r"vertex 'B': 'label' must be") as err:
+        load_graph_csv(f"_id,_label,note\nA,l,{note}\n\nB,,x\n", E_HEADER)
+    assert err.value.line == 5
+    with pytest.raises(GraphFormatError, match=r"edge CSV row has 3 fields") as err:
+        load_graph_csv(V_HEADER + "A,l\n", f"_id,_type,_from,_to,note\ne1,t,A,A,{note}\ne2,t,A\n")
+    assert err.value.line == 4
+
+
+def test_a_row_the_csv_reader_refuses_is_a_format_error():
+    too_long = "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(GraphFormatError, match=r"vertex CSV: field larger than field limit"):
+        load_graph_csv(f"_id,_label,n\nA,l,1\nB,l,{too_long}\n", E_HEADER)
+    with pytest.raises(GraphFormatError, match=r"edge CSV: new-line character seen") as err:
+        load_graph_csv(V_HEADER + "A,l\n", E_HEADER + "e1,t,A,A\ne2,t\r,A,A\n")
+    assert err.value.line == 3
+
+
 def test_csv_directory_loading(tmp_path):
     (tmp_path / "vertices.csv").write_text("_id,_label\nA,l\n", encoding="utf-8")
     (tmp_path / "edges.csv").write_text("_id,_type,_from,_to\n", encoding="utf-8")
@@ -1318,3 +1358,128 @@ def test_csv_directory_loading(tmp_path):
     assert g.vertex_count == 1 and g.edge_count == 0
     with pytest.raises(GraphFormatError):
         load_graph_path(tmp_path / "missing", "csv")
+
+
+# -- one record check for both formats --------------------------------------
+
+
+# text a CSV cell can spell: non-empty, and read as no number or bool
+CSV_TEXTS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), min_size=1
+).filter(lambda text: as_number(text) is None and text not in ("true", "false"))
+CSV_VALUES = st.one_of(
+    st.sampled_from(["red", "blue"]),  # so that equal all-text maps recur
+    CSV_TEXTS,
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+PROPERTY_COLUMNS = ("color", "n", "x, y")
+
+
+@st.composite
+def spellable_records(draw) -> tuple[list[dict], list[dict]]:
+    """JSON vertex and edge objects whose every value a CSV cell spells,
+    each properties map in column order."""
+
+    def properties() -> dict:
+        names = draw(st.lists(st.sampled_from(PROPERTY_COLUMNS), unique=True))
+        return {name: draw(CSV_VALUES) for name in PROPERTY_COLUMNS if name in names}
+
+    vertex_ids = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    vertices = [
+        {"id": vid, "label": draw(st.sampled_from(["node", "other"])), "properties": properties()}
+        for vid in vertex_ids
+    ]
+    endpoints = st.sampled_from(vertex_ids)
+    edges = [
+        {"id": f"e{i}", "type": draw(st.sampled_from(["link", "other"])),
+         "from": draw(endpoints), "to": draw(endpoints), "properties": properties()}
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    return vertices, edges
+
+
+def csv_text(fields: tuple[str, ...], records: list[dict]) -> str:
+    """The CSV file of ``records``: ``fields`` then a column per property
+    name, each value spelled as CSV spells it and an absent one empty."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([f"_{name}" for name in fields] + list(PROPERTY_COLUMNS))
+    for record in records:
+        props = record["properties"]
+        writer.writerow([record[name] for name in fields] + [
+            as_text(props[name]) if name in props else "" for name in PROPERTY_COLUMNS
+        ])
+    return out.getvalue()
+
+
+def text_views_are_shared(g: PropertyGraph) -> bool:
+    """Whether each set of equal all-text property maps is one object."""
+    views: dict[tuple, object] = {}
+    for record in all_records(g):
+        props = record.properties
+        if all(type(value) is str for value in props.values()):
+            if views.setdefault(tuple(props.items()), props) is not props:
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(spellable_records())
+def test_csv_and_json_load_a_record_alike(records):
+    vertices, edges = records
+    from_json = load_graph_json(json.dumps({"vertices": vertices, "edges": edges}))
+    from_csv = load_graph_csv(
+        csv_text(("id", "label"), vertices), csv_text(("id", "type", "from", "to"), edges)
+    )
+    assert oracles.same_graph(from_csv, from_json)
+    assert oracles.same_graph(from_csv, PropertyGraph(
+        [VertexRecord(v["id"], v["label"], v["properties"]) for v in vertices],
+        [EdgeRecord(e["id"], e["type"], e["from"], e["to"], e["properties"]) for e in edges],
+    ))
+    assert text_views_are_shared(from_json) and text_views_are_shared(from_csv)
+
+
+# a fault as a change to a valid vertex or edge, and the reason both
+# formats give for it; a property value is the literal both files spell
+MALFORMED_RECORDS = {
+    "empty id": ("vertex", {"id": ""}, "'id' must be a non-empty string"),
+    "empty label": ("vertex", {"label": ""}, "'label' must be a non-empty string"),
+    "empty type": ("edge", {"type": ""}, "'type' must be a non-empty string"),
+    "empty from": ("edge", {"from": ""}, "'from' must be a non-empty string"),
+    "empty to": ("edge", {"to": ""}, "'to' must be a non-empty string"),
+    "integer no float holds": (
+        "vertex", {"n": HUGE_INTEGERS["past-float"]},
+        "property 'n' is an integer too large to compare as a number"),
+    "overflowing float": ("edge", {"n": "-1e400"}, "property 'n' is -inf, not a finite number"),
+}
+
+
+def json_object(fields: dict[str, str]) -> str:
+    """A JSON record of ``fields``, its ``n`` field a property spelled by
+    its literal as it stands, or absent when empty."""
+    fields = dict(fields)
+    literal = fields.pop("n")
+    properties = f'{{"n": {literal}}}' if literal else "{}"
+    return json.dumps(fields)[:-1] + f', "properties": {properties}}}'
+
+
+@pytest.mark.parametrize("fault", MALFORMED_RECORDS)
+def test_csv_and_json_refuse_a_malformed_record_for_one_reason(fault):
+    what, change, reason = MALFORMED_RECORDS[fault]
+    vertex = {"id": "a", "label": "l", "n": ""}
+    edge = {"id": "e", "type": "t", "from": "a", "to": "a", "n": ""}
+    record = vertex if what == "vertex" else edge
+    record.update(change)
+    with pytest.raises(GraphFormatError) as err:
+        load_graph_csv(
+            "_id,_label,n\n" + ",".join(vertex.values()) + "\n",
+            "_id,_type,_from,_to,n\n" + ",".join(edge.values()) + "\n",
+        )
+    assert str(err.value) == f"{what} {record['id']!r}: {reason} (line 2)"
+    with pytest.raises(GraphFormatError) as err:
+        load_graph_json(
+            f'{{"vertices": [{json_object(vertex)}], "edges": [{json_object(edge)}]}}'
+        )
+    assert str(err.value) == f"{'vertices' if what == 'vertex' else 'edges'}[0]: {reason}"

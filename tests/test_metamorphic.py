@@ -13,6 +13,7 @@ expects.
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -173,3 +174,32 @@ def test_raising_the_varlen_cap_keeps_every_permit(case):
     cap = str(2 * DEFAULT_VARLEN_CAP)
     raised = responses(workload, Path(workload.graph_file), "--varlen-cap", cap)
     assert [raised[i] for i in permits(base)] == [base[i] for i in permits(base)]
+
+
+def test_raising_the_varlen_cap_keeps_every_permit_of_an_unbounded_step(tmp_path):
+    # deep_varlen's one Permit rule walks an unbounded step from its
+    # anchor, so the cap sets which trails exist.  Asked about core edges
+    # whose tail the anchor reaches along links in fewer hops than the
+    # default cap, every request is a Permit, and a larger cap only adds
+    # trails
+    workload = workloads.GENERATORS["deep_varlen"](tmp_path, 1)
+    doc = json.loads(Path(workload.graph_file).read_text(encoding="utf-8"))
+    (policy,) = load_policy_dir(workload.policy_dir)
+    ((anchor_match,),) = policy.rules[0].pattern.steps[0].constraints.any_of
+    links = sorted((e["from"], e["to"]) for e in doc["edges"] if e["type"] == "links")
+    hops = {anchor_match.literal: 0}
+    for depth in range(DEFAULT_VARLEN_CAP):
+        hops.update({b: depth + 1 for a, b in links if hops.get(a) == depth and b not in hops})
+    # a shortest path to the tail and the edge itself are one trail
+    reached = [(a, b) for a, b in links if hops.get(a, DEFAULT_VARLEN_CAP) < DEFAULT_VARLEN_CAP]
+    asked = random.Random(1).sample(reached, 16)
+    ops = []
+    for i, keys in enumerate(asked):
+        request = tmp_path / f"reached-{i}.xml"
+        request.write_text(workloads.request_xml(list(keys)), encoding="utf-8")
+        ops.append(workloads.Op("permit", str(request), ""))
+    reached_workload = replace(workload, ops=ops)
+    base = responses(reached_workload, Path(workload.graph_file))
+    assert permits(base) == list(range(len(asked)))
+    cap = str(2 * DEFAULT_VARLEN_CAP)
+    assert responses(reached_workload, Path(workload.graph_file), "--varlen-cap", cap) == base

@@ -13,7 +13,16 @@ from graphpdp import uris
 from graphpdp.cli import run
 from graphpdp.graph_store import load_graph_path
 from graphpdp.pdp import DecisionEngine, render_response_xml
-from graphpdp.policy_model import ConstraintSet, MatchConstraint, load_policy_dir
+from graphpdp.errors import PolicySchemaError
+from graphpdp.policy_model import (
+    MAX_ALTERNATIVES,
+    ConstraintSet,
+    Designator,
+    MatchConstraint,
+    load_policy_dir,
+    parse_policy,
+    validate_policy,
+)
 from test_cli import PERMIT_XML, eval_args, http_call, serving
 
 DEMO_POLICY = "pm_user_to_data_object.xml"
@@ -38,6 +47,23 @@ def element(text: str, tag: str) -> str:
     start = text.index(f"<{tag}")
     end = text.index(f"</{tag}>", start) + len(f"</{tag}>")
     return text[start:end]
+
+
+def any_of(attribute: str, category: str, *values: str) -> str:
+    """One AnyOf holding one AllOf per value, each matching the attribute
+    to that value."""
+    return "<xacml:AnyOf>" + "".join(
+        f'<xacml:AllOf><xacml:Match MatchId="{uris.MATCH_STRING_EQUAL}">'
+        f"<xacml:AttributeValue>{value}</xacml:AttributeValue>"
+        f'<xacml:AttributeDesignator AttributeId="{attribute}"'
+        f' Category="{category}"/></xacml:Match></xacml:AllOf>'
+        for value in values
+    ) + "</xacml:AnyOf>"
+
+
+def type_codes(count: int) -> str:
+    """An AnyOf of ``count`` subject type codes."""
+    return any_of("typeCode", uris.CAT_PATH_VERTEX, *(f"t{i}" for i in range(count)))
 
 
 # name -> (text to change, its replacement, the one violation); a callable
@@ -80,6 +106,14 @@ POLICY_FAULTS = {
     "element in AnyOf": (
         "<xacml:AllOf>", "<xacml:Match/><xacml:AllOf>",
         f"{RULE_PATH}/Pattern/Path/Vertex[0]: unexpected element 'Match' in AnyOf"),
+    "empty AnyOf": (
+        "<xacml:AnyOf>", "<xacml:AnyOf/><xacml:AnyOf>",
+        f"{RULE_PATH}/Pattern/Path/Vertex[0]: empty AnyOf"),
+    "empty AllOf": ("<xacml:AllOf>", "<xacml:AllOf/><xacml:AllOf>", f"{SUBJECT_MATCH}: empty AllOf"),
+    "AnyOfs past the alternatives bound": (
+        "</xacml:AnyOf>", "</xacml:AnyOf>" + type_codes(MAX_ALTERNATIVES + 1),
+        f"{RULE_PATH}/Pattern/Path/Vertex[0]: AnyOfs join to more than"
+        f" {MAX_ALTERNATIVES} alternatives"),
     "element in AllOf": (
         MATCH, "<xacml:AnyOf/>" + MATCH,
         f"{SUBJECT_MATCH}: unexpected element 'AnyOf', expected Match"),
@@ -131,7 +165,13 @@ POLICY_FAULTS = {
         lambda text: text.replace(DESIGNATOR, DESIGNATOR.replace('EdgeId="e"', 'VertexId="e"'), 1),
         None,
         f"{RULE_PATH}/PatternCondition/Apply/Apply[0]/AttributeDesignator[0]: designator with"
-        f" category '{uris.CAT_PATH_EDGE}' needs exactly a EdgeId"),
+        f" category '{uris.CAT_PATH_EDGE}' needs exactly an EdgeId"),
+    "designator with both references": (
+        lambda text: text.replace(DESIGNATOR, DESIGNATOR.replace(
+            uris.CAT_PATH_EDGE, uris.CAT_RESOURCE).replace('EdgeId="e"', 'EdgeId="e" VertexId="s"'),
+            1), None,
+        f"{RULE_PATH}/PatternCondition/Apply/Apply[0]/AttributeDesignator[0]: designator with"
+        f" category '{uris.CAT_RESOURCE}' needs exactly a VertexId or an EdgeId"),
     "empty Meta entity": (
         "<xacml4g:VertexEntity>tasks</xacml4g:VertexEntity>",
         "<xacml4g:VertexEntity>tasks</xacml4g:VertexEntity><xacml4g:VertexEntity/>",
@@ -207,13 +247,11 @@ NOT_APPLICABLE_XML = """\
 """
 
 
-def action_target(action: str) -> str:
-    return (
-        f'<xacml:Target><xacml:AnyOf><xacml:AllOf><xacml:Match MatchId="{uris.MATCH_STRING_EQUAL}">'
-        f"<xacml:AttributeValue>{action}</xacml:AttributeValue>"
-        f'<xacml:AttributeDesignator AttributeId="{uris.ATTR_ACTION_ID}"'
-        f' Category="{uris.CAT_ACTION}"/></xacml:Match></xacml:AllOf></xacml:AnyOf></xacml:Target>'
-    )
+def action_target(*any_ofs: tuple[str, ...]) -> str:
+    """A Target of one AnyOf per tuple of actions."""
+    return "<xacml:Target>" + "".join(
+        any_of(uris.ATTR_ACTION_ID, uris.CAT_ACTION, *actions) for actions in any_ofs
+    ) + "</xacml:Target>"
 
 
 @pytest.mark.parametrize("action, code, response", [
@@ -224,12 +262,72 @@ def test_a_policy_target_gates_the_whole_policy(
     capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file, action, code, response
 ):
     policy_dir = changed_policy_dir(
-        tmp_path, demo_policy_dir, META_END, META_END + action_target(action)
+        tmp_path, demo_policy_dir, META_END, META_END + action_target((action,))
     )
     assert run(["validate", "--policies", str(policy_dir)]) == 0
     assert capsys.readouterr().out == f"{DEMO_POLICY}: OK\n1 policies checked, 0 violations\n"
     assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == code
     assert capsys.readouterr() == (response, "")
+
+
+@pytest.mark.parametrize("holds, code, response", [
+    (False, 3, NOT_APPLICABLE_XML),
+    (True, 0, PERMIT_XML),
+], ids=["none holds", "one holds"])
+@pytest.mark.parametrize("place", ["policy Target", "rule Target", "vertex step"])
+def test_every_anyof_must_hold(
+    capsys, tmp_path, demo_policy_dir, demo_request_file, demo_graph_file,
+    place, holds, code, response
+):
+    # a second AnyOf next to one the demo request holds: when none of its
+    # AllOfs holds the element does not match, and any one of them will do
+    if place == "vertex step":
+        values = ("admin", "pmUser") if holds else ("admin",)
+        change = "</xacml:AnyOf>"
+        replacement = change + any_of("typeCode", uris.CAT_PATH_VERTEX, *values)
+    else:
+        actions = ("delete-everything", "access-do") if holds else ("delete-everything",)
+        change = META_END if place == "policy Target" else RULE
+        replacement = change + action_target(("access-do",), actions)
+    policy_dir = changed_policy_dir(tmp_path, demo_policy_dir, change, replacement)
+    assert run(["validate", "--policies", str(policy_dir)]) == 0
+    assert capsys.readouterr().out == f"{DEMO_POLICY}: OK\n1 policies checked, 0 violations\n"
+    assert run(eval_args(policy_dir, demo_request_file, demo_graph_file)) == code
+    assert capsys.readouterr() == (response, "")
+
+
+def test_anyofs_may_join_to_exactly_the_alternatives_bound(demo_policy_dir):
+    # the subject's AnyOf, one of 10 and one of MAX_ALTERNATIVES / 10
+    text = (demo_policy_dir / DEMO_POLICY).read_text(encoding="utf-8")
+    policy = parse_policy(text.replace(
+        "</xacml:AnyOf>", "</xacml:AnyOf>" + type_codes(10) + type_codes(MAX_ALTERNATIVES // 10)
+    ))
+    alternatives = policy.rules[0].pattern.steps[0].constraints.any_of
+    assert len(alternatives) == MAX_ALTERNATIVES
+    # one AllOf of each AnyOf, in document order
+    assert [[match.literal for match in alternative] for alternative in alternatives[:2]] == [
+        ["pmUser", "t0", "t0"], ["pmUser", "t0", "t1"]
+    ]
+
+
+def test_a_designator_of_another_category_is_judged_by_validation_alone(
+    demo_policy_dir, demo_policy
+):
+    # a resource designator naming the subject vertex: parsing its XML
+    # refuses it with exactly what validation finds in the same policy
+    # built in code
+    text = (demo_policy_dir / DEMO_POLICY).read_text(encoding="utf-8")
+    designator = DESIGNATOR.replace(uris.CAT_PATH_EDGE, uris.CAT_RESOURCE).replace(
+        'EdgeId="e"', 'VertexId="s"')
+    with pytest.raises(PolicySchemaError) as refused:
+        parse_policy(text.replace(DESIGNATOR, designator, 1))
+    (rule,) = demo_policy.rules
+    first, second = rule.pattern_condition.args
+    first = replace(first, args=(Designator("typeKind", uris.CAT_RESOURCE, "s"), first.args[1]))
+    condition = replace(rule.pattern_condition, args=(first, second))
+    built = replace(demo_policy, rules=(replace(rule, pattern_condition=condition),))
+    assert validate_policy(built) != []
+    assert refused.value.violations == validate_policy(built)
 
 
 @pytest.mark.parametrize("level", ["rule", "policy"])
