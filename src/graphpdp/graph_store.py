@@ -85,13 +85,15 @@ def as_number(value: PropertyValue) -> float | None:
     """Float view of a value, or None when it is not numeric.
 
     Text parses as a number only when it is exactly an integer or float
-    literal; booleans never do.
+    literal; booleans never do.  Plain digit text, the commonest kind,
+    is recognised by ``str.isdecimal`` without the regex: both accept the
+    same Unicode decimal digits, and ``float`` reads them all.
     """
     if isinstance(value, bool):
         return None
     if isinstance(value, (int, float)):
         return float(value)
-    if _FLOAT_RE.match(value):
+    if value.isdecimal() or _FLOAT_RE.match(value):
         return float(value)
     return None
 
@@ -432,23 +434,32 @@ class _BadRecord(Exception):
 
 
 def _check_properties(
-    raw: object, strings: dict[str, str], views: dict[tuple, Mapping[str, PropertyValue]]
+    raw: object,
+    strings: dict[str, str],
+    views: dict[tuple, Mapping[str, PropertyValue]],
+    own_id: str,
 ) -> Mapping[str, PropertyValue]:
-    """A read-only view of ``raw``, checked, its names and text values
-    replaced by their ``strings`` entries.  Maps whose values are all text
-    share one view per distinct content, found in ``views`` by the map's
-    items in order; only exact text shares: 1, 1.0 and True are equal
-    values of one entry, and none of them equals a text.  So a map found
-    in ``views`` as it was decoded is all text, and its view is the one
-    the checks below would give."""
+    """A read-only view of ``raw``, the properties of the record ``own_id``,
+    checked, its names and text values replaced by their ``strings``
+    entries.  Maps whose values are all text share one view per distinct
+    content, found in ``views`` by the map's items in order; only exact
+    text shares: 1, 1.0 and True are equal values of one entry, and none
+    of them equals a text.  So a map found in ``views`` as it was decoded
+    is all text, and its view is the one the checks below would give.
+
+    A map that holds its own record's id as a value, as a graph whose
+    every vertex carries its ``_key`` does, is taken as that record's
+    alone: it is neither looked up in ``views`` nor kept there."""
     if type(raw) is not dict:
         raise _BadRecord("properties must be an object")
-    try:
-        view = views.get(tuple(raw.items()))
-    except TypeError:  # an unhashable value, so not all text
-        view = None
-    if view is not None:
-        return view
+    shared = own_id not in raw.values()
+    if shared:
+        try:
+            view = views.get(tuple(raw.items()))
+        except TypeError:  # an unhashable value, so not all text
+            view = None
+        if view is not None:
+            return view
     share = strings.setdefault
     props = {}
     text_only = True
@@ -466,7 +477,7 @@ def _check_properties(
             if isinstance(value, float) and not math.isfinite(value):
                 raise _BadRecord(f"property {name!r} is {value!r}, not a finite number")
         props[share(name, name)] = value
-    if not text_only:
+    if not (text_only and shared):
         return MappingProxyType(props)
     # keyed by the shared texts, so the table keeps no decoded copy alive
     view = views[tuple(props.items())] = MappingProxyType(props)
@@ -491,7 +502,9 @@ def _vertex(raw: object, strings: dict[str, str], views: dict) -> VertexRecord:
     if type(raw) is dict and raw.keys() <= _VERTEX_KEYS:
         vid, label = raw.get("id"), raw.get("label")
         if type(vid) is str and type(label) is str and vid and label:
-            props = _check_properties(raw.get("properties", _NO_PROPERTIES), strings, views)
+            props = _check_properties(
+                raw.get("properties", _NO_PROPERTIES), strings, views, vid
+            )
             share = strings.setdefault
             return _vertex_record(share(vid, vid), share(label, label), props)
     raise _bad_fields(raw, _VERTEX_KEYS, ("id", "label"))
@@ -505,7 +518,9 @@ def _edge(raw: object, strings: dict[str, str], views: dict) -> EdgeRecord:
             type(eid) is str and type(etype) is str and type(source) is str
             and type(target) is str and eid and etype and source and target
         ):
-            props = _check_properties(raw.get("properties", _NO_PROPERTIES), strings, views)
+            props = _check_properties(
+                raw.get("properties", _NO_PROPERTIES), strings, views, eid
+            )
             share = strings.setdefault
             # an edge id is unique, so it stays as decoded
             return _edge_record(

@@ -59,7 +59,7 @@ from .policy_model import (
     condition_faults,
     readable_names,
 )
-from .request_model import KIND_EDGE, PathGroup
+from .request_model import KIND_EDGE
 
 ElementCheck = Callable[[Union[VertexRecord, EdgeRecord]], bool]
 
@@ -252,24 +252,54 @@ def _equality(name: str, literal: str, op: Operator) -> tuple:
     return name, literal, op.key, op.key(literal)
 
 
+def _pin_test(name: str, literal: str) -> ElementCheck:
+    """The test of one pin: the record's property equals ``literal`` as
+    ``equal`` compares them."""
+    key = _PIN.key
+    literal_key = key(literal)
+
+    def check(record) -> bool:
+        value = record.properties.get(name)
+        return value is not None and (value == literal or key(value) == literal_key)
+
+    return check
+
+
+def _all_pins(tests: list[ElementCheck]) -> ElementCheck:
+    def check(record) -> bool:
+        for test in tests:
+            if not test(record):
+                return False
+        return True
+
+    return check
+
+
 def element_check(step: PlanStep) -> ElementCheck | None:
     """Predicate on the records a step may bind: label or type, then some
     conjunction of the constraint set holds together with every pin.
 
     Pins and Matches are all equalities, each read from its table entry:
     a pin compares as ``equal`` does, a Match as its function does.  Each
-    is one ``(name, literal, key, literal key)`` test, and holds when the
-    property's key equals the literal's; a value equal to its literal
-    needs no key.  ``None`` when the step has no label or type, no pins
-    and no constraints, so the matcher skips free steps without a call.
+    holds when the property's key equals the literal's key, mapped once,
+    here; a value equal to its literal needs no key.  A step with pins
+    and nothing else, as every request step is, is checked by one
+    comparison per pin; any other step by one ``(name, literal, key,
+    literal key)`` test per equality, taken conjunction by conjunction.
+    ``None`` when the step has no label or type, no pins and no
+    constraints, so the matcher skips free steps without a call.
     """
     if isinstance(step, VertexStep):
         kind, kind_of = step.label, _LABEL_OF
     else:
         kind, kind_of = step.type, _TYPE_OF
-    if kind is None and not step.pinned and step.constraints.is_empty:
-        return None
-    # each literal is mapped to its key once, here
+    if kind is None and step.constraints.is_empty:
+        pinned = step.pinned
+        if not pinned:
+            return None
+        if len(pinned) == 1:
+            return _pin_test(*pinned[0])
+        return _all_pins([_pin_test(name, wanted) for name, wanted in pinned])
     pins = [_equality(name, wanted, _PIN) for name, wanted in step.pinned]
     conjunctions = [
         pins + [
@@ -488,37 +518,45 @@ def compile_rule_pattern(
     return QueryPlan(steps=steps, filter=condition)
 
 
-def _pinned_props(group: PathGroup) -> PinnedProps:
-    return tuple((name, value) for _, name, value in group.values)
+# The edge between two request vertices: unconstrained, undirected, one hop.
+_FREE_EDGE = EdgeStep()
+# A request vertex step's fields, but for its name and its pins.
+_REQUEST_VERTEX = VertexStep(auto=True).__dict__
+# The pin, ``(property name, value)``, of a path group's value.
+_PIN_OF = operator.itemgetter(1, 2)
+
+
+def _request_vertex(binding: str, pinned: PinnedProps) -> VertexStep:
+    """``VertexStep(binding, pinned=pinned, auto=True)``, its fields
+    written at once rather than one by one, as a frozen dataclass's
+    ``__init__`` writes them."""
+    step = object.__new__(VertexStep)
+    step.__dict__.update(_REQUEST_VERTEX, binding=binding, pinned=pinned)
+    return step
 
 
 def compile_request_path(path_groups) -> QueryPlan:
     """Pin each path group's properties on a step, joined by free edges.
 
-    Edges between consecutive request vertices are unconstrained and
-    undirected.  A trailing edge group becomes the final edge step and
-    gets a free vertex appended so the plan still ends on a vertex.
+    Each vertex group becomes a vertex step named by its place, ``_v0``,
+    ``_v2``, ...: a request declares no names, so none can clash.  Edges
+    between consecutive request vertices are the one unconstrained,
+    undirected step ``_FREE_EDGE``.  A trailing edge group becomes the
+    final edge step and gets a free vertex appended so the plan still
+    ends on a vertex.  No step holds more than pins, so each pinned one
+    is checked by one comparison per pin (see :func:`element_check`).
     """
-    groups = list(path_groups)
+    groups = tuple(path_groups)
     trailing_edge = groups[-1] if groups and groups[-1].element_type == KIND_EDGE else None
-    vertex_groups = groups[:-1] if trailing_edge is not None else groups
-
-    taken: set[str] = set()
     steps: list[PlanStep] = []
-    for group in vertex_groups:
+    for group in groups[:-1] if trailing_edge is not None else groups:
         if steps:
-            steps.append(EdgeStep())
-        steps.append(
-            VertexStep(
-                binding=_unused_name(f"_v{len(steps)}", taken),
-                pinned=_pinned_props(group),
-                auto=True,
-            )
-        )
+            steps.append(_FREE_EDGE)
+        steps.append(_request_vertex(f"_v{len(steps)}", tuple(map(_PIN_OF, group.values))))
     if trailing_edge is not None:
-        steps.append(EdgeStep(pinned=_pinned_props(trailing_edge)))
-        steps.append(VertexStep(binding=_unused_name(f"_v{len(steps)}", taken), auto=True))
-    return QueryPlan(steps=tuple(steps))
+        steps.append(EdgeStep(pinned=tuple(map(_PIN_OF, trailing_edge.values))))
+        steps.append(_request_vertex(f"_v{len(steps)}", ()))
+    return QueryPlan(tuple(steps))
 
 
 # -- Cypher emission -------------------------------------------------------

@@ -60,6 +60,10 @@ MAX_PATH_DEPTH = 100
 # most alternatives a Target's or a step's AnyOfs may join to: each
 # alternative holds one AllOf of every AnyOf, and matching may try each
 MAX_ALTERNATIVES = 1000
+# most Matches those alternatives may hold together: each holds every
+# Match of its AllOfs, so a few small AnyOfs and many one-way ones would
+# otherwise copy the many into every alternative
+MAX_JOINED_MATCHES = 10_000
 
 
 @dataclass(frozen=True)
@@ -326,9 +330,11 @@ def _parse_anyofs(
     (XACML 3.0 sections 5.6-5.8).  So the set has one alternative per way
     to pick an AllOf of every AnyOf, its Matches in document order.  An
     empty AnyOf or AllOf is refused, and so are AnyOfs that would join to
-    more than MAX_ALTERNATIVES alternatives, before any is built."""
+    more than MAX_ALTERNATIVES alternatives or MAX_JOINED_MATCHES Matches
+    in all, before any is built."""
     any_ofs: list[list[tuple[MatchConstraint, ...]]] = []
     alternatives = 1
+    matches = 0  # Matches of the alternatives joined so far, all together
     for child in children:
         if not is_core(child, "AnyOf"):
             _fail(path, f"unexpected element {local_name(child)!r}, expected AnyOf")
@@ -342,9 +348,13 @@ def _parse_anyofs(
             all_ofs.append(tuple(_parse_match(m, all_of_path, warnings) for m in all_of_elem))
         if not all_ofs:
             _fail(path, "empty AnyOf")
+        # each old alternative gains each AllOf's Matches in turn
+        matches = matches * len(all_ofs) + alternatives * sum(map(len, all_ofs))
         alternatives *= len(all_ofs)
         if alternatives > MAX_ALTERNATIVES:
             _fail(path, f"AnyOfs join to more than {MAX_ALTERNATIVES} alternatives")
+        if matches > MAX_JOINED_MATCHES:
+            _fail(path, f"AnyOfs join to more than {MAX_JOINED_MATCHES} Matches")
         any_ofs.append(all_ofs)
     if not any_ofs:
         return EMPTY_CONSTRAINTS

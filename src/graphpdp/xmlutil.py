@@ -17,6 +17,17 @@ _CORE = "{" + XACML3_NS + "}"
 _EXT = "{" + XACML4G_NS + "}"
 
 
+def core_tags(local: str) -> frozenset[str]:
+    """The tags of the core element ``local``, for a walk that tests many
+    elements against one name."""
+    return frozenset((local, _CORE + local))
+
+
+def ext_tag(local: str) -> str:
+    """The tag of the extension element ``local``."""
+    return _EXT + local
+
+
 def is_core(elem: ET.Element, local: str) -> bool:
     tag = elem.tag
     return tag == local or tag == _CORE + local

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -117,6 +118,24 @@ def test_as_number_parses_exact_literals_only():
     assert as_number("+٣") == 3.0
     assert as_number("²") is None
     assert as_number("") is None
+
+
+# the rule as_number used for all text before plain digits skipped the regex
+OLD_FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
+
+NUMBER_TEXTS = st.one_of(
+    st.just(""),
+    st.text(st.sampled_from("0123456789١٢٣۴੭²³½+-.eE_ \t\nxaZ"), max_size=8),
+    st.text(st.characters(categories=("Nd",)), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(NUMBER_TEXTS)
+def test_the_decimal_fast_path_classifies_text_as_the_regex_did(text):
+    old = float(text) if OLD_FLOAT_RE.match(text) else None
+    assert as_number(text) == old
+    assert (as_number(text) is None) == (old is None)
 
 
 def test_loose_equal_matches_comparison_semantics():

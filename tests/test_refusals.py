@@ -16,6 +16,7 @@ from graphpdp.pdp import DecisionEngine, render_response_xml
 from graphpdp.errors import PolicySchemaError
 from graphpdp.policy_model import (
     MAX_ALTERNATIVES,
+    MAX_JOINED_MATCHES,
     ConstraintSet,
     Designator,
     MatchConstraint,
@@ -114,6 +115,12 @@ POLICY_FAULTS = {
         "</xacml:AnyOf>", "</xacml:AnyOf>" + type_codes(MAX_ALTERNATIVES + 1),
         f"{RULE_PATH}/Pattern/Path/Vertex[0]: AnyOfs join to more than"
         f" {MAX_ALTERNATIVES} alternatives"),
+    # 9 two-way AnyOfs then 2,000 one-way ones: 512 alternatives of 2,010
+    # Matches each, refused at the tenth one-way AnyOf
+    "AnyOfs past the Matches bound": (
+        "</xacml:AnyOf>", "</xacml:AnyOf>" + type_codes(2) * 9 + type_codes(1) * 2000,
+        f"{RULE_PATH}/Pattern/Path/Vertex[0]: AnyOfs join to more than"
+        f" {MAX_JOINED_MATCHES} Matches"),
     "element in AllOf": (
         MATCH, "<xacml:AnyOf/>" + MATCH,
         f"{SUBJECT_MATCH}: unexpected element 'AnyOf', expected Match"),
@@ -308,6 +315,18 @@ def test_anyofs_may_join_to_exactly_the_alternatives_bound(demo_policy_dir):
     assert [[match.literal for match in alternative] for alternative in alternatives[:2]] == [
         ["pmUser", "t0", "t0"], ["pmUser", "t0", "t1"]
     ]
+
+
+def test_anyofs_may_join_to_exactly_the_matches_bound(demo_policy_dir):
+    # the subject's AnyOf, one of 10, one of 100 and 7 of one: 1,000
+    # alternatives of 10 Matches
+    text = (demo_policy_dir / DEMO_POLICY).read_text(encoding="utf-8")
+    any_ofs = type_codes(10) + type_codes(100) + type_codes(1) * 7
+    policy = parse_policy(text.replace("</xacml:AnyOf>", "</xacml:AnyOf>" + any_ofs))
+    alternatives = policy.rules[0].pattern.steps[0].constraints.any_of
+    assert sum(map(len, alternatives)) == MAX_JOINED_MATCHES
+    with pytest.raises(PolicySchemaError, match=f"more than {MAX_JOINED_MATCHES} Matches"):
+        parse_policy(text.replace("</xacml:AnyOf>", "</xacml:AnyOf>" + any_ofs + type_codes(1)))
 
 
 def test_a_designator_of_another_category_is_judged_by_validation_alone(

@@ -228,3 +228,10 @@ def test_request_without_action_still_parses():
     r = parse_request(xml)
     assert r.actions == ()
     assert r.action_values(uris.ATTR_ACTION_ID) == []
+
+
+def test_of_two_values_without_a_name_the_first_in_path_order_is_reported():
+    vertex = group(uris.CAT_PATH_VERTEX, ":nameless")
+    subject = group(uris.CAT_SUBJECT, "_key:s1", "nocolon", attr_id=uris.ATTR_SUBJECT_ID)
+    with pytest.raises(RequestParseError, match="^value 'nocolon' has no colon separator$"):
+        parse_request(request_xml(subject + vertex + RESOURCE))
