@@ -28,7 +28,7 @@ from .graph_store import (
     load_graph_path,
     serialize_graph,
 )
-from .path_matcher import check_intersection, match_plan
+from .path_matcher import check_intersection, match_names, match_plan
 from .pattern_compiler import QueryPlan, compile_request_path, compile_rule_pattern, emit_cypher
 from .pdp import Decision, DecisionEngine, Response, combine, match_target, render_response_xml
 from .policy_model import Meta, Policy, Rule, load_policy_dir, parse_policy, validate_policy
@@ -67,6 +67,7 @@ __all__ = [
     "load_graph_json",
     "load_graph_path",
     "load_policy_dir",
+    "match_names",
     "match_plan",
     "match_target",
     "parse_policy",

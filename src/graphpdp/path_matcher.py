@@ -19,12 +19,21 @@ once with it (see :class:`~graphpdp.pattern_compiler.QueryPlan`): one
 element check per step, absent for steps that constrain nothing, the
 constants of each segment (an edge step and the vertex step after it),
 and the rule filter compiled into closures, with each comparison against
-a literal specialised on that literal.  The last segment yields each
-binding where it builds it.  Every match of a plan binds the same names,
-so the filter's errors are settled when the plan is built: compiling
-stops at the first fault that eager, depth-first evaluation would meet,
-and the filter raises that error on every call; any other filter
-cannot raise.
+a literal specialised on that literal.  Every match of a plan binds the
+same names, so the filter's errors are settled when the plan is built:
+compiling stops at the first fault that eager, depth-first evaluation
+would meet, and the filter raises that error on every call; any other
+filter cannot raise.
+
+A match is three plain values, ``(vertex_seq, edge_seq, names)``.
+``names`` is the dict of what the steps before the last segment bind,
+built once per prefix and shared by every match that extends it, so a
+match in the last segment costs one tuple and no dict.  The last vertex
+step's element is the last of ``vertex_seq``, and a single-hop last edge
+step's the last of ``edge_seq``; the plan's ``locations`` say where each
+name sits, the compiled filter reads each name there, and
+:func:`match_names` rebuilds the whole name -> element mapping where it
+is wanted.
 
 Each rule match costs the intersection test one filter call and a
 containment test, and both are kept cheap.  A filter that reads one name
@@ -41,25 +50,17 @@ from __future__ import annotations
 from typing import AbstractSet, Iterable, Iterator
 
 from .graph_store import PropertyGraph
-from .pattern_compiler import ElementCheck, Evaluator, QueryPlan, VertexStep, _equality_pins
+from .pattern_compiler import (
+    ElementCheck,
+    Evaluator,
+    Location,
+    Match,
+    QueryPlan,
+    VertexStep,
+    _equality_pins,
+)
 
 DEFAULT_VARLEN_CAP = 8
-
-
-class PathBinding:
-    """One concrete match: walked elements plus name -> element id."""
-
-    __slots__ = ("vertex_seq", "edge_seq", "names")
-
-    def __init__(
-        self,
-        vertex_seq: tuple[str, ...],
-        edge_seq: tuple[str, ...] = (),
-        names: tuple[tuple[str, str], ...] = (),
-    ):
-        self.vertex_seq = vertex_seq
-        self.edge_seq = edge_seq
-        self.names: dict[str, str] = dict(names)
 
 
 def _start_groups(
@@ -102,8 +103,15 @@ def match_plan(
     plan: QueryPlan,
     varlen_cap: int = DEFAULT_VARLEN_CAP,
     prefer: AbstractSet[str] = frozenset(),
-) -> Iterator[PathBinding]:
-    """Yield every trail binding satisfying the plan.
+) -> Iterator[Match]:
+    """Yield every trail match of the plan as ``(vertex_seq, edge_seq,
+    names)``.
+
+    ``names`` holds what the steps before the last segment bind, and is
+    the one dict shared by every match that extends that prefix; the last
+    segment's names are read from the sequences, where
+    ``plan.locations`` says (see :func:`match_names`).  In a one-vertex
+    plan it is one empty dict shared by every match.
 
     Variable-length steps with no upper bound stop at ``varlen_cap`` hops;
     intermediate vertices of such segments are unconstrained, matching
@@ -122,14 +130,12 @@ def match_plan(
     first_binding = first.binding
     segments = plan.segments
     if not segments:
+        names: dict[str, str] = {}
         for starts in groups:
             for vid in starts:
-                yield PathBinding((vid,), (), ((first_binding, vid),))
+                yield (vid,), (), names
         return
     edge, vertex, hops = graph.edge, graph.vertex, graph.hops
-    # bindings are built in place, without ``__init__``, which would copy
-    # the names
-    new = object.__new__
 
     # Depth-first over (segment, trail, hops into the segment, names),
     # seeded with one group of starts at a time.  A popped trail yields or
@@ -137,7 +143,7 @@ def match_plan(
     # pushed in reverse, so they pop in hop order, and its continuation
     # into the next segment goes on top.  Extensions that end the segment
     # are completed where they are made, in hop order; in the last segment
-    # each is yielded as it is built.
+    # each is yielded as it is made, with its trail's names.
     stack: list[tuple] = []
     pop, push, extend = stack.pop, stack.append, stack.extend
     for starts in groups:
@@ -153,12 +159,10 @@ def match_plan(
             # its extensions, never at a popped trail
             completed = None
             if depth >= min_len and (vertex_ok is None or vertex_ok(vertex(current))):
-                completed = {**names, vertex_binding: current}
                 if last:
-                    binding = new(PathBinding)
-                    binding.vertex_seq, binding.edge_seq = vseq, eseq
-                    binding.names = completed
-                    yield binding
+                    yield vseq, eseq, names
+                else:
+                    completed = {**names, vertex_binding: current}
             if depth < max_len:
                 depth += 1
                 if depth < max_len:
@@ -174,13 +178,7 @@ def match_plan(
                             if (eid not in eseq
                                     and (edge_ok is None or edge_ok(edge(eid)))
                                     and (vertex_ok is None or vertex_ok(vertex(nvid)))):
-                                binding = new(PathBinding)
-                                binding.vertex_seq = vseq + (nvid,)
-                                binding.edge_seq = eseq + (eid,)
-                                binding.names = (
-                                    {**names, vertex_binding: nvid} if edge_binding is None
-                                    else {**names, vertex_binding: nvid, edge_binding: eid})
-                                yield binding
+                                yield vseq + (nvid,), eseq + (eid,), names
                     else:
                         extend(reversed([
                             (k + 1, vseq + (nvid,), eseq + (eid,), 0,
@@ -191,14 +189,21 @@ def match_plan(
                             and (edge_ok is None or edge_ok(edge(eid)))
                             and (vertex_ok is None or vertex_ok(vertex(nvid)))
                         ]))
-            if completed is not None and not last:
+            if completed is not None:
                 push((k + 1, vseq, eseq, 0, completed))
+
+
+def match_names(plan: QueryPlan, match: Match) -> dict[str, str]:
+    """Every name a match of ``plan`` binds, generated ones included,
+    mapped to its element id: the prefix's names from ``names``, the
+    last segment's from the sequences."""
+    return {name: match[slot][key] for name, (slot, key) in plan.locations.items()}
 
 
 # -- filter evaluation -----------------------------------------------------
 
 
-def eval_filter(binding: PathBinding, evaluate: Evaluator, graph: PropertyGraph) -> bool:
+def eval_filter(match: Match, evaluate: Evaluator, graph: PropertyGraph) -> bool:
     """Evaluate a plan's compiled rule filter on one of its matches.
 
     A filter the plan could not compile raises its first fault's error on
@@ -210,21 +215,22 @@ def eval_filter(binding: PathBinding, evaluate: Evaluator, graph: PropertyGraph)
     An absent property is not an error — comparisons over it are simply
     false.
     """
-    return evaluate(binding.names, graph)
+    return evaluate(match, graph)
 
 
-def _per_element(evaluate: Evaluator, name: str) -> Evaluator:
-    """``evaluate``, a filter that reads only ``name`` and cannot fail,
-    keeping its result per element bound to ``name``: over a graph that
-    does not change, it is a function of that element."""
+def _per_element(evaluate: Evaluator, location: Location) -> Evaluator:
+    """``evaluate``, a filter that reads only the name at ``location`` and
+    cannot fail, keeping its result per element bound there: over a
+    graph that does not change, it is a function of that element."""
+    slot, key = location
     memo: dict[str, bool] = {}
     get = memo.get
 
-    def memoised(names, graph):
-        element = names[name]
+    def memoised(match, graph):
+        element = match[slot][key]
         result = get(element)
         if result is None:
-            result = memo[element] = evaluate(names, graph)
+            result = memo[element] = evaluate(match, graph)
         return result
 
     return memoised
@@ -251,7 +257,7 @@ def check_intersection(
     match's first edge, or its only vertex.
     """
     requests = [
-        (b.vertex_seq, b.edge_seq) for b in match_plan(graph, request_plan, varlen_cap)
+        (vertices, edges) for vertices, edges, _ in match_plan(graph, request_plan, varlen_cap)
     ]
     if not requests:
         return False
@@ -266,13 +272,13 @@ def check_intersection(
         pivot = None
     evaluate = None
     if rule_plan.compiled_filter is not None:
-        evaluate, name = rule_plan.compiled_filter
-        if name is not None:
-            evaluate = _per_element(evaluate, name)
-    for rule_binding in match_plan(graph, rule_plan, varlen_cap, prefer=prefer):
-        if evaluate is not None and not eval_filter(rule_binding, evaluate, graph):
+        evaluate, location = rule_plan.compiled_filter
+        if location is not None:
+            evaluate = _per_element(evaluate, location)
+    for match in match_plan(graph, rule_plan, varlen_cap, prefer=prefer):
+        if evaluate is not None and not eval_filter(match, evaluate, graph):
             continue
-        vertex_seq, edge_seq = rule_binding.vertex_seq, rule_binding.edge_seq
+        vertex_seq, edge_seq, _ = match
         if pivot is not None and pivot not in (edge_seq if on_edge else vertex_seq):
             continue
         in_vertices, in_edges = vertex_seq.__contains__, edge_seq.__contains__

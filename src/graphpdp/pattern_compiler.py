@@ -62,6 +62,14 @@ from .policy_model import (
 from .request_model import KIND_EDGE
 
 ElementCheck = Callable[[Union[VertexRecord, EdgeRecord]], bool]
+# A plan's match: the walked vertex ids, the walked edge ids, and the names
+# the steps before the last segment bind (see :class:`QueryPlan`).
+Match = tuple[tuple[str, ...], tuple[str, ...], dict[str, str]]
+# Where a match holds a name: ``match[slot][key]``.
+Location = tuple[int, Union[int, str, None]]
+_LAST_VERTEX: Location = (0, -1)
+_LAST_EDGE: Location = (1, -1)
+Evaluator = Callable[[Match, PropertyGraph], Any]
 
 
 @dataclass(frozen=True)
@@ -74,10 +82,19 @@ class QueryPlan:
     max_len, direction, edge check, vertex check, vertex binding, edge
     binding, last)``, where ``max_len`` is ``None`` when unbounded, the
     edge binding is ``None`` unless the step is a single hop, and ``last``
-    marks the final segment.  ``compiled_filter`` is what
-    :func:`compile_filter` gives for ``filter`` and the steps'
+    marks the final segment.
+
+    A match is a ``(vertex_seq, edge_seq, names)`` triple, and
+    ``locations`` is the one rule for where it holds each name it binds:
+    name -> ``(slot, key)``, read as ``match[slot][key]``.  ``names``
+    holds what the steps before the last segment bind, so the last vertex
+    step's element sits at ``(0, -1)``, the last of ``vertex_seq``, and a
+    single-hop last edge step's at ``(1, -1)``; every other name sits at
+    ``(2, name)``.  A one-vertex plan has no segment: its one name sits at
+    ``(0, -1)``.  ``compiled_filter`` is what :func:`compile_filter`
+    gives for ``filter``, the steps'
     :func:`~graphpdp.policy_model.readable_names`, which validation checks
-    too.  All are built once, when the plan is.
+    too, and ``locations``.  All are built once, when the plan is.
     """
 
     steps: tuple[PlanStep, ...]
@@ -86,7 +103,8 @@ class QueryPlan:
         init=False, repr=False, compare=False
     )
     segments: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
-    compiled_filter: tuple[Evaluator, str | None] | None = field(
+    locations: dict[str | None, Location] = field(init=False, repr=False, compare=False)
+    compiled_filter: tuple[Evaluator, Location | None] | None = field(
         init=False, repr=False, compare=False
     )
 
@@ -94,25 +112,39 @@ class QueryPlan:
         steps = self.steps
         checks = tuple(map(element_check, steps))
         segments = []
+        # a name bound before the last segment sits in the match's names;
+        # names go in in the order the walk binds them, so a repeated name
+        # sits where its last binding does
+        locations: dict[str | None, Location] = {}
+        if steps:
+            first = steps[0].binding
+            locations[first] = _LAST_VERTEX if len(steps) == 1 else (2, first)
         # steps alternate vertex, edge, vertex, ...: edge steps sit at odd
         # positions
         for i in range(1, len(steps), 2):
             edge = steps[i]
+            vertex_binding = steps[i + 1].binding
+            edge_binding = edge.binding if edge.is_single_hop else None
+            last = i + 2 == len(steps)
             segments.append((
                 edge.min_len,
                 edge.max_len,
                 edge.direction,
                 checks[i],
                 checks[i + 1],
-                steps[i + 1].binding,
-                edge.binding if edge.is_single_hop else None,
-                i + 2 == len(steps),
+                vertex_binding,
+                edge_binding,
+                last,
             ))
+            locations[vertex_binding] = _LAST_VERTEX if last else (2, vertex_binding)
+            if edge_binding is not None:
+                locations[edge_binding] = _LAST_EDGE if last else (2, edge_binding)
         object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "locations", locations)
         compiled = None
         if self.filter is not None:
-            compiled = compile_filter(self.filter, readable_names(steps))
+            compiled = compile_filter(self.filter, readable_names(steps), locations)
         object.__setattr__(self, "compiled_filter", compiled)
 
 
@@ -120,9 +152,9 @@ class QueryPlan:
 
 
 def _all(parts: tuple[Evaluator, ...]) -> Evaluator:
-    def evaluate(names, graph):
+    def evaluate(match, graph):
         for part in parts:
-            if not part(names, graph):
+            if not part(match, graph):
                 return False
         return True
 
@@ -130,9 +162,9 @@ def _all(parts: tuple[Evaluator, ...]) -> Evaluator:
 
 
 def _any(parts: tuple[Evaluator, ...]) -> Evaluator:
-    def evaluate(names, graph):
+    def evaluate(match, graph):
         for part in parts:
-            if part(names, graph):
+            if part(match, graph):
                 return True
         return False
 
@@ -327,18 +359,16 @@ def element_check(step: PlanStep) -> ElementCheck | None:
 
 # -- filter compilation ----------------------------------------------------
 
-Names = dict[str, str]  # binding name -> element id
-Evaluator = Callable[[Names, PropertyGraph], Any]
-
-
 def compile_filter(
-    expr: ConditionExpr, bound: Mapping[str, str]
-) -> tuple[Evaluator, str | None]:
+    expr: ConditionExpr, bound: Mapping[str, str], locations: Mapping[str, Location]
+) -> tuple[Evaluator, Location | None]:
     """Compile a condition tree for matches that bind the names in
-    ``bound``, each mapped to the category a designator reads it with.
+    ``bound``, each mapped to the category a designator reads it with,
+    and hold each where ``locations`` says (see :class:`QueryPlan`).
 
-    Gives the evaluator and, when the filter reads exactly one name and
-    cannot fail, that name.  A filter with a fault, the first that
+    Gives the evaluator, which takes a match, and, when the filter reads
+    exactly one name and cannot fail, that name's location.  A filter
+    with a fault, the first that
     :func:`~graphpdp.policy_model.condition_faults` yields, compiles to an
     evaluator that raises that error afresh on every call, as eager
     evaluation would.  Any other filter cannot raise, so ``and``/``or``
@@ -347,10 +377,11 @@ def compile_filter(
     fault = next(condition_faults(expr, bound), None)
     if fault is None:
         reads = _names_read(expr)
-        return _predicate(expr), (next(iter(reads)) if len(reads) == 1 else None)
+        location = locations[next(iter(reads))] if len(reads) == 1 else None
+        return _predicate(expr, locations), location
     error, arg = fault
 
-    def fail(names, graph):
+    def fail(match, graph):
         raise error(arg)
 
     return fail, None
@@ -370,76 +401,83 @@ def _truthy(value: PropertyValue) -> bool:
     return as_text(value) == "true"
 
 
-def _designator(expr: Designator) -> Evaluator:
-    ref, attribute = expr.binding_ref, expr.attribute_id
+def _designator(expr: Designator, at: Mapping[str, Location]) -> Evaluator:
+    slot, key = at[expr.binding_ref]
+    attribute = expr.attribute_id
     if expr.category == uris.CAT_PATH_EDGE:
-        def get(names, graph):
-            return graph.edge(names[ref]).properties.get(attribute)
+        def get(match, graph):
+            return graph.edge(match[slot][key]).properties.get(attribute)
     else:
-        def get(names, graph):
-            return graph.vertex(names[ref]).properties.get(attribute)
+        def get(match, graph):
+            return graph.vertex(match[slot][key]).properties.get(attribute)
     return get
 
 
-def _property_test(expr: Designator, holds: Callable[[PropertyValue], bool]) -> Evaluator:
+def _property_test(
+    expr: Designator, holds: Callable[[PropertyValue], bool], at: Mapping[str, Location]
+) -> Evaluator:
     """Evaluator applying ``holds`` to the designated property, read in
     the same closure; an absent property gives false."""
-    ref, attribute = expr.binding_ref, expr.attribute_id
+    slot, key = at[expr.binding_ref]
+    attribute = expr.attribute_id
     if expr.category == uris.CAT_PATH_EDGE:
-        def evaluate(names, graph):
-            value = graph.edge(names[ref]).properties.get(attribute)
+        def evaluate(match, graph):
+            value = graph.edge(match[slot][key]).properties.get(attribute)
             return value is not None and holds(value)
     else:
-        def evaluate(names, graph):
-            value = graph.vertex(names[ref]).properties.get(attribute)
+        def evaluate(match, graph):
+            value = graph.vertex(match[slot][key]).properties.get(attribute)
             return value is not None and holds(value)
     return evaluate
 
 
-def _predicate(expr: ConditionExpr) -> Evaluator:
-    """Evaluator giving the truth value of ``expr``, a tree without faults."""
+def _predicate(expr: ConditionExpr, at: Mapping[str, Location]) -> Evaluator:
+    """Evaluator giving the truth value of ``expr``, a tree without
+    faults whose names sit where ``at`` says."""
     if isinstance(expr, Literal):
         truth = _truthy(expr.value)
-        return lambda names, graph: truth
+        return lambda match, graph: truth
     if isinstance(expr, Designator):
-        return _property_test(expr, _truthy)
+        return _property_test(expr, _truthy, at)
     op = translate_function(expr.function)
     if op.logical:
-        return op.combine(tuple(map(_predicate, expr.args)))
-    return _comparison(op, expr.args)
+        return op.combine(tuple(_predicate(arg, at) for arg in expr.args))
+    return _comparison(op, expr.args, at)
 
 
-def _operand(expr: ConditionExpr) -> Evaluator:
+def _operand(expr: ConditionExpr, at: Mapping[str, Location]) -> Evaluator:
     """Evaluator of a non-literal operand's value; an ``Apply`` operand's
     value is its truth value."""
     if isinstance(expr, Designator):
-        return _designator(expr)
-    return _predicate(expr)
+        return _designator(expr, at)
+    return _predicate(expr, at)
 
 
-def _comparison(op: Operator, args: tuple[ConditionExpr, ...]) -> Evaluator:
+def _comparison(
+    op: Operator, args: tuple[ConditionExpr, ...], at: Mapping[str, Location]
+) -> Evaluator:
     """An absent operand makes the comparison false; a literal operand is
     compiled, once, into a test on the other operand's value."""
     left, right = args
     literal_left = isinstance(left, Literal)
     if literal_left and isinstance(right, Literal):
         result = op.compare(left.value, right.value)
-        return lambda names, graph: result
+        return lambda match, graph: result
     if literal_left or isinstance(right, Literal):
         literal, other = (left, right) if literal_left else (right, left)
         holds = _against_literal(op, literal.value, literal_left)
         if isinstance(other, Designator):
-            return _property_test(other, holds)
-        truth = _predicate(other)
-        return lambda names, graph: holds(truth(names, graph))
-    get_left, get_right = _operand(left), _operand(right)
+            return _property_test(other, holds, at)
+        truth = _predicate(other, at)
+        return lambda match, graph: holds(truth(match, graph))
+    get_left, get_right = _operand(left, at), _operand(right, at)
     key, test = op.key, op.test
 
-    def evaluate(names, graph):
-        a = get_left(names, graph)
+    def evaluate(match, graph):
+        a = get_left(match, graph)
         if a is None:
             return False
-        b = get_right(names, graph)
+        b = get_right(match, graph)
         return b is not None and test(key(a), key(b))
 
     return evaluate

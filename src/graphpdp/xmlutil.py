@@ -62,8 +62,14 @@ class _Builder(ET.TreeBuilder):
 def parse_xml(text: str, error_cls) -> ET.Element:
     """Parse ``text``, converting syntax errors to ``error_cls``; so is a
     lone surrogate, which the parser cannot encode, and so is a document
-    type declaration."""
-    parser = ET.XMLParser(target=_Builder())
+    type declaration.
+
+    The parser reaches an exact ``ET.TreeBuilder`` without a Python call
+    per element, so ``_Builder`` builds only a text that holds
+    ``<!DOCTYPE``: expat spells a declaration only that way, and a ``str``
+    is fed as UTF-8, whatever encoding its XML declaration names."""
+    target = _Builder() if "<!DOCTYPE" in text else ET.TreeBuilder()
+    parser = ET.XMLParser(target=target)
     try:
         parser.feed(text)
         return parser.close()

@@ -1,9 +1,13 @@
 """Evaluate a bare condition tree as a plan evaluates its filter.
 
 The engine compiles a filter once per plan, for the names every match of
-that plan binds and the kind of element each names; a test that has one
-binding and a tree compiles it for that binding's names, a name bound to
-one of the binding's edges as an edge and any other as a vertex.
+that plan binds, the kind of element each names and where the match
+holds it; a test that has one match and a tree compiles it for that
+match's names.  The match is a ``(vertex_seq, edge_seq, names)`` triple
+whose ``names`` hold every name it binds, as
+:func:`~graphpdp.path_matcher.match_names` gives them: a name bound to
+one of its edges reads as an edge and any other as a vertex, each from
+``names``.
 """
 
 from graphpdp import uris
@@ -11,10 +15,12 @@ from graphpdp.path_matcher import eval_filter
 from graphpdp.pattern_compiler import compile_filter
 
 
-def eval_tree(binding, expr, graph) -> bool:
-    edges = set(binding.edge_seq)
+def eval_tree(match, expr, graph) -> bool:
+    _, edge_seq, names = match
+    edges = set(edge_seq)
     bound = {
         name: uris.CAT_PATH_EDGE if element in edges else uris.CAT_PATH_VERTEX
-        for name, element in binding.names.items()
+        for name, element in names.items()
     }
-    return eval_filter(binding, compile_filter(expr, bound)[0], graph)
+    locations = {name: (2, name) for name in names}
+    return eval_filter(match, compile_filter(expr, bound, locations)[0], graph)

@@ -14,6 +14,7 @@ import json
 import math
 import operator as _op
 import re
+from typing import NamedTuple
 
 from graphpdp import graph_store, uris
 from graphpdp.errors import DuplicateIdError, GraphFormatError, ReferentialError
@@ -24,7 +25,7 @@ from graphpdp.graph_store import (
     as_number,
     as_text,
 )
-from graphpdp.path_matcher import PathBinding
+from graphpdp.path_matcher import match_names
 from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep
 
 # -- constraint predicates (rewritten, not imported) ------------------------
@@ -217,19 +218,34 @@ def reference_load_graph_json(text: str) -> PropertyGraph:
 # -- bindings as values -----------------------------------------------------
 
 
-def var_bindings(binding: PathBinding) -> tuple[tuple[str, str], ...]:
-    """The binding's name -> element id pairs, sorted by name."""
-    return tuple(sorted(binding.names.items()))
+class Trail(NamedTuple):
+    """A match as the oracles build it: the walked elements and every
+    name it binds.  The oracles keep their own record rather than the
+    engine's triple, whose names hold only what the steps before the last
+    segment bind."""
+
+    vertex_seq: tuple[str, ...]
+    edge_seq: tuple[str, ...]
+    names: dict[str, str]
 
 
-def binding_key(binding: PathBinding) -> tuple:
-    """The binding as a plain tuple, which compares, hashes and prints as
-    its walked elements and its names."""
-    return (binding.vertex_seq, binding.edge_seq, var_bindings(binding))
+def var_bindings(names) -> tuple[tuple[str, str], ...]:
+    """The name -> element id pairs, sorted by name."""
+    return tuple(sorted(names.items()))
 
 
-def binding_keys(bindings) -> set[tuple]:
-    return {binding_key(b) for b in bindings}
+def binding_key(match, plan: QueryPlan | None = None) -> tuple:
+    """A match as a plain tuple, which compares, hashes and prints as its
+    walked elements and all its names: those :func:`match_names` gives for
+    an engine match of ``plan``, or a :class:`Trail`'s own with no plan."""
+    vertex_seq, edge_seq, names = match
+    if plan is not None:
+        names = match_names(plan, match)
+    return (vertex_seq, edge_seq, var_bindings(names))
+
+
+def binding_keys(matches, plan: QueryPlan | None = None) -> set[tuple]:
+    return {binding_key(m, plan) for m in matches}
 
 
 # -- plan matching by trail filtering ---------------------------------------
@@ -256,16 +272,16 @@ def adjacency(graph: PropertyGraph) -> dict[str, list[tuple[str, str]]]:
     return moves
 
 
-def enumerate_trails_oracle(graph: PropertyGraph, max_edges: int) -> list[PathBinding]:
+def enumerate_trails_oracle(graph: PropertyGraph, max_edges: int) -> list[Trail]:
     """Every trail of 0..max_edges edges, both orientations, in a fixed
     order.  Shares no traversal code with match_plan, which it checks."""
     if max_edges > 8:
         raise ValueError("oracle is exhaustive; refusing max_edges > 8")
-    trails: list[PathBinding] = []
+    trails: list[Trail] = []
     moves = adjacency(graph)
 
     def step(vseq: tuple[str, ...], eseq: tuple[str, ...]) -> None:
-        trails.append(PathBinding(vseq, eseq))
+        trails.append(Trail(vseq, eseq, {}))
         if len(eseq) >= max_edges:
             return
         for eid, nvid in moves[vseq[-1]]:
@@ -279,7 +295,7 @@ def enumerate_trails_oracle(graph: PropertyGraph, max_edges: int) -> list[PathBi
 
 def plan_match_oracle(
     graph: PropertyGraph, plan: QueryPlan, varlen_cap: int = 8
-) -> list[PathBinding]:
+) -> list[Trail]:
     """Brute force: every trail, every admissible segmentation; each
     distinct binding (see :func:`binding_key`) once."""
     vsteps = [s for s in plan.steps if isinstance(s, VertexStep)]
@@ -289,7 +305,7 @@ def plan_match_oracle(
         for e in esteps
     ]
     max_total = sum(hi for _, hi in bounds)
-    found: dict[tuple, PathBinding] = {}
+    found: dict[tuple, Trail] = {}
     for trail in enumerate_trails_oracle(graph, max_total):
         total = len(trail.edge_seq)
         if total < sum(lo for lo, _ in bounds):
@@ -323,7 +339,7 @@ def _aligned_binding(graph, trail, lengths, vsteps, esteps):
             names.append((estep.binding, trail.edge_seq[boundaries[k]]))
     for vstep, pos in zip(vsteps, boundaries):
         names.append((vstep.binding, trail.vertex_seq[pos]))
-    return PathBinding(trail.vertex_seq, trail.edge_seq, tuple(names))
+    return Trail(trail.vertex_seq, trail.edge_seq, dict(names))
 
 
 def intersection_oracle(graph, rule_plan, request_plan, varlen_cap=8):
@@ -333,7 +349,7 @@ def intersection_oracle(graph, rule_plan, request_plan, varlen_cap=8):
         return False
     for b1 in plan_match_oracle(graph, rule_plan, varlen_cap):
         if rule_plan.filter is not None and not filter_oracle(
-            graph, b1, rule_plan.filter
+            graph, b1.names, rule_plan.filter
         ):
             continue
         for b2 in request_bindings:
@@ -388,14 +404,16 @@ def _as_bool(value):
     return as_text(value) == "true"
 
 
-def filter_oracle(graph, binding, expr) -> bool:
+def filter_oracle(graph, names, expr) -> bool:
+    """The filter's truth value on a match binding ``names``, every name
+    it binds mapped to its element id."""
     from graphpdp.policy_model import Apply, Designator, Literal
 
     def ev(node):
         if isinstance(node, Literal):
             return node.value
         if isinstance(node, Designator):
-            element_id = binding.names.get(node.binding_ref)
+            element_id = names.get(node.binding_ref)
             if node.category == uris.CAT_PATH_EDGE:
                 rec = graph.edge(element_id)
             else:

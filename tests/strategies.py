@@ -155,9 +155,9 @@ def plans(draw, graph: PropertyGraph, budget: int = 4, cap: int = 3) -> QueryPla
 def _trail_steps(draw, graph: PropertyGraph, match) -> list:
     """Single-hop steps that ``match``'s trail satisfies: each edge keeps
     its type and direction, each vertex its label unless a draw drops it."""
-    vertices = match.vertex_seq
+    vertices, edge_ids, _ = match
     steps: list = [_trail_vertex(draw, graph, vertices[0], 0)]
-    for i, edge_id in enumerate(match.edge_seq):
+    for i, edge_id in enumerate(edge_ids):
         edge = graph.edge(edge_id)
         direction = "from" if edge.from_id == vertices[i] else "to"
         steps.append(EdgeStep(binding=f"y{i}", type=edge.type, direction=direction))

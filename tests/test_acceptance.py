@@ -26,7 +26,7 @@ from graphpdp import uris
 from graphpdp.cli import run
 from graphpdp.errors import PolicySchemaError, UnknownFunctionError
 from graphpdp.graph_store import EdgeRecord, PropertyGraph, VertexRecord
-from graphpdp.path_matcher import PathBinding, check_intersection, match_plan
+from graphpdp.path_matcher import check_intersection, match_plan
 from graphpdp.pattern_compiler import (
     _REGISTRY,
     MATCH_REGISTRY,
@@ -169,9 +169,9 @@ def test_matcher_agrees_with_brute_force_oracles():
         graph = data.draw(strategies.graphs())
         plan = data.draw(strategies.plans(graph))
         request_plan = data.draw(strategies.request_plans(graph))
-        assert oracles.binding_keys(match_plan(graph, plan, varlen_cap=3)) == oracles.binding_keys(
-            oracles.plan_match_oracle(graph, plan, varlen_cap=3)
-        )
+        assert oracles.binding_keys(
+            match_plan(graph, plan, varlen_cap=3), plan
+        ) == oracles.binding_keys(oracles.plan_match_oracle(graph, plan, varlen_cap=3))
         assert check_intersection(
             graph, plan, request_plan, varlen_cap=3
         ) == oracles.intersection_oracle(graph, plan, request_plan, varlen_cap=3)
@@ -204,7 +204,7 @@ def test_condition_function_set_is_complete_and_closed():
     assert len(_REGISTRY) == 11
 
     graph = PropertyGraph([VertexRecord("v", "signs", {"score": 7, "word": "Amber"})])
-    binding = PathBinding(("v",), (), (("x", "v"),))
+    binding = (("v",), (), {"x": "v"})
     ref = Designator("score", uris.CAT_PATH_VERTEX, "x")
     word = Designator("word", uris.CAT_PATH_VERTEX, "x")
     probes = {

@@ -1,12 +1,13 @@
 """Golden digest of the matcher's ordered output on seeded random cases.
 
 The digest covers 300 cases drawn from ``random.Random`` seeds, each a
-graph, a rule plan and three request plans: every binding ``match_plan``
-yields for each plan, in order, with and without ``prefer``, and the
-outcome of ``check_intersection`` for each request plan (its result, or
-the type and message of the error it raises).  It pins the stream
-element for element: a kernel change that reorders, drops or adds a
-binding, or changes a result or an error, changes the digest.  The cases
+graph, a rule plan and three request plans: every match ``match_plan``
+yields for each plan, in order, with and without ``prefer``, each with
+all its names as ``match_names`` gives them, and the outcome of
+``check_intersection`` for each request plan (its result, or the type
+and message of the error it raises).  It pins the stream element for
+element: a kernel change that reorders, drops or adds a match, or
+changes a name, a result or an error, changes the digest.  The cases
 have self-loops, parallel edges, all three directions, variable-length
 steps under caps 2 and 3, request paths that end in a pinned edge group,
 and filters that read one name or two.
@@ -18,7 +19,7 @@ import random
 from graphpdp import uris
 from graphpdp.errors import FilterEvalError, UnknownFunctionError
 from graphpdp.graph_store import EdgeRecord, PropertyGraph, VertexRecord
-from graphpdp.path_matcher import check_intersection, match_plan
+from graphpdp.path_matcher import check_intersection, match_names, match_plan
 from graphpdp.pattern_compiler import EdgeStep, QueryPlan, VertexStep, compile_request_path
 from graphpdp.policy_model import Apply, ConstraintSet, Designator, Literal, MatchConstraint
 from graphpdp.request_model import KIND_EDGE, KIND_VERTEX, PathGroup
@@ -147,10 +148,12 @@ def request_plan(rng: random.Random, g: PropertyGraph) -> QueryPlan:
     return compile_request_path(groups)
 
 
-def _record(out, label: str, bindings) -> None:
+def _record(out, label: str, plan: QueryPlan, matches) -> None:
     out.update(label.encode())
-    for b in bindings:
-        out.update(repr((b.vertex_seq, b.edge_seq, tuple(sorted(b.names.items())))).encode())
+    for match in matches:
+        vertex_seq, edge_seq, _ = match
+        names = tuple(sorted(match_names(plan, match).items()))
+        out.update(repr((vertex_seq, edge_seq, names)).encode())
     out.update(b"|")
 
 
@@ -172,8 +175,8 @@ def golden_digest(cases: int = CASES) -> str:
         requests = [request_plan(rng, g) for _ in range(REQUESTS)]
         prefer = frozenset(rng.sample(g.vertex_ids(), rng.randint(1, len(g.vertex_ids()))))
         for label, p in [("rule", rule)] + [("request", r) for r in requests]:
-            _record(out, label, match_plan(g, p, cap))
-            _record(out, label + "-prefer", match_plan(g, p, cap, prefer=prefer))
+            _record(out, label, p, match_plan(g, p, cap))
+            _record(out, label + "-prefer", p, match_plan(g, p, cap, prefer=prefer))
         for request in requests:
             out.update(intersection_outcome(g, rule, request, cap).encode())
     return out.hexdigest()

@@ -17,9 +17,9 @@ from graphpdp.graph_store import (
     load_graph_path,
 )
 from graphpdp.path_matcher import (
-    PathBinding,
     check_intersection,
     eval_filter,
+    match_names,
     match_plan,
 )
 from graphpdp.pattern_compiler import (
@@ -56,19 +56,14 @@ def plan(*steps) -> QueryPlan:
 
 def test_directed_chain_has_one_match():
     g = chain(2)
-    found = list(
-        match_plan(
-            g,
-            plan(
-                pin("a", "c0"),
-                EdgeStep(binding="e1", direction="from"),
-                VertexStep("b"),
-                EdgeStep(binding="e2", direction="from"),
-                VertexStep("c"),
-            ),
-        )
+    p = plan(
+        pin("a", "c0"),
+        EdgeStep(binding="e1", direction="from"),
+        VertexStep("b"),
+        EdgeStep(binding="e2", direction="from"),
+        VertexStep("c"),
     )
-    assert [oracles.binding_key(b) for b in found] == [
+    assert [oracles.binding_key(m, p) for m in match_plan(g, p)] == [
         (
             ("c0", "c1", "c2"),
             ("l0", "l1"),
@@ -82,7 +77,7 @@ def test_direction_to_walks_against_the_edge():
     against = list(
         match_plan(g, plan(pin("a", "c1"), EdgeStep(direction="to"), VertexStep("b")))
     )
-    assert [b.vertex_seq for b in against] == [("c1", "c0")]
+    assert [vertices for vertices, _, _ in against] == [("c1", "c0")]
     assert not list(
         match_plan(g, plan(pin("a", "c1"), EdgeStep(direction="from"), VertexStep("b")))
     )
@@ -93,7 +88,7 @@ def test_any_direction_matches_both_orientations():
     found = list(match_plan(g, plan(VertexStep("a"), EdgeStep(), VertexStep("b"))))
     # every edge is walkable from either end
     assert len(found) == 4
-    assert sorted(b.vertex_seq for b in found) == [
+    assert sorted(vertices for vertices, _, _ in found) == [
         ("c0", "c1"),
         ("c1", "c0"),
         ("c1", "c2"),
@@ -123,7 +118,7 @@ def test_label_type_and_property_filters():
             ),
         )
     )
-    assert [b.vertex_seq for b in found] == [("u", "t")]
+    assert [vertices for vertices, _, _ in found] == [("u", "t")]
 
 
 def test_trail_edges_unique_but_vertices_may_repeat():
@@ -135,8 +130,8 @@ def test_trail_edges_unique_but_vertices_may_repeat():
         pin("a", "A"), EdgeStep(), VertexStep("b"), EdgeStep(), VertexStep("c")
     )
     found = list(match_plan(g, three))
-    assert sorted(b.edge_seq for b in found) == [("p", "q"), ("q", "p")]
-    assert all(b.vertex_seq == ("A", "B", "A") for b in found)  # A revisited
+    assert sorted(edges for _, edges, _ in found) == [("p", "q"), ("q", "p")]
+    assert all(vertices == ("A", "B", "A") for vertices, _, _ in found)  # A revisited
 
 
 def test_self_loop_is_one_hop():
@@ -145,7 +140,7 @@ def test_self_loop_is_one_hop():
         found = list(
             match_plan(g, plan(VertexStep("a"), EdgeStep(direction=direction), VertexStep("b")))
         )
-        assert [b.vertex_seq for b in found] == [("A", "A")], direction
+        assert [vertices for vertices, _, _ in found] == [("A", "A")], direction
 
 
 # -- variable length --------------------------------------------------------
@@ -157,7 +152,7 @@ def test_varlen_reaches_up_to_max():
         found = match_plan(
             g, plan(pin("a", "c0"), EdgeStep(min_len=lo, max_len=hi), VertexStep("z"))
         )
-        return sorted(b.vertex_seq[-1] for b in found)
+        return sorted(vertices[-1] for vertices, _, _ in found)
 
     assert hops(1, 2) == ["c1", "c2"]
     assert hops(2, 3) == ["c2", "c3"]
@@ -192,7 +187,7 @@ def test_varlen_interior_vertices_are_unconstrained():
             ),
         )
     )
-    assert [b.vertex_seq for b in found] == [("s", "m", "t")]
+    assert [vertices for vertices, _, _ in found] == [("s", "m", "t")]
 
 
 def test_varlen_edge_constraints_apply_to_every_hop():
@@ -209,7 +204,7 @@ def test_varlen_edge_constraints_apply_to_every_hop():
             VertexStep("z"),
         ),
     )
-    assert sorted(b.vertex_seq[-1] for b in found) == ["c1", "c2"]  # never x
+    assert sorted(vertices[-1] for vertices, _, _ in found) == ["c1", "c2"]  # never x
 
 
 def test_zero_length_is_not_a_thing():
@@ -219,20 +214,21 @@ def test_zero_length_is_not_a_thing():
     found = list(
         match_plan(g, plan(pin("a", "c0"), EdgeStep(min_len=1, max_len=2), VertexStep("z")))
     )
-    assert all(len(b.edge_seq) >= 1 for b in found)
+    assert all(len(edges) >= 1 for _, edges, _ in found)
 
 
 def test_deterministic_order():
     g = chain(3)
     p = plan(VertexStep("a"), EdgeStep(min_len=1, max_len=2), VertexStep("b"))
-    first = [oracles.binding_key(b) for b in match_plan(g, p)]
-    assert first and first == [oracles.binding_key(b) for b in match_plan(g, p)]
+    first = [oracles.binding_key(m, p) for m in match_plan(g, p)]
+    assert first and first == [oracles.binding_key(m, p) for m in match_plan(g, p)]
 
 
 # -- filter evaluation ------------------------------------------------------
 
 
-def filter_graph() -> tuple[PropertyGraph, PathBinding]:
+def filter_graph() -> tuple[PropertyGraph, tuple]:
+    """A graph and a match over all of it, its names written in full."""
     g = PropertyGraph(
         [
             VertexRecord("u", "users", {"_key": "u", "age": 41, "name": "Ada"}),
@@ -240,8 +236,7 @@ def filter_graph() -> tuple[PropertyGraph, PathBinding]:
         ],
         [EdgeRecord("w", "worksOn", "u", "t", {"typeKind": "worksOn"})],
     )
-    binding = PathBinding(("u", "t"), ("w",), (("s", "u"), ("e", "w")))
-    return g, binding
+    return g, (("u", "t"), ("w",), {"s": "u", "e": "w"})
 
 
 def des(attr, category, ref):
@@ -312,7 +307,7 @@ def test_filter_error_paths():
 XOR = "xacml4g:1.0:function:xor"
 
 
-def filter_run(form: str, b: PathBinding, g: PropertyGraph):
+def filter_run(form: str, b: tuple, g: PropertyGraph):
     """Evaluate a tree on ``b``: compiled for ``b``'s names ("tree"), or
     as the filter of a plan whose matches bind ``s``, ``e`` and ``r``."""
     if form == "tree":
@@ -357,7 +352,8 @@ def test_comparisons_against_a_literal_equal_the_oracle(value):
     # every comparison function, with the literal on either side, against
     # one graph value: numeric and non-numeric text, int, float, boolean
     g = PropertyGraph([VertexRecord("v", "node", {"p": value})])
-    b = PathBinding(("v",), (), (("s", "v"),))
+    names = {"s": "v"}
+    b = (("v",), (), names)
     prop = des("p", uris.CAT_PATH_VERTEX, "s")
     assert len(COMPARISONS) == 9
     for function in COMPARISONS:
@@ -365,7 +361,7 @@ def test_comparisons_against_a_literal_equal_the_oracle(value):
             for args in ((prop, literal), (literal, prop)):
                 expr = Apply(function, args)
                 assert eval_tree(b, expr, g) == oracles.filter_oracle(
-                    g, b, expr
+                    g, names, expr
                 ), (function, args)
 
 
@@ -387,16 +383,17 @@ def random_tree(rng: random.Random, depth: int, props: list[str]):
     return Apply(rng.choice(COMPARISONS), tuple(random_tree(rng, depth - 1, props) for _ in "lr"))
 
 
-def operand_graph() -> tuple[PropertyGraph, PathBinding, list[str]]:
+def operand_graph() -> tuple[PropertyGraph, tuple, list[str]]:
     """Two vertices and an edge holding the same property values, one per
-    property name, plus a name none holds."""
+    property name, plus a name none holds; a match over them all, its
+    names written in full."""
     values = {f"p{i}": value for i, value in enumerate(COMPARED_VALUES)}
     g = PropertyGraph(
         [VertexRecord("u", "node", values), VertexRecord("t", "node", values)],
         [EdgeRecord("w", "link", "u", "t", values)],
     )
-    binding = PathBinding(("u", "t"), ("w",), (("s", "u"), ("e", "w"), ("r", "t")))
-    return g, binding, [*values, "absent"]
+    match = (("u", "t"), ("w",), {"s": "u", "e": "w", "r": "t"})
+    return g, match, [*values, "absent"]
 
 
 def test_random_filter_trees_equal_the_oracle():
@@ -408,7 +405,7 @@ def test_random_filter_trees_equal_the_oracle():
     shapes = set()
     for _ in range(3000):
         expr = random_tree(rng, rng.randint(0, 3), props)
-        assert eval_tree(b, expr, g) == oracles.filter_oracle(g, b, expr), expr
+        assert eval_tree(b, expr, g) == oracles.filter_oracle(g, b[2], expr), expr
         if isinstance(expr, Designator):
             shapes.add("bare designator")
         if isinstance(expr, Apply) and expr.function in COMPARISONS:
@@ -436,6 +433,8 @@ FAULTS = {
     "unsupported node": lambda rng: rng.choice((42, None, "true", (Literal("1"),))),
 }
 BOUND = {"s": uris.CAT_PATH_VERTEX, "e": uris.CAT_PATH_EDGE, "r": uris.CAT_PATH_VERTEX}
+# where a match of ``(s)-[e]-(r)`` holds each of those names
+LOCATIONS = QueryPlan((VertexStep("s"), EdgeStep(binding="e"), VertexStep("r"))).locations
 
 
 def faulty_tree(rng: random.Random, depth: int, props: list[str]):
@@ -472,26 +471,26 @@ def fault_kind(fault) -> str:
 
 def test_the_first_filter_fault_equals_the_oracle():
     # a filter that fails raises the first fault an eager, depth-first walk
-    # meets, on every call; one that cannot fail names the one name it
-    # reads, if it reads one
+    # meets, on every call; one that cannot fail gives where the match
+    # holds the one name it reads, if it reads one
     g, b, props = operand_graph()
     rng = random.Random(4099)
     kinds, fault_free = set(), 0
     for _ in range(4000):
         expr = faulty_tree(rng, rng.randint(0, 4), props)
-        evaluate, name = compile_filter(expr, BOUND)
+        evaluate, location = compile_filter(expr, BOUND, LOCATIONS)
         fault = oracles.filter_fault_oracle(expr, BOUND)
         if fault is None:
             fault_free += 1
-            assert evaluate(b.names, g) == oracles.filter_oracle(g, b, expr), expr
+            assert evaluate(b, g) == oracles.filter_oracle(g, b[2], expr), expr
             reads = oracles.filter_names_read(expr)
-            assert name == (next(iter(reads)) if len(reads) == 1 else None), expr
+            assert location == (LOCATIONS[next(iter(reads))] if len(reads) == 1 else None), expr
             continue
         kinds.add(fault_kind(fault))
-        assert name is None
+        assert location is None
         for _ in range(2):
             with pytest.raises(fault[0]) as raised:
-                evaluate(b.names, g)
+                evaluate(b, g)
             assert type(raised.value) is fault[0] and str(raised.value) == fault[1], expr
     assert kinds == set(FAULTS)
     assert 1000 < fault_free < 3000
@@ -633,16 +632,16 @@ def with_rival_managers(demo: PropertyGraph, count: int = 30) -> PropertyGraph:
 
 def count_matches(monkeypatch) -> list[list[int]]:
     """Wrap ``match_plan`` as ``check_intersection`` looks it up; one
-    [bindings yielded] entry per call, in call order."""
+    [matches yielded] entry per call, in call order."""
     counts: list[list[int]] = []
     original = path_matcher.match_plan
 
     def counting(*args, **kwargs):
         count = [0]
         counts.append(count)
-        for binding in original(*args, **kwargs):
+        for match in original(*args, **kwargs):
             count[0] += 1
-            yield binding
+            yield match
 
     monkeypatch.setattr(path_matcher, "match_plan", counting)
     return counts
@@ -676,9 +675,9 @@ def test_filter_error_is_the_same_from_a_preferred_start(
         starts = []
         original = path_matcher.eval_filter
 
-        def recording(binding, expr, graph):
-            starts.append(binding.vertex_seq[0])
-            return original(binding, expr, graph)
+        def recording(match, expr, graph):
+            starts.append(match[0][0])
+            return original(match, expr, graph)
 
         monkeypatch.setattr(path_matcher, "eval_filter", recording)
         decision = DecisionEngine([broken], graph).decide(demo_request).decision
@@ -706,24 +705,24 @@ DEMO_PATH = plan(
 def test_a_one_name_filter_runs_once_per_element(monkeypatch, demo_policy, demo_graph):
     graph = with_rival_managers(demo_graph)
     rule_plan = compile_rule(demo_policy.rules[0])
-    evaluate, name = rule_plan.compiled_filter
-    assert name == "e"
+    evaluate, location = rule_plan.compiled_filter
+    assert location == rule_plan.locations["e"]
     matches = list(match_plan(graph, rule_plan))
-    elements = {b.names["e"] for b in matches}
+    elements = {match_names(rule_plan, m)["e"] for m in matches}
     assert len(elements) < len(matches)
     runs, calls = [], []
     original = path_matcher.eval_filter
 
-    def counting(names, graph):
-        runs.append(names["e"])
-        return evaluate(names, graph)
+    def counting(match, graph):
+        runs.append(match_names(rule_plan, match)["e"])
+        return evaluate(match, graph)
 
-    def recording(binding, expr, graph):
-        calls.append(binding)
-        return original(binding, expr, graph)
+    def recording(match, expr, graph):
+        calls.append(match)
+        return original(match, expr, graph)
 
     # the plan is this test's own, so its filter may count evaluations
-    object.__setattr__(rule_plan, "compiled_filter", (counting, name))
+    object.__setattr__(rule_plan, "compiled_filter", (counting, location))
     monkeypatch.setattr(path_matcher, "eval_filter", recording)
     assert not check_intersection(graph, rule_plan, REVIEWER_PATH)
     # one eval_filter call per rule match, one evaluation per element
@@ -755,15 +754,19 @@ def test_search_evaluators_equal_the_oracle(condition, monkeypatch, demo_policy,
     matches = list(match_plan(graph, rule_plan))
     results, original = {}, path_matcher.eval_filter
 
-    def recording(binding, expr, graph):
-        passed = results[oracles.binding_key(binding)] = original(binding, expr, graph)
+    def recording(match, expr, graph):
+        passed = results[oracles.binding_key(match, rule_plan)] = original(match, expr, graph)
         return passed
 
     monkeypatch.setattr(path_matcher, "eval_filter", recording)
     # no rule match holds the reviewer's path, so the search filters them all
     assert not check_intersection(graph, rule_plan, REVIEWER_PATH)
     monkeypatch.undo()
-    want = {oracles.binding_key(b): oracles.filter_oracle(graph, b, condition) for b in matches}
+    want = {
+        oracles.binding_key(m, rule_plan):
+            oracles.filter_oracle(graph, match_names(rule_plan, m), condition)
+        for m in matches
+    }
     assert results == want
     assert 0 < sum(want.values()) < len(want)
     for request_plan in (REVIEWER_PATH, DEMO_PATH):
@@ -782,9 +785,10 @@ def test_filter_errors_survive_the_memo(condition, demo_policy, demo_graph_file)
         rule_plan = QueryPlan(compile_rule(demo_policy.rules[0]).steps, filter=condition)
         matches = list(match_plan(graph, rule_plan))
         errors = set()
-        for binding in matches:
+        for match in matches:
+            vertices, edges, _ = match
             with pytest.raises((FilterEvalError, UnknownFunctionError)) as raised:
-                eval_tree(binding, condition, graph)
+                eval_tree((vertices, edges, match_names(rule_plan, match)), condition, graph)
             errors.add((raised.type, str(raised.value)))
         (error,) = errors  # every match raises the same error
         for request_plan in (REVIEWER_PATH, DEMO_PATH):
@@ -799,7 +803,9 @@ def test_preferred_starts_come_first_and_keep_their_order(data):
     g = data.draw(strategies.graphs())
     p = data.draw(strategies.plans(g))
     prefer = data.draw(st.frozensets(st.sampled_from(g.vertex_ids() + ["not-a-vertex"])))
-    key = oracles.binding_key
+    def key(match):
+        return oracles.binding_key(match, p)
+
     plain = [key(b) for b in match_plan(g, p, varlen_cap=3)]
     preferred = [key(b) for b in match_plan(g, p, varlen_cap=3, prefer=prefer)]
     assert [key(b) for b in match_plan(g, p, varlen_cap=3, prefer=frozenset())] == plain
@@ -861,7 +867,7 @@ def test_both_trail_counters_agree(g, budget):
 def test_match_plan_equals_oracle(data):
     g = data.draw(strategies.graphs())
     p = data.draw(strategies.plans(g))
-    got = oracles.binding_keys(match_plan(g, p, varlen_cap=3))
+    got = oracles.binding_keys(match_plan(g, p, varlen_cap=3), p)
     want = oracles.binding_keys(oracles.plan_match_oracle(g, p, varlen_cap=3))
     assert got == want
 
@@ -888,8 +894,8 @@ def test_every_binding_binds_the_names_of_its_plan(data):
         for step in p.steps
         if isinstance(step, EdgeStep) and step.min_len == step.max_len == 1 and step.binding
     }
-    for binding in match_plan(g, p, varlen_cap=3):
-        assert set(binding.names) == want
+    for match in match_plan(g, p, varlen_cap=3):
+        assert set(match_names(p, match)) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -897,12 +903,125 @@ def test_every_binding_binds_the_names_of_its_plan(data):
 def test_every_binding_is_a_trail_through_the_graph(data):
     g = data.draw(strategies.graphs())
     p = data.draw(strategies.plans(g))
-    for binding in match_plan(g, p, varlen_cap=3):
-        assert len(binding.vertex_seq) == len(binding.edge_seq) + 1
-        assert len(set(binding.edge_seq)) == len(binding.edge_seq)
-        for i, eid in enumerate(binding.edge_seq):
+    for vertices, edges, _ in match_plan(g, p, varlen_cap=3):
+        assert len(vertices) == len(edges) + 1
+        assert len(set(edges)) == len(edges)
+        for i, eid in enumerate(edges):
             edge = g.edge(eid)
-            assert {edge.from_id, edge.to_id} == {
-                binding.vertex_seq[i],
-                binding.vertex_seq[i + 1],
-            }
+            assert {edge.from_id, edge.to_id} == {vertices[i], vertices[i + 1]}
+
+
+# -- where a match holds its names -------------------------------------------
+
+
+def zoned_graph() -> PropertyGraph:
+    """Six vertices, zones alternating ``core`` and ``edge``, on a ring of
+    one-way links plus two chords, each link of kind ``keep`` or
+    ``drop``: enough branching that prefixes repeat.  Apart from them, two
+    ``edge`` vertices joined by one link, which no filter below lets a
+    match reach."""
+    vertices = [
+        VertexRecord(f"v{i}", "n", {"_key": f"v{i}", "zone": ("core", "edge")[i % 2]})
+        for i in range(6)
+    ] + [VertexRecord(f"v{i}", "n", {"_key": f"v{i}", "zone": "edge"}) for i in (6, 7)]
+    links = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (4, 1), (6, 7)]
+    edges = [
+        EdgeRecord(f"l{k}", "link", f"v{a}", f"v{b}", {"kind": ("keep", "drop")[k % 3 == 2]})
+        for k, (a, b) in enumerate(links)
+    ]
+    return PropertyGraph(vertices, edges)
+
+
+def zoned_requests(g: PropertyGraph) -> list[QueryPlan]:
+    """One request plan per vertex, and one per ordered pair of ends of
+    an edge, as compile_request_path builds them."""
+    requests = [plan(pin("x", v)) for v in g.vertex_ids()]
+    for edge in g.edges():
+        requests.append(plan(pin("x", edge.from_id), EdgeStep(), pin("y", edge.to_id)))
+        requests.append(plan(pin("x", edge.to_id), EdgeStep(), pin("y", edge.from_id)))
+    return requests
+
+
+def core(ref: str) -> Apply:
+    return equal(ref, uris.CAT_PATH_VERTEX, "zone", "core")
+
+
+@pytest.mark.parametrize("steps, condition", [
+    (
+        (VertexStep("s"), EdgeStep(max_len=2), VertexStep("m"), EdgeStep(max_len=2),
+         VertexStep("r")),
+        core("m"),
+    ),
+    (
+        (pin("s", "v0"), EdgeStep(max_len=None), VertexStep("r")),
+        core("r"),
+    ),
+    (
+        (VertexStep("s"), EdgeStep(max_len=2), VertexStep("m"),
+         EdgeStep(binding="e", direction="from"), VertexStep("r")),
+        Apply(uris.FN_AND, (equal("e", uris.CAT_PATH_EDGE, "kind", "keep"), core("s"))),
+    ),
+    (
+        (VertexStep("s"),),
+        core("s"),
+    ),
+], ids=["vertex between variable-length steps", "last vertex after a variable-length step",
+        "last single-hop edge", "only vertex"])
+def test_a_filter_reads_each_name_where_the_match_holds_it(steps, condition):
+    g = zoned_graph()
+    rule_plan = QueryPlan(steps, filter=condition)
+    matches = list(match_plan(g, rule_plan, varlen_cap=3))
+    trails = oracles.plan_match_oracle(g, rule_plan, varlen_cap=3)
+    # every name, read where the plan says, is the oracle's
+    assert oracles.binding_keys(matches, rule_plan) == oracles.binding_keys(trails)
+    passed = [oracles.filter_oracle(g, names, condition) for _, _, names in trails]
+    assert 0 < sum(passed) < len(passed)
+    results = [check_intersection(g, rule_plan, r, varlen_cap=3) for r in zoned_requests(g)]
+    assert results == [
+        oracles.intersection_oracle(g, rule_plan, r, varlen_cap=3) for r in zoned_requests(g)
+    ]
+    assert True in results and False in results
+
+
+@pytest.mark.parametrize("steps, last_names, prefix", [
+    ((VertexStep("s"),), {"s"}, lambda vertices, edges: ()),
+    ((VertexStep("s"), EdgeStep(binding="e"), VertexStep("r")), {"e", "r"},
+     lambda vertices, edges: vertices[:1]),
+    ((VertexStep("s"), EdgeStep(binding="e1", direction="from"), VertexStep("m"),
+      EdgeStep(max_len=2), VertexStep("r")), {"r"},
+     lambda vertices, edges: (vertices[:2], edges[:1])),
+    ((VertexStep("s"), EdgeStep(max_len=2), VertexStep("m"),
+      EdgeStep(binding="e2", direction="to"), VertexStep("r")), {"e2", "r"},
+     lambda vertices, edges: (vertices[:-1], edges[:-1])),
+], ids=["one vertex", "one segment", "single hop then variable", "variable then single hop"])
+def test_matches_from_one_prefix_share_one_names_dict(steps, last_names, prefix):
+    # a match in the last segment adds no dict: its names are its
+    # prefix's, the trail before the last segment, one object for every
+    # match that extends that prefix, and hold no name of the last segment
+    p = plan(*steps)
+    matches = list(match_plan(zoned_graph(), p, varlen_cap=3))
+    dicts_by_prefix: dict[tuple, set[int]] = {}
+    for vertices, edges, names in matches:
+        assert not last_names & names.keys()
+        dicts_by_prefix.setdefault(prefix(vertices, edges), set()).add(id(names))
+    assert len(matches) > len(dicts_by_prefix)
+    assert all(len(ids) == 1 for ids in dicts_by_prefix.values())
+    assert {name for name, (slot, _) in p.locations.items() if slot != 2} == last_names
+
+
+def test_the_search_probe_counts_a_decision(capsys, fixtures_dir):
+    import search_probe
+
+    assert search_probe.main([
+        "--policies", str(fixtures_dir / "policies"),
+        "--graph", str(fixtures_dir / "graphs" / "demo_graph.json"),
+        "--request", str(fixtures_dir / "requests" / "access_data_object.xml"),
+        "--repeats", "2",
+    ]) == 0
+    rows = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert {name.strip(): value for name, value in rows.items()} == {
+        "rule matches": "1", "filter calls": "1", "walked matches": "2",
+        "walk_us/match": rows["walk_us/match"], "decide_us": rows["decide_us"],
+        "blocks/match": rows["blocks/match"],
+    }
+    assert float(rows["decide_us"]) > 0 and float(rows["blocks/match"]) > 0

@@ -48,3 +48,35 @@ def test_a_lone_surrogate_is_not_well_formed_xml(parse, error):
     # a str can hold one; the parser cannot encode it
     with pytest.raises(error, match="not well-formed XML: .*surrogates not allowed"):
         parse('<Request a="\ud800"/>')
+
+
+@pytest.mark.parametrize("parse, error", [
+    (parse_request, RequestParseError), (parse_policy, PolicySchemaError),
+])
+@pytest.mark.parametrize("declaration", [
+    "<!DOCTYPE Request>",
+    '<!DOCTYPE Request SYSTEM "file:///etc/passwd">',
+    '<!DOCTYPE Request [<!ENTITY e "v">]>',
+])
+def test_every_document_type_declaration_is_refused(parse, error, declaration):
+    # the declaration comes before the root, with or without an XML
+    # declaration naming another encoding: a str is parsed as UTF-8
+    for prolog in ("", '<?xml version="1.0" encoding="UTF-16"?>\n'):
+        with pytest.raises(error, match="document type declarations are not allowed"):
+            parse(prolog + declaration + "<Request/>")
+
+
+def test_a_comment_naming_a_doctype_parses_as_without_it(demo_request_file, demo_policy_dir):
+    # only a declaration is refused: "<!DOCTYPE" in a comment or in text is
+    # no declaration, and the text parses as it does without it
+    request = demo_request_file.read_text(encoding="utf-8")
+    policy = (demo_policy_dir / "pm_user_to_data_object.xml").read_text(encoding="utf-8")
+    for parse, text, root in ((parse_request, request, "<Request"),
+                              (parse_policy, policy, "<xacml:Policy")):
+        commented = text.replace(root, "<!-- <!DOCTYPE x [<!ENTITY e 'v'>]> -->\n" + root, 1)
+        assert commented != text
+        assert parse(commented) == parse(text)
+    # in a CDATA section it is character data
+    spelled = request.replace("access-do", "<![CDATA[<!DOCTYPE x>]]>access-do", 1)
+    assert spelled != request
+    assert "'<!DOCTYPE x>access-do'" in repr(parse_request(spelled))
